@@ -19,6 +19,7 @@ from .errors import (
     NotTFree,
     PoleTooHigh,
     RegularityViolation,
+    RoutesDisagree,
     TruncationMismatch,
     WindowTooSmall,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "QSeries",
     "RatFunc",
     "RegularityViolation",
+    "RoutesDisagree",
     "TPoly",
     "TruncationMismatch",
     "USeriesRF",

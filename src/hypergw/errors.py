@@ -57,6 +57,13 @@ class PoleTooHigh(HypergwError):
     """A rational function has a pole of higher order than the context allows."""
 
 
+class RoutesDisagree(HypergwError):
+    """Two independent computations of the same quantity disagree.
+
+    Every route is exact, so this signals an internal arithmetic bug.
+    """
+
+
 class MissingColumn(HypergwError):
     """A table operation needs a column that has not been filled."""
 

@@ -217,13 +217,6 @@ def regular_kernel(spec):
     return q
 
 
-def q_coefficient(spec, d):
-    """The q^d coefficient of the regular kernel, a rational function of h."""
-    if not 0 <= d <= spec.qorder:
-        raise ValueError("degree outside the stored truncation")
-    return regular_kernel(spec)[d]
-
-
 @lru_cache(maxsize=None)
 def kernel_value_at_zero(spec):
     """Closed form for the regular kernel at h = 0: (1 - n^n q)^{-1/n}."""

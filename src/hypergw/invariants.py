@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hyper
-from .errors import MissingColumn
+from .errors import MissingColumn, RoutesDisagree
 from .hyper import HyperSpec
 from .report import merge_reports, report_equality
 from .residues import RatFunc, USeriesRF, residue_at
@@ -287,7 +287,7 @@ def instanton_inversion(table, genus):
     genus 0:  N0_d = sum_{k|d} n0_{d/k} / k^3
     genus 1:  N1_d = sum_{k|d} n1_{d/k} sigma_k / k + (1/12) sum_{k|d} n0_{d/k} / k
     Forward substitution of the solved columns reproduces the inputs
-    exactly; that round trip is asserted here.
+    exactly; that round trip is checked here.
     """
     if genus == 0:
         big = table.require("N0")
@@ -302,7 +302,8 @@ def instanton_inversion(table, genus):
             sum(small[d // k] / Fraction(k) ** 3 for k in divisors(d))
             for d in range(1, len(big) + 1)
         ]
-        assert forward == big
+        if forward != big:
+            raise RoutesDisagree("genus-0 multiple-cover round trip failed")
         return table
     if genus == 1:
         big = table.require("N1")
@@ -321,7 +322,8 @@ def instanton_inversion(table, genus):
             + sum(n0[d // k] / Fraction(k) for k in divisors(d)) / 12
             for d in range(1, len(big) + 1)
         ]
-        assert forward == big
+        if forward != big:
+            raise RoutesDisagree("genus-1 multiple-cover round trip failed")
         return table
     raise ValueError("genus must be 0 or 1")
 
@@ -336,7 +338,7 @@ def assemble_table(n, order):
     if n == 5:
         values, report = quintic_genus0(order)
         if not report.passed:
-            raise AssertionError(f"block reconstruction failed: {report.first_failure}")
+            raise RoutesDisagree(f"block reconstruction failed: {report.first_failure}")
         for row, v in zip(table.rows, values):
             row.N0 = v
         reduced_to_standard(table)
@@ -344,7 +346,7 @@ def assemble_table(n, order):
         direct = quintic_genus1(order)
         for row, v in zip(table.rows, direct):
             if row.N1 != v:
-                raise AssertionError(
+                raise RoutesDisagree(
                     f"genus-1 routes disagree at degree {row.d}: {row.N1} vs {v}"
                 )
         instanton_inversion(table, 0)

@@ -7,6 +7,11 @@ res_inf f = -res_0 { w^{-2} f(1/w) }, power series in u with RatFunc
 coefficients, and the regularization machinery: splitting 1 + Z as
 exp(eta/h) * (1 + Zbar) with Zbar holomorphic at h = 0, together with the
 residue-moment identities that characterize when such a splitting exists.
+
+Every question local to h = 0 (a residue there, a weighted residue
+res{ h^p f }, the iterated residue of the split kernel) is answered by
+reading one coefficient off the Laurent window of f at 0, with no product,
+shift or gcd.  Only residues at other points shift the function.
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,7 @@ from .errors import (
     NonzeroConstant,
     NotRegularizable,
     PoleTooHigh,
+    RoutesDisagree,
     WindowTooSmall,
 )
 from .report import report_equality
@@ -295,13 +301,21 @@ def laurent_at_zero(f, low, high):
     return HLaurent(low, high, tuple(out))
 
 
+def laurent_coeff_at_zero(f, k):
+    """Coefficient of h^k in the Laurent expansion of f at h = 0."""
+    m = f.pole_order_at_zero()
+    if k < -m:
+        return Fraction(0)
+    return laurent_at_zero(f, m, k).coeff(k)
+
+
 def residue_at(f, a):
     """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles."""
-    g = f.shift(a)
-    m = g.pole_order_at_zero()
-    if m == 0:
+    if not a:
+        return laurent_coeff_at_zero(f, -1)
+    if P.eval_poly(f.den, a):
         return Fraction(0)
-    return laurent_at_zero(g, m, -1).coeff(-1)
+    return laurent_coeff_at_zero(f.shift(a), -1)
 
 
 def residue_at_infinity(f):
@@ -444,17 +458,7 @@ class USeriesRF:
 
     def weighted_residues(self, power=0):
         """QSeries of res_{h=0} { h^power * coeff_d } over u-degrees."""
-        vals = []
-        for c in self.coeffs:
-            if power >= 0:
-                f = c * RatFunc(P.mul_xk(_ONE, power))
-            else:
-                f = c * RatFunc.inv_power(-power)
-            vals.append(residue_at(f, 0))
-        return QSeries(vals)
-
-    def evaluate_at(self, a):
-        return QSeries([c.evaluate(a) for c in self.coeffs])
+        return QSeries([laurent_coeff_at_zero(c, -1 - power) for c in self.coeffs])
 
     def taylor_coeff(self, k):
         return QSeries([taylor_coeff_at_zero(c, k) for c in self.coeffs])
@@ -484,9 +488,13 @@ def exp_over_hbar(eta, sign=1):
 
 @dataclass
 class Regularization:
+    """1 + z = exp(eta/h) * (1 + zbar), with the moments c_j = res{ h^-j z }."""
+
     eta: QSeries
     zbar: USeriesRF
     regular: bool
+    z: USeriesRF
+    moments: list
 
 
 def regularize(z):
@@ -495,7 +503,8 @@ def regularize(z):
     eta is produced by the degree-stabilizing fixed point
         eta_p = sum_{j<=p} (-eta_{p-1})^j / j! * res{ h^{-j} z }
     and cross-checked against res_{h=0} log(1 + z); a mismatch would be an
-    internal arithmetic bug and raises immediately.
+    internal arithmetic bug and raises immediately.  The moments
+    res{ h^{-j} z }, j = 0..D, are kept for the moment checks below.
     """
     if not z.coeffs[0].is_zero():
         raise NonzeroConstant("series must have no degree-zero term")
@@ -512,9 +521,9 @@ def regularize(z):
         eta = acc
     eta_log = z.log_one_plus().weighted_residues(0)
     if eta != eta_log:
-        raise AssertionError("exponent fixed point and log residue disagree")
+        raise RoutesDisagree("exponent fixed point and log residue disagree")
     zbar = exp_over_hbar(eta, -1) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
-    return Regularization(eta, zbar, zbar.is_regular_at_zero())
+    return Regularization(eta, zbar, zbar.is_regular_at_zero(), z, moments)
 
 
 def _bivariate_mul(a, b, s_order, u_trunc):
@@ -526,9 +535,10 @@ def _bivariate_mul(a, b, s_order, u_trunc):
     return out
 
 
-def moment_identity_check(z, a, which):
+def moment_identity_check(reg, a, which):
     """The residue-moment identities tied to regularizability.
 
+    reg is regularize(z) for the series z under test.
     which = "intrinsic": the criterion that holds exactly when the series
     is regularizable; both sides use only residues of h-powers of z.
     which = "regularized": the evaluation identity whose right side is
@@ -538,10 +548,9 @@ def moment_identity_check(z, a, which):
         raise ValueError("a must be nonnegative")
     if which not in ("intrinsic", "regularized"):
         raise ValueError(f"unknown identity kind {which!r}")
-    d = z.truncation
-    cvals = [z.weighted_residues(-j) for j in range(d + 1)]
+    d = reg.z.truncation
     # g(s, u) = sum_j (-1)^j / j! c_j(u) s^j
-    g = [cvals[j] * Fraction((-1) ** j, factorial(j)) for j in range(d + 1)]
+    g = [c * Fraction((-1) ** j, factorial(j)) for j, c in enumerate(reg.moments)]
 
     lhs = QSeries.zero(d)
     power = [QSeries.one(d)] + [QSeries.zero(d)] * d  # g^0
@@ -556,12 +565,11 @@ def moment_identity_check(z, a, which):
                 continue
             lhs = lhs + power[m - a]
     if which == "intrinsic":
-        rhs = z.weighted_residues(a + 1) * factorial(a)
+        rhs = reg.z.weighted_residues(a + 1) * factorial(a)
         name = "moment-intrinsic"
     else:
         if a == 0:
             lhs = lhs + QSeries.one(d)  # empty-product term
-        reg = regularize(z)
         if not reg.regular:
             raise NotRegularizable("evaluation identity needs a regularizable series")
         denom = QSeries.one(d) + reg.zbar.taylor_coeff(0)
@@ -571,13 +579,15 @@ def moment_identity_check(z, a, which):
     return report_equality(name, {"a": a}, pairs, d)
 
 
-def moment_closed_form_check(z, a):
-    """Closed form for res{ h^a z } from eta and the Taylor coefficients of zbar."""
-    d = z.truncation
-    reg = regularize(z)
+def moment_closed_form_check(reg, a):
+    """Closed form for res{ h^a z } from eta and the Taylor coefficients of zbar.
+
+    reg is regularize(z) for the series z under test.
+    """
+    d = reg.z.truncation
     if not reg.regular:
         raise NotRegularizable("closed form needs a regularizable series")
-    lhs = z.weighted_residues(a)
+    lhs = reg.moments[-a] if 0 <= -a <= d else reg.z.weighted_residues(a)
     rhs = QSeries.zero(d)
     eta_pow = [QSeries.one(d)]
     for _ in range(d):
@@ -632,29 +642,22 @@ def double_residue_split_kernel(a_series, b_series):
     """Iterated residue res_{h1=0} res_{h2=0} of A(h1) B(h2) / (h1 h2 (h1+h2)).
 
     The inner residue treats h1 as a nonzero parameter, so 1/(h1+h2) is
-    expanded geometrically in h2 within the Laurent window of B(h2)/h2.
+    expanded geometrically in h2/h1; the double residue is then
+    sum_k (-1)^k [h^-k]B * [h^(k+1)]A, with k up to the pole order of B.
     """
     d = min(a_series.truncation, b_series.truncation)
-    inv_h = RatFunc.inv_power(1)
     out = []
     for m in range(d + 1):
         val = Fraction(0)
         for d1 in range(m + 1):
             a = a_series[d1]
             b = b_series[m - d1]
-            if a.is_zero() or b.is_zero():
+            if a.is_zero():
                 continue
-            bh = b * inv_h
-            depth = bh.pole_order_at_zero()
-            if depth == 0:
-                continue
-            window = laurent_at_zero(bh, depth, -1)
-            inner = RatFunc.from_scalar(0)
-            for k in range(depth):
-                c = window.coeff(-1 - k)
+            for k in range(b.pole_order_at_zero() + 1):
+                c = laurent_coeff_at_zero(b, -k)
                 if c:
-                    inner = inner + RatFunc.inv_power(k + 1) * ((-1) ** k * c)
-            val += residue_at(a * inv_h * inner, 0)
+                    val += (-1) ** k * c * laurent_coeff_at_zero(a, k + 1)
         out.append(val)
     return QSeries(out)
 

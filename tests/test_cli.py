@@ -1,10 +1,13 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import ast
 import json
+import random
 from fractions import Fraction as Fr
-
+from pathlib import Path
 
 from hypergw import cli
+from hypergw import polys as P
 from hypergw.invariants import GWTable
 from hypergw.report import IdentityReport
 
@@ -154,6 +157,22 @@ def test_internal_violation_exit_code(monkeypatch, capsys):
     code, _, err = run(["invariants", "--n", "5", "--order", "2"], capsys)
     assert code == 1
     assert "identity violation" in err
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements; failures must be typed errors
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not isinstance(node, ast.Assert), where
+            assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), where
+
+
+def test_random_ratfunc_lists_every_pole():
+    rng = random.Random(20080915)
+    for _ in range(100):
+        f, poles = cli._random_ratfunc(rng)
+        assert sum(f.shift(a).pole_order_at_zero() for a in poles) == P.degree(f.den)
 
 
 def test_byte_identical_output(capsys):

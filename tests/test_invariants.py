@@ -5,7 +5,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hypergw.errors import MissingColumn
+from hypergw import invariants
+from hypergw.errors import MissingColumn, RoutesDisagree
 from hypergw.hyper import HyperSpec, mirror_shift, regularizing_exponent
 from hypergw.invariants import (
     GWRow,
@@ -28,7 +29,12 @@ from hypergw.invariants import (
     standard_to_reduced,
     torus_cover_series,
 )
-from hypergw.residues import moment_identity_check, regularize
+from hypergw.report import IdentityReport
+from hypergw.residues import (
+    moment_closed_form_check,
+    moment_identity_check,
+    regularize,
+)
 from hypergw.series import QSeries
 
 import oracles
@@ -192,37 +198,37 @@ def test_constant_term_of_minus_n_part_vanishes():
 # -- bridge -----------------------------------------------------------------------
 
 
-def test_bridge_regularizes_with_exponent_mu():
+@pytest.fixture(scope="module")
+def quintic_bridge():
     spec = HyperSpec(5, 5)
-    z = bridge_series(spec)
-    out = regularize(z)
+    return spec, regularize(bridge_series(spec))
+
+
+def test_bridge_regularizes_with_exponent_mu(quintic_bridge):
+    spec, out = quintic_bridge
     assert out.regular
     assert out.eta == regularizing_exponent(spec)
 
 
-def test_bridge_regular_part_value():
+def test_bridge_regular_part_value(quintic_bridge):
     from hypergw.hyper import diagonal_series, kernel_value_at_zero
 
-    spec = HyperSpec(5, 5)
-    out = regularize(bridge_series(spec))
+    spec, out = quintic_bridge
     value = QSeries.one(5) + out.zbar.taylor_coeff(0)
     assert value == kernel_value_at_zero(spec) / diagonal_series(spec, 0)
 
 
-def test_bridge_moment_identities():
-    spec = HyperSpec(5, 5)
-    z = bridge_series(spec)
+def test_bridge_moment_identities(quintic_bridge):
+    _, reg = quintic_bridge
     for a in range(3):
-        assert moment_identity_check(z, a, "intrinsic").passed
-        assert moment_identity_check(z, a, "regularized").passed
+        assert moment_identity_check(reg, a, "intrinsic").passed
+        assert moment_identity_check(reg, a, "regularized").passed
 
 
 def test_bridge_moment_closed_form():
-    from hypergw.residues import moment_closed_form_check
-
-    z = bridge_series(HyperSpec(4, 5))
+    reg = regularize(bridge_series(HyperSpec(4, 5)))
     for a in range(-2, 3):
-        assert moment_closed_form_check(z, a).passed
+        assert moment_closed_form_check(reg, a).passed
 
 
 # -- tables ------------------------------------------------------------------------
@@ -246,3 +252,43 @@ def test_non_quintic_table_has_reduced_only():
     tab = assemble_table(4, 3)
     assert tab.column("GW1_reduced") == [0, 0, 0]
     assert tab.column("N0") == [None] * 3
+
+
+# -- integrality and typed failures ----------------------------------------------
+
+
+def test_quintic_instanton_numbers_are_integers():
+    # Gopakumar-Vafa integrality: an oracle that needs no stored values
+    table = assemble_table(5, 16)
+    for name in ("n0", "n1"):
+        column = table.column(name)
+        assert len(column) == 16
+        assert all(v.denominator == 1 for v in column), name
+
+
+def test_block_reconstruction_failure_is_typed(monkeypatch):
+    real = invariants.quintic_genus0
+
+    def broken(order):
+        values, _ = real(order)
+        return values, IdentityReport("forced", {}, order, passed=False, first_failure="q^1")
+
+    monkeypatch.setattr(invariants, "quintic_genus0", broken)
+    with pytest.raises(RoutesDisagree, match="block reconstruction"):
+        assemble_table(5, 3)
+
+
+def test_genus1_route_mismatch_is_typed(monkeypatch):
+    real = invariants.quintic_genus1
+    monkeypatch.setattr(invariants, "quintic_genus1", lambda order: [v + 1 for v in real(order)])
+    with pytest.raises(RoutesDisagree, match="genus-1 routes"):
+        assemble_table(5, 3)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_instanton_round_trip_failure_is_typed(monkeypatch, genus):
+    table = assemble_table(5, 3)
+    # dropping k = 1 from every divisor sum breaks the forward substitution
+    monkeypatch.setattr(invariants, "divisors", lambda d: divisors(d)[1:])
+    with pytest.raises(RoutesDisagree, match=f"genus-{genus} multiple-cover"):
+        instanton_inversion(table, genus)

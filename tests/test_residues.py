@@ -4,9 +4,11 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergw import polys as P
-from hypergw.errors import NonzeroConstant, PoleTooHigh, WindowTooSmall
+from hypergw.errors import NonzeroConstant, PoleTooHigh, RoutesDisagree, WindowTooSmall
 from hypergw.residues import (
     RatFunc,
     USeriesRF,
@@ -193,25 +195,31 @@ def test_regularize_is_idempotent_on_reconstructed_series():
         assert out.regular
 
 
+def test_regularize_route_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(USeriesRF, "log_one_plus", lambda self: USeriesRF.zero(self.truncation))
+    with pytest.raises(RoutesDisagree):
+        regularize(constructed_example(Fr(3, 2), 3))
+
+
 def test_moment_identities_on_constructed_example():
-    z = constructed_example(Fr(3, 2), 5)
+    reg = regularize(constructed_example(Fr(3, 2), 5))
     for a in range(5):
-        assert moment_identity_check(z, a, "intrinsic").passed
+        assert moment_identity_check(reg, a, "intrinsic").passed
     for a in range(4):
-        assert moment_identity_check(z, a, "regularized").passed
+        assert moment_identity_check(reg, a, "regularized").passed
 
 
 def test_counterexample_fails_intrinsic_identity():
-    z = u_series(0, RatFunc.inv_power(1), trunc=4)
+    reg = regularize(u_series(0, RatFunc.inv_power(1), trunc=4))
     assert not all(
-        moment_identity_check(z, a, "intrinsic").passed for a in range(5)
+        moment_identity_check(reg, a, "intrinsic").passed for a in range(5)
     )
 
 
 def test_moment_closed_form():
-    z = constructed_example(Fr(-2, 5), 5)
+    reg = regularize(constructed_example(Fr(-2, 5), 5))
     for a in range(-3, 4):
-        assert moment_closed_form_check(z, a).passed
+        assert moment_closed_form_check(reg, a).passed
 
 
 # -- residue of a product ---------------------------------------------------------
@@ -267,6 +275,86 @@ def test_double_residue_regular_inner_vanishes():
     a = u_series(0, H, trunc=2)
     b = u_series(0, H, trunc=2)  # B/h regular at 0 -> inner residue 0
     assert double_residue_split_kernel(a, b) == QSeries.zero(2)
+
+
+# -- differential: Laurent-coefficient reads against RatFunc-product routes --------
+#
+# The references below are the routes the package used before h = 0 questions
+# were read straight off the Laurent window: multiply by a power of h or rebuild
+# an inner function as a RatFunc, shift to the point, then take the window.
+
+
+def ref_residue_at(f, a):
+    g = f.shift(a)
+    m = g.pole_order_at_zero()
+    if m == 0:
+        return Fr(0)
+    return laurent_at_zero(g, m, -1).coeff(-1)
+
+
+def ref_weighted_residues(z, power):
+    weight = RatFunc(P.mul_xk((Fr(1),), power)) if power >= 0 else RatFunc.inv_power(-power)
+    return QSeries([ref_residue_at(c * weight, 0) for c in z.coeffs])
+
+
+def ref_double_residue_split_kernel(a_series, b_series):
+    d = min(a_series.truncation, b_series.truncation)
+    inv_h = RatFunc.inv_power(1)
+    out = []
+    for m in range(d + 1):
+        val = Fr(0)
+        for d1 in range(m + 1):
+            a = a_series[d1]
+            b = b_series[m - d1]
+            if a.is_zero() or b.is_zero():
+                continue
+            bh = b * inv_h
+            depth = bh.pole_order_at_zero()
+            if depth == 0:
+                continue
+            window = laurent_at_zero(bh, depth, -1)
+            inner = RatFunc.from_scalar(0)
+            for k in range(depth):
+                c = window.coeff(-1 - k)
+                if c:
+                    inner = inner + RatFunc.inv_power(k + 1) * ((-1) ** k * c)
+            val += ref_residue_at(a * inv_h * inner, 0)
+        out.append(val)
+    return QSeries(out)
+
+
+POLES = (Fr(0), Fr(0), Fr(1), Fr(-1), Fr(2), Fr(1, 2), Fr(-3, 2))
+
+
+@st.composite
+def ratfuncs(draw):
+    """Small RatFuncs with poles (possibly repeated, possibly cancelled) at 0 and elsewhere."""
+    num = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    den = (Fr(1),)
+    for a in draw(st.lists(st.sampled_from(POLES), max_size=4)):
+        den = P.mul(den, (-a, Fr(1)))
+    return RatFunc([Fr(c) for c in num], den)
+
+
+useries = st.lists(ratfuncs(), min_size=1, max_size=4).map(USeriesRF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), st.sampled_from(POLES + (Fr(3), Fr(-1, 3))))
+def test_residue_at_matches_shift_route(f, a):
+    assert residue_at(f, a) == ref_residue_at(f, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(useries, st.integers(-3, 3))
+def test_weighted_residues_match_product_route(z, power):
+    assert z.weighted_residues(power) == ref_weighted_residues(z, power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(useries, useries)
+def test_double_residue_matches_product_route(a, b):
+    assert double_residue_split_kernel(a, b) == ref_double_residue_split_kernel(a, b)
 
 
 # -- combinatorial identities -------------------------------------------------------
