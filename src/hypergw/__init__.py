@@ -2,8 +2,8 @@
 
 Everything reduces to exact arithmetic on truncated power series over the
 rationals: a bigraded hypergeometric kernel generates a tower of
-t-polynomials, the mirror map, and a family of rational-function series
-in an auxiliary variable h; residues, a regularization splitting, and a
+t-polynomials, the mirror map, and a family of series in an auxiliary
+variable h, local to h = 0; residues, a regularization splitting, and a
 handful of combinatorial identities assemble the invariants and the
 verification suites.
 """

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import hyper, invariants
+from . import polys as P
 from .errors import HypergwError
 from .hyper import HyperSpec
 from .residues import (
@@ -93,12 +94,15 @@ def _suite_props32(n, order):
     ]
 
 
+def _u_times_h_power(p, order):
+    """The series u * h^p."""
+    return USeriesRF.from_quotients([(0, P.ZERO, P.ONE), (p, P.ONE, P.ONE)], order)
+
+
 def _constructed_regularizable(order):
+    """exp(3u/(2h)) (1 + u h) - 1: regularizable by construction."""
     growth = QSeries.monomial(1, order, Fraction(3, 2))
-    linear = USeriesRF(
-        [RatFunc.from_scalar(0), RatFunc.variable()], order
-    )
-    return exp_over_hbar(growth, 1) * (USeriesRF.one(order) + linear) - USeriesRF.one(order)
+    return exp_over_hbar(growth, 1) * (_u_times_h_power(1, order) + 1) - 1
 
 
 def _suite_regularize(n, order):
@@ -111,7 +115,7 @@ def _suite_regularize(n, order):
     for a in range(-3, 4):
         reports.append(moment_closed_form_check(reg, a))
 
-    bad = regularize(USeriesRF([RatFunc.from_scalar(0), RatFunc.inv_power(1)], order))
+    bad = regularize(_u_times_h_power(-1, order))
     bad_fails = any(
         not moment_identity_check(bad, a, "intrinsic").passed for a in range(5)
     )
@@ -152,8 +156,6 @@ def _random_ratfunc(rng):
 
     A pole that cancels against the numerator is still listed; its residue is 0.
     """
-    from . import polys as P
-
     den = (Fraction(1),)
     poles = set()
     for _ in range(rng.randint(1, 3)):
@@ -317,8 +319,10 @@ def render_dump(what, n, order):
             for d in range(order + 1):
                 lines.append(f"w^{j} q^{d}: {format_rational(f.coeff(j)[d])}")
     elif what == "Q":
-        q = hyper.regular_kernel(spec)
-        lines = [f"q^{d}: {q[d].to_str()}" for d in range(order + 1)]
+        lines = [
+            f"q^{d}: {RatFunc(num, den).to_str()}"
+            for d, (num, den) in enumerate(hyper.regular_kernel(spec))
+        ]
     elif what == "theorem2_rhs":
         series = invariants.reduced_genus1_series(spec)
         lines = [f"q^{d}: {format_rational(series[d])}" for d in range(order + 1)]
@@ -365,6 +369,8 @@ def main(argv=None):
                     parser.format_usage()
                     + f"error: unknown suite name(s): {', '.join(unknown)}\n",
                 )
+            if "theorem3" in names and args.n < 2:
+                parser.exit(2, parser.format_usage() + "error: suite theorem3 needs --n >= 2\n")
             reports = run_suites(names, args.n, args.order)
             if args.format == "json":
                 text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"

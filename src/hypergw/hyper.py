@@ -8,6 +8,11 @@ mu, the h-regular kernel Q obtained by stripping exp(mu/h), and the
 ladder series built by repeated first-order descent operators.  The
 checker functions turn the structural statements about these objects
 into exact pass/fail reports.
+
+The kernel at w = 1/h is kept factored, h^-d rnum_d / V_d, and no RatFunc
+is built here: its window series at h = 0 (USeriesRF) carries the residue
+exponent and the ladder, Q is formed as N_d / (h^d V_d) over the known
+denominator, and the boundary residue reads its value at h = -n.
 """
 
 from dataclasses import dataclass
@@ -16,15 +21,9 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import polys as P
-from .errors import RegularityViolation
+from .errors import PoleTooHigh, RegularityViolation
 from .report import merge_reports, report_equality
-from .residues import (
-    RatFunc,
-    USeriesRF,
-    double_residue_split_kernel,
-    exp_over_hbar,
-    laurent_at_zero,
-)
+from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries
 
 
@@ -79,17 +78,41 @@ def kernel(spec):
 
 
 @lru_cache(maxsize=None)
-def kernel_inv_hbar(spec):
-    """The kernel at w = 1/h, as a u-series with rational-function coefficients.
+def _inv_hbar_parts(spec):
+    """Per q-degree d, (rnum_d, V_d) with the kernel at w = 1/h equal to
+    h^-d rnum_d / V_d: rnum_d = prod_{r<=nd}(n + r h), V_d = prod_{r<=d} v_r,
+    v_r = ((1 + r h)^n - 1) / h, V_d(0) = d! n^d; reversals of _kernel_parts."""
+    return tuple(
+        (P.reverse(num, len(num) - 1), P.reverse(den, len(den) - 1))
+        for num, den in _kernel_parts(spec)
+    )
 
-    The q^d coefficient has pole order exactly d at h = 0.
+
+@lru_cache(maxsize=None)
+def kernel_inv_hbar(spec):
+    """The kernel at w = 1/h as a window u-series, expanded straight from
+    the factored form h^-d rnum_d / V_d; the q^d coefficient has pole order
+    exactly d at h = 0."""
+    return USeriesRF.from_quotients(
+        [(-d, rnum, den) for d, (rnum, den) in enumerate(_inv_hbar_parts(spec))]
+    )
+
+
+def kernel_value_at(spec, a):
+    """The kernel at w = 1/h evaluated at h = a != 0, as a q-series.
+
+    Factors h - a common to rnum_d and V_d are divided out first (exactly,
+    no gcd): at n = 2, a = -2, n + h divides both and the 0/0 is removable.
     """
+    root = (-Fraction(a), Fraction(1))
     out = []
-    for d, (num, den) in enumerate(_kernel_parts(spec)):
-        rnum = P.reverse(num, len(num) - 1)
-        rden = P.reverse(den, len(den) - 1)
-        out.append(RatFunc(rnum, P.mul_xk(rden, d)))
-    return USeriesRF(out)
+    for d, (num, den) in enumerate(_inv_hbar_parts(spec)):
+        while not P.eval_poly(den, a):
+            if P.eval_poly(num, a):
+                raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
+            num, den = P.exact_div(num, root), P.exact_div(den, root)
+        out.append(P.eval_poly(num, a) / (P.eval_poly(den, a) * Fraction(a) ** d))
+    return QSeries(out)
 
 
 @lru_cache(maxsize=None)
@@ -155,66 +178,46 @@ def regularizing_exponent(spec, method="closed_form"):
     of the logarithm of the kernel at w = 1/h.  Both are exact and must
     agree; the agreement is one of the verified identities.
 
-    The residue path runs on exact Laurent windows seeded from the
-    rational-function coefficients: the q^k coefficient of anything in
-    sight has pole order at most k, so windows reaching power d - k
-    determine every residue through q^d exactly.
+    The residue path reads res_{h=0} log of the window series of the
+    kernel at w = 1/h, whose q^0 coefficient is 1.
     """
     d = spec.qorder
     if method == "closed_form":
         expanded = one_minus_nn_q(spec).power(Fraction(-1, spec.n)) - 1
         return QSeries([Fraction(0)] + [expanded[k] / k for k in range(1, d + 1)])
     if method == "residue":
-        # exact-zero coefficients are carried as None so that window
-        # bookkeeping never degrades through them
-        def wadd(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a + b
-
-        f = kernel_inv_hbar(spec)
-        z = [None] + [laurent_at_zero(f[k], k, d - k) for k in range(1, d + 1)]
-        one = laurent_at_zero(RatFunc.from_scalar(1), 0, d)
-        log = [None] * (d + 1)
-        power = [one] + [None] * d
-        sign = 1
-        for m in range(1, d + 1):
-            nxt = [None] * (d + 1)
-            for i in range(m - 1, d + 1):
-                if power[i] is None:
-                    continue
-                for j in range(1, d + 1 - i):
-                    nxt[i + j] = wadd(nxt[i + j], power[i] * z[j])
-            power = nxt
-            log = [
-                wadd(acc, None if p is None else p * Fraction(sign, m))
-                for acc, p in zip(log, power)
-            ]
-            sign = -sign
-        return QSeries(
-            [
-                c.coeff(-1) if c is not None and c.low >= 1 else Fraction(0)
-                for c in log
-            ]
-        )
+        return (kernel_inv_hbar(spec) - 1).log_one_plus().weighted_residues(0)
     raise ValueError(f"unknown method {method!r}")
 
 
 @lru_cache(maxsize=None)
 def regular_kernel(spec):
-    """Q: the kernel at w = 1/h with exp(mu/h) stripped; holomorphic at h=0.
+    """Q = exp(-mu/h) times the kernel at w = 1/h, holomorphic at h = 0.
 
-    A pole in any coefficient contradicts the structure theory and raises.
+    With e_i = h^i [u^i] exp(-mu/h), a polynomial in h, the q^d coefficient
+    is Q_d = N_d / (h^d V_d) with
+        N_d = sum_i e_i rnum_{d-i} prod_{d-i<r<=d} v_r.
+    Since V_d(0) != 0, Q_d is regular exactly when h^d divides N_d; a pole
+    contradicts the structure theory and raises.  Returns the unreduced
+    pairs (N_d / h^d, V_d), one per degree.
     """
-    mu = regularizing_exponent(spec)
-    q = exp_over_hbar(mu, -1) * kernel_inv_hbar(spec)
-    for d, c in enumerate(q.coeffs):
-        order = c.pole_order_at_zero()
-        if order:
-            raise RegularityViolation(d, order)
-    return q
+    n = spec.n
+    parts = _inv_hbar_parts(spec)
+    windows = exp_over_hbar(regularizing_exponent(spec), -1).coeffs
+    e = [P.norm(c.coeffs[: i + 1]) for i, c in enumerate(windows)]
+    out = []
+    for d, (_, den) in enumerate(parts):
+        num = P.ZERO
+        tail = P.ONE  # prod_{d-i<r<=d} v_r
+        for i in range(d + 1):
+            if i:  # times v_r = ((1 + r h)^n - 1) / h
+                r = d - i + 1
+                tail = P.mul(tail, tuple(Fraction(comb(n, k) * r**k) for k in range(1, n + 1)))
+            num = P.add(num, P.mul(P.mul(e[i], parts[d - i][0]), tail))
+        if any(num[:d]):
+            raise RegularityViolation(d, d - next(k for k, c in enumerate(num) if c))
+        out.append((num[d:], den))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -259,11 +262,7 @@ def ladder_series(spec, p):
     if p == 0:
         return kernel_inv_hbar(spec).mul_inv_qseries(diagonal_series(spec, 0))
     prev = ladder_series(spec, p - 1)
-    h = RatFunc.variable()
-    stepped = prev + USeriesRF(
-        [c * h * d for d, c in enumerate(prev.coeffs)]
-    )
-    return stepped.mul_inv_qseries(diagonal_series(spec, p))
+    return (prev + prev.h_euler()).mul_inv_qseries(diagonal_series(spec, p))
 
 
 @lru_cache(maxsize=None)
@@ -360,9 +359,10 @@ def exponent_methods_check(spec):
 def regular_kernel_checks(spec):
     """Regularity at h = 0 plus the closed forms of value and slope there."""
     d = spec.qorder
-    q = regular_kernel(spec)  # raises RegularityViolation on a pole
-    value = q.taylor_coeff(0)
-    slope = q.taylor_coeff(1)
+    # regular_kernel raises RegularityViolation on a pole
+    taylor = [P.series_mul(num, P.series_inv(den, 1), 1) for num, den in regular_kernel(spec)]
+    value = QSeries([t[0] for t in taylor])
+    slope = QSeries([t[1] for t in taylor])
     reports = [
         report_equality(
             "regular-kernel-value",

@@ -16,12 +16,13 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import hyper
 from .errors import MissingColumn, RoutesDisagree
 from .hyper import HyperSpec
 from .report import merge_reports, report_equality
-from .residues import RatFunc, USeriesRF, residue_at
+from .residues import RatFunc, laurent_at_zero, residue_at
 from .series import (
     QSeries,
     TPoly,
@@ -389,46 +390,36 @@ def boundary_locus_series(spec):
 
 def _residue_weight(n):
     """((1+h)^n - 1) / ((n+h) h^2) as a rational function."""
-    num = tuple(Fraction(c) for c in _binomial_row(n))
+    num = tuple(Fraction(comb(n, k) if k else 0) for k in range(n + 1))
     den = (Fraction(0), Fraction(0), Fraction(n), Fraction(1))
     return RatFunc(num, den)
-
-
-def _binomial_row(n):
-    from math import comb
-
-    return [comb(n, k) if k else 0 for k in range(n + 1)]
 
 
 def boundary_locus_by_residues(spec):
     """The boundary-locus part recomputed from its three residues.
 
-    The three contributions: at h = 0 directly from the logarithm of the
-    normalized kernel series; at h = -n from the (simple) pole of the
-    weight function; at infinity through the sphere convention, which
+    The three contributions: at h = 0 read off the windows of the log of
+    the normalized kernel series; at h = -n the weight's residue times that
+    log evaluated there; at infinity through the sphere convention, which
     lands on a pure w-series residue.  Returns (total, parts dict).
     """
     n, d = spec.n, spec.qorder
     weight = _residue_weight(n)
     shift_neg = -hyper.mirror_shift(spec)  # t - T
-    y = hyper.ladder_series(spec, 0)
-    log_y = (y - USeriesRF.one(d)).log_one_plus()
-    inv_h = RatFunc.inv_power(1)
+    log_y = (hyper.ladder_series(spec, 0) - 1).log_one_plus()
 
-    # residue at 0
-    res0_shift = residue_at(weight * inv_h, 0)
-    res0 = QSeries(
-        [residue_at(weight * c, 0) for c in log_y.coeffs]
-    ) + shift_neg * res0_shift
+    # residue at 0, read off the windows: weight has a simple pole there
+    win = laurent_at_zero(weight, 1, d)
+    res0 = QSeries([(win * c).coeff(-1) for c in log_y.coeffs])
+    res0 = res0 + shift_neg * win.coeff(0)
     part0 = res0 * Fraction(-n, 24)
 
-    # residue at -n (exact product residue; no pole-order assumption)
+    # residue at -n: the weight has at most a simple pole there and every
+    # kernel coefficient is holomorphic there (n = 2: a removable 0/0), so
+    # it is res_{-n}(weight) times log y + (t - T)/h evaluated at h = -n
     a = Fraction(-n)
-    resn_shift = residue_at(weight * inv_h, a)
-    resn = QSeries(
-        [residue_at(weight * c, a) for c in log_y.coeffs]
-    ) + shift_neg * resn_shift
-    partn = resn * Fraction(-n, 24)
+    y_at = hyper.kernel_value_at(spec, a) / hyper.diagonal_series(spec, 0)
+    partn = (y_at.log() + shift_neg / a) * (residue_at(weight, a) * Fraction(-n, 24))
 
     # residue at infinity: becomes a w-residue of the bigraded logarithm
     logw = hyper.log_kernel_w(spec)
@@ -570,5 +561,4 @@ def bridge_series(spec):
     the regularization machinery.  Its exponent is the regularizing
     exponent mu and its regular part evaluates at h = 0 to the kernel
     value over the w-constant diagonal."""
-    d = spec.qorder
-    return hyper.ladder_series(spec, 0) - USeriesRF.one(d)
+    return hyper.ladder_series(spec, 0) - 1

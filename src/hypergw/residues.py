@@ -1,17 +1,16 @@
-"""Exact residue calculus on rational functions of one variable h.
+"""Exact residue calculus in one variable h, and series local to h = 0.
 
-RatFunc is a reduced fraction of Fraction-coefficient polynomials with a
-monic denominator, so equality is structural.  On top of it sit Laurent
-windows at the origin, the residue at infinity in the convention
-res_inf f = -res_0 { w^{-2} f(1/w) }, power series in u with RatFunc
-coefficients, and the regularization machinery: splitting 1 + Z as
-exp(eta/h) * (1 + Zbar) with Zbar holomorphic at h = 0, together with the
-residue-moment identities that characterize when such a splitting exists.
-
-Every question local to h = 0 (a residue there, a weighted residue
-res{ h^p f }, the iterated residue of the split kernel) is answered by
-reading one coefficient off the Laurent window of f at 0, with no product,
-shift or gcd.  Only residues at other points shift the function.
+One representation per job.  RatFunc, a reduced fraction of polynomials
+with a monic denominator, serves only where poles away from 0 matter:
+residues at other points and at infinity (res_inf f = -res_0 { w^{-2}
+f(1/w) }), as in the residue-theorem suite.  Everything local to h = 0
+runs on exact Laurent windows at the origin (HLaurent), with no gcd:
+USeriesRF is a power series in u whose u^k coefficient is the window
+h^-k .. h^(2D+2-k).  On it sit the regularization splitting
+1 + Z = exp(eta/h) * (1 + Zbar), Zbar holomorphic at h = 0, and the
+residue-moment identities that characterize when it exists.  A residue
+at 0, a weighted residue res{ h^p f } and the iterated residue of the
+split kernel are each one coefficient read off a window.
 """
 
 from dataclasses import dataclass
@@ -185,21 +184,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero function")
         return self * RatFunc._reduced(other.den, other.num)
 
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("power must be a nonnegative int")
-        out = RatFunc.from_scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     # -- analysis ---------------------------------------------------------
 
     def evaluate(self, a):
@@ -232,29 +216,33 @@ def _coerce(x):
 
 @dataclass(frozen=True)
 class HLaurent:
-    """Window of a Laurent expansion at h = 0: powers -low .. high."""
+    """Window of a Laurent expansion at h = 0: powers -low .. high.
+
+    low covers the pole order, so every power below -low is 0.
+    """
 
     low: int
     high: int
     coeffs: tuple
 
     def coeff(self, k):
-        if not -self.low <= k <= self.high:
+        if k > self.high:
             raise WindowTooSmall(f"power {k} outside window -{self.low}..{self.high}")
-        return self.coeffs[k + self.low]
+        return self.coeffs[k + self.low] if k >= -self.low else Fraction(0)
+
+    def pole_order_at_zero(self):
+        for i, c in enumerate(self.coeffs[: self.low]):
+            if c:
+                return self.low - i
+        return 0
 
     def __add__(self, other):
-        lo = min(-self.low, -other.low)
-        hi = min(self.high, other.high)
-        return HLaurent(
-            -lo,
-            hi,
-            tuple(
-                (self.coeff(k) if -self.low <= k else Fraction(0))
-                + (other.coeff(k) if -other.low <= k else Fraction(0))
-                for k in range(lo, hi + 1)
-            ),
-        )
+        low = max(self.low, other.low)
+        high = min(self.high, other.high)
+        a = (Fraction(0),) * (low - self.low) + self.coeffs
+        b = (Fraction(0),) * (low - other.low) + other.coeffs
+        size = low + high + 1
+        return HLaurent(low, high, tuple(x + y for x, y in zip(a[:size], b[:size])))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,19 +250,26 @@ class HLaurent:
         # exact through min(top_a + floor_b, top_b + floor_a)
         lo = -self.low - other.low
         hi = min(self.high - other.low, other.high - self.low)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, x in enumerate(self.coeffs):
+        size = hi - lo + 1
+        out = [Fraction(0)] * size
+        for i, x in enumerate(self.coeffs[:size]):
             if x == 0:
                 continue
-            for j, y in enumerate(other.coeffs):
-                k = (i - self.low) + (j - other.low)
-                if k > hi:
-                    break
+            for j, y in enumerate(other.coeffs[: size - i]):
                 if y != 0:
-                    out[k - lo] += x * y
+                    out[i + j] += x * y
         return HLaurent(-lo, hi, tuple(out))
 
     __rmul__ = __mul__
+
+
+def _quotient_window(num, unit, shift, low, high):
+    """Window -low..high at h = 0 of h^shift * num / unit, where unit(0) != 0."""
+    if shift < -low:
+        raise WindowTooSmall(f"pole order {-shift} exceeds window depth {low}")
+    order = high - shift
+    ser = P.series_mul(num, P.series_inv(unit, order), order) if order >= 0 else ()
+    return HLaurent(low, high, ((Fraction(0),) * (low + shift) + ser)[: low + high + 1])
 
 
 def laurent_at_zero(f, low, high):
@@ -285,37 +280,17 @@ def laurent_at_zero(f, low, high):
     if high < -low:
         raise ValueError("empty window")
     m = f.pole_order_at_zero()
-    if m > low:
-        raise WindowTooSmall(f"pole order {m} exceeds window depth {low}")
-    if f.is_zero():
-        return HLaurent(low, high, (Fraction(0),) * (low + high + 1))
-    unit = f.den[m:]
-    order = high + m
-    if order < 0:
-        return HLaurent(low, high, (Fraction(0),) * (low + high + 1))
-    ser = P.series_mul(f.num, P.series_inv(unit, order), order)
-    out = []
-    for k in range(-low, high + 1):
-        idx = k + m
-        out.append(ser[idx] if 0 <= idx <= order else Fraction(0))
-    return HLaurent(low, high, tuple(out))
-
-
-def laurent_coeff_at_zero(f, k):
-    """Coefficient of h^k in the Laurent expansion of f at h = 0."""
-    m = f.pole_order_at_zero()
-    if k < -m:
-        return Fraction(0)
-    return laurent_at_zero(f, m, k).coeff(k)
+    return _quotient_window(f.num, f.den[m:], -m, low, high)
 
 
 def residue_at(f, a):
     """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles."""
-    if not a:
-        return laurent_coeff_at_zero(f, -1)
-    if P.eval_poly(f.den, a):
-        return Fraction(0)
-    return laurent_coeff_at_zero(f.shift(a), -1)
+    if a:
+        if P.eval_poly(f.den, a):
+            return Fraction(0)
+        f = f.shift(a)
+    m = f.pole_order_at_zero()
+    return laurent_at_zero(f, m, -1).coeff(-1) if m else Fraction(0)
 
 
 def residue_at_infinity(f):
@@ -340,12 +315,20 @@ def taylor_coeff_at_zero(f, k):
 
 
 class USeriesRF:
-    """Power series in u truncated at `truncation`, RatFunc coefficients."""
+    """Power series in u, truncated at D, of exact Laurent windows at h = 0.
+
+    The u^k coefficient has pole order at most k and is held as the window
+    h^-k .. h^(H-k), H = 2D + 2.  That shape is closed under + and x, and
+    covers every read made of it: the moments res{ h^-j z }, j <= D, need
+    H >= 2D - 1, the Taylor coefficients of the moment closed form H >= D + 2.
+    A RatFunc or polynomial coefficient whose pole order exceeds its u-degree
+    raises WindowTooSmall.  (The name dates from RatFunc coefficients.)
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, truncation=None, no_constant=False):
-        coeffs = [c if isinstance(c, RatFunc) else RatFunc.from_scalar(c) for c in coeffs]
+        coeffs = list(coeffs)
         if truncation is None:
             if not coeffs:
                 raise ValueError("empty series needs an explicit truncation")
@@ -354,10 +337,34 @@ class USeriesRF:
             raise ValueError("truncation must be nonnegative")
         if len(coeffs) > truncation + 1:
             raise ValueError("more coefficients than the stated truncation")
-        coeffs.extend([RatFunc.from_scalar(0)] * (truncation + 1 - len(coeffs)))
-        if no_constant and not coeffs[0].is_zero():
+        coeffs.extend([0] * (truncation + 1 - len(coeffs)))
+        top = 2 * truncation + 2
+        self.coeffs = tuple(
+            laurent_at_zero(c, k, top - k)
+            if isinstance(c, RatFunc)
+            else _quotient_window((Fraction(c),), P.ONE, 0, k, top - k)
+            for k, c in enumerate(coeffs)
+        )
+        if no_constant and any(self.coeffs[0].coeffs):
             raise NonzeroConstant("series must have no degree-zero term")
-        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _of(cls, windows):
+        """Internal: wrap windows that already have the shape of the class."""
+        self = object.__new__(cls)
+        self.coeffs = tuple(windows)
+        return self
+
+    @classmethod
+    def from_quotients(cls, terms, truncation=None):
+        """The u^k coefficient is h^s * num / unit for terms[k] = (s, num, unit),
+        with polynomials num and unit, unit(0) != 0."""
+        d = len(terms) - 1 if truncation is None else truncation
+        terms = list(terms) + [(0, P.ZERO, P.ONE)] * (d + 1 - len(terms))
+        return cls._of(
+            _quotient_window(num, unit, s, k, 2 * d + 2 - k)
+            for k, (s, num, unit) in enumerate(terms)
+        )
 
     @classmethod
     def zero(cls, truncation):
@@ -365,11 +372,7 @@ class USeriesRF:
 
     @classmethod
     def one(cls, truncation):
-        return cls([RatFunc.from_scalar(1)], truncation)
-
-    @classmethod
-    def from_qseries(cls, f):
-        return cls([RatFunc.from_scalar(c) for c in f.coeffs])
+        return cls([1], truncation)
 
     @property
     def truncation(self):
@@ -389,25 +392,22 @@ class USeriesRF:
     def _coerce(self, other):
         if isinstance(other, USeriesRF):
             return other
-        if isinstance(other, (int, Fraction, RatFunc)):
-            out = [RatFunc.from_scalar(0)] * (self.truncation + 1)
-            out[0] = other if isinstance(other, RatFunc) else RatFunc.from_scalar(other)
-            return USeriesRF(out)
+        if isinstance(other, (int, Fraction)):
+            return USeriesRF([other], self.truncation)
         if isinstance(other, QSeries):
-            return USeriesRF.from_qseries(other)
+            return USeriesRF(other.coeffs)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = min(self.truncation, other.truncation)
-        return USeriesRF([self.coeffs[k] + other.coeffs[k] for k in range(d + 1)])
+        return USeriesRF._of(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return USeriesRF([-c for c in self.coeffs])
+        return self * -1
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -419,22 +419,19 @@ class USeriesRF:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            r = other if isinstance(other, RatFunc) else RatFunc.from_scalar(other)
-            return USeriesRF([c * r for c in self.coeffs])
-        if isinstance(other, QSeries):
-            other = USeriesRF.from_qseries(other)
-        if not isinstance(other, USeriesRF):
+        if isinstance(other, (int, Fraction)):
+            return USeriesRF._of(c * other for c in self.coeffs)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        d = min(self.truncation, other.truncation)
-        out = [RatFunc.from_scalar(0) for _ in range(d + 1)]
-        for i, x in enumerate(self.coeffs[: d + 1]):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs[: d + 1 - i]):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return USeriesRF(out)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for m in range(min(len(a), len(b))):
+            acc = a[0] * b[m]
+            for i in range(1, m + 1):
+                acc = acc + a[i] * b[m - i]
+            out.append(acc)
+        return USeriesRF._of(out)
 
     __rmul__ = __mul__
 
@@ -442,33 +439,43 @@ class USeriesRF:
         """Divide by a unit q-series (rational-scalar coefficients)."""
         return self * (QSeries.one(g.truncation) / g)
 
+    def h_euler(self):
+        """h u d/du of the series: the u^k coefficient times k h."""
+        return USeriesRF._of(
+            HLaurent(c.low, c.high, (Fraction(0),) + tuple(x * k for x in c.coeffs[:-1]))
+            for k, c in enumerate(self.coeffs)
+        )
+
     def log_one_plus(self):
-        """log(1 + self); self must have no degree-zero term."""
-        if not self.coeffs[0].is_zero():
+        """log(1 + self) from k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j);
+        self must have no degree-zero term."""
+        z = self.coeffs
+        if any(z[0].coeffs):
             raise NonzeroConstant("log expansion needs a vanishing constant term")
-        d = self.truncation
-        out = USeriesRF.zero(d)
-        power = USeriesRF.one(d)
-        sign = 1
-        for m in range(1, d + 1):
-            power = power * self
-            out = out + power * Fraction(sign, m)
-            sign = -sign
-        return out
+        out = [z[0]]
+        for k in range(1, len(z)):
+            acc = z[k] * k
+            for j in range(1, k):
+                acc = acc + out[j] * z[k - j] * -j
+            out.append(acc * Fraction(1, k))
+        return USeriesRF._of(out)
 
     def weighted_residues(self, power=0):
         """QSeries of res_{h=0} { h^power * coeff_d } over u-degrees."""
-        return QSeries([laurent_coeff_at_zero(c, -1 - power) for c in self.coeffs])
+        return QSeries([c.coeff(-1 - power) for c in self.coeffs])
 
     def taylor_coeff(self, k):
-        return QSeries([taylor_coeff_at_zero(c, k) for c in self.coeffs])
+        return QSeries([c.coeff(k) for c in self.coeffs])
 
     def is_regular_at_zero(self):
         return all(c.pole_order_at_zero() == 0 for c in self.coeffs)
 
 
 def exp_over_hbar(eta, sign=1):
-    """exp(sign * eta(u) / h) as a USeriesRF; eta must vanish at u = 0."""
+    """exp(sign * eta(u) / h) as a USeriesRF; eta must vanish at u = 0.
+
+    The u^k coefficient is sum_{m<=k} ((sign eta)^m)_k / m! * h^-m.
+    """
     if eta.constant_term != 0:
         raise NonzeroConstant("exponent series must have no degree-zero term")
     d = eta.truncation
@@ -476,14 +483,9 @@ def exp_over_hbar(eta, sign=1):
     powers = [QSeries.one(d)]
     for _ in range(d):
         powers.append(powers[-1] * signed)
-    out = []
-    for deg in range(d + 1):
-        # coefficient of u^deg: sum_m (signed^m)_deg / m! * h^{-m}
-        num = [Fraction(0)] * (deg + 1)
-        for m in range(deg + 1):
-            num[deg - m] = powers[m][deg] / factorial(m)
-        out.append(RatFunc(num, P.mul_xk(_ONE, deg)))
-    return USeriesRF(out)
+    return USeriesRF.from_quotients(
+        [(-k, [powers[m][k] / factorial(m) for m in range(k, -1, -1)], P.ONE) for k in range(d + 1)]
+    )
 
 
 @dataclass
@@ -506,7 +508,7 @@ def regularize(z):
     internal arithmetic bug and raises immediately.  The moments
     res{ h^{-j} z }, j = 0..D, are kept for the moment checks below.
     """
-    if not z.coeffs[0].is_zero():
+    if any(z[0].coeffs):
         raise NonzeroConstant("series must have no degree-zero term")
     d = z.truncation
     moments = [z.weighted_residues(-j) for j in range(d + 1)]
@@ -643,7 +645,8 @@ def double_residue_split_kernel(a_series, b_series):
 
     The inner residue treats h1 as a nonzero parameter, so 1/(h1+h2) is
     expanded geometrically in h2/h1; the double residue is then
-    sum_k (-1)^k [h^-k]B * [h^(k+1)]A, with k up to the pole order of B.
+    sum_k (-1)^k [h^-k]B * [h^(k+1)]A, with k up to the pole order of B,
+    which is at most its u-degree.
     """
     d = min(a_series.truncation, b_series.truncation)
     out = []
@@ -652,12 +655,10 @@ def double_residue_split_kernel(a_series, b_series):
         for d1 in range(m + 1):
             a = a_series[d1]
             b = b_series[m - d1]
-            if a.is_zero():
-                continue
-            for k in range(b.pole_order_at_zero() + 1):
-                c = laurent_coeff_at_zero(b, -k)
+            for k in range(m - d1 + 1):
+                c = b.coeff(-k)
                 if c:
-                    val += (-1) ** k * c * laurent_coeff_at_zero(a, k + 1)
+                    val += (-1) ** k * c * a.coeff(k + 1)
         out.append(val)
     return QSeries(out)
 

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 
+from hypergw import cli
 from hypergw.hyper import (
     HyperSpec,
     diagonal_identities,
@@ -32,7 +33,6 @@ from hypergw.invariants import (
 from hypergw.residues import (
     RatFunc,
     USeriesRF,
-    exp_over_hbar,
     moment_identity_check,
     regularize,
     residue_at,
@@ -117,13 +117,7 @@ def test_criterion_5_regular_kernel_suite():
 def test_criterion_6_regularization_suite():
     with criterion(6, "regularization suite", 20):
         order = 6
-        growth = QSeries.monomial(1, order, Fr(3, 2))
-        linear = USeriesRF([RatFunc.from_scalar(0), RatFunc.variable()], order)
-        constructed = (
-            exp_over_hbar(growth, 1) * (USeriesRF.one(order) + linear)
-            - USeriesRF.one(order)
-        )
-        reg = regularize(constructed)
+        reg = regularize(cli._constructed_regularizable(order))
         for a in range(5):
             assert moment_identity_check(reg, a, "intrinsic").passed
         for a in range(4):
@@ -174,16 +168,8 @@ def test_criterion_7_residue_suite():
                 fs.append(RatFunc(num, d) + Fr(rng.randint(-3, 3)))
             assert residue_of_product_check(fs).passed
 
-        def tuples(length, top):
-            if length == 0:
-                yield ()
-                return
-            for rest in tuples(length - 1, top):
-                for v in range(top + 1):
-                    yield (v,) + rest
-
         for length in range(5):
-            for qs in tuples(length, 5):
+            for qs in cli._tuples(length, 5):
                 for b in range(9):
                     assert vandermonde_check(b, qs).passed
         for q in range(9):

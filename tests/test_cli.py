@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as Fr
 from pathlib import Path
 
+import pytest
+
 from hypergw import cli
 from hypergw import polys as P
 from hypergw.invariants import GWTable
@@ -157,6 +159,29 @@ def test_internal_violation_exit_code(monkeypatch, capsys):
     code, _, err = run(["invariants", "--n", "5", "--order", "2"], capsys)
     assert code == 1
     assert "identity violation" in err
+
+
+def test_theorem3_needs_n_at_least_2(capsys):
+    code, out, err = run(["verify", "--suite", "theorem3", "--n", "1", "--order", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "usage" in err and "--n >= 2" in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_every_suite_runs_or_is_refused(suite, n, capsys):
+    # any exception other than argparse's SystemExit escapes run() and fails
+    code, _, err = run(["verify", "--suite", suite, "--n", str(n), "--order", "2"], capsys)
+    assert code in (0, 2), err
+    assert code == 0 or "usage" in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("what", cli.DUMPABLE)
+def test_every_dump_runs_or_is_refused(what, n, capsys):
+    code, _, err = run(["dump", "--what", what, "--n", str(n), "--order", "2"], capsys)
+    assert code in (0, 2), err
+    assert code == 0 or "usage" in err
 
 
 def test_package_has_no_assert():

@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import pytest
 
+from hypergw import hyper
+from hypergw.errors import RegularityViolation
 from hypergw.hyper import (
     HyperSpec,
     diagonal_identities,
@@ -27,7 +29,7 @@ from hypergw.hyper import (
     regularizing_exponent,
     tower_structure_check,
 )
-from hypergw.residues import taylor_coeff_at_zero
+from hypergw.residues import RatFunc, USeriesRF, taylor_coeff_at_zero
 from hypergw.series import QSeries
 
 import oracles
@@ -151,12 +153,12 @@ def test_exponent_methods_agree_small():
 
 def test_regular_kernel_unit_start():
     q = regular_kernel(HyperSpec(5, 3))
-    assert q[0] == 1
+    assert RatFunc(*q[0]) == 1
 
 
 def test_quintic_kernel_value_and_slope():
     spec = HyperSpec(5, 2)
-    q1 = q = regular_kernel(spec)[1]
+    q1 = RatFunc(*regular_kernel(spec)[1])
     # oracles: first-order binomial expansions
     assert taylor_coeff_at_zero(q1, 0) == Fr(1, 5) * 5**5  # 625
     phi0 = kernel_value_at_zero(spec)
@@ -164,6 +166,19 @@ def test_quintic_kernel_value_and_slope():
     assert phi0[1] == 625
     assert phi1[1] == Fr(3, 20) * (625 - 3125)  # -375
     assert taylor_coeff_at_zero(q1, 1) == -375
+
+
+def test_regular_kernel_detects_a_pole(monkeypatch):
+    # a wrong exponent leaves exp(-u^3/h) uncancelled: h^3 no longer divides N_3
+    spec = HyperSpec(5, 4)
+    mu = regularizing_exponent(spec)
+    regular_kernel.cache_clear()
+    monkeypatch.setattr(
+        hyper, "regularizing_exponent", lambda s, method="closed_form": mu + QSeries.monomial(3, 4)
+    )
+    with pytest.raises(RegularityViolation) as err:
+        regular_kernel(spec)
+    assert (err.value.degree, err.value.order) == (3, 1)
 
 
 def test_regular_kernel_checks_sampled():
@@ -214,7 +229,7 @@ def test_weighted_product_follows_from_product_and_symmetry():
 
 def test_ladder_base_case():
     y = ladder_series(HyperSpec(4, 3), 0)
-    assert y[0] == 1
+    assert y[0] == USeriesRF.one(3)[0]
 
 
 def test_ladder_residues_match_closed_products():
@@ -245,15 +260,11 @@ def test_ladder_identities_range():
 def test_first_ladder_step_equals_mirror_route_operator():
     # the first descent step can also be written with the mirror-map
     # derivative in place of the first diagonal
-    from hypergw.residues import RatFunc, USeriesRF
-
     for n in (3, 5):
         spec = HyperSpec(n, 5)
         y = ladder_series(spec, 0)
-        h = RatFunc.variable()
         slope = QSeries.one(5) + mirror_shift(spec).derivative()  # dT/dt
-        stepped = y + USeriesRF([c * h * d for d, c in enumerate(y.coeffs)])
-        alt = stepped.mul_inv_qseries(slope)
+        alt = (y + y.h_euler()).mul_inv_qseries(slope)
         assert alt == ladder_series(spec, 1)
 
 

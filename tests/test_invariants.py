@@ -176,8 +176,9 @@ def test_effective_locus_forms_agree():
 
 
 def test_boundary_residue_route():
-    for n in (3, 4, 5):
-        spec = HyperSpec(n, 5)
+    # n = 1 and n = 2 are the edge cases of the evaluation at h = -n
+    for n in range(1, 9):
+        spec = HyperSpec(n, 4)
         total, parts = boundary_locus_by_residues(spec)
         assert total == boundary_locus_series(spec)
         assert parts["zero"] + parts["minus_n"] + parts["infinity"] == total

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergw import cli, hyper
 from hypergw import polys as P
 from hypergw.errors import NonzeroConstant, PoleTooHigh, RoutesDisagree, WindowTooSmall
 from hypergw.residues import (
@@ -26,6 +28,7 @@ from hypergw.residues import (
     taylor_coeff_at_zero,
     vandermonde_check,
 )
+from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
 from hypergw.series import QSeries
 
 H = RatFunc.variable()
@@ -161,13 +164,20 @@ def test_inverse_hbar_series_is_not_regularizable():
     assert out.eta == QSeries.monomial(1, 4)
     assert not out.regular
     # the u^2 coefficient of the would-be regular part keeps a -h^{-2}/2 term
-    window = laurent_at_zero(out.zbar[2], 2, 0)
-    assert window.coeff(-2) == Fr(-1, 2)
+    assert out.zbar[2].coeff(-2) == Fr(-1, 2)
 
 
 def test_degree_zero_term_rejected():
     with pytest.raises(NonzeroConstant):
         regularize(u_series(1, 0, trunc=2))
+
+
+def test_window_series_rejects_pole_above_u_degree():
+    with pytest.raises(WindowTooSmall):
+        USeriesRF([0, ONE / (H * H)])
+    with pytest.raises(WindowTooSmall):
+        USeriesRF.from_quotients([(-1, P.ONE, P.ONE)])
+    assert USeriesRF([0, ONE / H], 3)[1].coeff(-1) == 1
 
 
 def test_no_constant_flag_at_construction():
@@ -324,6 +334,7 @@ def ref_double_residue_split_kernel(a_series, b_series):
 
 
 POLES = (Fr(0), Fr(0), Fr(1), Fr(-1), Fr(2), Fr(1, 2), Fr(-3, 2))
+NONZERO_POLES = POLES[2:]
 
 
 @st.composite
@@ -336,25 +347,213 @@ def ratfuncs(draw):
     return RatFunc([Fr(c) for c in num], den)
 
 
-useries = st.lists(ratfuncs(), min_size=1, max_size=4).map(USeriesRF)
-
-
 @settings(max_examples=60, deadline=None)
 @given(ratfuncs(), st.sampled_from(POLES + (Fr(3), Fr(-1, 3))))
 def test_residue_at_matches_shift_route(f, a):
     assert residue_at(f, a) == ref_residue_at(f, a)
 
 
+# -- differential: window series against RatFunc-coefficient series --------------
+#
+# RefUSeries is the u-series with reduced RatFunc coefficients (a gcd per
+# coefficient operation) that USeriesRF was before it held Laurent windows at
+# h = 0.  Every series drawn below has pole order <= k at 0 in u-degree k, the
+# domain of the window series, and arbitrary poles elsewhere.
+
+
+class RefUSeries:
+    """Power series in u with RatFunc coefficients."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(c if isinstance(c, RatFunc) else RatFunc.from_scalar(c) for c in coeffs)
+
+    @classmethod
+    def one(cls, truncation):
+        return cls([1] + [0] * truncation)
+
+    @property
+    def truncation(self):
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, d):
+        return self.coeffs[d]
+
+    def __add__(self, other):
+        return RefUSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return RefUSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        if not isinstance(other, RefUSeries):
+            return RefUSeries([c * other for c in self.coeffs])
+        d = min(self.truncation, other.truncation)
+        out = [RatFunc.from_scalar(0) for _ in range(d + 1)]
+        for i, x in enumerate(self.coeffs[: d + 1]):
+            for j, y in enumerate(other.coeffs[: d + 1 - i]):
+                out[i + j] = out[i + j] + x * y
+        return RefUSeries(out)
+
+    def log_one_plus(self):
+        d = self.truncation
+        out = RefUSeries([0] * (d + 1))
+        power = RefUSeries.one(d)
+        for m in range(1, d + 1):
+            power = power * self
+            out = out + power * Fr((-1) ** (m + 1), m)
+        return out
+
+
+def ref_exp_over_hbar(eta, sign=1):
+    d = eta.truncation
+    powers = [QSeries.one(d)]
+    for _ in range(d):
+        powers.append(powers[-1] * (eta * sign))
+    out = []
+    for deg in range(d + 1):
+        num = [powers[m][deg] / factorial(m) for m in range(deg, -1, -1)]
+        out.append(RatFunc(num, P.mul_xk((Fr(1),), deg)))
+    return RefUSeries(out)
+
+
+def ref_regularize(z):
+    """(eta, zbar, moments) by the fixed point on RatFunc moments; None
+    where the fixed point and the log residue disagree."""
+    d = z.truncation
+    moments = [ref_weighted_residues(z, -j) for j in range(d + 1)]
+    eta = moments[0]
+    for _ in range(d):
+        power, acc = QSeries.one(d), QSeries.zero(d)
+        for j in range(d + 1):
+            acc = acc + power * Fr(1, factorial(j)) * moments[j]
+            power = power * -eta
+        eta = acc
+    if eta != ref_weighted_residues(z.log_one_plus(), 0):
+        return None
+    one = RefUSeries.one(d)
+    return eta, ref_exp_over_hbar(eta, -1) * (one + z) - one, moments
+
+
+@st.composite
+def windowed_ratfuncs(draw, k):
+    """A RatFunc with pole order <= k at 0 and up to two poles elsewhere."""
+    num = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    den = P.mul_xk((Fr(1),), draw(st.integers(0, k)))
+    for a in draw(st.lists(st.sampled_from(NONZERO_POLES), max_size=2)):
+        den = P.mul(den, (-a, Fr(1)))
+    return RatFunc([Fr(c) for c in num], den)
+
+
+@st.composite
+def ref_series(draw, no_constant=False):
+    d = draw(st.integers(1 if no_constant else 0, 3))
+    coeffs = [draw(windowed_ratfuncs(k)) for k in range(d + 1)]
+    if no_constant:
+        coeffs[0] = RatFunc.from_scalar(0)
+    return RefUSeries(coeffs)
+
+
+@st.composite
+def exponents(draw, d):
+    tail = draw(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=d, max_size=d))
+    return QSeries([0] + tail)
+
+
+@st.composite
+def regularize_inputs(draw):
+    """Series with no u^0 term; half of them regularizable by construction."""
+    z = draw(ref_series(no_constant=True))
+    if draw(st.booleans()):
+        d = z.truncation
+        holo = RefUSeries([0] + [draw(windowed_ratfuncs(0)) for _ in range(d)])
+        one = RefUSeries.one(d)
+        z = ref_exp_over_hbar(draw(exponents(d)), 1) * (one + holo) - one
+    return z
+
+
+def windows(ref):
+    return USeriesRF(ref.coeffs)
+
+
 @settings(max_examples=60, deadline=None)
-@given(useries, st.integers(-3, 3))
+@given(ref_series(), st.integers(-3, 3))
 def test_weighted_residues_match_product_route(z, power):
-    assert z.weighted_residues(power) == ref_weighted_residues(z, power)
+    assert windows(z).weighted_residues(power) == ref_weighted_residues(z, power)
 
 
 @settings(max_examples=60, deadline=None)
-@given(useries, useries)
+@given(ref_series(), ref_series())
 def test_double_residue_matches_product_route(a, b):
-    assert double_residue_split_kernel(a, b) == ref_double_residue_split_kernel(a, b)
+    assert double_residue_split_kernel(windows(a), windows(b)) == ref_double_residue_split_kernel(
+        a, b
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_series(), ref_series())
+def test_window_product_matches_ratfunc_product(a, b):
+    assert windows(a) * windows(b) == windows(a * b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_series(no_constant=True), st.integers(-3, 3))
+def test_window_log_matches_ratfunc_log(z, power):
+    got, ref = windows(z).log_one_plus(), z.log_one_plus()
+    assert got == windows(ref)
+    assert got.weighted_residues(power) == ref_weighted_residues(ref, power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(exponents), st.sampled_from((1, -1)))
+def test_exp_over_hbar_matches_ratfunc(eta, sign):
+    assert exp_over_hbar(eta, sign) == windows(ref_exp_over_hbar(eta, sign))
+
+
+@settings(max_examples=40, deadline=None)
+@given(regularize_inputs())
+def test_regularize_matches_ratfunc_route(z):
+    ref = ref_regularize(z)
+    if ref is None:
+        with pytest.raises(RoutesDisagree):
+            regularize(windows(z))
+        return
+    eta, zbar, moments = ref
+    reg = regularize(windows(z))
+    assert reg.eta == eta
+    assert reg.moments == moments
+    assert reg.zbar == windows(zbar)
+    assert reg.regular == all(c.pole_order_at_zero() == 0 for c in zbar.coeffs)
+    if reg.regular:
+        for k in range(z.truncation + 3):
+            taylor = QSeries([taylor_coeff_at_zero(c, k) for c in zbar.coeffs])
+            assert reg.zbar.taylor_coeff(k) == taylor
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_regular_kernel_matches_ratfunc_product(n):
+    spec = HyperSpec(n, 4)
+    kernel = RefUSeries(
+        [
+            RatFunc(P.reverse(num, P.degree(num)), P.mul_xk(P.reverse(den, P.degree(den)), d))
+            for d, (num, den) in enumerate(hyper._kernel_parts(spec))
+        ]
+    )
+    assert hyper.kernel_inv_hbar(spec) == windows(kernel)
+    ref = ref_exp_over_hbar(regularizing_exponent(spec), -1) * kernel
+    assert [RatFunc(num, den) for num, den in regular_kernel(spec)] == list(ref.coeffs)
+
+
+def test_h0_paths_call_no_gcd(monkeypatch):
+    for stage in vars(hyper).values():
+        if hasattr(stage, "cache_clear"):
+            stage.cache_clear()
+    calls = []
+    gcd = P.gcd_poly
+    monkeypatch.setattr(P, "gcd_poly", lambda a, b: calls.append(1) or gcd(a, b))
+    assert all(r.passed for r in cli.run_suites(["props32", "regularize"], 5, 4))
+    assert len(calls) == 0
+    assert hyper.ladder_identities(HyperSpec(5, 4)).passed
+    assert len(calls) == 0
 
 
 # -- combinatorial identities -------------------------------------------------------
