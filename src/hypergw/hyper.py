@@ -46,46 +46,45 @@ class HyperSpec:
             raise ValueError("worder must be at least n")
 
 
-@lru_cache(maxsize=None)
-def _kernel_parts(spec):
-    """Per q-degree numerator/denominator polynomials in w (untruncated)."""
-    n = spec.n
-    parts = []
-    for d in range(spec.qorder + 1):
-        num = P.ONE
-        for r in range(1, n * d + 1):
-            num = P.mul(num, (Fraction(r), Fraction(n)))
-        den = P.ONE
-        for r in range(1, d + 1):
-            factor = tuple(Fraction(comb(n, k)) * Fraction(r) ** (n - k) for k in range(n))
-            den = P.mul(den, factor)  # (w+r)^n - w^n, degree n-1
-        parts.append((num, den))
-    return tuple(parts)
+def _v(n, r):
+    """v_r = ((1 + r h)^n - 1) / h, the reversal of (w + r)^n - w^n."""
+    return tuple(Fraction(comb(n, k) * r**k) for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def kernel(spec):
-    """The (w, q) kernel as a WSeries; (w^0, q^0) coefficient is 1."""
-    w, d = spec.worder, spec.qorder
-    cols = []
-    for num, den in _kernel_parts(spec):
-        ser = P.series_mul(num, P.series_inv(den, w), w)
-        cols.append(ser)
-    rows = []
-    for j in range(w + 1):
-        rows.append(QSeries([cols[k][j] for k in range(d + 1)]))
-    return WSeries(rows)
+    """The (w, q) kernel as a WSeries; (w^0, q^0) coefficient is 1.
+
+    Column d comes from column d-1 by the ratio
+        F_d / F_(d-1) = prod_{n(d-1)<r<=nd}(n w + r) / ((w + d)^n - w^n),
+    every product truncated at w^worder.
+    """
+    n, w = spec.n, spec.worder
+    col = (Fraction(1),) + (Fraction(0),) * w
+    cols = [col]
+    for d in range(1, spec.qorder + 1):
+        for r in range(n * (d - 1) + 1, n * d + 1):
+            col = P.series_mul(col, (Fraction(r), Fraction(n)), w)
+        den = tuple(Fraction(comb(n, k) * d ** (n - k)) for k in range(n))
+        col = P.series_mul(col, P.series_inv(den, w), w)
+        cols.append(col)
+    return WSeries([QSeries([c[j] for c in cols]) for j in range(w + 1)])
 
 
 @lru_cache(maxsize=None)
 def _inv_hbar_parts(spec):
     """Per q-degree d, (rnum_d, V_d) with the kernel at w = 1/h equal to
     h^-d rnum_d / V_d: rnum_d = prod_{r<=nd}(n + r h), V_d = prod_{r<=d} v_r,
-    v_r = ((1 + r h)^n - 1) / h, V_d(0) = d! n^d; reversals of _kernel_parts."""
-    return tuple(
-        (P.reverse(num, len(num) - 1), P.reverse(den, len(den) - 1))
-        for num, den in _kernel_parts(spec)
-    )
+    V_d(0) = d! n^d; both built factor by factor from the previous degree."""
+    n = spec.n
+    rnum, den = P.ONE, P.ONE
+    parts = [(rnum, den)]
+    for d in range(1, spec.qorder + 1):
+        for r in range(n * (d - 1) + 1, n * d + 1):
+            rnum = P.mul(rnum, (Fraction(n), Fraction(r)))
+        den = P.mul(den, _v(n, d))
+        parts.append((rnum, den))
+    return tuple(parts)
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +211,7 @@ def regular_kernel(spec):
         for i in range(d + 1):
             if i:  # times v_r = ((1 + r h)^n - 1) / h
                 r = d - i + 1
-                tail = P.mul(tail, tuple(Fraction(comb(n, k) * r**k) for k in range(1, n + 1)))
+                tail = P.mul(tail, _v(n, r))
             num = P.add(num, P.mul(P.mul(e[i], parts[d - i][0]), tail))
         if any(num[:d]):
             raise RegularityViolation(d, d - next(k for k, c in enumerate(num) if c))

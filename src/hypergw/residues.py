@@ -504,9 +504,11 @@ def regularize(z):
 
     eta is produced by the degree-stabilizing fixed point
         eta_p = sum_{j<=p} (-eta_{p-1})^j / j! * res{ h^{-j} z }
-    and cross-checked against res_{h=0} log(1 + z); a mismatch would be an
-    internal arithmetic bug and raises immediately.  The moments
-    res{ h^{-j} z }, j = 0..D, are kept for the moment checks below.
+    and cross-checked through log(1 + z) = eta/h + log(1 + zbar):
+    eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar), where the last
+    residue vanishes when zbar is regular.  A mismatch would be an internal
+    arithmetic bug and raises immediately.  The moments res{ h^{-j} z },
+    j = 0..D, are kept for the moment checks below.
     """
     if any(z[0].coeffs):
         raise NonzeroConstant("series must have no degree-zero term")
@@ -521,11 +523,14 @@ def regularize(z):
             acc = acc + power * Fraction(1, factorial(j)) * moments[j]
             power = power * neg
         eta = acc
+    zbar = exp_over_hbar(eta, -1) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
+    regular = zbar.is_regular_at_zero()
     eta_log = z.log_one_plus().weighted_residues(0)
+    if not regular:
+        eta_log = eta_log - zbar.log_one_plus().weighted_residues(0)
     if eta != eta_log:
         raise RoutesDisagree("exponent fixed point and log residue disagree")
-    zbar = exp_over_hbar(eta, -1) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
-    return Regularization(eta, zbar, zbar.is_regular_at_zero(), z, moments)
+    return Regularization(eta, zbar, regular, z, moments)
 
 
 def _bivariate_mul(a, b, s_order, u_trunc):

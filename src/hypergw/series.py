@@ -9,6 +9,7 @@ does the same for a formal variable w with its own truncation order.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BadConstantTerm,
@@ -188,8 +189,13 @@ class QSeries:
         if not isinstance(k, int) or k < 0:
             raise ValueError("integer power must be a nonnegative int")
         out = QSeries.one(self.truncation)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:  # binary powering: O(log k) products
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- calculus ----------------------------------------------------------
@@ -472,7 +478,8 @@ def exp_coordinate_inverse(g):
     """Compositional inverse of the coordinate change Q = q*exp(g(q)).
 
     Returns q as a series in Q, by the degree-stabilizing fixed point
-    x <- Q*exp(-g(x)).  g must vanish at the origin.
+    x <- Q*exp(-g(x)), O(D^4).  g must vanish at the origin.  Composing
+    with it is the reference route for change_exp_variable.
     """
     if g.constant_term != 0:
         raise BadMirrorMap("shift series must vanish at the origin")
@@ -483,15 +490,45 @@ def exp_coordinate_inverse(g):
     return x
 
 
+@lru_cache(maxsize=4)
+def _lagrange_powers(g):
+    """exp(-k g) for k = 1..D (D = g's truncation), the k-th as a coefficient
+    tuple truncated at q^(k-1), which is all that [Q^k] reads.  Each comes from
+    the exp recurrence m c_m = -k sum_j j g_j c_(m-j): O(D^3) in all.  Cached
+    per shift, so the extractions of one table share them."""
+    jg = [j * c for j, c in enumerate(g.coeffs)]
+    out = []
+    for k in range(1, g.truncation + 1):
+        p = [_ONE] * k
+        for m in range(1, k):
+            s = _ZERO
+            for j in range(1, m + 1):
+                s += jg[j] * p[m - j]
+            p[m] = s * Fraction(-k, m)
+        out.append(tuple(p))
+    return tuple(out)
+
+
 def change_exp_variable(f, g):
     """Re-expand f(q) as a series in Q = q*exp(g(q)).
 
-    The round trip with the induced inverse shift recovers f exactly to
-    the common truncation.
+    By Lagrange-Buermann inversion, [Q^0] = f(0) and
+        [Q^k] = (1/k) [q^(k-1)] f'(q) exp(-k g(q)) = (1/k) [q^k] (q f') exp(-k g),
+    with no series reversion.  Equal to f composed with
+    exp_coordinate_inverse(g), to the common truncation.
     """
     d = min(f.truncation, g.truncation)
-    inv = exp_coordinate_inverse(g.truncate(d))
-    return f.truncate(d).compose(inv)
+    g = g.truncate(d)
+    if g.constant_term != 0:
+        raise BadMirrorMap("shift series must vanish at the origin")
+    df = f.truncate(d).derivative().coeffs  # q f'(q)
+    out = [f.coeffs[0]]
+    for k, p in enumerate(_lagrange_powers(g), start=1):
+        s = _ZERO
+        for j in range(1, k + 1):
+            s += df[j] * p[k - j]
+        out.append(s / k)
+    return QSeries(out)
 
 
 def inverse_exp_shift(g):

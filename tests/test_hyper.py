@@ -68,11 +68,12 @@ def test_conic_kernel_is_central_binomial():
 
 
 def test_kernel_matches_brute_force_columns():
-    for n in (2, 3, 4):
-        spec = HyperSpec(n, 4)
-        cols = oracles.kernel_columns(n, 4, spec.worder)
+    # n = 1 included: mirror_shift reads the kernel directly there
+    for n in range(1, 9):
+        spec = HyperSpec(n, 6)
+        cols = oracles.kernel_columns(n, 6, spec.worder)
         f = kernel(spec)
-        for d in range(5):
+        for d in range(7):
             for j in range(spec.worder + 1):
                 assert f.coeff(j)[d] == cols[d][j]
 

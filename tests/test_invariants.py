@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hypergw import invariants
+from hypergw import hyper, invariants, series
 from hypergw.errors import MissingColumn, RoutesDisagree
 from hypergw.hyper import HyperSpec, mirror_shift, regularizing_exponent
 from hypergw.invariants import (
@@ -260,11 +260,26 @@ def test_non_quintic_table_has_reduced_only():
 
 def test_quintic_instanton_numbers_are_integers():
     # Gopakumar-Vafa integrality: an oracle that needs no stored values
-    table = assemble_table(5, 16)
+    table = assemble_table(5, 30)
     for name in ("n0", "n1"):
         column = table.column(name)
-        assert len(column) == 16
+        assert len(column) == 30
         assert all(v.denominator == 1 for v in column), name
+
+
+def test_table_needs_no_series_reversion(monkeypatch):
+    # invariant extraction is Lagrange-Buermann: no fixed-point reversion
+    # and no composition anywhere on the table's path
+    def forbidden(*args):
+        raise RuntimeError("series reversion on the table path")
+
+    for stage in vars(hyper).values():
+        if hasattr(stage, "cache_clear"):
+            stage.cache_clear()
+    monkeypatch.setattr(series, "exp_coordinate_inverse", forbidden)
+    monkeypatch.setattr(series.QSeries, "compose", forbidden)
+    table = assemble_table(5, 8)
+    assert table.column("n0")[:2] == [2875, 609250]
 
 
 def test_block_reconstruction_failure_is_typed(monkeypatch):

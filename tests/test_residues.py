@@ -211,6 +211,19 @@ def test_regularize_route_mismatch_is_typed(monkeypatch):
         regularize(constructed_example(Fr(3, 2), 3))
 
 
+def test_non_regularizable_series_passes_the_log_cross_check():
+    # z = u h + u^2 / h^2: the fixed point gives eta = 0 while
+    # res log(1 + z) = -u^3, the residue of log(1 + zbar) for zbar = z
+    for d in (2, 3, 4):
+        z = u_series(0, H, RatFunc.inv_power(2), trunc=d)
+        reg = regularize(z)
+        assert reg.eta == QSeries.zero(d)
+        assert reg.zbar == z
+        assert not reg.regular
+        expect = QSeries.monomial(3, d, -1) if d >= 3 else QSeries.zero(d)
+        assert z.log_one_plus().weighted_residues(0) == expect
+
+
 def test_moment_identities_on_constructed_example():
     reg = regularize(constructed_example(Fr(3, 2), 5))
     for a in range(5):
@@ -417,8 +430,7 @@ def ref_exp_over_hbar(eta, sign=1):
 
 
 def ref_regularize(z):
-    """(eta, zbar, moments) by the fixed point on RatFunc moments; None
-    where the fixed point and the log residue disagree."""
+    """(eta, zbar, moments) by the fixed point on RatFunc moments."""
     d = z.truncation
     moments = [ref_weighted_residues(z, -j) for j in range(d + 1)]
     eta = moments[0]
@@ -428,8 +440,6 @@ def ref_regularize(z):
             acc = acc + power * Fr(1, factorial(j)) * moments[j]
             power = power * -eta
         eta = acc
-    if eta != ref_weighted_residues(z.log_one_plus(), 0):
-        return None
     one = RefUSeries.one(d)
     return eta, ref_exp_over_hbar(eta, -1) * (one + z) - one, moments
 
@@ -512,12 +522,10 @@ def test_exp_over_hbar_matches_ratfunc(eta, sign):
 @settings(max_examples=40, deadline=None)
 @given(regularize_inputs())
 def test_regularize_matches_ratfunc_route(z):
-    ref = ref_regularize(z)
-    if ref is None:
-        with pytest.raises(RoutesDisagree):
-            regularize(windows(z))
-        return
-    eta, zbar, moments = ref
+    eta, zbar, moments = ref_regularize(z)
+    # 1 + z = exp(eta/h) (1 + zbar) on the RatFunc route, regular or not
+    log_residue = ref_weighted_residues(z.log_one_plus(), 0)
+    assert eta == log_residue - ref_weighted_residues(zbar.log_one_plus(), 0)
     reg = regularize(windows(z))
     assert reg.eta == eta
     assert reg.moments == moments
@@ -531,13 +539,22 @@ def test_regularize_matches_ratfunc_route(z):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_regular_kernel_matches_ratfunc_product(n):
+    # the kernel at w = 1/h from its definition: prod_{r<=nd}(n + r h) over
+    # h^d prod_{r<=d} v_r, with v_r = ((1 + r h)^n - 1) / h
     spec = HyperSpec(n, 4)
-    kernel = RefUSeries(
-        [
-            RatFunc(P.reverse(num, P.degree(num)), P.mul_xk(P.reverse(den, P.degree(den)), d))
-            for d, (num, den) in enumerate(hyper._kernel_parts(spec))
-        ]
-    )
+    coeffs = []
+    for d in range(5):
+        num = (Fr(1),)
+        for r in range(1, n * d + 1):
+            num = P.mul(num, (Fr(n), Fr(r)))
+        den = P.mul_xk((Fr(1),), d)
+        for r in range(1, d + 1):
+            power = (Fr(1),)
+            for _ in range(n):
+                power = P.mul(power, (Fr(1), Fr(r)))
+            den = P.mul(den, power[1:])  # ((1 + r h)^n - 1) / h
+        coeffs.append(RatFunc(num, den))
+    kernel = RefUSeries(coeffs)
     assert hyper.kernel_inv_hbar(spec) == windows(kernel)
     ref = ref_exp_over_hbar(regularizing_exponent(spec), -1) * kernel
     assert [RatFunc(num, den) for num, den in regular_kernel(spec)] == list(ref.coeffs)

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergw import polys as P
@@ -15,6 +15,7 @@ from hypergw.errors import (
     NotTFree,
     TruncationMismatch,
 )
+from hypergw.hyper import HyperSpec, diagonal_series, mirror_shift
 from hypergw.series import (
     QSeries,
     TPoly,
@@ -225,6 +226,34 @@ def test_change_variable_round_trip(fc, gc):
     assert back == f
 
 
+@st.composite
+def shift_pairs(draw):
+    """f and a shift g (g(0) = 0) with independent truncations 0..6."""
+    fc = draw(st.lists(rationals, min_size=1, max_size=7))
+    gc = draw(st.lists(rationals, min_size=0, max_size=6))
+    return QSeries(fc), QSeries([Fr(0)] + gc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shift_pairs())
+@example((QSeries([Fr(3)]), QSeries([0, Fr(5, 2), 1])))  # D = 0
+@example((QSeries([Fr(3), Fr(-2), 1]), QSeries([0, Fr(5, 2)])))  # D = 1
+def test_change_variable_matches_reversion(pair):
+    # Lagrange-Buermann extraction against composition with the fixed-point inverse
+    f, g = pair
+    d = min(f.truncation, g.truncation)
+    expect = f.truncate(d).compose(exp_coordinate_inverse(g.truncate(d)))
+    assert change_exp_variable(f, g) == expect
+
+
+def test_change_variable_quintic_mirror_shift():
+    spec = HyperSpec(5, 12)
+    shift = mirror_shift(spec)
+    inverse = exp_coordinate_inverse(shift)
+    for f in (QSeries.monomial(1, 12), diagonal_series(spec, 0).log(), shift):
+        assert change_exp_variable(f, shift) == f.compose(inverse)
+
+
 def test_coordinate_inverse_solves_fixed_point():
     g = QSeries([0, 2, Fr(-1, 3), 1, 0], 4)
     x = exp_coordinate_inverse(g)
@@ -247,6 +276,16 @@ def test_ring_axioms(a, b, c):
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=40)
+@given(st.lists(rationals, min_size=1, max_size=6), st.integers(0, 9))
+def test_power_matches_repeated_products(coeffs, k):
+    f = QSeries(coeffs)
+    expect = QSeries.one(f.truncation)
+    for _ in range(k):
+        expect = expect * f
+    assert f**k == expect
 
 
 @given(st.lists(rationals, min_size=5, max_size=5))
