@@ -129,13 +129,13 @@ def quintic_genus0(order):
     series = h.t_free_part()
     values = extract_invariants(series, spec)
 
-    # block reconstruction: with E_d = exp(d T) = q^d exp(d (T-t)),
+    # block reconstruction: with E_d = exp(d T) = q^d exp(d (T-t)) = E_1^d,
     #   H^2:  J1^2/2 + (1/5) sum_d N_d d E_d            == J2
     #   H^3:  J1^3/6 + (1/5) sum_d N_d (d J1 - 2) E_d   == J3
     shift = hyper.mirror_shift(spec)
-    e_pows = []
-    for deg in range(1, d + 1):
-        e_pows.append(QSeries.monomial(deg, d) * (shift * deg).exp())
+    e_pows = [QSeries.monomial(1, d) * shift.exp()]
+    for _ in range(1, d):
+        e_pows.append(e_pows[-1] * e_pows[0])
     sum2 = QSeries.zero(d)
     sum3w = QSeries.zero(d)  # weight-d part of the H^3 sum
     sum3c = QSeries.zero(d)  # constant part

@@ -15,6 +15,7 @@ split kernel are each one coefficient read off a window.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -498,6 +499,21 @@ class Regularization:
     z: USeriesRF
     moments: list
 
+    @cached_property
+    def moment_powers(self):
+        """[g^m for m = 1..D] of g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, each a
+        polynomial in s truncated at s^D with QSeries coefficients.  They
+        depend on the moments alone, so every moment check on this
+        regularization shares them."""
+        d = self.z.truncation
+        g = [c * Fraction((-1) ** j, factorial(j)) for j, c in enumerate(self.moments)]
+        power = [QSeries.one(d)] + [QSeries.zero(d)] * d  # g^0
+        out = []
+        for _ in range(d):
+            power = _bivariate_mul(power, g, d, d)
+            out.append(power)
+        return out
+
 
 def regularize(z):
     """Split 1 + z = exp(eta/h) * (1 + zbar) and test zbar for regularity.
@@ -556,13 +572,8 @@ def moment_identity_check(reg, a, which):
     if which not in ("intrinsic", "regularized"):
         raise ValueError(f"unknown identity kind {which!r}")
     d = reg.z.truncation
-    # g(s, u) = sum_j (-1)^j / j! c_j(u) s^j
-    g = [c * Fraction((-1) ** j, factorial(j)) for j, c in enumerate(reg.moments)]
-
     lhs = QSeries.zero(d)
-    power = [QSeries.one(d)] + [QSeries.zero(d)] * d  # g^0
-    for m in range(1, d + 1):
-        power = _bivariate_mul(power, g, d, d)
+    for m, power in enumerate(reg.moment_powers, start=1):
         if which == "intrinsic":
             if m < 2 or m - 2 - a < 0:
                 continue
@@ -614,8 +625,14 @@ def moment_closed_form_check(reg, a):
 def residue_of_product_check(fs):
     """Residue of a product of at-most-simple-pole functions as a subset sum.
 
-    The empty subset contributes nothing (its inner derivative order would
-    be -1, which is vacuous).
+    The left side is the residue of the reduced global product.  The right
+    side reads one window h^-1 .. h^(k-2) per factor (k factors): its h^-1
+    entry is the residue r_i, the rest is the Taylor series of the regular
+    part f_i - r_i/h.  Each subset S contributes prod_{i in S} r_i times the
+    h^(|S|-1) Taylor coefficient of the product of the other regular parts;
+    that order is at most k-2 whenever S leaves a factor out (for S = all,
+    the product is 1).  The empty subset contributes nothing (its inner
+    derivative order would be -1, which is vacuous).
     """
     fs = list(fs)
     for i, f in enumerate(fs):
@@ -624,19 +641,21 @@ def residue_of_product_check(fs):
     total = prod(fs, start=RatFunc.from_scalar(1))
     lhs = residue_at(total, 0)
 
-    res = [residue_at(f, 0) for f in fs]
-    reg = [f - RatFunc.inv_power(1) * r for f, r in zip(fs, res)]
+    k = len(fs)
+    windows = [laurent_at_zero(f, 1, k - 2).coeffs for f in fs]
+    res = [w[0] for w in windows]
     rhs = Fraction(0)
-    idx = range(len(fs))
-    for size in range(1, len(fs) + 1):
+    idx = range(k)
+    for size in range(1, k + 1):
         for chosen in combinations(idx, size):
             r = prod(res[i] for i in chosen)
             if r == 0:
                 continue
-            rest = prod(
-                (reg[i] for i in idx if i not in chosen), start=RatFunc.from_scalar(1)
-            )
-            rhs += r * taylor_coeff_at_zero(rest, size - 1)
+            rest = P.ONE
+            for i in idx:
+                if i not in chosen:
+                    rest = P.series_mul(rest, windows[i][1:], size - 1)
+            rhs += r * (rest[size - 1] if len(rest) >= size else 0)
     return report_equality(
         "product-residue-expansion",
         {"count": len(fs)},
@@ -671,23 +690,37 @@ def double_residue_split_kernel(a_series, b_series):
 # -- combinatorial identities -------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _split_sums(qs):
+    """Coefficients of prod_i sum_j C(q_i, j) x^j for a tuple qs.
+
+    Entry b is the sum over splits j_1 + ... + j_k = b of prod_i C(q_i, j_i),
+    the left side of the Vandermonde identity.  It is built one binomial row
+    at a time by convolution, the row of qs[0] with the sums of qs[1:], never
+    from (1 + x)^(sum q), so it stays independent of the right side.  Cached
+    because callers ask for every b of one tuple in a row, and tuples that
+    differ in their first entry share the sums of the rest.
+    """
+    if not qs:
+        return (1,)
+    tail = _split_sums(qs[1:])
+    q = qs[0]
+    out = [0] * (len(tail) + q)
+    for j in range(q + 1):
+        c = comb(q, j)
+        for i, s in enumerate(tail):
+            out[i + j] += c * s
+    return tuple(out)
+
+
 def vandermonde_check(b, qs):
     """Sums of binomial products over split choices match one big binomial."""
-    qs = list(qs)
-
-    def split_sum(remaining, budget):
-        if not remaining:
-            return 1 if budget == 0 else 0
-        q0 = remaining[0]
-        return sum(
-            comb(q0, j) * split_sum(remaining[1:], budget - j)
-            for j in range(min(q0, budget) + 1)
-        )
-
-    lhs = split_sum(qs, b)
+    qs = tuple(qs)
+    sums = _split_sums(qs)
+    lhs = sums[b] if 0 <= b < len(sums) else 0
     rhs = comb(sum(qs), b) if b <= sum(qs) else 0
     return report_equality(
-        "binomial-vandermonde", {"b": b, "qs": tuple(qs)}, [("value", lhs, rhs)], b
+        "binomial-vandermonde", {"b": b, "qs": qs}, [("value", lhs, rhs)], b
     )
 
 
@@ -706,12 +739,10 @@ def rising_product_check(q, a, s):
     """Alternating binomial sum against shifted rising products."""
     if a < 0 or s < 0:
         raise ValueError("a and s must be nonnegative")
-    lhs = Fraction(0)
-    for b in range(q + 1):
-        term = Fraction(1)
-        for r in range(a - s + 1, a + 1):
-            term *= r + b
-        lhs += (-1) ** b * comb(q, b) * term
+    # term b: (-1)^b C(q, b) prod_{a-s<r<=a} (r + b), all in integers
+    lhs = Fraction(
+        sum((-1) ** b * comb(q, b) * prod(range(a - s + 1 + b, a + 1 + b)) for b in range(q + 1))
+    )
     k = s - q
     rhs = Fraction((-1) ** q * factorial(s) * (comb(a, k) if 0 <= k <= a else 0))
     return report_equality(

@@ -455,23 +455,23 @@ class WSeries:
         return WSeries([c / g for c in self.coeffs])
 
     def log(self):
-        """Bigraded logarithm; the (w^0, q^0) coefficient must be 1."""
+        """Bigraded logarithm; the (w^0, q^0) coefficient must be 1.
+
+        With z = (f - f0)/f0 (no w^0 term), log f = log f0 + log(1 + z), and
+        the w^k coefficient L_k of log(1 + z) solves
+        k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j).
+        """
         f0 = self.coeffs[0]
         if f0.constant_term != 1:
             raise BadConstantTerm("log", f0.constant_term)
-        w, d = self.worder, self.truncation
-        # split off the w-constant part: log f0 + log(1 + (f - f0)/f0)
-        rest = WSeries(
-            [QSeries.zero(d)] + [c / f0 for c in self.coeffs[1:]]
-        )
-        out = WSeries.zero(w, d)
-        power = WSeries.one(w, d)
-        sign = 1
-        for m in range(1, w + 1):
-            power = power * rest
-            out = out + power * Fraction(sign, m)
-            sign = -sign
-        return out + WSeries([f0.log()] + [QSeries.zero(d)] * w)
+        z = [None] + [c / f0 for c in self.coeffs[1:]]
+        out = [f0.log()]
+        for k in range(1, len(z)):
+            acc = z[k] * k
+            for j in range(1, k):
+                acc = acc - out[j] * z[k - j] * j
+            out.append(acc * Fraction(1, k))
+        return WSeries(out)
 
 
 def exp_coordinate_inverse(g):

@@ -85,6 +85,35 @@ def qexp(a):
     return out
 
 
+def split_sum(qs, b):
+    """sum over j_1 + ... + j_k = b of prod_i C(q_i, j_i), by recursion on
+    the first entry: the enumeration of every split."""
+    if not qs:
+        return 1 if b == 0 else 0
+    q0 = qs[0]
+    return sum(comb(q0, j) * split_sum(qs[1:], b - j) for j in range(min(q0, b) + 1))
+
+
+def wlog(f):
+    """Bigraded log of f[j][d] (coefficient of w^j q^d; f[0][0] = 1) by the
+    power sum log f0 + sum_m (-1)^(m+1) rest^m / m, rest = (f - f0)/f0,
+    with every power of rest a full product truncated at w^W."""
+    w_order = len(f) - 1
+    f0_inv = qinv(f[0])
+    zero = [Fr(0)] * len(f[0])
+    rest = [zero] + [qmul(c, f0_inv) for c in f[1:]]
+    out = [qlog(f[0])] + [zero] * w_order
+    power = [[Fr(1)] + zero[1:]] + [zero] * w_order
+    for m in range(1, w_order + 1):
+        nxt = [zero] * (w_order + 1)
+        for i, x in enumerate(power):
+            for j, y in enumerate(rest[: w_order + 1 - i]):
+                nxt[i + j] = [a + b for a, b in zip(nxt[i + j], qmul(x, y))]
+        power = nxt
+        out = [[a + Fr((-1) ** (m + 1), m) * b for a, b in zip(o, p)] for o, p in zip(out, power)]
+    return out
+
+
 def quintic_tables(order):
     """(N0, N1, n0, n1, mirror_shift) for the quintic, degrees 1..order.
 

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction as Fr
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypergw import cli, hyper
+from hypergw import cli, hyper, residues
 from hypergw import polys as P
 from hypergw.errors import NonzeroConstant, PoleTooHigh, RoutesDisagree, WindowTooSmall
 from hypergw.residues import (
@@ -30,6 +31,8 @@ from hypergw.residues import (
 )
 from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
 from hypergw.series import QSeries
+
+import oracles
 
 H = RatFunc.variable()
 ONE = RatFunc.from_scalar(1)
@@ -573,7 +576,81 @@ def test_h0_paths_call_no_gcd(monkeypatch):
     assert len(calls) == 0
 
 
+def test_moment_powers_built_once_per_regularization(monkeypatch):
+    calls = []
+    mul = residues._bivariate_mul
+    monkeypatch.setattr(residues, "_bivariate_mul", lambda *args: calls.append(1) or mul(*args))
+    assert all(r.passed for r in cli._suite_regularize(5, 6))
+    # D = 6 powers of g for each of the three regularizations, shared by the
+    # 16 moment checks
+    assert len(calls) == 3 * 6
+
+
+# -- differential: subset products on Taylor windows against RatFunc products ------
+
+
+def ref_product_residue_expansion(fs):
+    """The subset sum of the product-residue check by reduced RatFunc
+    products of the regular parts f - res(f)/h, one product per subset."""
+    res = [residue_at(f, 0) for f in fs]
+    reg = [f - RatFunc.inv_power(1) * r for f, r in zip(fs, res)]
+    rhs = Fr(0)
+    idx = range(len(fs))
+    for size in range(1, len(fs) + 1):
+        for chosen in combinations(idx, size):
+            r = prod(res[i] for i in chosen)
+            if r == 0:
+                continue
+            rest = prod((reg[i] for i in idx if i not in chosen), start=ONE)
+            rhs += r * taylor_coeff_at_zero(rest, size - 1)
+    return rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(windowed_ratfuncs(1), max_size=5))
+@example([])
+@example([rf([3, 1, 2], [0, 1])])
+@example([rf([2, 5, -1], [0, -1, 1]), rf([-3, 7], [0, 2, 1])])
+def test_product_residue_matches_ratfunc_subsets(fs):
+    # the check passes exactly when its window subset sum equals the residue
+    # of the global product; the RatFunc subset sum must equal it too
+    rep = residue_of_product_check(fs)
+    assert rep.passed, rep.first_failure
+    assert ref_product_residue_expansion(fs) == residue_at(prod(fs, start=ONE), 0)
+
+
 # -- combinatorial identities -------------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=5))
+@example([])
+@example([7, 7, 7, 7, 7])
+def test_vandermonde_left_side_matches_split_enumeration(qs):
+    top = sum(qs) + 2
+    expect = [oracles.split_sum(qs, b) for b in range(top + 1)]
+    assert list(residues._split_sums(tuple(qs))) + [0, 0] == expect
+    assert all(vandermonde_check(b, qs).passed for b in range(top + 1))
+
+
+def test_appendix_a_vandermonde_can_fail(monkeypatch):
+    def passed():
+        reports = cli._suite_appendix_a(6)
+        return next(r.passed for r in reports if r.identity == "binomial-vandermonde-exhaustive")
+
+    assert passed()  # leaves left sides in the cache
+    sums = residues._split_sums
+
+    def perturbed(qs):
+        out = list(sums(qs))
+        if qs == (1, 2):
+            out[1] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(residues, "_split_sums", perturbed)
+    assert not passed()
+    monkeypatch.undo()
+    assert passed()
 
 
 def test_vandermonde_examples():

@@ -27,6 +27,8 @@ from hypergw.series import (
     parse_rational,
 )
 
+import oracles
+
 rationals = st.builds(
     Fr, st.integers(-30, 30), st.integers(1, 10)
 )
@@ -180,6 +182,22 @@ def test_w_log_linear_coefficient_of_quintic_weight():
     ratio = P.series_mul(num, P.series_inv((Fr(1), Fr(5)), 4), 4)
     f = WSeries.from_w_poly(ratio, 4, 2)
     assert f.log().coeff(1) == QSeries.zero(2)
+
+
+@st.composite
+def w_log_inputs(draw):
+    """f[j][d], w-order 0..6 and q-truncation 0..6, with f[0][0] = 1."""
+    w_order, d = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    f = [draw(st.lists(rationals, min_size=d + 1, max_size=d + 1)) for _ in range(w_order + 1)]
+    f[0][0] = Fr(1)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(w_log_inputs())
+def test_w_log_matches_power_sum(f):
+    got = WSeries([QSeries(c) for c in f]).log()
+    assert [list(c.coeffs) for c in got.coeffs] == oracles.wlog(f)
 
 
 def test_w_truncation_mins():
