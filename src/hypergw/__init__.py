@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hyper import HyperSpec
 from .report import IdentityReport
-from .residues import HLaurent, RatFunc, USeriesRF
+from .residues import RatFunc, USeriesRF
 from .series import QSeries, TPoly, WSeries, format_rational, parse_rational
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "BadConstantTerm",
     "BadMirrorMap",
     "DivByNonUnit",
-    "HLaurent",
     "HyperSpec",
     "HypergwError",
     "IdentityReport",

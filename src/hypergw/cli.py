@@ -334,12 +334,15 @@ def render_dump(what, n, order):
 # -- entry point --------------------------------------------------------------
 
 
-def _write(text, path):
+def _write(parser, text, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        parser.exit(2, parser.format_usage() + f"error: cannot write {path}: {exc.strerror}\n")
 
 
 def main(argv=None):
@@ -357,11 +360,13 @@ def main(argv=None):
                 text = table.to_csv_text()
             else:
                 text = table.to_text()
-            _write(text, args.output)
+            _write(parser, text, args.output)
             return 0
 
         if args.command == "verify":
             names = [s for s in args.suite.split(",") if s]
+            if not names:
+                parser.exit(2, parser.format_usage() + "error: --suite names no suite\n")
             unknown = [s for s in names if s not in SUITES]
             if unknown:
                 parser.exit(
@@ -376,7 +381,7 @@ def main(argv=None):
                 text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
             else:
                 text = "\n".join(r.describe() for r in reports) + "\n"
-            _write(text, args.output)
+            _write(parser, text, args.output)
             return 0 if all(r.passed for r in reports) else 1
 
         if args.command == "dump":
@@ -385,7 +390,7 @@ def main(argv=None):
                     2,
                     parser.format_usage() + f"error: unknown series name {args.what!r}\n",
                 )
-            _write(render_dump(args.what, args.n, args.order), args.output)
+            _write(parser, render_dump(args.what, args.n, args.order), args.output)
             return 0
     except HypergwError as exc:
         sys.stderr.write(f"identity violation: {type(exc).__name__}: {exc}\n")

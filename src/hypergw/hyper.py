@@ -12,7 +12,9 @@ into exact pass/fail reports.
 The kernel at w = 1/h is kept factored, h^-d rnum_d / V_d, and no RatFunc
 is built here: its window series at h = 0 (USeriesRF) carries the residue
 exponent and the ladder, Q is formed as N_d / (h^d V_d) over the known
-denominator, and the boundary residue reads its value at h = -n.
+denominator, and the boundary residue reads its value at h = -n.  The
+window series has the width 2D + 2 that regularize reads; no stage here
+reads past entry D + 1 of a row, so mu and the ladder run it at D + 1.
 """
 
 from dataclasses import dataclass
@@ -97,6 +99,11 @@ def kernel_inv_hbar(spec):
     )
 
 
+def _narrow_kernel(spec):
+    """kernel_inv_hbar at width D + 1, which covers every read made below."""
+    return kernel_inv_hbar(spec).narrow(spec.qorder + 1)
+
+
 def kernel_value_at(spec, a):
     """The kernel at w = 1/h evaluated at h = a != 0, as a q-series.
 
@@ -178,14 +185,14 @@ def regularizing_exponent(spec, method="closed_form"):
     agree; the agreement is one of the verified identities.
 
     The residue path reads res_{h=0} log of the window series of the
-    kernel at w = 1/h, whose q^0 coefficient is 1.
+    kernel at w = 1/h, whose q^0 coefficient is 1, at the ladder's width.
     """
     d = spec.qorder
     if method == "closed_form":
         expanded = one_minus_nn_q(spec).power(Fraction(-1, spec.n)) - 1
         return QSeries([Fraction(0)] + [expanded[k] / k for k in range(1, d + 1)])
     if method == "residue":
-        return (kernel_inv_hbar(spec) - 1).log_one_plus().weighted_residues(0)
+        return (_narrow_kernel(spec) - 1).log_one_plus().weighted_residues(0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -193,7 +200,8 @@ def regularizing_exponent(spec, method="closed_form"):
 def regular_kernel(spec):
     """Q = exp(-mu/h) times the kernel at w = 1/h, holomorphic at h = 0.
 
-    With e_i = h^i [u^i] exp(-mu/h), a polynomial in h, the q^d coefficient
+    With e_i = h^i [u^i] exp(-mu/h), a polynomial in h and row i of the
+    window series, the q^d coefficient
     is Q_d = N_d / (h^d V_d) with
         N_d = sum_i e_i rnum_{d-i} prod_{d-i<r<=d} v_r.
     Since V_d(0) != 0, Q_d is regular exactly when h^d divides N_d; a pole
@@ -202,8 +210,8 @@ def regular_kernel(spec):
     """
     n = spec.n
     parts = _inv_hbar_parts(spec)
-    windows = exp_over_hbar(regularizing_exponent(spec), -1).coeffs
-    e = [P.norm(c.coeffs[: i + 1]) for i, c in enumerate(windows)]
+    rows = exp_over_hbar(regularizing_exponent(spec), -1).coeffs
+    e = [P.norm(row.coeffs[: i + 1]) for i, row in enumerate(rows)]
     out = []
     for d, (_, den) in enumerate(parts):
         num = P.ZERO
@@ -255,11 +263,11 @@ def dw_kernel_coeffs(n, upto):
 @lru_cache(maxsize=None)
 def ladder_series(spec, p):
     """Series obtained from the normalized kernel at w = 1/h by p descent
-    steps (1/diagonal) * (1 + h d/dt)."""
+    steps (1/diagonal) * (1 + h d/dt), at width D + 1."""
     if not 0 <= p <= spec.n - 1:
         raise ValueError("need 0 <= p <= n-1")
     if p == 0:
-        return kernel_inv_hbar(spec).mul_inv_qseries(diagonal_series(spec, 0))
+        return _narrow_kernel(spec).mul_inv_qseries(diagonal_series(spec, 0))
     prev = ladder_series(spec, p - 1)
     return (prev + prev.h_euler()).mul_inv_qseries(diagonal_series(spec, p))
 

@@ -408,10 +408,13 @@ def boundary_locus_by_residues(spec):
     shift_neg = -hyper.mirror_shift(spec)  # t - T
     log_y = (hyper.ladder_series(spec, 0) - 1).log_one_plus()
 
-    # residue at 0, read off the windows: weight has a simple pole there
+    # residue at 0, read off the windows: weight has a simple pole there, so
+    # res{ weight c_k } = sum_{i<=k} [h^(i-1)] weight * [h^-i] c_k
     win = laurent_at_zero(weight, 1, d)
-    res0 = QSeries([(win * c).coeff(-1) for c in log_y.coeffs])
-    res0 = res0 + shift_neg * win.coeff(0)
+    res0 = QSeries(
+        [sum(win[i] * log_y.coeff(k, -i) for i in range(k + 1)) for k in range(d + 1)]
+    )
+    res0 = res0 + shift_neg * win[1]
     part0 = res0 * Fraction(-n, 24)
 
     # residue at -n: the weight has at most a simple pole there and every
@@ -560,5 +563,6 @@ def bridge_series(spec):
     """The normalized kernel at w = 1/h minus one: the production input to
     the regularization machinery.  Its exponent is the regularizing
     exponent mu and its regular part evaluates at h = 0 to the kernel
-    value over the w-constant diagonal."""
-    return hyper.ladder_series(spec, 0) - 1
+    value over the w-constant diagonal.  It is the ladder series of rung 0
+    at the full width 2D + 2 that regularize reads."""
+    return hyper.kernel_inv_hbar(spec).mul_inv_qseries(hyper.diagonal_series(spec, 0)) - 1

@@ -4,13 +4,16 @@ One representation per job.  RatFunc, a reduced fraction of polynomials
 with a monic denominator, serves only where poles away from 0 matter:
 residues at other points and at infinity (res_inf f = -res_0 { w^{-2}
 f(1/w) }), as in the residue-theorem suite.  Everything local to h = 0
-runs on exact Laurent windows at the origin (HLaurent), with no gcd:
-USeriesRF is a power series in u whose u^k coefficient is the window
-h^-k .. h^(2D+2-k).  On it sit the regularization splitting
-1 + Z = exp(eta/h) * (1 + Zbar), Zbar holomorphic at h = 0, and the
-residue-moment identities that characterize when it exists.  A residue
-at 0, a weighted residue res{ h^p f } and the iterated residue of the
-split kernel are each one coefficient read off a window.
+runs on exact Laurent windows at the origin, with no gcd: the window
+h^-low .. h^high of f is the power series h^low f truncated at
+h^(low + high), a QSeries.  USeriesRF is a power series in u whose u^k
+coefficient has pole order at most k; under u = h s it is a list of such
+QSeries rows h^k c_k(h), all truncated at one width, multiplied by the
+truncated row convolution of the series module.  On it sit the
+regularization splitting 1 + Z = exp(eta/h) * (1 + Zbar), Zbar
+holomorphic at h = 0, and the residue-moment identities that characterize
+when it exists.  A residue at 0, a weighted residue res{ h^p f } and the
+iterated residue of the split kernel are each one index into a row.
 """
 
 from dataclasses import dataclass
@@ -28,9 +31,10 @@ from .errors import (
     WindowTooSmall,
 )
 from .report import report_equality
-from .series import QSeries
+from .series import QSeries, convolve_rows, log_one_plus_rows
 
 _ONE = (Fraction(1),)
+_ZERO = Fraction(0)
 
 
 class RatFunc:
@@ -215,73 +219,28 @@ def _coerce(x):
     return None
 
 
-@dataclass(frozen=True)
-class HLaurent:
-    """Window of a Laurent expansion at h = 0: powers -low .. high.
-
-    low covers the pole order, so every power below -low is 0.
-    """
-
-    low: int
-    high: int
-    coeffs: tuple
-
-    def coeff(self, k):
-        if k > self.high:
-            raise WindowTooSmall(f"power {k} outside window -{self.low}..{self.high}")
-        return self.coeffs[k + self.low] if k >= -self.low else Fraction(0)
-
-    def pole_order_at_zero(self):
-        for i, c in enumerate(self.coeffs[: self.low]):
-            if c:
-                return self.low - i
-        return 0
-
-    def __add__(self, other):
-        low = max(self.low, other.low)
-        high = min(self.high, other.high)
-        a = (Fraction(0),) * (low - self.low) + self.coeffs
-        b = (Fraction(0),) * (low - other.low) + other.coeffs
-        size = low + high + 1
-        return HLaurent(low, high, tuple(x + y for x, y in zip(a[:size], b[:size])))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return HLaurent(self.low, self.high, tuple(c * other for c in self.coeffs))
-        # exact through min(top_a + floor_b, top_b + floor_a)
-        lo = -self.low - other.low
-        hi = min(self.high - other.low, other.high - self.low)
-        size = hi - lo + 1
-        out = [Fraction(0)] * size
-        for i, x in enumerate(self.coeffs[:size]):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs[: size - i]):
-                if y != 0:
-                    out[i + j] += x * y
-        return HLaurent(-lo, hi, tuple(out))
-
-    __rmul__ = __mul__
-
-
-def _quotient_window(num, unit, shift, low, high):
-    """Window -low..high at h = 0 of h^shift * num / unit, where unit(0) != 0."""
-    if shift < -low:
-        raise WindowTooSmall(f"pole order {-shift} exceeds window depth {low}")
-    order = high - shift
+def _row(num, unit, shift, width):
+    """h^shift * num / unit as a QSeries truncated at h^width, for
+    polynomials num and unit with unit(0) != 0; shift < 0 is a pole that
+    no power series holds."""
+    if shift < 0:
+        raise WindowTooSmall(f"pole order {-shift} exceeds the window depth")
+    order = width - shift
     ser = P.series_mul(num, P.series_inv(unit, order), order) if order >= 0 else ()
-    return HLaurent(low, high, ((Fraction(0),) * (low + shift) + ser)[: low + high + 1])
+    return QSeries._of(((_ZERO,) * shift + ser)[: width + 1])
 
 
 def laurent_at_zero(f, low, high):
-    """Exact Laurent window of f at h = 0 for powers -low..high.
+    """Exact Laurent window of f at h = 0 for powers -low..high, held as the
+    power series h^low f truncated at h^(low + high): entry i is
+    [h^(i - low)] f.
 
     low must cover the pole order; high >= -low.
     """
     if high < -low:
         raise ValueError("empty window")
     m = f.pole_order_at_zero()
-    return _quotient_window(f.num, f.den[m:], -m, low, high)
+    return _row(f.num, f.den[m:], low - m, low + high)
 
 
 def residue_at(f, a):
@@ -291,7 +250,7 @@ def residue_at(f, a):
             return Fraction(0)
         f = f.shift(a)
     m = f.pole_order_at_zero()
-    return laurent_at_zero(f, m, -1).coeff(-1) if m else Fraction(0)
+    return laurent_at_zero(f, m, -1)[m - 1] if m else _ZERO
 
 
 def residue_at_infinity(f):
@@ -312,18 +271,26 @@ def residue_at_infinity(f):
 
 def taylor_coeff_at_zero(f, k):
     """k-th Taylor coefficient at 0 of a function holomorphic there."""
-    return laurent_at_zero(f, 0, k).coeff(k)
+    return laurent_at_zero(f, 0, k)[k]
 
 
 class USeriesRF:
-    """Power series in u, truncated at D, of exact Laurent windows at h = 0.
+    """Power series in u, truncated at D, whose u^k coefficient c_k(h) has
+    pole order at most k at h = 0.
 
-    The u^k coefficient has pole order at most k and is held as the window
-    h^-k .. h^(H-k), H = 2D + 2.  That shape is closed under + and x, and
-    covers every read made of it: the moments res{ h^-j z }, j <= D, need
-    H >= 2D - 1, the Taylor coefficients of the moment closed form H >= D + 2.
-    A RatFunc or polynomial coefficient whose pole order exceeds its u-degree
-    raises WindowTooSmall.  (The name dates from RatFunc coefficients.)
+    Under u = h s, h^k c_k(h) is a power series in h: row k holds it as a
+    QSeries truncated at the width H (one for all rows), the window
+    h^-k .. h^(H-k) of c_k.  The product is the row convolution, and each
+    row product takes the smaller width, so a product is as narrow as its
+    narrowest factor.  A read is one index: [h^p] c_k is row_k[k + p], 0
+    below index 0; past the width it raises WindowTooSmall.
+
+    Built from coefficients, H = 2D + 2, which regularize reads: the
+    moments res{ h^-j z }, j <= D, need 2D - 1, the Taylor coefficients
+    h^q, q <= D + 2, of the moment closed form 2D + 2.  The hyper stages
+    read at most entry D + 1 of a row and run narrowed to H = D + 1.  A
+    coefficient whose pole order exceeds its u-degree raises
+    WindowTooSmall.  (The name dates from RatFunc coefficients.)
     """
 
     __slots__ = ("coeffs",)
@@ -339,21 +306,21 @@ class USeriesRF:
         if len(coeffs) > truncation + 1:
             raise ValueError("more coefficients than the stated truncation")
         coeffs.extend([0] * (truncation + 1 - len(coeffs)))
-        top = 2 * truncation + 2
+        width = 2 * truncation + 2
         self.coeffs = tuple(
-            laurent_at_zero(c, k, top - k)
+            laurent_at_zero(c, k, width - k)
             if isinstance(c, RatFunc)
-            else _quotient_window((Fraction(c),), P.ONE, 0, k, top - k)
+            else QSeries.monomial(k, width, c)
             for k, c in enumerate(coeffs)
         )
         if no_constant and any(self.coeffs[0].coeffs):
             raise NonzeroConstant("series must have no degree-zero term")
 
     @classmethod
-    def _of(cls, windows):
-        """Internal: wrap windows that already have the shape of the class."""
+    def _of(cls, rows):
+        """Internal: wrap rows that already have the shape of the class."""
         self = object.__new__(cls)
-        self.coeffs = tuple(windows)
+        self.coeffs = tuple(rows)
         return self
 
     @classmethod
@@ -363,8 +330,7 @@ class USeriesRF:
         d = len(terms) - 1 if truncation is None else truncation
         terms = list(terms) + [(0, P.ZERO, P.ONE)] * (d + 1 - len(terms))
         return cls._of(
-            _quotient_window(num, unit, s, k, 2 * d + 2 - k)
-            for k, (s, num, unit) in enumerate(terms)
+            _row(num, unit, k + s, 2 * d + 2) for k, (s, num, unit) in enumerate(terms)
         )
 
     @classmethod
@@ -379,8 +345,21 @@ class USeriesRF:
     def truncation(self):
         return len(self.coeffs) - 1
 
+    def narrow(self, width):
+        """The series with every row truncated at h^width: reads within the
+        new width are unchanged, and products with it cost less."""
+        return USeriesRF._of(row.truncate(width) for row in self.coeffs)
+
     def __getitem__(self, d):
         return self.coeffs[d]
+
+    def coeff(self, k, p):
+        """[u^k h^p] of the series: entry k + p of row k."""
+        i = k + p
+        row = self.coeffs[k]
+        if i > row.truncation:
+            raise WindowTooSmall(f"h^{p} of u^{k} lies past the width {row.truncation}")
+        return row.coeffs[i] if i >= 0 else _ZERO
 
     def __eq__(self, other):
         if not isinstance(other, USeriesRF):
@@ -388,15 +367,13 @@ class USeriesRF:
         return self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"USeriesRF(D={self.truncation})"
+        return f"USeriesRF(D={self.truncation}, H={self.coeffs[0].truncation})"
 
     def _coerce(self, other):
         if isinstance(other, USeriesRF):
             return other
         if isinstance(other, (int, Fraction)):
             return USeriesRF([other], self.truncation)
-        if isinstance(other, QSeries):
-            return USeriesRF(other.coeffs)
         return None
 
     def __add__(self, other):
@@ -426,56 +403,48 @@ class USeriesRF:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(min(len(a), len(b))):
-            acc = a[0] * b[m]
-            for i in range(1, m + 1):
-                acc = acc + a[i] * b[m - i]
-            out.append(acc)
-        return USeriesRF._of(out)
+        return USeriesRF._of(convolve_rows(a, b, min(len(a), len(b))))
 
     __rmul__ = __mul__
 
     def mul_inv_qseries(self, g):
         """Divide by a unit q-series (rational-scalar coefficients)."""
-        return self * (QSeries.one(g.truncation) / g)
+        # the h-free factor goes first: its rows are monomials, and a row
+        # product skips the zero entries of its left factor
+        return USeriesRF((QSeries.one(g.truncation) / g).coeffs) * self
 
     def h_euler(self):
-        """h u d/du of the series: the u^k coefficient times k h."""
+        """h u d/du of the series: the u^k coefficient times k h, which is
+        row k times k shifted up one place."""
         return USeriesRF._of(
-            HLaurent(c.low, c.high, (Fraction(0),) + tuple(x * k for x in c.coeffs[:-1]))
-            for k, c in enumerate(self.coeffs)
+            QSeries._of((_ZERO,) + tuple(x * k for x in row.coeffs[:-1]))
+            for k, row in enumerate(self.coeffs)
         )
 
     def log_one_plus(self):
-        """log(1 + self) from k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j);
-        self must have no degree-zero term."""
+        """log(1 + self); self must have no degree-zero term."""
         z = self.coeffs
         if any(z[0].coeffs):
             raise NonzeroConstant("log expansion needs a vanishing constant term")
-        out = [z[0]]
-        for k in range(1, len(z)):
-            acc = z[k] * k
-            for j in range(1, k):
-                acc = acc + out[j] * z[k - j] * -j
-            out.append(acc * Fraction(1, k))
-        return USeriesRF._of(out)
+        return USeriesRF._of(log_one_plus_rows(z, z[0]))
 
     def weighted_residues(self, power=0):
         """QSeries of res_{h=0} { h^power * coeff_d } over u-degrees."""
-        return QSeries([c.coeff(-1 - power) for c in self.coeffs])
+        return self.taylor_coeff(-1 - power)
 
-    def taylor_coeff(self, k):
-        return QSeries([c.coeff(k) for c in self.coeffs])
+    def taylor_coeff(self, q):
+        """QSeries of [h^q] coeff_d over u-degrees."""
+        return QSeries._of(self.coeff(k, q) for k in range(len(self.coeffs)))
 
     def is_regular_at_zero(self):
-        return all(c.pole_order_at_zero() == 0 for c in self.coeffs)
+        return not any(any(row.coeffs[:k]) for k, row in enumerate(self.coeffs))
 
 
 def exp_over_hbar(eta, sign=1):
     """exp(sign * eta(u) / h) as a USeriesRF; eta must vanish at u = 0.
 
-    The u^k coefficient is sum_{m<=k} ((sign eta)^m)_k / m! * h^-m.
+    The u^k coefficient is sum_{m<=k} ((sign eta)^m)_k / m! * h^-m, so row k
+    is the polynomial whose h^j coefficient is ((sign eta)^(k-j))_k / (k-j)!.
     """
     if eta.constant_term != 0:
         raise NonzeroConstant("exponent series must have no degree-zero term")
@@ -484,8 +453,9 @@ def exp_over_hbar(eta, sign=1):
     powers = [QSeries.one(d)]
     for _ in range(d):
         powers.append(powers[-1] * signed)
-    return USeriesRF.from_quotients(
-        [(-k, [powers[m][k] / factorial(m) for m in range(k, -1, -1)], P.ONE) for k in range(d + 1)]
+    return USeriesRF._of(
+        QSeries([powers[m][k] / factorial(m) for m in range(k, -1, -1)], 2 * d + 2)
+        for k in range(d + 1)
     )
 
 
@@ -507,11 +477,19 @@ class Regularization:
         regularization shares them."""
         d = self.z.truncation
         g = [c * Fraction((-1) ** j, factorial(j)) for j, c in enumerate(self.moments)]
-        power = [QSeries.one(d)] + [QSeries.zero(d)] * d  # g^0
+        power = [QSeries.one(d)]  # g^0
         out = []
         for _ in range(d):
-            power = _bivariate_mul(power, g, d, d)
+            power = convolve_rows(power, g, d + 1)
             out.append(power)
+        return out
+
+    @cached_property
+    def eta_powers(self):
+        """[eta^p for p = 0..D], shared by the closed-form checks."""
+        out = [QSeries.one(self.z.truncation)]
+        for _ in range(self.z.truncation):
+            out.append(out[-1] * self.eta)
         return out
 
 
@@ -541,21 +519,13 @@ def regularize(z):
         eta = acc
     zbar = exp_over_hbar(eta, -1) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
     regular = zbar.is_regular_at_zero()
-    eta_log = z.log_one_plus().weighted_residues(0)
+    # the logs are read only at entry k - 1 of row k, so width D covers them
+    eta_log = z.narrow(d).log_one_plus().weighted_residues(0)
     if not regular:
-        eta_log = eta_log - zbar.log_one_plus().weighted_residues(0)
+        eta_log = eta_log - zbar.narrow(d).log_one_plus().weighted_residues(0)
     if eta != eta_log:
         raise RoutesDisagree("exponent fixed point and log residue disagree")
     return Regularization(eta, zbar, regular, z, moments)
-
-
-def _bivariate_mul(a, b, s_order, u_trunc):
-    """Product of polynomials in an auxiliary variable s with QSeries coeffs."""
-    out = [QSeries.zero(u_trunc) for _ in range(s_order + 1)]
-    for i, x in enumerate(a[: s_order + 1]):
-        for j, y in enumerate(b[: s_order + 1 - i]):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 def moment_identity_check(reg, a, which):
@@ -607,9 +577,7 @@ def moment_closed_form_check(reg, a):
         raise NotRegularizable("closed form needs a regularizable series")
     lhs = reg.moments[-a] if 0 <= -a <= d else reg.z.weighted_residues(a)
     rhs = QSeries.zero(d)
-    eta_pow = [QSeries.one(d)]
-    for _ in range(d):
-        eta_pow.append(eta_pow[-1] * reg.eta)
+    eta_pow = reg.eta_powers
     for p in range(d + 1):
         q = p - 1 - a
         if q < 0:
@@ -677,12 +645,10 @@ def double_residue_split_kernel(a_series, b_series):
     for m in range(d + 1):
         val = Fraction(0)
         for d1 in range(m + 1):
-            a = a_series[d1]
-            b = b_series[m - d1]
             for k in range(m - d1 + 1):
-                c = b.coeff(-k)
+                c = b_series.coeff(m - d1, -k)
                 if c:
-                    val += (-1) ** k * c * a.coeff(k + 1)
+                    val += (-1) ** k * c * a_series.coeff(d1, k + 1)
         out.append(val)
     return QSeries(out)
 

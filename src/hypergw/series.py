@@ -6,11 +6,17 @@ truncations always takes the minimum; nothing is ever zero-extended.
 TPoly layers a finite polynomial in t on top (t is the logarithm of the
 series variable, so d/dt acts as q*d/dq on coefficients), and WSeries
 does the same for a formal variable w with its own truncation order.
+
+Every bivariate series of the package (TPoly, WSeries, the window series
+of residues.USeriesRF, the moment powers of a regularization) is a list of
+rows, each a QSeries in the inner variable.  convolve_rows is their one
+truncated product and log_one_plus_rows their one logarithm.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from . import polys as P
 from .errors import (
     BadConstantTerm,
     BadMirrorMap,
@@ -56,6 +62,15 @@ class QSeries:
         self.coeffs = tuple(coeffs)
         self.truncation = truncation
 
+    @classmethod
+    def _of(cls, coeffs):
+        """Internal: wrap Fraction coefficients that QSeries arithmetic made,
+        without coercing them again; the truncation is len(coeffs) - 1."""
+        self = object.__new__(cls)
+        self.coeffs = tuple(coeffs)
+        self.truncation = len(self.coeffs) - 1
+        return self
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -97,7 +112,7 @@ class QSeries:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.truncation} to {truncation}"
             )
-        return QSeries(self.coeffs[: truncation + 1])
+        return QSeries._of(self.coeffs[: truncation + 1])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,12 +143,12 @@ class QSeries:
         if other is None:
             return NotImplemented
         d = min(self.truncation, other.truncation)
-        return QSeries([self.coeffs[k] + other.coeffs[k] for k in range(d + 1)])
+        return QSeries._of([self.coeffs[k] + other.coeffs[k] for k in range(d + 1)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs])
+        return QSeries._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -147,18 +162,11 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             r = Fraction(other)
-            return QSeries([c * r for c in self.coeffs])
+            return QSeries._of([c * r for c in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
         d = min(self.truncation, other.truncation)
-        out = [_ZERO] * (d + 1)
-        for i, x in enumerate(self.coeffs[: d + 1]):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs[: d + 1 - i]):
-                if y != 0:
-                    out[i + j] += x * y
-        return QSeries(out)
+        return QSeries._of(P.series_mul(self.coeffs, other.coeffs, d))
 
     __rmul__ = __mul__
 
@@ -180,7 +188,7 @@ class QSeries:
             for j in range(1, min(k, other.truncation) + 1):
                 s -= other.coeffs[j] * out[k - j]
             out[k] = s / b0
-        return QSeries(out)
+        return QSeries._of(out)
 
     def __rtruediv__(self, other):
         return QSeries.constant(other, self.truncation) / self
@@ -202,7 +210,7 @@ class QSeries:
 
     def derivative(self):
         """d/dt with q = e^t, i.e. q*d/dq; keeps the truncation."""
-        return QSeries([d * c for d, c in enumerate(self.coeffs)])
+        return QSeries._of([d * c for d, c in enumerate(self.coeffs)])
 
     def exp(self):
         if self.constant_term != 0:
@@ -214,19 +222,12 @@ class QSeries:
             for j in range(1, k + 1):
                 s += j * self.coeffs[j] * out[k - j]
             out[k] = s / k
-        return QSeries(out)
+        return QSeries._of(out)
 
     def log(self):
         if self.constant_term != 1:
             raise BadConstantTerm("log", self.constant_term)
-        d = self.truncation
-        out = [_ZERO] * (d + 1)
-        for k in range(1, d + 1):
-            s = k * self.coeffs[k]
-            for j in range(1, k):
-                s -= j * out[j] * self.coeffs[k - j]
-            out[k] = s / k
-        return QSeries(out)
+        return QSeries._of(log_one_plus_rows(self.coeffs, _ZERO))
 
     def power(self, r):
         """f**r for rational r, via exp(r*log f); needs f(0) = 1."""
@@ -335,12 +336,8 @@ class TPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = min(self.truncation, other.truncation)
-        out = [QSeries.zero(d) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(out)
+        a, b = self.coeffs, other.coeffs
+        return TPoly(convolve_rows(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -442,12 +439,7 @@ class WSeries:
         if not isinstance(other, WSeries):
             return NotImplemented
         w = min(self.worder, other.worder)
-        d = min(self.truncation, other.truncation)
-        out = [QSeries.zero(d) for _ in range(w + 1)]
-        for i, a in enumerate(self.coeffs[: w + 1]):
-            for j, b in enumerate(other.coeffs[: w + 1 - i]):
-                out[i + j] = out[i + j] + a * b
-        return WSeries(out)
+        return WSeries(convolve_rows(self.coeffs, other.coeffs, w + 1))
 
     __rmul__ = __mul__
 
@@ -457,21 +449,45 @@ class WSeries:
     def log(self):
         """Bigraded logarithm; the (w^0, q^0) coefficient must be 1.
 
-        With z = (f - f0)/f0 (no w^0 term), log f = log f0 + log(1 + z), and
-        the w^k coefficient L_k of log(1 + z) solves
-        k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j).
+        With z = (f - f0)/f0 (no w^0 term), log f = log f0 + log(1 + z).
         """
         f0 = self.coeffs[0]
         if f0.constant_term != 1:
             raise BadConstantTerm("log", f0.constant_term)
         z = [None] + [c / f0 for c in self.coeffs[1:]]
-        out = [f0.log()]
-        for k in range(1, len(z)):
-            acc = z[k] * k
-            for j in range(1, k):
-                acc = acc - out[j] * z[k - j] * j
-            out.append(acc * Fraction(1, k))
-        return WSeries(out)
+        return WSeries(log_one_plus_rows(z, f0.log()))
+
+
+def convolve_rows(a, b, length):
+    """Rows 0..length-1 (length <= len(a) + len(b) - 1) of the product of
+    two series of QSeries rows: row m is sum_{i+j=m} a[i] * b[j], at the
+    smaller truncation of the two, as every QSeries product."""
+    out = []
+    for m in range(length):
+        lo = max(0, m - len(b) + 1)
+        acc = a[lo] * b[m - lo]
+        for i in range(lo + 1, min(m, len(a) - 1) + 1):
+            acc = acc + a[i] * b[m - i]
+        out.append(acc)
+    return out
+
+
+def log_one_plus_rows(z, head):
+    """Rows of log(1 + z), row 0 being head, for z with no row 0 (z[0] is
+    not read); rows are QSeries, or scalars for QSeries.log.  Row k solves
+    k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j)."""
+    out = [head]
+    weighted = [None]  # j L_j
+    for k in range(1, len(z)):
+        row = z[k]
+        if k > 1:
+            acc = weighted[1] * z[k - 1]
+            for j in range(2, k):
+                acc = acc + weighted[j] * z[k - j]
+            row = row - acc * Fraction(1, k)
+        out.append(row)
+        weighted.append(row * k)
+    return out
 
 
 def exp_coordinate_inverse(g):

@@ -68,6 +68,25 @@ def test_usage_error_on_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_usage_error_on_empty_suite_list(capsys):
+    for suites in (",", ""):
+        code, out, err = run(["verify", "--suite", suites], capsys)
+        assert code == 2 and out == ""
+        assert "usage" in err and "no suite" in err
+
+
+def test_usage_error_on_unwritable_output(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (
+        ["invariants", "--order", "2"],
+        ["verify", "--suite", "special", "--order", "2"],
+        ["dump", "--what", "mu", "--order", "2"],
+    ):
+        code, out, err = run(argv + ["--output", missing], capsys)
+        assert code == 2 and out == ""
+        assert "usage" in err and missing in err
+
+
 def test_usage_error_on_unknown_dump(capsys):
     code, _, err = run(["dump", "--what", "nonsense"], capsys)
     assert code == 2

@@ -6,7 +6,8 @@ from math import comb, factorial
 import pytest
 
 from hypergw import hyper
-from hypergw.errors import RegularityViolation
+from hypergw import polys as P
+from hypergw.errors import RegularityViolation, WindowTooSmall
 from hypergw.hyper import (
     HyperSpec,
     diagonal_identities,
@@ -29,7 +30,13 @@ from hypergw.hyper import (
     regularizing_exponent,
     tower_structure_check,
 )
-from hypergw.residues import RatFunc, USeriesRF, taylor_coeff_at_zero
+from hypergw.residues import (
+    RatFunc,
+    USeriesRF,
+    double_residue_split_kernel,
+    exp_over_hbar,
+    taylor_coeff_at_zero,
+)
 from hypergw.series import QSeries
 
 import oracles
@@ -79,9 +86,10 @@ def test_kernel_matches_brute_force_columns():
 
 
 def test_inverse_hbar_kernel_pole_orders():
+    # pole order exactly d: [h^-d] of the q^d coefficient, entry 0 of row d
     f = kernel_inv_hbar(HyperSpec(3, 4))
-    for d, c in enumerate(f.coeffs):
-        assert c.pole_order_at_zero() == d
+    for d in range(5):
+        assert f.coeff(d, -d) != 0
 
 
 # -- tower --------------------------------------------------------------------
@@ -229,8 +237,8 @@ def test_weighted_product_follows_from_product_and_symmetry():
 
 
 def test_ladder_base_case():
-    y = ladder_series(HyperSpec(4, 3), 0)
-    assert y[0] == USeriesRF.one(3)[0]
+    y = ladder_series(HyperSpec(4, 3), 0)  # at width D + 1 = 4
+    assert y[0] == USeriesRF.one(3).narrow(4)[0]
 
 
 def test_ladder_residues_match_closed_products():
@@ -267,6 +275,86 @@ def test_first_ladder_step_equals_mirror_route_operator():
         slope = QSeries.one(5) + mirror_shift(spec).derivative()  # dT/dt
         alt = (y + y.h_euler()).mul_inv_qseries(slope)
         assert alt == ladder_series(spec, 1)
+
+
+# -- window width: the hyper stages at D + 1 against the full width 2D + 2 -----------------
+
+
+def full_width_ladder(spec):
+    """The ladder series p = 0..n-1 built on kernel_inv_hbar at its full width."""
+    y = kernel_inv_hbar(spec).mul_inv_qseries(diagonal_series(spec, 0))
+    out = [y]
+    for p in range(1, spec.n):
+        y = (y + y.h_euler()).mul_inv_qseries(diagonal_series(spec, p))
+        out.append(y)
+    return out
+
+
+def row_read(series, k, p):
+    """[u^k h^p] taken straight off row k = h^k c_k(h) of a full-width series."""
+    assert series[k].truncation == 2 * series.truncation + 2
+    return series[k].coeffs[k + p] if k + p >= 0 else 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_narrow_stages_match_full_width_reads(n):
+    d = 6
+    spec = HyperSpec(n, d)
+    back = exp_over_hbar(regularizing_exponent(spec), -1)
+    wide = [back * y for y in full_width_ladder(spec)]
+    for p in range(n):
+        assert ladder_series(spec, p).truncation == d
+        assert ladder_series(spec, p)[0].truncation == d + 1
+        for order in (0, 1):
+            expect = QSeries([row_read(wide[p], k, order) for k in range(d + 1)])
+            assert ladder_residue(spec, p, order) == expect
+
+    # the split-kernel double residue sum_k (-1)^k [h^-k]B [h^(k+1)]A
+    for p in range(n):
+        q = n - 2 - p if p < n - 1 else n - 1
+        expect = [
+            sum(
+                (-1) ** k * row_read(wide[q], m - i, -k) * row_read(wide[p], i, k + 1)
+                for i in range(m + 1)
+                for k in range(m - i + 1)
+            )
+            for m in range(d + 1)
+        ]
+        got = double_residue_split_kernel(
+            hyper._descended_regular(spec, p), hyper._descended_regular(spec, q)
+        )
+        assert got == QSeries(expect)
+
+    log = (kernel_inv_hbar(spec) - 1).log_one_plus()
+    expect = QSeries([row_read(log, k, -1) for k in range(d + 1)])
+    assert regularizing_exponent(spec, "residue") == expect
+
+    # N_d / (h^d V_d) against the full-width window product exp(-mu/h) K(1/h):
+    # regular, with the same Taylor coefficients through h^(D+2)
+    full = back * kernel_inv_hbar(spec)
+    for k, (num, den) in enumerate(regular_kernel(spec)):
+        assert [row_read(full, k, -j) for j in range(1, k + 1)] == [0] * k
+        taylor = P.series_mul(num, P.series_inv(den, d + 2), d + 2)
+        assert list(taylor) == [row_read(full, k, j) for j in range(d + 3)]
+
+
+def test_reading_past_the_width_raises():
+    spec = HyperSpec(5, 6)
+    y = ladder_series(spec, 1)
+    wide = full_width_ladder(spec)[1]
+    for k in range(7):
+        top = 7 - k  # entry D + 1 of row k, the last one kept
+        assert y.coeff(k, top) == wide.coeff(k, top)
+        with pytest.raises(WindowTooSmall):
+            y.coeff(k, top + 1)
+        assert y.coeff(k, -k - 1) == 0  # below the pole-order bound
+    assert y.taylor_coeff(1) == wide.taylor_coeff(1)
+    with pytest.raises(WindowTooSmall):
+        y.taylor_coeff(2)  # needs entry D + 2 of row D
+    descended = hyper._descended_regular(spec, 1)
+    assert descended.weighted_residues(-2) == ladder_residue(spec, 1, 1)
+    with pytest.raises(WindowTooSmall):
+        descended.weighted_residues(-3)  # h^2 of the u^D coefficient
 
 
 # -- bigraded log -----------------------------------------------------------------------

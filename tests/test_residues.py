@@ -1,7 +1,9 @@
 """Rational functions, residues, regularization, and the moment identities."""
 
 import random
+import sys
 from fractions import Fraction as Fr
+from functools import cached_property
 from itertools import combinations
 from math import factorial, prod
 
@@ -65,17 +67,18 @@ def test_residue_at_infinity_of_inverse():
 
 
 def test_laurent_windows():
+    # the window -low..high is h^low f truncated at h^(low + high)
     f = (ONE + H) / H
     win = laurent_at_zero(f, 1, 1)
-    assert [win.coeff(k) for k in (-1, 0, 1)] == [1, 1, 0]
+    assert [win[k + 1] for k in (-1, 0, 1)] == [1, 1, 0]
 
     g = ONE / (ONE - H)
     win = laurent_at_zero(g, 0, 3)
-    assert [win.coeff(k) for k in range(4)] == [1, 1, 1, 1]
+    assert [win[k] for k in range(4)] == [1, 1, 1, 1]
 
     h = H / (H - 2)
     win = laurent_at_zero(h, 0, 2)
-    assert [win.coeff(k) for k in range(3)] == [0, Fr(-1, 2), Fr(-1, 4)]
+    assert [win[k] for k in range(3)] == [0, Fr(-1, 2), Fr(-1, 4)]
 
 
 def test_window_must_cover_pole():
@@ -167,7 +170,7 @@ def test_inverse_hbar_series_is_not_regularizable():
     assert out.eta == QSeries.monomial(1, 4)
     assert not out.regular
     # the u^2 coefficient of the would-be regular part keeps a -h^{-2}/2 term
-    assert out.zbar[2].coeff(-2) == Fr(-1, 2)
+    assert out.zbar.coeff(2, -2) == Fr(-1, 2)
 
 
 def test_degree_zero_term_rejected():
@@ -180,7 +183,7 @@ def test_window_series_rejects_pole_above_u_degree():
         USeriesRF([0, ONE / (H * H)])
     with pytest.raises(WindowTooSmall):
         USeriesRF.from_quotients([(-1, P.ONE, P.ONE)])
-    assert USeriesRF([0, ONE / H], 3)[1].coeff(-1) == 1
+    assert USeriesRF([0, ONE / H], 3).coeff(1, -1) == 1
 
 
 def test_no_constant_flag_at_construction():
@@ -315,7 +318,7 @@ def ref_residue_at(f, a):
     m = g.pole_order_at_zero()
     if m == 0:
         return Fr(0)
-    return laurent_at_zero(g, m, -1).coeff(-1)
+    return laurent_at_zero(g, m, -1)[m - 1]
 
 
 def ref_weighted_residues(z, power):
@@ -341,7 +344,7 @@ def ref_double_residue_split_kernel(a_series, b_series):
             window = laurent_at_zero(bh, depth, -1)
             inner = RatFunc.from_scalar(0)
             for k in range(depth):
-                c = window.coeff(-1 - k)
+                c = window[depth - 1 - k]
                 if c:
                     inner = inner + RatFunc.inv_power(k + 1) * ((-1) ** k * c)
             val += ref_residue_at(a * inv_h * inner, 0)
@@ -578,12 +581,30 @@ def test_h0_paths_call_no_gcd(monkeypatch):
 
 def test_moment_powers_built_once_per_regularization(monkeypatch):
     calls = []
-    mul = residues._bivariate_mul
-    monkeypatch.setattr(residues, "_bivariate_mul", lambda *args: calls.append(1) or mul(*args))
+    convolve = residues.convolve_rows
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "moment_powers":
+            calls.append(1)
+        return convolve(*args)
+
+    monkeypatch.setattr(residues, "convolve_rows", counted)
     assert all(r.passed for r in cli._suite_regularize(5, 6))
     # D = 6 powers of g for each of the three regularizations, shared by the
     # 16 moment checks
     assert len(calls) == 3 * 6
+
+
+def test_eta_powers_built_once_per_regularization(monkeypatch):
+    built = []
+    powers = residues.Regularization.__dict__["eta_powers"].func
+    counted = cached_property(lambda reg: built.append(reg) or powers(reg))
+    counted.__set_name__(residues.Regularization, "eta_powers")
+    monkeypatch.setattr(residues.Regularization, "eta_powers", counted)
+    assert all(r.passed for r in cli._suite_regularize(5, 6))
+    # the seven closed-form checks of the constructed series share one list
+    assert len(built) == 1
+    assert built[0].eta_powers == [built[0].eta**p for p in range(7)]
 
 
 # -- differential: subset products on Taylor windows against RatFunc products ------
@@ -684,12 +705,15 @@ def test_combinatorial_spot_ranges():
 
 
 def test_window_product_tracks_exactness():
+    # windows -1..3 and 0..2 are QSeries truncated at h^4 and h^2; their
+    # product holds h^1 (f g) through h^2, the exact window -1..1
     a = laurent_at_zero(ONE / H, 1, 3)
     b = laurent_at_zero(ONE / (ONE - H), 0, 2)
     prod = a * b
     full = laurent_at_zero(ONE / (H * (ONE - H)), 1, 1)
+    assert prod.truncation == full.truncation == 2
     for k in range(-1, 2):
-        assert prod.coeff(k) == full.coeff(k)
+        assert prod[k + 1] == full[k + 1]
 
 
 def test_taylor_coefficients():

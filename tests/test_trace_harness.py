@@ -1,0 +1,55 @@
+"""The benchmark's trace mode runs on the package as it stands.
+
+perfbench/job.py wraps the layer functions and hyper stages it names by
+looking each one up in its module or class; a rename in the package would
+make `--trace 1` runs fail.  Each job here runs in a subprocess, as the
+benchmark runs it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from hypergw import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+JOB = ROOT / "perfbench" / "job.py"
+
+
+def _job_module():
+    # executed from source, so no bytecode cache is written next to it
+    namespace = {"__name__": "perfbench_job"}
+    exec(compile(JOB.read_text(), str(JOB), "exec"), namespace)
+    return SimpleNamespace(**namespace)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "3", "--order", "2"],
+        ["invariants", "--n", "5", "--order", "4"],
+        ["dump", "--what", "Q", "--n", "4", "--order", "3"],
+    ],
+)
+def test_trace_mode_wraps_every_layer(argv, capsys):
+    job = _job_module()
+    done = subprocess.run(
+        [sys.executable, str(JOB), "trace", str(ROOT / "src"), "--", *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    marker = [line for line in done.stderr.splitlines() if line.startswith(job.MARKER)]
+    assert len(marker) == 1, done.stderr
+    trace = json.loads(marker[0][len(job.MARKER):])["trace"]
+    expected = {name for _, _, name in job.LAYERS} | {"hyper." + s for s in job.STAGES}
+    assert expected <= set(trace["names"])
+    assert trace["spans"]
+    # the traced job prints what the CLI prints
+    assert cli.main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
