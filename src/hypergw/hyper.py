@@ -68,7 +68,7 @@ def kernel(spec):
         for r in range(n * (d - 1) + 1, n * d + 1):
             col = P.series_mul(col, (Fraction(r), Fraction(n)), w)
         den = tuple(Fraction(comb(n, k) * d ** (n - k)) for k in range(n))
-        col = P.series_mul(col, P.series_inv(den, w), w)
+        col = P.series_div(col, den, w)
         cols.append(col)
     return WSeries([QSeries([c[j] for c in cols]) for j in range(w + 1)])
 
@@ -197,6 +197,13 @@ def regularizing_exponent(spec, method="closed_form"):
 
 
 @lru_cache(maxsize=None)
+def _exp_minus_mu(spec):
+    """exp(-mu/h) as a window u-series, built once per spec for
+    regular_kernel and every _descended_regular."""
+    return exp_over_hbar(regularizing_exponent(spec), -1)
+
+
+@lru_cache(maxsize=None)
 def regular_kernel(spec):
     """Q = exp(-mu/h) times the kernel at w = 1/h, holomorphic at h = 0.
 
@@ -210,7 +217,7 @@ def regular_kernel(spec):
     """
     n = spec.n
     parts = _inv_hbar_parts(spec)
-    rows = exp_over_hbar(regularizing_exponent(spec), -1).coeffs
+    rows = _exp_minus_mu(spec).coeffs
     e = [P.norm(row.coeffs[: i + 1]) for i, row in enumerate(rows)]
     out = []
     for d, (_, den) in enumerate(parts):
@@ -252,9 +259,7 @@ def log_kernel_w(spec):
 def dw_kernel_coeffs(n, upto):
     """Taylor coefficients in w of (1+w)^n / (1+nw)."""
     num = tuple(Fraction(comb(n, k)) for k in range(n + 1))
-    inv = P.series_inv((Fraction(1), Fraction(n)), upto)
-    ser = P.series_mul(num, inv, upto)
-    return list(ser)
+    return list(P.series_div(num, (Fraction(1), Fraction(n)), upto))
 
 
 # -- ladder series -------------------------------------------------------
@@ -275,7 +280,7 @@ def ladder_series(spec, p):
 @lru_cache(maxsize=None)
 def _descended_regular(spec, p):
     """exp(-mu/h) times the p-th ladder series; holomorphic at h = 0."""
-    return exp_over_hbar(regularizing_exponent(spec), -1) * ladder_series(spec, p)
+    return _exp_minus_mu(spec) * ladder_series(spec, p)
 
 
 def ladder_residue(spec, p, order):
@@ -367,7 +372,7 @@ def regular_kernel_checks(spec):
     """Regularity at h = 0 plus the closed forms of value and slope there."""
     d = spec.qorder
     # regular_kernel raises RegularityViolation on a pole
-    taylor = [P.series_mul(num, P.series_inv(den, 1), 1) for num, den in regular_kernel(spec)]
+    taylor = [P.series_div(num, den, 1) for num, den in regular_kernel(spec)]
     value = QSeries([t[0] for t in taylor])
     slope = QSeries([t[1] for t in taylor])
     reports = [

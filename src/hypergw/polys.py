@@ -4,10 +4,21 @@ A polynomial is a tuple of Fraction coefficients, lowest degree first,
 with no trailing zeros; the zero polynomial is the empty tuple.  These
 helpers back the rational-function and hypergeometric layers; everything
 is exact.
+
+Fraction is the type every caller sees, but the dense kernels (products,
+truncated products, the series quotient, the Taylor shift) run in Python
+int: each clears denominators once on entry (_scaled gives the integer
+numerators over the lcm of the denominators), sums in int, and builds one
+Fraction per output coefficient, whose constructor reduces it.  A
+recurrence that divides at every step (the quotient, exp, Lagrange powers)
+keeps its solved coefficients over one running denominator instead, which
+grows only when a new coefficient's reduced denominator does not divide it
+(_recurrence).
 """
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import mul as _mul
 
 ZERO = ()
 ONE = (Fraction(1),)
@@ -15,7 +26,7 @@ ONE = (Fraction(1),)
 
 def norm(coeffs):
     """Coerce to Fraction and strip trailing zeros."""
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -48,17 +59,43 @@ def scale(p, r):
     return tuple(c * r for c in p)
 
 
+def _scaled(p):
+    """(ints, den): den is the lcm of the denominators of p's coefficients
+    (Fractions or ints) and ints[i] = p[i] * den, with no Fraction
+    arithmetic."""
+    den = 1
+    for c in p:
+        d = c.denominator
+        if den % d:
+            den = den // _int_gcd(den, d) * d
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _fractions(ints, den):
+    """The Fractions ints[i] / den, each reduced by its constructor."""
+    return tuple([Fraction(c, den) for c in ints])
+
+
+def _accumulate(acc, x, y):
+    """acc += x * y for integer lists, truncated at len(acc); zero entries
+    of x are skipped."""
+    t = len(acc)
+    for i, u in enumerate(x[:t]):
+        if u:
+            for k, v in enumerate(y[: t - i], i):
+                acc[k] += u * v
+
+
 def mul(a, b):
     if not a or not b:
         return ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return norm(out)
+    x, da = _scaled(a)
+    y, db = _scaled(b)
+    out = [0] * (len(x) + len(y) - 1)
+    _accumulate(out, x, y)
+    while out and out[-1] == 0:
+        out.pop()
+    return _fractions(out, da * db)
 
 
 def mul_xk(p, k):
@@ -99,15 +136,6 @@ def monic(p):
         return ZERO
     lc = p[-1]
     return p if lc == 1 else tuple(c / lc for c in p)
-
-
-def _to_int(p):
-    """Clear denominators; returns a list of ints (content not removed)."""
-    den = 1
-    for c in p:
-        d = c.denominator
-        den = den // _int_gcd(den, d) * d
-    return [int(c * den) for c in p]
 
 
 def _int_content(z):
@@ -154,8 +182,10 @@ def gcd_poly(a, b):
         return monic(b)
     if not b:
         return monic(a)
-    A = _primitive(_to_int(a))
-    B = _primitive(_to_int(b))
+    if len(a) == 1 or len(b) == 1:  # a nonzero constant
+        return ONE
+    A = _primitive(_scaled(a)[0])
+    B = _primitive(_scaled(b)[0])
     if len(A) < len(B):
         A, B = B, A
     while B:
@@ -172,11 +202,19 @@ def eval_poly(p, x):
 
 
 def shift(p, a):
-    """p(x + a) by Horner on the shifted variable."""
-    acc = ZERO
-    for c in reversed(p):
-        acc = add(mul(acc, (a, Fraction(1))), (c,))
-    return acc
+    """p(x + a), by the classical Taylor shift: repeated synthetic division
+    by x - a, in place.  With a = s/t it runs in int: it shifts the integer
+    polynomial t^(n-1) den p(y/t) (n = len(p), den clearing p) by the
+    integer s and reads the result at y = t x."""
+    s, t = a.numerator, a.denominator
+    c, den = _scaled(p)
+    n = len(c)
+    tpow = [t**k for k in range(n)]
+    c = [x * tpow[n - 1 - i] for i, x in enumerate(c)]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return norm([Fraction(x, tpow[n - 1 - i] * den) for i, x in enumerate(c)])
 
 
 def reverse(p, deg):
@@ -189,26 +227,64 @@ def reverse(p, deg):
     return norm(out)
 
 
+def _recurrence(rhs, weights, factor, order):
+    """(ints, den) of the series c_0..c_order with
+        c_m = f_m * (rhs_m - sum_{0<j<=m} weights_j c_(m-j)),
+    where rhs and weights are (ints, den) pairs as _scaled gives them, zero
+    past their ends (weights_0 is not read), and f_m = factor(m) is a pair
+    of ints (num, den).
+
+    The solved coefficients stay integer numerators over one running
+    denominator, so each inner sum is one integer dot product.  Each new
+    coefficient is reduced by one gcd, and the running denominator becomes
+    the lcm with the reduced one only when that does not divide it already:
+    it stays the lcm of the denominators solved so far."""
+    (r, dr), (w, dw) = rhs, weights
+    w = w[1 : order + 1]
+    c, den = [], 1
+    for m in range(order + 1):
+        j = min(m, len(w))
+        s = sum(map(_mul, w[:j], reversed(c[m - j :]))) * dr  # over dr dw den
+        fn, fd = factor(m)
+        num = ((r[m] * dw * den if m < len(r) else 0) - s) * fn
+        d = dr * dw * den * fd
+        g = _int_gcd(num, d)
+        if d < 0:
+            g = -g
+        num, d = num // g, d // g
+        if den % d:
+            grown = den // _int_gcd(den, d) * d
+            scale = grown // den
+            c = [x * scale for x in c]
+            den = grown
+        c.append(num * (den // d))
+    return c, den
+
+
+def series_div(a, b, order):
+    """a / b as a power series to the given order; b[0] must be nonzero.
+    a may be shorter than order + 1 (zero past its end)."""
+    if not b or b[0] == 0:
+        raise ZeroDivisionError("series inverse of a non-unit")
+    b0 = b[0]
+    return _fractions(
+        *_recurrence(
+            _scaled(a[: order + 1]),
+            _scaled(b[: order + 1]),
+            lambda m: (b0.denominator, b0.numerator),
+            order,
+        )
+    )
+
+
 def series_inv(p, order):
     """1/p as a power series to the given order; p[0] must be nonzero."""
-    if not p or p[0] == 0:
-        raise ZeroDivisionError("series inverse of a non-unit")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / p[0]
-    for k in range(1, order + 1):
-        s = Fraction(0)
-        for j in range(1, min(k, len(p) - 1) + 1):
-            s += p[j] * out[k - j]
-        out[k] = -s / p[0]
-    return tuple(out)
+    return series_div(ONE, p, order)
 
 
 def series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if y != 0:
-                out[i + j] += x * y
-    return tuple(out)
+    x, da = _scaled(a[: order + 1])
+    y, db = _scaled(b[: order + 1])
+    out = [0] * (order + 1)
+    _accumulate(out, x, y)
+    return _fractions(out, da * db)

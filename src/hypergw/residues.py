@@ -226,7 +226,7 @@ def _row(num, unit, shift, width):
     if shift < 0:
         raise WindowTooSmall(f"pole order {-shift} exceeds the window depth")
     order = width - shift
-    ser = P.series_mul(num, P.series_inv(unit, order), order) if order >= 0 else ()
+    ser = P.series_div(num, unit, order) if order >= 0 else ()
     return QSeries._of(((_ZERO,) * shift + ser)[: width + 1])
 
 
@@ -254,19 +254,20 @@ def residue_at(f, a):
 
 
 def residue_at_infinity(f):
-    """-res_{w=0} { w^{-2} f(1/w) }, the sphere convention."""
+    """-res_{w=0} { w^{-2} f(1/w) }, the sphere convention.
+
+    With p = deg num and q = deg den, w^{-2} f(1/w) = w^(q-p-2) num_w / den_w
+    for the reversals num_w, den_w, and den_w(0) = 1 (den is monic), so the
+    residue is -[w^(p-q+1)] num_w / den_w, one series quotient.
+    """
     if f.is_zero():
         return Fraction(0)
     p = P.degree(f.num)
     q = P.degree(f.den)
-    num_w = P.reverse(f.num, p)
-    den_w = P.reverse(f.den, q)
-    e = q - p - 2
-    if e >= 0:
-        g = RatFunc(P.mul_xk(num_w, e), den_w)
-    else:
-        g = RatFunc(num_w, P.mul_xk(den_w, -e))
-    return -residue_at(g, 0)
+    k = p - q + 1
+    if k < 0:
+        return Fraction(0)
+    return -P.series_div(P.reverse(f.num, p), P.reverse(f.den, q), k)[k]
 
 
 def taylor_coeff_at_zero(f, k):

@@ -11,10 +11,16 @@ Every bivariate series of the package (TPoly, WSeries, the window series
 of residues.USeriesRF, the moment powers of a regularization) is a list of
 rows, each a QSeries in the inner variable.  convolve_rows is their one
 truncated product and log_one_plus_rows their one logarithm.
+
+Products, quotients, exp and the Lagrange powers run on the integer kernels
+of the polys module: integer numerators over one common denominator, one
+Fraction built per output coefficient.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd as _gcd
+from operator import mul as _mul
 
 from . import polys as P
 from .errors import (
@@ -181,14 +187,7 @@ class QSeries:
         if other.constant_term == 0:
             raise DivByNonUnit("divisor has zero constant term")
         d = min(self.truncation, other.truncation)
-        out = [_ZERO] * (d + 1)
-        b0 = other.coeffs[0]
-        for k in range(d + 1):
-            s = self.coeffs[k]
-            for j in range(1, min(k, other.truncation) + 1):
-                s -= other.coeffs[j] * out[k - j]
-            out[k] = s / b0
-        return QSeries._of(out)
+        return QSeries._of(P.series_div(self.coeffs, other.coeffs, d))
 
     def __rtruediv__(self, other):
         return QSeries.constant(other, self.truncation) / self
@@ -215,19 +214,21 @@ class QSeries:
     def exp(self):
         if self.constant_term != 0:
             raise BadConstantTerm("exp", self.constant_term)
-        d = self.truncation
-        out = [_ONE] + [_ZERO] * d
-        for k in range(1, d + 1):
-            s = _ZERO
-            for j in range(1, k + 1):
-                s += j * self.coeffs[j] * out[k - j]
-            out[k] = s / k
-        return QSeries._of(out)
+        # c_0 = 1, c_m = (1/m) sum_{0<j<=m} j f_j c_(m-j) = (-1/m) (0 - sum ...)
+        x, den = P._scaled(self.coeffs)
+        jf = ([j * c for j, c in enumerate(x)], den)
+        out = P._recurrence(([1], 1), jf, lambda m: (-1, m) if m else (1, 1), self.truncation)
+        return QSeries._of(P._fractions(*out))
 
     def log(self):
         if self.constant_term != 1:
             raise BadConstantTerm("log", self.constant_term)
-        return QSeries._of(log_one_plus_rows(self.coeffs, _ZERO))
+        # M_k = k L_k solves M_k = k f_k - sum_{0<j<k} f_j M_(k-j): the
+        # quotient recurrence of (q f') / f, with f_0 = 1
+        x, den = P._scaled(self.coeffs)
+        qdf = ([k * c for k, c in enumerate(x)], den)
+        m, dm = P._recurrence(qdf, (x, den), lambda k: (1, 1), self.truncation)
+        return QSeries._of([_ZERO] + [Fraction(c, dm * k) for k, c in enumerate(m) if k])
 
     def power(self, r):
         """f**r for rational r, via exp(r*log f); needs f(0) = 1."""
@@ -458,35 +459,70 @@ class WSeries:
         return WSeries(log_one_plus_rows(z, f0.log()))
 
 
+def _scaled_rows(rows):
+    """Integer numerator lists of QSeries rows over one common denominator."""
+    flat, den = P._scaled([c for row in rows for c in row.coeffs])
+    out, start = [], 0
+    for row in rows:
+        out.append(flat[start : start + len(row.coeffs)])
+        start += len(row.coeffs)
+    return out, den
+
+
 def convolve_rows(a, b, length):
     """Rows 0..length-1 (length <= len(a) + len(b) - 1) of the product of
-    two series of QSeries rows: row m is sum_{i+j=m} a[i] * b[j], at the
-    smaller truncation of the two, as every QSeries product."""
+    two series of QSeries rows: row m is sum_{i+j=m} a[i] * b[j], truncated
+    at the smallest truncation of the rows it sums, as a sum of QSeries
+    products would be.
+
+    The rows of each operand are scaled to one denominator, each output row
+    is accumulated in int over the product of the two, and one Fraction is
+    built per output coefficient."""
+    x, da = _scaled_rows(a)
+    y, db = _scaled_rows(b)
+    den = da * db
     out = []
     for m in range(length):
-        lo = max(0, m - len(b) + 1)
-        acc = a[lo] * b[m - lo]
-        for i in range(lo + 1, min(m, len(a) - 1) + 1):
-            acc = acc + a[i] * b[m - i]
-        out.append(acc)
+        pairs = range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1)
+        t = min(min(a[i].truncation, b[m - i].truncation) for i in pairs)
+        acc = [0] * (t + 1)
+        for i in pairs:
+            P._accumulate(acc, x[i], y[m - i])
+        out.append(QSeries._of(P._fractions(acc, den)))
     return out
 
 
 def log_one_plus_rows(z, head):
-    """Rows of log(1 + z), row 0 being head, for z with no row 0 (z[0] is
-    not read); rows are QSeries, or scalars for QSeries.log.  Row k solves
-    k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j)."""
+    """QSeries rows of log(1 + z), row 0 being head, for z a list of QSeries
+    rows with no row 0 (z[0] is not read).
+
+    M_k = k L_k solves M_k = k z_k - sum_{0<j<k} M_j z_(k-j), the quotient
+    recurrence of (u d/du z) / (1 + z).  It runs in int as polys._recurrence
+    does for scalars: the rows of z over one denominator, the solved rows
+    M_j over one running denominator, each output row truncated at the
+    smallest truncation of the rows it sums."""
+    x, dz = _scaled_rows(z[1:])
+    x.insert(0, None)
+    m, dm = [None], 1  # M_j as integer rows over dm
     out = [head]
-    weighted = [None]  # j L_j
     for k in range(1, len(z)):
-        row = z[k]
-        if k > 1:
-            acc = weighted[1] * z[k - 1]
-            for j in range(2, k):
-                acc = acc + weighted[j] * z[k - j]
-            row = row - acc * Fraction(1, k)
-        out.append(row)
-        weighted.append(row * k)
+        t = min(
+            [z[k].truncation]
+            + [min(out[j].truncation, z[k - j].truncation) for j in range(1, k)]
+        )
+        acc = [0] * (t + 1)
+        for j in range(1, k):
+            P._accumulate(acc, m[j], x[k - j])
+        row = [k * dm * c - a for c, a in zip(x[k], acc)]  # M_k over dz dm
+        den = dz * dm
+        out.append(QSeries._of(P._fractions(row, den * k)))
+        g = _gcd(den, *row)
+        row, den = [c // g for c in row], den // g
+        if dm % den:
+            grown = dm // _gcd(dm, den) * den
+            m = [None] + [[c * (grown // dm) for c in r] for r in m[1:]]
+            dm = grown
+        m.append([c * (dm // den) for c in row])
     return out
 
 
@@ -508,21 +544,18 @@ def exp_coordinate_inverse(g):
 
 @lru_cache(maxsize=4)
 def _lagrange_powers(g):
-    """exp(-k g) for k = 1..D (D = g's truncation), the k-th as a coefficient
-    tuple truncated at q^(k-1), which is all that [Q^k] reads.  Each comes from
-    the exp recurrence m c_m = -k sum_j j g_j c_(m-j): O(D^3) in all.  Cached
-    per shift, so the extractions of one table share them."""
-    jg = [j * c for j, c in enumerate(g.coeffs)]
-    out = []
-    for k in range(1, g.truncation + 1):
-        p = [_ONE] * k
-        for m in range(1, k):
-            s = _ZERO
-            for j in range(1, m + 1):
-                s += jg[j] * p[m - j]
-            p[m] = s * Fraction(-k, m)
-        out.append(tuple(p))
-    return tuple(out)
+    """exp(-k g) for k = 1..D (D = g's truncation), the k-th truncated at
+    q^(k-1), which is all that [Q^k] reads, as integer numerators over one
+    denominator (ints, den).  Each comes from the exp recurrence
+    m c_m = -k sum_j j g_j c_(m-j): O(D^3) integer operations in all, and no
+    Fraction.  Cached per shift, so the extractions of one table share them."""
+    x, den = P._scaled(g.coeffs)
+    jg = ([j * c for j, c in enumerate(x)], den)
+    return tuple(
+        # c_0 = 1, c_m = (k/m) (0 - sum_{0<j<=m} j g_j c_(m-j))
+        P._recurrence(([1], 1), jg, lambda m, k=k: (k, m) if m else (1, 1), k - 1)
+        for k in range(1, g.truncation + 1)
+    )
 
 
 def change_exp_variable(f, g):
@@ -537,14 +570,13 @@ def change_exp_variable(f, g):
     g = g.truncate(d)
     if g.constant_term != 0:
         raise BadMirrorMap("shift series must vanish at the origin")
-    df = f.truncate(d).derivative().coeffs  # q f'(q)
+    x, dx = P._scaled(f.coeffs[: d + 1])
+    df = [j * c for j, c in enumerate(x)]  # q f'(q), over dx
     out = [f.coeffs[0]]
-    for k, p in enumerate(_lagrange_powers(g), start=1):
-        s = _ZERO
-        for j in range(1, k + 1):
-            s += df[j] * p[k - j]
-        out.append(s / k)
-    return QSeries(out)
+    for k, (p, den) in enumerate(_lagrange_powers(g), start=1):
+        # [q^k] (q f') exp(-k g): df_j against p_(k-j), j = 1..k
+        out.append(Fraction(sum(map(_mul, df[1 : k + 1], reversed(p))), dx * den * k))
+    return QSeries._of(out)
 
 
 def inverse_exp_shift(g):

@@ -210,3 +210,141 @@ def quintic_tables(order):
             - sum(n1[d // k] * Fr(sigma(k), k) for k in divisors(d) if k > 1)
         )
     return n0_gw, n1_gw, n0, n1, shift
+
+
+# -- the Fraction loops that the integer kernels of polys and series replaced.
+# Rows and series are plain coefficient lists; a row of length t + 1 is a
+# QSeries truncated at t.
+
+
+def poly_mul(a, b):
+    """Product of two polynomials without trailing zeros."""
+    if not a or not b:
+        return ()
+    out = [Fr(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y != 0:
+                out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def series_mul(a, b, order):
+    """Coefficients 0..order of a * b; a and b may be shorter."""
+    out = [Fr(0)] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: order + 1 - i]):
+            if y != 0:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def series_inv(p, order):
+    """1/p to the given order; p[0] != 0."""
+    out = [Fr(0)] * (order + 1)
+    out[0] = 1 / p[0]
+    for k in range(1, order + 1):
+        s = Fr(0)
+        for j in range(1, min(k, len(p) - 1) + 1):
+            s += p[j] * out[k - j]
+        out[k] = -s / p[0]
+    return tuple(out)
+
+
+def series_quotient(a, b):
+    """a / b at the smaller truncation, b[0] != 0: the quotient loop of
+    QSeries."""
+    d = min(len(a), len(b)) - 1
+    out = [Fr(0)] * (d + 1)
+    for k in range(d + 1):
+        s = a[k]
+        for j in range(1, min(k, len(b) - 1) + 1):
+            s -= b[j] * out[k - j]
+        out[k] = s / b[0]
+    return out
+
+
+def _row_add(x, y):
+    return [u + v for u, v in zip(x, y)]
+
+
+def convolve_rows(a, b, length):
+    """Rows 0..length-1 of the product of two lists of rows: row m is
+    sum_{i+j=m} a[i] b[j], each product and each sum at the smaller length."""
+    out = []
+    for m in range(length):
+        lo = max(0, m - len(b) + 1)
+        acc = list(series_mul(a[lo], b[m - lo], min(len(a[lo]), len(b[m - lo])) - 1))
+        for i in range(lo + 1, min(m, len(a) - 1) + 1):
+            acc = _row_add(acc, series_mul(a[i], b[m - i], min(len(a[i]), len(b[m - i])) - 1))
+        out.append(acc)
+    return out
+
+
+def log_one_plus_rows(z, head):
+    """Rows of log(1 + z), row 0 being head, z[0] unread: row k solves
+    k L_k = k z_k - sum_{0<j<k} j L_j z_(k-j)."""
+    out = [head]
+    weighted = [None]
+    for k in range(1, len(z)):
+        row = list(z[k])
+        if k > 1:
+            acc = list(series_mul(weighted[1], z[k - 1], min(len(weighted[1]), len(z[k - 1])) - 1))
+            for j in range(2, k):
+                prod = series_mul(weighted[j], z[k - j], min(len(weighted[j]), len(z[k - j])) - 1)
+                acc = _row_add(acc, prod)
+            row = [u - v / k for u, v in zip(row, acc)]
+        out.append(row)
+        weighted.append([c * k for c in row])
+    return out
+
+
+def lagrange_powers(g):
+    """exp(-k g) truncated at q^(k-1), k = 1..len(g)-1, from the recurrence
+    m c_m = -k sum_j j g_j c_(m-j)."""
+    jg = [j * c for j, c in enumerate(g)]
+    out = []
+    for k in range(1, len(g)):
+        p = [Fr(1)] * k
+        for m in range(1, k):
+            s = Fr(0)
+            for j in range(1, m + 1):
+                s += jg[j] * p[m - j]
+            p[m] = s * Fr(-k, m)
+        out.append(tuple(p))
+    return out
+
+
+def taylor_shift(p, a):
+    """p(x + a) by Horner's rule on the shifted variable, with polynomial
+    products."""
+    acc = ()
+    for c in reversed(p):
+        acc = list(poly_mul(acc, (a, Fr(1))))
+        if acc:
+            acc[0] += c
+        else:
+            acc = [Fr(c)]
+        while acc and acc[-1] == 0:
+            acc.pop()
+        acc = tuple(acc)
+    return acc
+
+
+def change_exp_variable(f, g):
+    """f re-expanded in Q = q exp(g(q)) by Lagrange-Buermann, with the powers
+    of lagrange_powers: [Q^0] = f_0, [Q^k] = (1/k) sum_j j f_j [q^(k-j)] exp(-k g)."""
+    d = min(len(f), len(g)) - 1
+    out = [f[0]]
+    for k, p in enumerate(lagrange_powers(g[: d + 1]), start=1):
+        s = Fr(0)
+        for j in range(1, k + 1):
+            s += j * f[j] * p[k - j]
+        out.append(s / k)
+    return out
