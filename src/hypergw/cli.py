@@ -32,18 +32,38 @@ from .residues import (
 from .report import IdentityReport, report_equality
 from .series import QSeries, format_rational
 
-SUITES = (
-    "props31",
-    "props32",
-    "regularize",
-    "residues",
-    "appendixA",
-    "appendixB",
-    "theorem3",
-    "special",
-)
+# Each table entry looks its function up by name when it is called, so a
+# wrapper bound over the module attribute (as a tracer binds one) is reached.
 
-DUMPABLE = ("I", "mirror", "mu", "F", "Q", "theorem2_rhs")
+# suite name -> (runner(n, order) returning reports, least --n)
+SUITES = {
+    "props31": (lambda n, order: _suite_props31(n, order), 1),
+    "props32": (lambda n, order: _suite_props32(n, order), 1),
+    "regularize": (lambda n, order: _suite_regularize(n, order), 1),
+    "residues": (lambda n, order: _suite_residues(n, order), 1),
+    "appendixA": (lambda n, order: _suite_appendix_a(order), 1),
+    "appendixB": (lambda n, order: _suite_appendix_b(order), 1),
+    "theorem3": (lambda n, order: _suite_theorem3(n, order), 2),
+    "special": (lambda n, order: _suite_special(order), 1),
+}
+
+# dump name -> renderer(spec) returning the output lines
+DUMPABLE = {
+    "I": lambda spec: _q_lines(hyper.diagonal_series(spec, 0), 0, spec.qorder),
+    "mirror": lambda spec: _q_lines(hyper.mirror_shift(spec), 1, spec.qorder),
+    "mu": lambda spec: _q_lines(hyper.regularizing_exponent(spec), 1, spec.qorder),
+    "F": lambda spec: _kernel_lines(hyper.kernel(spec), spec.qorder),
+    "Q": lambda spec: [
+        f"q^{d}: {RatFunc(num, den).to_str()}"
+        for d, (num, den) in enumerate(hyper.regular_kernel(spec))
+    ],
+    "theorem2_rhs": lambda spec: _q_lines(
+        invariants.reduced_genus1_series(spec), 0, spec.qorder
+    ),
+}
+
+RESIDUE_SAMPLES = 200
+RESIDUE_SEED = 20080915
 
 
 def _parser():
@@ -167,73 +187,72 @@ def _random_ratfunc(rng):
     return RatFunc(num, den), poles
 
 
-def _suite_residues(n, order, samples=200, seed=20080915):
-    import random
-
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(samples):
-        f, poles = _random_ratfunc(rng)
-        finite = sum((residue_at(f, a) for a in poles), Fraction(0))
-        total = finite + residue_at_infinity(f)
-        if total != 0:
-            failures.append(f"trial {trial}: total residue {total}")
-            break
-    rep_sum = IdentityReport(
-        "residue-sum-zero",
-        {"samples": samples},
-        samples,
-        passed=not failures,
-        first_failure=failures[0] if failures else None,
+def _first_failure_report(identity, parameters, failures, max_order):
+    """One report for a family of checks.  `failures` yields the text of
+    each failing check in order; only the first is drawn, so the checks
+    after it do not run."""
+    first = next(failures, None)
+    return IdentityReport(
+        identity, parameters, max_order, passed=first is None, first_failure=first
     )
 
-    rep_prod = IdentityReport("product-residue-random", {"samples": samples}, samples)
-    for trial in range(samples):
-        fs = []
-        for _ in range(rng.randint(0, 5)):
-            num = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
-            den = (Fraction(0), Fraction(1)) if rng.random() < 0.7 else (Fraction(1),)
-            fs.append(RatFunc(num, den) + Fraction(rng.randint(-3, 3)))
-        sub = residue_of_product_check(fs)
-        if not sub.passed:
-            rep_prod.passed = False
-            rep_prod.first_failure = f"trial {trial}: {sub.first_failure}"
-            break
-    return [rep_sum, rep_prod]
+
+def _suite_residues(n, order):
+    import random
+
+    rng = random.Random(RESIDUE_SEED)
+
+    def sum_failures():
+        for trial in range(RESIDUE_SAMPLES):
+            f, poles = _random_ratfunc(rng)
+            finite = sum((residue_at(f, a) for a in poles), Fraction(0))
+            total = finite + residue_at_infinity(f)
+            if total != 0:
+                yield f"trial {trial}: total residue {total}"
+
+    def product_failures():
+        for trial in range(RESIDUE_SAMPLES):
+            fs = []
+            for _ in range(rng.randint(0, 5)):
+                num = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
+                den = (Fraction(0), Fraction(1)) if rng.random() < 0.7 else (Fraction(1),)
+                fs.append(RatFunc(num, den) + Fraction(rng.randint(-3, 3)))
+            sub = residue_of_product_check(fs)
+            if not sub.passed:
+                yield f"trial {trial}: {sub.first_failure}"
+
+    # the product trials draw from the rng after the sum trials stop
+    return [
+        _first_failure_report(
+            "residue-sum-zero", {"samples": RESIDUE_SAMPLES}, sum_failures(), RESIDUE_SAMPLES
+        ),
+        _first_failure_report(
+            "product-residue-random",
+            {"samples": RESIDUE_SAMPLES},
+            product_failures(),
+            RESIDUE_SAMPLES,
+        ),
+    ]
 
 
 def _suite_appendix_a(order):
     bound = min(order, 8)
-    reports = []
-    ok = IdentityReport("binomial-vandermonde-exhaustive", {"bound": bound}, bound)
-    for length in range(0, 5):
-        for qs in _tuples(length, 5):
-            for b in range(bound + 1):
-                sub = vandermonde_check(b, qs)
-                if not sub.passed:
-                    ok.passed = False
-                    ok.first_failure = sub.describe()
-    reports.append(ok)
-
-    ok = IdentityReport("alternating-reciprocal-exhaustive", {"bound": bound}, bound)
-    for q in range(bound + 1):
-        for a in range(1, bound + 1):
-            sub = reciprocal_sum_check(q, a)
-            if not sub.passed:
-                ok.passed = False
-                ok.first_failure = sub.describe()
-    reports.append(ok)
-
-    ok = IdentityReport("alternating-rising-exhaustive", {"bound": bound}, bound)
-    for q in range(bound + 1):
-        for a in range(bound + 1):
-            for s in range(bound + 1):
-                sub = rising_product_check(q, a, s)
-                if not sub.passed:
-                    ok.passed = False
-                    ok.first_failure = sub.describe()
-    reports.append(ok)
-    return reports
+    top = range(bound + 1)
+    vandermonde = (
+        vandermonde_check(b, qs) for length in range(5) for qs in _tuples(length, 5) for b in top
+    )
+    reciprocal = (reciprocal_sum_check(q, a) for q in top for a in range(1, bound + 1))
+    rising = (rising_product_check(q, a, s) for q in top for a in top for s in top)
+    return [
+        _first_failure_report(
+            identity, {"bound": bound}, (c.describe() for c in subs if not c.passed), bound
+        )
+        for identity, subs in (
+            ("binomial-vandermonde-exhaustive", vandermonde),
+            ("alternating-reciprocal-exhaustive", reciprocal),
+            ("alternating-rising-exhaustive", rising),
+        )
+    ]
 
 
 def _tuples(length, top):
@@ -252,15 +271,9 @@ def _suite_appendix_b(order):
     n1 = {d: v for d, v in enumerate(table.column("n1"), start=1)}
     pairs = []
     for d in range(1, order + 1):
-        forward0 = sum(
-            n0[d // k] / Fraction(k) ** 3 for k in invariants.divisors(d)
-        )
-        forward1 = sum(
-            n1[d // k] * Fraction(invariants.sigma(k), k)
-            for k in invariants.divisors(d)
-        ) + sum(n0[d // k] / Fraction(k) for k in invariants.divisors(d)) / 12
-        pairs.append((f"genus-0 d={d}", forward0, table.rows[d - 1].N0))
-        pairs.append((f"genus-1 d={d}", forward1, table.rows[d - 1].N1))
+        row = table.rows[d - 1]
+        pairs.append((f"genus-0 d={d}", invariants.genus0_cover_sum(n0, d), row.N0))
+        pairs.append((f"genus-1 d={d}", invariants.genus1_cover_sum(n1, n0, d), row.N1))
     round_trip = report_equality(
         "instanton-round-trips", {"n": 5, "order": order}, pairs, order
     )
@@ -277,58 +290,26 @@ def _suite_special(order):
 
 
 def run_suites(names, n, order):
-    reports = []
-    for name in names:
-        if name == "props31":
-            reports.extend(_suite_props31(n, order))
-        elif name == "props32":
-            reports.extend(_suite_props32(n, order))
-        elif name == "regularize":
-            reports.extend(_suite_regularize(n, order))
-        elif name == "residues":
-            reports.extend(_suite_residues(n, order))
-        elif name == "appendixA":
-            reports.extend(_suite_appendix_a(order))
-        elif name == "appendixB":
-            reports.extend(_suite_appendix_b(order))
-        elif name == "theorem3":
-            reports.extend(_suite_theorem3(n, order))
-        elif name == "special":
-            reports.extend(_suite_special(order))
-    return reports
+    return [rep for name in names for rep in SUITES[name][0](n, order)]
 
 
 # -- dumps -------------------------------------------------------------------
 
 
+def _q_lines(series, start, order):
+    return [f"q^{d}: {format_rational(series[d])}" for d in range(start, order + 1)]
+
+
+def _kernel_lines(f, order):
+    return [
+        f"w^{j} q^{d}: {format_rational(f.coeff(j)[d])}"
+        for j in range(f.worder + 1)
+        for d in range(order + 1)
+    ]
+
+
 def render_dump(what, n, order):
-    spec = HyperSpec(n, order)
-    lines = []
-    if what == "I":
-        series = hyper.diagonal_series(spec, 0)
-        lines = [f"q^{d}: {format_rational(series[d])}" for d in range(order + 1)]
-    elif what == "mirror":
-        series = hyper.mirror_shift(spec)
-        lines = [f"q^{d}: {format_rational(series[d])}" for d in range(1, order + 1)]
-    elif what == "mu":
-        series = hyper.regularizing_exponent(spec)
-        lines = [f"q^{d}: {format_rational(series[d])}" for d in range(1, order + 1)]
-    elif what == "F":
-        f = hyper.kernel(spec)
-        for j in range(f.worder + 1):
-            for d in range(order + 1):
-                lines.append(f"w^{j} q^{d}: {format_rational(f.coeff(j)[d])}")
-    elif what == "Q":
-        lines = [
-            f"q^{d}: {RatFunc(num, den).to_str()}"
-            for d, (num, den) in enumerate(hyper.regular_kernel(spec))
-        ]
-    elif what == "theorem2_rhs":
-        series = invariants.reduced_genus1_series(spec)
-        lines = [f"q^{d}: {format_rational(series[d])}" for d in range(order + 1)]
-    else:
-        raise ValueError(f"unknown series {what!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(DUMPABLE[what](HyperSpec(n, order))) + "\n"
 
 
 # -- entry point --------------------------------------------------------------
@@ -374,8 +355,13 @@ def main(argv=None):
                     parser.format_usage()
                     + f"error: unknown suite name(s): {', '.join(unknown)}\n",
                 )
-            if "theorem3" in names and args.n < 2:
-                parser.exit(2, parser.format_usage() + "error: suite theorem3 needs --n >= 2\n")
+            for name in names:
+                least = SUITES[name][1]
+                if args.n < least:
+                    parser.exit(
+                        2,
+                        parser.format_usage() + f"error: suite {name} needs --n >= {least}\n",
+                    )
             reports = run_suites(names, args.n, args.order)
             if args.format == "json":
                 text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"

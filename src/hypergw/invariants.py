@@ -136,19 +136,15 @@ def quintic_genus0(order):
     e_pows = [QSeries.monomial(1, d) * shift.exp()]
     for _ in range(1, d):
         e_pows.append(e_pows[-1] * e_pows[0])
+    # the weight-d part of the H^3 sum is sum2 itself
     sum2 = QSeries.zero(d)
-    sum3w = QSeries.zero(d)  # weight-d part of the H^3 sum
-    sum3c = QSeries.zero(d)  # constant part
+    sum3c = QSeries.zero(d)  # constant part of the H^3 sum
     for deg, val in enumerate(values, start=1):
         sum2 = sum2 + e_pows[deg - 1] * (val * Fraction(deg, 5))
-        sum3w = sum3w + e_pows[deg - 1] * (val * Fraction(deg, 5))
         sum3c = sum3c + e_pows[deg - 1] * (val * Fraction(-2, 5))
-    lhs2 = j1 * j1 * Fraction(1, 2) + TPoly.from_qseries(sum2)
-    lhs3 = (
-        j1 * j1 * j1 * Fraction(1, 6)
-        + j1 * TPoly.from_qseries(sum3w)
-        + TPoly.from_qseries(sum3c)
-    )
+    weighted = TPoly.from_qseries(sum2)
+    lhs2 = j1 * j1 * Fraction(1, 2) + weighted
+    lhs3 = j1 * j1 * j1 * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
     one = TPoly.from_qseries(QSeries.one(d))
     t_plus_shift = TPoly.t_variable(d) + TPoly.from_qseries(shift)
     reports = [
@@ -282,13 +278,25 @@ def standard_to_reduced(table):
     return table
 
 
+def genus0_cover_sum(n0, d):
+    """N0_d = sum_{k|d} n0_{d/k} / k^3, from instanton numbers by degree."""
+    return sum(n0[d // k] / Fraction(k) ** 3 for k in divisors(d))
+
+
+def genus1_cover_sum(n1, n0, d):
+    """N1_d = sum_{k|d} n1_{d/k} sigma_k / k + (1/12) sum_{k|d} n0_{d/k} / k."""
+    return (
+        sum(n1[d // k] * Fraction(sigma(k), k) for k in divisors(d))
+        + sum(n0[d // k] / Fraction(k) for k in divisors(d)) / 12
+    )
+
+
 def instanton_inversion(table, genus):
     """Strip multiple covers: solve the divisor-sum relations recursively.
 
-    genus 0:  N0_d = sum_{k|d} n0_{d/k} / k^3
-    genus 1:  N1_d = sum_{k|d} n1_{d/k} sigma_k / k + (1/12) sum_{k|d} n0_{d/k} / k
-    Forward substitution of the solved columns reproduces the inputs
-    exactly; that round trip is checked here.
+    The relations are `genus0_cover_sum` and `genus1_cover_sum`.  Forward
+    substitution of the solved columns reproduces the inputs exactly; that
+    round trip is checked here.
     """
     if genus == 0:
         big = table.require("N0")
@@ -299,10 +307,7 @@ def instanton_inversion(table, genus):
             )
         for row in table.rows:
             row.n0 = small[row.d]
-        forward = [
-            sum(small[d // k] / Fraction(k) ** 3 for k in divisors(d))
-            for d in range(1, len(big) + 1)
-        ]
+        forward = [genus0_cover_sum(small, d) for d in range(1, len(big) + 1)]
         if forward != big:
             raise RoutesDisagree("genus-0 multiple-cover round trip failed")
         return table
@@ -318,11 +323,7 @@ def instanton_inversion(table, genus):
             small[d] = val - cover0 - cover1
         for row in table.rows:
             row.n1 = small[row.d]
-        forward = [
-            sum(small[d // k] * Fraction(sigma(k), k) for k in divisors(d))
-            + sum(n0[d // k] / Fraction(k) for k in divisors(d)) / 12
-            for d in range(1, len(big) + 1)
-        ]
+        forward = [genus1_cover_sum(small, n0, d) for d in range(1, len(big) + 1)]
         if forward != big:
             raise RoutesDisagree("genus-1 multiple-cover round trip failed")
         return table

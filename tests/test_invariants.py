@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hypergw import hyper, invariants, series
+from hypergw import invariants, series
 from hypergw.errors import MissingColumn, RoutesDisagree
 from hypergw.hyper import HyperSpec, mirror_shift, regularizing_exponent
 from hypergw.invariants import (
@@ -267,15 +267,12 @@ def test_quintic_instanton_numbers_are_integers():
         assert all(v.denominator == 1 for v in column), name
 
 
-def test_table_needs_no_series_reversion(monkeypatch):
+def test_table_needs_no_series_reversion(monkeypatch, cold_stages):
     # invariant extraction is Lagrange-Buermann: no fixed-point reversion
     # and no composition anywhere on the table's path
     def forbidden(*args):
         raise RuntimeError("series reversion on the table path")
 
-    for stage in vars(hyper).values():
-        if hasattr(stage, "cache_clear"):
-            stage.cache_clear()
     monkeypatch.setattr(series, "exp_coordinate_inverse", forbidden)
     monkeypatch.setattr(series.QSeries, "compose", forbidden)
     table = assemble_table(5, 8)

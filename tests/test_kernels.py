@@ -303,10 +303,7 @@ def test_series_div_builds_one_fraction_per_coefficient():
     assert _count_fractions(lambda: P.series_div(mixed, _B25, 24)) <= 25 + ints
 
 
-def test_exp_minus_mu_built_once_per_spec(monkeypatch):
-    for stage in vars(hyper).values():
-        if hasattr(stage, "cache_clear"):
-            stage.cache_clear()
+def test_exp_minus_mu_built_once_per_spec(monkeypatch, cold_stages):
     calls = []
     build = residues.exp_over_hbar
     monkeypatch.setattr(hyper, "exp_over_hbar", lambda *a: calls.append(a) or build(*a))

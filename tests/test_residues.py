@@ -566,10 +566,7 @@ def test_regular_kernel_matches_ratfunc_product(n):
     assert [RatFunc(num, den) for num, den in regular_kernel(spec)] == list(ref.coeffs)
 
 
-def test_h0_paths_call_no_gcd(monkeypatch):
-    for stage in vars(hyper).values():
-        if hasattr(stage, "cache_clear"):
-            stage.cache_clear()
+def test_h0_paths_call_no_gcd(monkeypatch, cold_stages):
     calls = []
     gcd = P.gcd_poly
     monkeypatch.setattr(P, "gcd_poly", lambda a, b: calls.append(1) or gcd(a, b))
@@ -672,6 +669,30 @@ def test_appendix_a_vandermonde_can_fail(monkeypatch):
     assert not passed()
     monkeypatch.undo()
     assert passed()
+
+
+def test_appendix_a_reports_the_first_failure(monkeypatch):
+    sums = residues._split_sums
+
+    def perturbed(qs):
+        out = list(sums(qs))
+        if qs in ((2, 1), (1, 2)):
+            out[1] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(residues, "_split_sums", perturbed)
+    report = cli._suite_appendix_a(6)[0]
+    assert report.identity == "binomial-vandermonde-exhaustive"
+    # (2, 1) comes before (1, 2) in the enumeration
+    assert not report.passed and "qs=(2, 1)" in report.first_failure
+
+
+def test_residue_suite_names_its_first_failing_trial(monkeypatch):
+    # every total residue comes out 1; the product trials still run after it
+    monkeypatch.setattr(cli, "residue_at_infinity", lambda f: residue_at_infinity(f) + 1)
+    total, product = cli._suite_residues(5, 2)
+    assert total.first_failure == "trial 0: total residue 1"
+    assert product.passed
 
 
 def test_vandermonde_examples():

@@ -50,6 +50,13 @@ def test_trace_mode_wraps_every_layer(argv, capsys):
     expected = {name for _, _, name in job.LAYERS} | {"hyper." + s for s in job.STAGES}
     assert expected <= set(trace["names"])
     assert trace["spans"]
+    # the CLI tables must reach the wrapped functions, not copies taken at import
+    spanned = {trace["names"][span[0]] for span in trace["spans"]}
+    if argv[0] == "verify":
+        suites = {name for _, _, name in job.LAYERS if name.startswith("cli.suite.")}
+        assert len(suites) == 8 and suites <= spanned
+    if argv[0] == "dump":
+        assert {"cli.render_dump", "hyper.regular_kernel"} <= spanned
     # the traced job prints what the CLI prints
     assert cli.main(argv) == 0
     assert done.stdout == capsys.readouterr().out
