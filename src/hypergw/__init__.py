@@ -26,7 +26,7 @@ from .errors import (
 from .hyper import HyperSpec
 from .report import IdentityReport
 from .residues import RatFunc, USeriesRF
-from .series import QSeries, TPoly, WSeries, format_rational, parse_rational
+from .series import QSeries, TPoly, WSeries, format_rational
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,5 @@ __all__ = [
     "WSeries",
     "WindowTooSmall",
     "format_rational",
-    "parse_rational",
     "__version__",
 ]

@@ -24,28 +24,28 @@ from math import comb, factorial
 
 from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
-from .report import merge_reports, report_equality
+from .report import merge_reports, report_equality, report_series, series_pairs
 from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries
 
 
 @dataclass(frozen=True)
 class HyperSpec:
-    """Problem size: hypersurface degree n, q-order, and w-order."""
+    """Problem size: hypersurface degree n and q-order."""
 
     n: int
     qorder: int = 8
-    worder: int | None = None  # defaults to n + 2
 
     def __post_init__(self):
-        if self.worder is None:
-            object.__setattr__(self, "worder", self.n + 2)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.qorder < 1:
             raise ValueError("qorder must be >= 1")
-        if self.worder < self.n:
-            raise ValueError("worder must be at least n")
+
+    @property
+    def worder(self):
+        """The w-order of the kernel, n + 2."""
+        return self.n + 2
 
 
 def _v(n, r):
@@ -308,26 +308,14 @@ def diagonal_identities(spec):
         weighted = weighted * g ** (n - 1 - p)
     weighted = weighted * onemq.power(Fraction(n - 1, 2))
 
-    reports = [
-        report_equality(
-            "diagonal-product",
-            {"n": n},
-            [(f"q^{k}", plain[k], one[k]) for k in range(d + 1)],
-            d,
-        ),
-        report_equality(
-            "diagonal-weighted-product",
-            {"n": n},
-            [(f"q^{k}", weighted[k], one[k]) for k in range(d + 1)],
-            d,
-        ),
+    sym_pairs = [
+        pair for p in range(n) for pair in series_pairs(diags[p], diags[n - 1 - p], d, f"p={p} q")
     ]
-    sym_pairs = []
-    for p in range(n):
-        lhs = diags[p]
-        rhs = diags[n - 1 - p]
-        sym_pairs.extend((f"p={p} q^{k}", lhs[k], rhs[k]) for k in range(d + 1))
-    reports.append(report_equality("diagonal-symmetry", {"n": n}, sym_pairs, d))
+    reports = [
+        report_series("diagonal-product", {"n": n}, plain, one, d),
+        report_series("diagonal-weighted-product", {"n": n}, weighted, one, d),
+        report_equality("diagonal-symmetry", {"n": n}, sym_pairs, d),
+    ]
     return merge_reports("diagonal-identities", {"n": n, "order": d}, reports, d)
 
 
@@ -360,12 +348,7 @@ def exponent_methods_check(spec):
     d = spec.qorder
     a = regularizing_exponent(spec, "closed_form")
     b = regularizing_exponent(spec, "residue")
-    return report_equality(
-        "exponent-methods-agree",
-        {"n": spec.n, "order": d},
-        [(f"q^{k}", a[k], b[k]) for k in range(d + 1)],
-        d,
-    )
+    return report_series("exponent-methods-agree", {"n": spec.n, "order": d}, a, b, d)
 
 
 def regular_kernel_checks(spec):
@@ -376,22 +359,10 @@ def regular_kernel_checks(spec):
     value = QSeries([t[0] for t in taylor])
     slope = QSeries([t[1] for t in taylor])
     reports = [
-        report_equality(
-            "regular-kernel-value",
-            {"n": spec.n},
-            [(f"q^{k}", value[k], kernel_value_at_zero(spec)[k]) for k in range(d + 1)],
-            d,
-        ),
-        report_equality(
-            "regular-kernel-slope",
-            {"n": spec.n},
-            [(f"q^{k}", slope[k], kernel_slope_at_zero(spec)[k]) for k in range(d + 1)],
-            d,
-        ),
+        report_series("regular-kernel-value", {"n": spec.n}, value, kernel_value_at_zero(spec), d),
+        report_series("regular-kernel-slope", {"n": spec.n}, slope, kernel_slope_at_zero(spec), d),
     ]
-    return merge_reports(
-        "regular-kernel", {"n": spec.n, "order": d}, reports, d
-    )
+    return merge_reports("regular-kernel", {"n": spec.n, "order": d}, reports, d)
 
 
 def ladder_identities(spec):
@@ -422,8 +393,8 @@ def ladder_identities(spec):
         for r in range(p):
             inner = inner + flog_deriv[r] * (p - r)
         closed1 = big_l * closed0 * inner
-        pairs0.extend((f"p={p} q^{k}", theta0[p][k], closed0[k]) for k in range(d + 1))
-        pairs1.extend((f"p={p} q^{k}", theta1[p][k], closed1[k]) for k in range(d + 1))
+        pairs0 += series_pairs(theta0[p], closed0, d, f"p={p} q")
+        pairs1 += series_pairs(theta1[p], closed1, d, f"p={p} q")
 
     reports = [
         report_equality("ladder-first-residue", {"n": n}, pairs0, d),
@@ -433,12 +404,7 @@ def ladder_identities(spec):
     # first descent step agrees with the mirror-map route
     step = one + mirror_shift(spec).derivative()
     reports.append(
-        report_equality(
-            "ladder-step-matches-mirror",
-            {"n": n},
-            [(f"q^{k}", diagonal_series(spec, 1)[k], step[k]) for k in range(d + 1)],
-            d,
-        )
+        report_series("ladder-step-matches-mirror", {"n": n}, diagonal_series(spec, 1), step, d)
     )
 
     # double residue of the paired ladder series
@@ -464,8 +430,7 @@ def ladder_identities(spec):
         report_equality(
             "paired-ladder-double-residue",
             {"n": n},
-            [(f"mid q^{k}", lhs[k], mid[k]) for k in range(d + 1)]
-            + [(f"closed q^{k}", lhs[k], rhs[k]) for k in range(d + 1)],
+            series_pairs(lhs, mid, d, "mid q") + series_pairs(lhs, rhs, d, "closed q"),
             d,
         )
     )

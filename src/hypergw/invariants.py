@@ -21,15 +21,9 @@ from math import comb
 from . import hyper
 from .errors import MissingColumn, RoutesDisagree
 from .hyper import HyperSpec
-from .report import merge_reports, report_equality
+from .report import merge_reports, report_equality, report_series
 from .residues import RatFunc, laurent_at_zero, residue_at
-from .series import (
-    QSeries,
-    TPoly,
-    change_exp_variable,
-    format_rational,
-    parse_rational,
-)
+from .series import QSeries, TPoly, change_exp_variable, format_rational
 
 
 def divisors(d):
@@ -216,16 +210,6 @@ class GWTable:
             rows.append(rec)
         return {"n": self.n, "truncation": self.truncation, "rows": rows}
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        rows = []
-        for rec in obj["rows"]:
-            kwargs = {
-                col: parse_rational(rec[col]) for col in _COLUMNS if col in rec
-            }
-            rows.append(GWRow(d=rec["d"], **kwargs))
-        return cls(n=obj["n"], truncation=obj["truncation"], rows=rows)
-
     def to_csv_text(self):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -267,14 +251,6 @@ def reduced_to_standard(table):
     red = table.require("GW1_reduced")
     for row, a, b in zip(table.rows, red, n0):
         row.N1 = a + b / 12
-    return table
-
-
-def standard_to_reduced(table):
-    n0 = table.require("N0")
-    std = table.require("N1")
-    for row, a, b in zip(table.rows, std, n0):
-        row.GW1_reduced = a - b / 12
     return table
 
 
@@ -463,17 +439,15 @@ def locus_split_check(spec):
         (shift_neg + mu) * Fraction((n - 2) * (n + 1), 2 * n) + phi0_log - log_i0
     ) * Fraction(-n, 24)
 
-    def pairs(name, a, b):
-        return report_equality(
-            name, {"n": n}, [(f"q^{k}", a[k], b[k]) for k in range(d + 1)], d
-        )
-
     reports = [
-        pairs("effective-locus-forms", eff_half, eff_parity),
-        pairs("boundary-residue-route", by_res, boundary),
-        pairs("boundary-residue-at-origin", parts["zero"], closed_zero),
-        pairs("boundary-residue-at-minus-n", parts["minus_n"], closed_minus_n),
-        pairs("locus-sum-matches-series", eff_parity + boundary, total),
+        report_series(name, {"n": n}, a, b, d)
+        for name, a, b in (
+            ("effective-locus-forms", eff_half, eff_parity),
+            ("boundary-residue-route", by_res, boundary),
+            ("boundary-residue-at-origin", parts["zero"], closed_zero),
+            ("boundary-residue-at-minus-n", parts["minus_n"], closed_minus_n),
+            ("locus-sum-matches-series", eff_parity + boundary, total),
+        )
     ]
     return merge_reports("locus-split", {"n": n, "order": d}, reports, d)
 
@@ -506,18 +480,8 @@ def low_dimension_checks(order):
         "torus-cover-match",
         {"n": 3, "order": d},
         [
-            report_equality(
-                "cubic-closed-form",
-                {},
-                [(f"q^{k}", series3[k], direct3[k]) for k in range(d + 1)],
-                d,
-            ),
-            report_equality(
-                "cubic-cover-counts",
-                {},
-                [(f"Q^{k}", extracted3[k], covers[k]) for k in range(d + 1)],
-                d,
-            ),
+            report_series("cubic-closed-form", {}, series3, direct3, d),
+            report_series("cubic-cover-counts", {}, extracted3, covers, d, "Q"),
         ],
         d,
     )

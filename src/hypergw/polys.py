@@ -49,10 +49,6 @@ def neg(p):
     return tuple(-c for c in p)
 
 
-def sub(a, b):
-    return add(a, neg(b))
-
-
 def scale(p, r):
     if r == 0:
         return ZERO

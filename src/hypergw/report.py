@@ -44,6 +44,19 @@ def report_equality(identity, parameters, pairs, max_order):
     return IdentityReport(identity, parameters, max_order, passed=True)
 
 
+def series_pairs(lhs, rhs, max_order, var="q"):
+    """The triples (var^k, lhs[k], rhs[k]) for k = 0..max_order: the loci of
+    a coefficientwise comparison of two series."""
+    return [(f"{var}^{k}", lhs[k], rhs[k]) for k in range(max_order + 1)]
+
+
+def report_series(identity, parameters, lhs, rhs, max_order, var="q"):
+    """report_equality of two series, coefficient by coefficient."""
+    return report_equality(
+        identity, parameters, series_pairs(lhs, rhs, max_order, var), max_order
+    )
+
+
 def merge_reports(identity, parameters, reports, max_order):
     """Collapse sub-reports into one, keeping the first failure."""
     for rep in reports:

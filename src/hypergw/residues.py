@@ -30,7 +30,7 @@ from .errors import (
     RoutesDisagree,
     WindowTooSmall,
 )
-from .report import report_equality
+from .report import report_equality, report_series
 from .series import QSeries, convolve_rows, log_one_plus_rows
 
 _ONE = (Fraction(1),)
@@ -270,11 +270,6 @@ def residue_at_infinity(f):
     return -P.series_div(P.reverse(f.num, p), P.reverse(f.den, q), k)[k]
 
 
-def taylor_coeff_at_zero(f, k):
-    """k-th Taylor coefficient at 0 of a function holomorphic there."""
-    return laurent_at_zero(f, 0, k)[k]
-
-
 class USeriesRF:
     """Power series in u, truncated at D, whose u^k coefficient c_k(h) has
     pole order at most k at h = 0.
@@ -296,7 +291,7 @@ class USeriesRF:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, truncation=None, no_constant=False):
+    def __init__(self, coeffs, truncation=None):
         coeffs = list(coeffs)
         if truncation is None:
             if not coeffs:
@@ -314,8 +309,6 @@ class USeriesRF:
             else QSeries.monomial(k, width, c)
             for k, c in enumerate(coeffs)
         )
-        if no_constant and any(self.coeffs[0].coeffs):
-            raise NonzeroConstant("series must have no degree-zero term")
 
     @classmethod
     def _of(cls, rows):
@@ -498,8 +491,9 @@ def regularize(z):
     """Split 1 + z = exp(eta/h) * (1 + zbar) and test zbar for regularity.
 
     eta is produced by the degree-stabilizing fixed point
-        eta_p = sum_{j<=p} (-eta_{p-1})^j / j! * res{ h^{-j} z }
-    and cross-checked through log(1 + z) = eta/h + log(1 + zbar):
+        eta_p = sum_{j<=p} (-eta_{p-1})^j / j! * res{ h^{-j} z },
+    each round one Horner pass, one q-series product per term, and
+    cross-checked through log(1 + z) = eta/h + log(1 + zbar):
     eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar), where the last
     residue vanishes when zbar is regular.  A mismatch would be an internal
     arithmetic bug and raises immediately.  The moments res{ h^{-j} z },
@@ -509,14 +503,12 @@ def regularize(z):
         raise NonzeroConstant("series must have no degree-zero term")
     d = z.truncation
     moments = [z.weighted_residues(-j) for j in range(d + 1)]
+    scaled = [c * Fraction(1, factorial(j)) for j, c in enumerate(moments)]
     eta = moments[0]
     for _ in range(d):
-        neg = -eta
-        power = QSeries.one(d)
-        acc = QSeries.zero(d)
-        for j in range(d + 1):
-            acc = acc + power * Fraction(1, factorial(j)) * moments[j]
-            power = power * neg
+        acc = scaled[d]
+        for j in range(d, 0, -1):
+            acc = scaled[j - 1] - eta * acc
         eta = acc
     zbar = exp_over_hbar(eta, -1) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
     regular = zbar.is_regular_at_zero()
@@ -564,8 +556,7 @@ def moment_identity_check(reg, a, which):
         denom = QSeries.one(d) + reg.zbar.taylor_coeff(0)
         rhs = reg.eta**a / denom
         name = "moment-regularized"
-    pairs = [(f"u^{k}", lhs[k], rhs[k]) for k in range(d + 1)]
-    return report_equality(name, {"a": a}, pairs, d)
+    return report_series(name, {"a": a}, lhs, rhs, d, "u")
 
 
 def moment_closed_form_check(reg, a):
@@ -587,8 +578,7 @@ def moment_closed_form_check(reg, a):
     if 0 <= a < d:
         # the lone eta-power term; for a + 1 > d it is zero to this order
         rhs = rhs + eta_pow[a + 1] * Fraction(1, factorial(a + 1))
-    pairs = [(f"u^{k}", lhs[k], rhs[k]) for k in range(d + 1)]
-    return report_equality("moment-closed-form", {"a": a}, pairs, d)
+    return report_series("moment-closed-form", {"a": a}, lhs, rhs, d, "u")
 
 
 def residue_of_product_check(fs):

@@ -43,10 +43,6 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class QSeries:
     """Power series in q truncated at inclusive degree `truncation`."""
 
@@ -357,9 +353,6 @@ class TPoly:
             out.append(term)
         return TPoly(out)
 
-    def is_t_free(self):
-        return all(c.is_zero() for c in self.coeffs[1:])
-
     def t_free_part(self):
         """The t-power-0 coefficient, provided everything above vanishes."""
         for k, c in enumerate(self.coeffs[1:], start=1):
@@ -381,23 +374,6 @@ class WSeries:
         d = min(c.truncation for c in coeffs)
         self.coeffs = tuple(c.truncate(d) for c in coeffs)
 
-    @classmethod
-    def zero(cls, worder, truncation):
-        return cls([QSeries.zero(truncation) for _ in range(worder + 1)])
-
-    @classmethod
-    def one(cls, worder, truncation):
-        z = cls.zero(worder, truncation)
-        return cls([QSeries.one(truncation)] + list(z.coeffs[1:]))
-
-    @classmethod
-    def from_w_poly(cls, poly_coeffs, worder, truncation):
-        """Lift a plain polynomial in w (rational coefficients) to a WSeries."""
-        out = [QSeries.zero(truncation) for _ in range(worder + 1)]
-        for j, c in enumerate(poly_coeffs[: worder + 1]):
-            out[j] = QSeries.constant(c, truncation)
-        return cls(out)
-
     @property
     def worder(self):
         return len(self.coeffs) - 1
@@ -416,33 +392,8 @@ class WSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"WSeries(W={self.worder}, D={self.truncation})"
-
-    def __add__(self, other):
-        if not isinstance(other, WSeries):
-            return NotImplemented
-        w = min(self.worder, other.worder)
-        return WSeries([self.coeffs[j] + other.coeffs[j] for j in range(w + 1)])
-
-    def __neg__(self):
-        return WSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QSeries)):
-            return WSeries([c * other for c in self.coeffs])
-        if not isinstance(other, WSeries):
-            return NotImplemented
-        w = min(self.worder, other.worder)
-        return WSeries(convolve_rows(self.coeffs, other.coeffs, w + 1))
-
-    __rmul__ = __mul__
 
     def div_qseries(self, g):
         return WSeries([c / g for c in self.coeffs])

@@ -348,3 +348,22 @@ def change_exp_variable(f, g):
             s += j * f[j] * p[k - j]
         out.append(s / k)
     return out
+
+
+def regularize_eta(moments):
+    """The exponent of a regularization from its moments c_j = res{ h^-j z },
+    j = 0..D (coefficient lists of length D + 1), by the degree-stabilizing
+    fixed point eta <- sum_j (-eta)^j / j! c_j, D rounds from eta = c_0, each
+    round forming every power of -eta anew."""
+    d = len(moments) - 1
+    eta = list(moments[0])
+    for _ in range(d):
+        neg = [-c for c in eta]
+        power = [Fr(1)] + [Fr(0)] * d
+        acc = [Fr(0)] * (d + 1)
+        for j in range(d + 1):
+            term = series_mul(power, moments[j], d)
+            acc = [a + t / factorial(j) for a, t in zip(acc, term)]
+            power = series_mul(power, neg, d)
+        eta = acc
+    return eta

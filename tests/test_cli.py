@@ -10,8 +10,9 @@ import pytest
 
 from hypergw import cli
 from hypergw import polys as P
-from hypergw.invariants import GWTable
-from hypergw.report import IdentityReport
+from hypergw.invariants import assemble_table
+from hypergw.report import IdentityReport, report_series, series_pairs
+from hypergw.series import QSeries
 
 
 def run(argv, capsys):
@@ -39,7 +40,12 @@ def test_invariants_json(capsys):
 def test_invariants_json_round_trip(capsys):
     code, out, _ = run(["invariants", "--n", "5", "--order", "3", "--format", "json"], capsys)
     obj = json.loads(out)
-    assert GWTable.from_json_obj(obj).to_json_obj() == obj
+    # every printed string parses back to the table's Fraction
+    for row, rec in zip(assemble_table(5, 3).rows, obj["rows"], strict=True):
+        assert rec.pop("d") == row.d
+        assert {col: Fr(v) for col, v in rec.items()} == {
+            col: getattr(row, col) for col in ("N0", "GW1_reduced", "N1", "n0", "n1")
+        }
 
 
 def test_conic_table_vanishes(capsys):
@@ -190,17 +196,19 @@ def test_theorem3_needs_n_at_least_2(capsys):
 @pytest.mark.parametrize("suite", cli.SUITES)
 def test_every_suite_runs_or_is_refused(suite, n, capsys):
     # any exception other than argparse's SystemExit escapes run() and fails
-    code, _, err = run(["verify", "--suite", suite, "--n", str(n), "--order", "2"], capsys)
-    assert code in (0, 2), err
-    assert code == 0 or "usage" in err
+    for order in ("1", "2"):
+        code, out, err = run(["verify", "--suite", suite, "--n", str(n), "--order", order], capsys)
+        assert code in (0, 2), (order, out, err)
+        assert code == 0 or "usage" in err
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("what", cli.DUMPABLE)
 def test_every_dump_runs_or_is_refused(what, n, capsys):
-    code, _, err = run(["dump", "--what", what, "--n", str(n), "--order", "2"], capsys)
-    assert code in (0, 2), err
-    assert code == 0 or "usage" in err
+    for order in ("1", "2"):
+        code, _, err = run(["dump", "--what", what, "--n", str(n), "--order", order], capsys)
+        assert code in (0, 2), (order, err)
+        assert code == 0 or "usage" in err
 
 
 def test_package_has_no_assert():
@@ -210,6 +218,54 @@ def test_package_has_no_assert():
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             assert not isinstance(node, ast.Assert), where
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), where
+
+
+def test_package_imports_are_used():
+    # a name imported into a module is read there or re-exported in __all__
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {elt.value for elt in node.value.elts}
+        for name, line in imported.items():
+            assert name in used, f"{path.name}:{line} imports {name} unused"
+
+
+def test_counterexample_is_checked_from_order_2(capsys):
+    # below u^2 every series is regularizable, so order 1 checks u/h at order 2
+    for order, checked in (("1", 2), ("2", 2), ("3", 3)):
+        code, out, _ = run(["verify", "--suite", "regularize", "--order", order], capsys)
+        assert code == 0
+        assert f"counterexample-detected [series=u/h]: pass (order {checked})" in out
+
+
+def test_series_pairs_keep_every_locus_format():
+    lhs, rhs = QSeries([1, 2, 3]), QSeries([4, 5, 6])
+    # the labels the checkers printed, one per prefix in use
+    for var, labels in (
+        ("q", ["q^0", "q^1", "q^2"]),
+        ("u", ["u^0", "u^1", "u^2"]),
+        ("Q", ["Q^0", "Q^1", "Q^2"]),
+        ("p=2 q", ["p=2 q^0", "p=2 q^1", "p=2 q^2"]),
+        ("mid q", ["mid q^0", "mid q^1", "mid q^2"]),
+        ("closed q", ["closed q^0", "closed q^1", "closed q^2"]),
+    ):
+        assert series_pairs(lhs, rhs, 2, var) == [
+            (label, lhs[k], rhs[k]) for k, label in enumerate(labels)
+        ]
+    assert series_pairs(lhs, rhs, 1) == [("q^0", 1, 4), ("q^1", 2, 5)]
+    rep = report_series("x", {"n": 3}, lhs, QSeries([1, 2, 7]), 2, "mid q")
+    assert rep.first_failure == "mid q^2: Fraction(3, 1) != Fraction(7, 1)"
+    assert report_series("x", {}, lhs, lhs, 2).describe() == "x: pass (order 2)"
 
 
 def test_random_ratfunc_lists_every_pole():

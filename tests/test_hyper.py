@@ -1,5 +1,6 @@
 """The hypergeometric kernel, the tower, the mirror map, and their identities."""
 
+import dataclasses
 from fractions import Fraction as Fr
 from math import comb, factorial
 
@@ -35,7 +36,7 @@ from hypergw.residues import (
     USeriesRF,
     double_residue_split_kernel,
     exp_over_hbar,
-    taylor_coeff_at_zero,
+    laurent_at_zero,
 )
 from hypergw.series import QSeries
 
@@ -47,8 +48,8 @@ def test_spec_validation():
         HyperSpec(0, 4)
     with pytest.raises(ValueError):
         HyperSpec(3, 0)
-    with pytest.raises(ValueError):
-        HyperSpec(5, 4, worder=3)
+    # two fields; the w-order of the kernel is derived from n
+    assert [f.name for f in dataclasses.fields(HyperSpec)] == ["n", "qorder"]
     assert HyperSpec(5, 4).worder == 7
 
 
@@ -169,12 +170,12 @@ def test_quintic_kernel_value_and_slope():
     spec = HyperSpec(5, 2)
     q1 = RatFunc(*regular_kernel(spec)[1])
     # oracles: first-order binomial expansions
-    assert taylor_coeff_at_zero(q1, 0) == Fr(1, 5) * 5**5  # 625
+    assert laurent_at_zero(q1, 0, 0)[0] == Fr(1, 5) * 5**5  # 625
     phi0 = kernel_value_at_zero(spec)
     phi1 = kernel_slope_at_zero(spec)
     assert phi0[1] == 625
     assert phi1[1] == Fr(3, 20) * (625 - 3125)  # -375
-    assert taylor_coeff_at_zero(q1, 1) == -375
+    assert laurent_at_zero(q1, 0, 1)[1] == -375
 
 
 def test_regular_kernel_detects_a_pole(monkeypatch):
@@ -195,6 +196,28 @@ def test_regular_kernel_checks_sampled():
 
     for n in (2, 3, 4, 6):
         assert regular_kernel_checks(HyperSpec(n, 6)).passed
+
+
+def test_forced_slope_failure_keeps_its_locus_text(monkeypatch):
+    # the first failing coefficient is named as q^k (and p=k q^k on a ladder
+    # rung), with the reprs of both sides
+    slope = hyper.kernel_slope_at_zero
+    monkeypatch.setattr(
+        hyper, "kernel_slope_at_zero", lambda s: slope(s) + QSeries.monomial(1, s.qorder)
+    )
+    spec = HyperSpec(5, 3)
+    rep = hyper.regular_kernel_checks(spec)
+    assert rep.first_failure == (
+        "regular-kernel-slope: q^1: Fraction(-375, 1) != Fraction(-374, 1)"
+    )
+    assert rep.describe() == (
+        "regular-kernel [n=5 order=3]: FAIL at "
+        "regular-kernel-slope: q^1: Fraction(-375, 1) != Fraction(-374, 1)"
+    )
+    rep = ladder_identities(spec)
+    assert rep.first_failure == (
+        "ladder-second-residue: p=0 q^1: Fraction(-375, 1) != Fraction(-374, 1)"
+    )
 
 
 # -- diagonal identities ---------------------------------------------------------------

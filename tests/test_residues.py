@@ -28,7 +28,6 @@ from hypergw.residues import (
     residue_at_infinity,
     residue_of_product_check,
     rising_product_check,
-    taylor_coeff_at_zero,
     vandermonde_check,
 )
 from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
@@ -184,12 +183,6 @@ def test_window_series_rejects_pole_above_u_degree():
     with pytest.raises(WindowTooSmall):
         USeriesRF.from_quotients([(-1, P.ONE, P.ONE)])
     assert USeriesRF([0, ONE / H], 3).coeff(1, -1) == 1
-
-
-def test_no_constant_flag_at_construction():
-    with pytest.raises(NonzeroConstant):
-        USeriesRF([RatFunc.from_scalar(2)], 3, no_constant=True)
-    USeriesRF([RatFunc.from_scalar(0), H], 3, no_constant=True)
 
 
 def test_regularize_is_idempotent_on_reconstructed_series():
@@ -439,13 +432,7 @@ def ref_regularize(z):
     """(eta, zbar, moments) by the fixed point on RatFunc moments."""
     d = z.truncation
     moments = [ref_weighted_residues(z, -j) for j in range(d + 1)]
-    eta = moments[0]
-    for _ in range(d):
-        power, acc = QSeries.one(d), QSeries.zero(d)
-        for j in range(d + 1):
-            acc = acc + power * Fr(1, factorial(j)) * moments[j]
-            power = power * -eta
-        eta = acc
+    eta = QSeries(oracles.regularize_eta([m.coeffs for m in moments]))
     one = RefUSeries.one(d)
     return eta, ref_exp_over_hbar(eta, -1) * (one + z) - one, moments
 
@@ -539,8 +526,45 @@ def test_regularize_matches_ratfunc_route(z):
     assert reg.regular == all(c.pole_order_at_zero() == 0 for c in zbar.coeffs)
     if reg.regular:
         for k in range(z.truncation + 3):
-            taylor = QSeries([taylor_coeff_at_zero(c, k) for c in zbar.coeffs])
+            taylor = QSeries([laurent_at_zero(c, 0, k)[k] for c in zbar.coeffs])
             assert reg.zbar.taylor_coeff(k) == taylor
+
+
+@st.composite
+def regularizable_windows(draw):
+    """(eta, exp(eta/h) (1 + y) - 1) on windows for a drawn exponent eta and
+    a y holomorphic at h = 0, u-degree up to 6."""
+    d = draw(st.integers(1, 6))
+    eta = draw(exponents(d))
+    y = USeriesRF([0] + [draw(windowed_ratfuncs(0)) for _ in range(d)])
+    one = USeriesRF.one(d)
+    return eta, exp_over_hbar(eta, 1) * (one + y) - one
+
+
+@settings(max_examples=40, deadline=None)
+@given(regularizable_windows())
+def test_regularize_exponent_matches_power_sum_fixed_point(case):
+    eta, z = case
+    reg = regularize(z)
+    assert reg.eta == eta
+    assert list(reg.eta.coeffs) == oracles.regularize_eta([m.coeffs for m in reg.moments])
+
+
+def test_fixed_point_halves_series_products(monkeypatch):
+    # the power-sum rounds made 140 QSeries.__mul__ calls here: per term of
+    # each of the D rounds, a power of eta, its scaling and its moment product
+    z = cli._constructed_regularizable(6)
+    calls = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    monkeypatch.setattr(QSeries, "__rmul__", counted)
+    regularize(z)
+    assert len(calls) <= 140 // 2
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -620,7 +644,7 @@ def ref_product_residue_expansion(fs):
             if r == 0:
                 continue
             rest = prod((reg[i] for i in idx if i not in chosen), start=ONE)
-            rhs += r * taylor_coeff_at_zero(rest, size - 1)
+            rhs += r * laurent_at_zero(rest, 0, size - 1)[size - 1]
     return rhs
 
 
@@ -739,4 +763,4 @@ def test_window_product_tracks_exactness():
 
 def test_taylor_coefficients():
     f = ONE / (ONE - H)
-    assert [taylor_coeff_at_zero(f, k) for k in range(4)] == [1, 1, 1, 1]
+    assert [laurent_at_zero(f, 0, k)[k] for k in range(4)] == [1, 1, 1, 1]
