@@ -171,15 +171,26 @@ def _random_ratfunc(rng):
 
     A pole that cancels against the numerator is still listed; its residue is 0.
     """
-    den = (Fraction(1),)
+    den = [1]
     poles = set()
     for _ in range(rng.randint(1, 3)):
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         poles.add(a)
         for _ in range(rng.randint(1, 2)):
-            den = P.mul(den, (-a, Fraction(1)))
-    num = tuple(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, len(den))))
-    return RatFunc(num, den), poles
+            den = P._mul_ints(den, [-a.numerator, a.denominator])
+    num = [rng.randint(-6, 6) for _ in range(rng.randint(1, len(den)))]
+    # the denominator is the monic prod (h - a) times its leading coefficient
+    return RatFunc([c * den[-1] for c in num], den), poles
+
+
+def _random_factors(rng):
+    """Up to five functions with at most a simple pole at 0."""
+    fs = []
+    for _ in range(rng.randint(0, 5)):
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+        den = [0, 1] if rng.random() < 0.7 else [1]
+        fs.append(RatFunc(num, den) + rng.randint(-3, 3))
+    return fs
 
 
 def _first_failure_report(identity, parameters, failures, max_order):
@@ -207,12 +218,7 @@ def _suite_residues(n, order):
 
     def product_failures():
         for trial in range(RESIDUE_SAMPLES):
-            fs = []
-            for _ in range(rng.randint(0, 5)):
-                num = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
-                den = (Fraction(0), Fraction(1)) if rng.random() < 0.7 else (Fraction(1),)
-                fs.append(RatFunc(num, den) + Fraction(rng.randint(-3, 3)))
-            sub = residue_of_product_check(fs)
+            sub = residue_of_product_check(_random_factors(rng))
             if not sub.passed:
                 yield f"trial {trial}: {sub.first_failure}"
 

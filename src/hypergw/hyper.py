@@ -17,30 +17,39 @@ window series has the width 2D + 2 that regularize reads; no stage here
 reads past entry D + 1 of a row, so mu and the ladder run it at D + 1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
-from .report import merge_reports, report_equality, report_series, series_pairs
+from .report import Record, merge_reports, report_equality, report_series, series_pairs
 from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries
 
 
-@dataclass(frozen=True)
-class HyperSpec:
-    """Problem size: hypersurface degree n and q-order."""
+class HyperSpec(Record):
+    """Problem size: hypersurface degree n and q-order.  Immutable and
+    hashable, since the stage caches key on it."""
 
-    n: int
-    qorder: int = 8
+    _fields = ("n", "qorder")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, qorder=8):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.qorder < 1:
+        if qorder < 1:
             raise ValueError("qorder must be >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "qorder", qorder)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash((self.n, self.qorder))
 
     @property
     def worder(self):

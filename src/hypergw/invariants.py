@@ -14,14 +14,15 @@ independent residue evaluation of the boundary part.
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from math import gcd as _int_gcd
 
 from . import hyper
+from . import polys as P
 from .errors import MissingColumn, RoutesDisagree
 from .hyper import HyperSpec
-from .report import merge_reports, report_equality, report_series
+from .report import Record, merge_reports, report_equality, report_series
 from .residues import RatFunc, laurent_at_zero, residue_at
 from .series import QSeries, TPoly, change_exp_variable, format_rational
 
@@ -127,15 +128,8 @@ def quintic_genus0(order):
     #   H^2:  J1^2/2 + (1/5) sum_d N_d d E_d            == J2
     #   H^3:  J1^3/6 + (1/5) sum_d N_d (d J1 - 2) E_d   == J3
     shift = hyper.mirror_shift(spec)
-    e_pows = [QSeries.monomial(1, d) * shift.exp()]
-    for _ in range(1, d):
-        e_pows.append(e_pows[-1] * e_pows[0])
     # the weight-d part of the H^3 sum is sum2 itself
-    sum2 = QSeries.zero(d)
-    sum3c = QSeries.zero(d)  # constant part of the H^3 sum
-    for deg, val in enumerate(values, start=1):
-        sum2 = sum2 + e_pows[deg - 1] * (val * Fraction(deg, 5))
-        sum3c = sum3c + e_pows[deg - 1] * (val * Fraction(-2, 5))
+    sum2, sum3c = _block_sums(shift, values)
     weighted = TPoly.from_qseries(sum2)
     lhs2 = j1 * j1 * Fraction(1, 2) + weighted
     lhs3 = j1 * j1 * j1 * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
@@ -151,6 +145,44 @@ def quintic_genus0(order):
         "mirror-block-reconstruction", {"n": 5, "order": d}, reports, d
     )
     return values, report
+
+
+def _block_sums(shift, values):
+    """(sum2, sum3c) = ((1/5) sum_d d N_d E_d, -(2/5) sum_d N_d E_d) for
+    values N_1.., with E_d = q^d exp(d shift) = E_1^d truncated like shift.
+
+    The powers stay integer rows: E_1 is cleared of denominators once and
+    each power is one truncated integer product, reduced by its content.
+    Both sums accumulate in int over one running denominator, and each
+    QSeries is built once at the end."""
+    d = shift.truncation
+    e1, den1 = P._scaled((0,) + shift.exp().coeffs[:d])
+    power, den = e1, den1
+    acc1, acc2, acc_den = [0] * (d + 1), [0] * (d + 1), 1  # sum N E, sum d N E
+    for deg, val in enumerate(values, start=1):
+        if deg > 1:
+            out = [0] * (d + 1)
+            P._accumulate(out, power, e1)
+            den *= den1
+            g = _int_gcd(den, *out)
+            power, den = [c // g for c in out], den // g
+        if not val:
+            continue
+        term_den = val.denominator * den
+        grown = lcm(acc_den, term_den)
+        if grown != acc_den:
+            scale = grown // acc_den
+            acc1 = [c * scale for c in acc1]
+            acc2 = [c * scale for c in acc2]
+            acc_den = grown
+        f = val.numerator * (grown // term_den)
+        for i, c in enumerate(power):
+            if c:
+                acc1[i] += f * c
+                acc2[i] += deg * f * c
+    sum2 = QSeries._of(P._fractions(acc2, 5 * acc_den))
+    sum3c = QSeries._of(P._fractions([-2 * c for c in acc1], 5 * acc_den))
+    return sum2, sum3c
 
 
 def quintic_genus1(order):
@@ -174,21 +206,25 @@ def quintic_genus1(order):
 _COLUMNS = ("N0", "GW1_reduced", "N1", "n0", "n1")
 
 
-@dataclass
-class GWRow:
-    d: int
-    N0: Fraction | None = None
-    GW1_reduced: Fraction | None = None
-    N1: Fraction | None = None
-    n0: Fraction | None = None
-    n1: Fraction | None = None
+class GWRow(Record):
+    _fields = ("d", "N0", "GW1_reduced", "N1", "n0", "n1")
+
+    def __init__(self, d, N0=None, GW1_reduced=None, N1=None, n0=None, n1=None):
+        self.d = d
+        self.N0 = N0
+        self.GW1_reduced = GW1_reduced
+        self.N1 = N1
+        self.n0 = n0
+        self.n1 = n1
 
 
-@dataclass
-class GWTable:
-    n: int
-    truncation: int
-    rows: list
+class GWTable(Record):
+    _fields = ("n", "truncation", "rows")
+
+    def __init__(self, n, truncation, rows):
+        self.n = n
+        self.truncation = truncation
+        self.rows = rows
 
     def column(self, name):
         return [getattr(row, name) for row in self.rows]

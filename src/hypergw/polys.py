@@ -14,6 +14,14 @@ recurrence that divides at every step (the quotient, exp, Lagrange powers)
 keeps its solved coefficients over one running denominator instead, which
 grows only when a new coefficient's reduced denominator does not divide it
 (_recurrence).
+
+The rational functions of the residues module live on integer lists
+alone, with the helpers here: products (_mul_ints, _accumulate), the
+primitive gcd (_gcd_ints, by _pseudo_rem and _primitive), exact division
+by a primitive factor (_div_exact, which stays in the integers by Gauss's
+lemma and raises ArithmeticError when the division is not exact) and the
+first Taylor coefficients at a rational point s/t (_taylor_ints, rounds of
+the Taylor shift of t^n p(y/t) by s).
 """
 
 from fractions import Fraction
@@ -82,13 +90,22 @@ def _accumulate(acc, x, y):
                 acc[k] += u * v
 
 
+def _mul_ints(x, y):
+    """Product of two integer lists; without trailing zeros when neither
+    factor has any."""
+    if not x or not y:
+        return []
+    out = [0] * (len(x) + len(y) - 1)
+    _accumulate(out, x, y)
+    return out
+
+
 def mul(a, b):
     if not a or not b:
         return ZERO
     x, da = _scaled(a)
     y, db = _scaled(b)
-    out = [0] * (len(x) + len(y) - 1)
-    _accumulate(out, x, y)
+    out = _mul_ints(x, y)
     while out and out[-1] == 0:
         out.pop()
     return _fractions(out, da * db)
@@ -125,6 +142,29 @@ def exact_div(a, b):
     if r:
         raise ArithmeticError("polynomial division was not exact")
     return q
+
+
+def _div_exact(a, b):
+    """a / b for integer lists without trailing zeros, b nonzero.  When b is
+    primitive and divides a over the rationals, the quotient has integer
+    coefficients (Gauss's lemma), so every step divides exactly; a step
+    that does not, or a nonzero remainder, raises ArithmeticError."""
+    db = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    quot = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lb)
+            if r:
+                raise ArithmeticError("polynomial division was not exact")
+            quot[i - db] = q
+            for j in range(db):
+                rem[i - db + j] -= q * b[j]
+    if any(rem[:db]):
+        raise ArithmeticError("polynomial division was not exact")
+    return quot
 
 
 def monic(p):
@@ -180,14 +220,22 @@ def gcd_poly(a, b):
         return monic(a)
     if len(a) == 1 or len(b) == 1:  # a nonzero constant
         return ONE
-    A = _primitive(_scaled(a)[0])
-    B = _primitive(_scaled(b)[0])
+    return monic(tuple(Fraction(c) for c in _gcd_ints(_scaled(a)[0], _scaled(b)[0])))
+
+
+def _gcd_ints(a, b):
+    """The gcd of two nonzero integer lists without trailing zeros, primitive
+    with a positive leading coefficient: a primitive pseudo-remainder
+    sequence, so it stays in the integers."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    A = _primitive(list(a))
+    B = _primitive(list(b))
     if len(A) < len(B):
         A, B = B, A
-    while B:
-        R = _primitive(_pseudo_rem(A, B))
-        A, B = B, R
-    return monic(tuple(Fraction(c) for c in A))
+    while len(B) > 1:
+        A, B = B, _primitive(_pseudo_rem(A, B))
+    return A if not B else [1]
 
 
 def eval_poly(p, x):
@@ -195,6 +243,26 @@ def eval_poly(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def _taylor_ints(c, s, t, count):
+    """The first count Taylor coefficients e_0.. of r(y) = t^n c(y/t) at
+    y = s, for an integer list c of degree n: r(y) = sum_j e_j (y - s)^j,
+    so t^n c(x + s/t) = sum_j e_j t^j x^j.  Round j of the classical Taylor
+    shift (repeated synthetic division by y - s, in place) fixes e_j; only
+    count rounds run, each in int.  Entries past the degree are 0."""
+    n = len(c) - 1
+    r = list(c)
+    if t != 1:
+        tp = 1
+        for i in range(n, -1, -1):
+            r[i] *= tp
+            tp *= t
+    if s:
+        for i in range(min(count, n)):
+            for j in range(n - 1, i - 1, -1):
+                r[j] += s * r[j + 1]
+    return r[:count] + [0] * (count - len(r))
 
 
 def shift(p, a):
@@ -205,12 +273,8 @@ def shift(p, a):
     s, t = a.numerator, a.denominator
     c, den = _scaled(p)
     n = len(c)
-    tpow = [t**k for k in range(n)]
-    c = [x * tpow[n - 1 - i] for i, x in enumerate(c)]
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] += s * c[j + 1]
-    return norm([Fraction(x, tpow[n - 1 - i] * den) for i, x in enumerate(c)])
+    e = _taylor_ints(c, s, t, n)
+    return norm([Fraction(x, t ** (n - 1 - i) * den) for i, x in enumerate(e)])
 
 
 def reverse(p, deg):

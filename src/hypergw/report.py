@@ -1,15 +1,35 @@
 """Structured pass/fail records for the identity suites."""
 
-from dataclasses import dataclass, field
+
+class Record:
+    """A plain record: a subclass names its attributes in _fields, and
+    equality and repr go over them in that order.  Records of one class are
+    equal when all their fields are, so they are not hashable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class IdentityReport:
-    identity: str
-    parameters: dict = field(default_factory=dict)
-    max_order_checked: int = 0
-    passed: bool = True
-    first_failure: str | None = None
+class IdentityReport(Record):
+    _fields = ("identity", "parameters", "max_order_checked", "passed", "first_failure")
+
+    def __init__(
+        self, identity, parameters=None, max_order_checked=0, passed=True, first_failure=None
+    ):
+        self.identity = identity
+        self.parameters = {} if parameters is None else parameters
+        self.max_order_checked = max_order_checked
+        self.passed = passed
+        self.first_failure = first_failure
 
     def to_dict(self):
         out = {

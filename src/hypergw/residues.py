@@ -1,9 +1,14 @@
 """Exact residue calculus in one variable h, and series local to h = 0.
 
-One representation per job.  RatFunc, a reduced fraction of polynomials
-with a monic denominator, serves only where poles away from 0 matter:
-residues at other points and at infinity (res_inf f = -res_0 { w^{-2}
-f(1/w) }), as in the residue-theorem suite.  Everything local to h = 0
+One representation per job.  RatFunc, a reduced fraction of integer
+polynomials, serves only where poles away from 0 matter: residues at
+other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }), as
+in the residue-theorem suite.  Its arithmetic stays in Z[h]: gcds by
+primitive pseudo-remainder sequences, exact division by primitive factors
+(Gauss's lemma), and one Fraction per value it hands out.  A residue at
+s/t divides t h - s out of the denominator by exact synthetic division
+and reads the Taylor coefficients there by repeated synthetic division,
+with no re-expansion of the whole function.  Everything local to h = 0
 runs on exact Laurent windows at the origin, with no gcd: the window
 h^-low .. h^high of f is the power series h^low f truncated at
 h^(low + high), a QSeries.  USeriesRF is a power series in u whose u^k
@@ -16,11 +21,11 @@ when it exists.  A residue at 0, a weighted residue res{ h^p f } and the
 iterated residue of the split kernel are each one index into a row.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
+from math import gcd as _int_gcd
 
 from . import polys as P
 from .errors import (
@@ -30,79 +35,88 @@ from .errors import (
     RoutesDisagree,
     WindowTooSmall,
 )
-from .report import report_equality, report_series
+from .report import Record, report_equality, report_series
 from .series import QSeries, convolve_rows, log_one_plus_rows
 
-_ONE = (Fraction(1),)
+_ONE = (1,)
 _ZERO = Fraction(0)
 
 
 class RatFunc:
-    """Reduced rational function in h over the rationals; den is monic."""
+    """Reduced rational function in h over the rationals.
 
-    __slots__ = ("num", "den")
+    Held as two integer coefficient tuples in one canonical form: numerator
+    and denominator coprime over Q, joint integer content 1, and a positive
+    leading coefficient of the denominator.  Each function has exactly one
+    such form, so equality compares the tuples.  num and den are the
+    boundary view, Fraction tuples with a monic denominator."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=_ONE):
-        num = P.norm(num)
-        den = P.norm(den)
-        if not den:
+        n, dn = P._scaled(num)
+        d, dd = P._scaled(den)
+        _strip(n)
+        _strip(d)
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), _ONE
-            return
-        g = P.gcd_poly(num, den)
-        if P.degree(g) > 0:
-            num = P.exact_div(num, g)
-            den = P.exact_div(den, g)
-        lc = den[-1]
-        if lc != 1:
-            num = P.scale(num, 1 / lc)
-            den = P.scale(den, 1 / lc)
-        self.num = num
-        self.den = den
+        if dn != dd:  # num/den = (n dd) / (d dn)
+            n = [c * dd for c in n]
+            d = [c * dn for c in d]
+        if n:
+            g = P._gcd_ints(n, d)
+            if len(g) > 1:
+                n = P._div_exact(n, g)
+                d = P._div_exact(d, g)
+        self._num, self._den = _canonical(n, d)
 
     @classmethod
     def _reduced(cls, num, den):
-        """Internal: build from an already-coprime pair (den nonzero)."""
+        """Internal: build from coprime integer lists without trailing zeros
+        (den nonzero)."""
         self = object.__new__(cls)
-        num = P.norm(num)
-        den = P.norm(den)
-        if not num:
-            self.num, self.den = (), _ONE
-            return self
-        lc = den[-1]
-        if lc != 1:
-            num = P.scale(num, 1 / lc)
-            den = P.scale(den, 1 / lc)
-        self.num = num
-        self.den = den
+        self._num, self._den = _canonical(num, den)
         return self
 
     @classmethod
     def from_scalar(cls, c):
-        c = Fraction(c)
-        return cls._reduced((c,) if c else (), _ONE)
+        if type(c) is not int:
+            c = Fraction(c)
+        return cls._reduced([c.numerator] if c else [], [c.denominator])
 
     @classmethod
     def variable(cls):
-        return cls._reduced((Fraction(0), Fraction(1)), _ONE)
+        return cls._reduced([0, 1], [1])
 
     @classmethod
     def inv_power(cls, k):
         """1/h**k (k >= 0)."""
-        return cls._reduced(_ONE, P.mul_xk(_ONE, k))
+        return cls._reduced([1], [0] * k + [1])
+
+    @property
+    def num(self):
+        lc = self._den[-1]
+        return tuple(Fraction(c, lc) for c in self._num)
+
+    @property
+    def den(self):
+        lc = self._den[-1]
+        return tuple(Fraction(c, lc) for c in self._den)
 
     def is_zero(self):
-        return not self.num
+        return not self._num
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes like the scalar it equals
+        if len(self._den) == 1 and len(self._num) <= 1:
+            return hash(Fraction(self._num[0], self._den[0]) if self._num else 0)
+        return hash((self._num, self._den))
 
     def __repr__(self):
         return f"RatFunc({self.to_str()})"
@@ -123,7 +137,7 @@ class RatFunc:
                     parts.append(f"{c}*{var}^{k}" if c != 1 else f"{var}^{k}")
             return " + ".join(parts).replace("+ -", "- ")
 
-        if self.den == _ONE:
+        if len(self._den) == 1:
             return poly_str(self.num)
         return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
 
@@ -133,28 +147,30 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero():
+        a, b = self._num, self._den
+        c, d = other._num, other._den
+        if not a:
             return other
-        if other.is_zero():
+        if not c:
             return self
-        g = P.gcd_poly(self.den, other.den)
-        if P.degree(g) == 0:
-            num = P.add(P.mul(self.num, other.den), P.mul(other.num, self.den))
-            return RatFunc._reduced(num, P.mul(self.den, other.den))
-        da = P.exact_div(self.den, g)
-        db = P.exact_div(other.den, g)
-        num = P.add(P.mul(self.num, db), P.mul(other.num, da))
-        den = P.mul(self.den, db)
-        h = P.gcd_poly(num, g)
-        if P.degree(h) > 0:
-            num = P.exact_div(num, h)
-            den = P.exact_div(den, h)
+        g = P._gcd_ints(b, d)
+        if len(g) == 1:
+            num = _add(P._mul_ints(a, d), P._mul_ints(c, b))
+            return RatFunc._reduced(num, P._mul_ints(b, d))
+        db = P._div_exact(d, g)
+        num = _add(P._mul_ints(a, db), P._mul_ints(c, P._div_exact(b, g)))
+        den = P._mul_ints(b, db)
+        if num:
+            g = P._gcd_ints(num, g)
+            if len(g) > 1:
+                num = P._div_exact(num, g)
+                den = P._div_exact(den, g)
         return RatFunc._reduced(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced(P.neg(self.num), self.den)
+        return RatFunc._reduced([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -169,15 +185,17 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFunc._reduced((), _ONE)
-        g1 = P.gcd_poly(self.num, other.den)
-        g2 = P.gcd_poly(other.num, self.den)
-        n1 = self.num if P.degree(g1) == 0 else P.exact_div(self.num, g1)
-        d2 = other.den if P.degree(g1) == 0 else P.exact_div(other.den, g1)
-        n2 = other.num if P.degree(g2) == 0 else P.exact_div(other.num, g2)
-        d1 = self.den if P.degree(g2) == 0 else P.exact_div(self.den, g2)
-        return RatFunc._reduced(P.mul(n1, n2), P.mul(d1, d2))
+        a, b = self._num, self._den
+        c, d = other._num, other._den
+        if not a or not c:
+            return RatFunc._reduced([], [1])
+        g = P._gcd_ints(a, d)
+        if len(g) > 1:
+            a, d = P._div_exact(a, g), P._div_exact(d, g)
+        g = P._gcd_ints(c, b)
+        if len(g) > 1:
+            c, b = P._div_exact(c, g), P._div_exact(b, g)
+        return RatFunc._reduced(P._mul_ints(a, c), P._mul_ints(b, d))
 
     __rmul__ = __mul__
 
@@ -187,28 +205,82 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return self * RatFunc._reduced(other.den, other.num)
+        return self * RatFunc._reduced(other._den, other._num)
 
     # -- analysis ---------------------------------------------------------
 
     def evaluate(self, a):
         a = Fraction(a)
-        d = P.eval_poly(self.den, a)
+        s, t = a.numerator, a.denominator
+        d = _homogeneous(self._den, s, t)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {a}")
-        return P.eval_poly(self.num, a) / d
+        # num(a) / den(a) = (t^p num(a)) t^(q - p) / (t^q den(a))
+        e = len(self._den) - len(self._num)
+        n = _homogeneous(self._num, s, t)
+        return Fraction(n * t**e, d) if e >= 0 else Fraction(n, d * t**-e)
 
     def shift(self, a):
         """The function h -> self(h + a)."""
-        return RatFunc._reduced(P.shift(self.num, a), P.shift(self.den, a))
+        s, t = a.numerator, a.denominator
+        # t^k p(h + a) = sum_j e_j t^j h^j for each p of degree k
+        num, den = (
+            [e * t**j for j, e in enumerate(P._taylor_ints(p, s, t, len(p)))]
+            for p in (self._num, self._den)
+        )
+        e = len(den) - len(num)  # f(h + a) = t^(q - p) num / den
+        if e > 0:
+            num = [c * t**e for c in num]
+        elif e < 0:
+            den = [c * t**-e for c in den]
+        return RatFunc._reduced(num, den)
 
     def pole_order_at_zero(self):
         if self.is_zero():
             return 0
         k = 0
-        while self.den[k] == 0:
+        while self._den[k] == 0:
             k += 1
         return k
+
+
+def _strip(c):
+    while c and c[-1] == 0:
+        c.pop()
+
+
+def _add(x, y):
+    """Sum of two integer lists, without trailing zeros."""
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    _strip(out)
+    return out
+
+
+def _canonical(num, den):
+    """The canonical tuples of num/den for coprime integer lists without
+    trailing zeros: divided by their joint content, the sign moved so the
+    leading coefficient of den is positive."""
+    if not num:
+        return (), (1,)
+    g = _int_gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        return tuple(c // g for c in num), tuple(c // g for c in den)
+    return tuple(num), tuple(den)
+
+
+def _homogeneous(c, s, t):
+    """t^n c(s/t) for an integer list c of degree n, by Horner's rule."""
+    acc, tp = 0, 1
+    for x in reversed(c):
+        acc = acc * s + x * tp
+        tp *= t
+    return acc
 
 
 def _coerce(x):
@@ -217,6 +289,28 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return RatFunc.from_scalar(x)
     return None
+
+
+def _quotient(a, b, order):
+    """(ints, den) of the power series a / b to the given order, for integer
+    lists a and b with b[0] != 0; one integer recurrence."""
+    b0 = b[0]
+    return P._recurrence((a[: order + 1], 1), (b[: order + 1], 1), lambda m: (1, b0), order)
+
+
+def _window(f, low, high):
+    """(ints, den) of the Laurent window of f at h = 0 for powers
+    -low..high: h^low f truncated at h^(low + high)."""
+    if high < -low:
+        raise ValueError("empty window")
+    m = f.pole_order_at_zero()
+    shift = low - m
+    if shift < 0:
+        raise WindowTooSmall(f"pole order {-shift} exceeds the window depth")
+    width = low + high
+    order = width - shift
+    ints, den = _quotient(f._num, f._den[m:], order) if order >= 0 else ([], 1)
+    return ([0] * shift + ints)[: width + 1], den
 
 
 def _row(num, unit, shift, width):
@@ -237,37 +331,53 @@ def laurent_at_zero(f, low, high):
 
     low must cover the pole order; high >= -low.
     """
-    if high < -low:
-        raise ValueError("empty window")
-    m = f.pole_order_at_zero()
-    return _row(f.num, f.den[m:], low - m, low + high)
+    return QSeries._of(P._fractions(*_window(f, low, high)))
+
+
+def _divide_out(c, factor):
+    """(m, u) with c = factor^m u and factor not dividing u, for integer
+    lists and a primitive factor: exact divisions until one fails."""
+    m = 0
+    while True:
+        try:
+            c = P._div_exact(c, factor)
+        except ArithmeticError:
+            return m, c
+        m += 1
 
 
 def residue_at(f, a):
-    """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles."""
-    if a:
-        if P.eval_poly(f.den, a):
-            return Fraction(0)
-        f = f.shift(a)
-    m = f.pole_order_at_zero()
-    return laurent_at_zero(f, m, -1)[m - 1] if m else _ZERO
+    """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles.
+
+    With a = s/t, exact synthetic division takes den = (t h - s)^m u with
+    u(a) != 0, all in integers.  For an integer list p of degree k,
+    t^k p(h) = sum_j e_j (t h - s)^j (the first m e_j by repeated synthetic
+    division), so the residue is t^(deg u - deg num - 1) times [x^(m-1)] of
+    the integer series quotient sum_j e_j(num) x^j / sum_j e_j(u) x^j.
+    """
+    s, t = a.numerator, a.denominator
+    m, unit = _divide_out(f._den, (-s, t))
+    if not m:
+        return _ZERO
+    num = f._num
+    ints, den = _quotient(P._taylor_ints(num, s, t, m), P._taylor_ints(unit, s, t, m), m - 1)
+    e = len(unit) - len(num) - 1
+    c = ints[m - 1]
+    return Fraction(c * t**e, den) if e >= 0 else Fraction(c, den * t**-e)
 
 
 def residue_at_infinity(f):
     """-res_{w=0} { w^{-2} f(1/w) }, the sphere convention.
 
     With p = deg num and q = deg den, w^{-2} f(1/w) = w^(q-p-2) num_w / den_w
-    for the reversals num_w, den_w, and den_w(0) = 1 (den is monic), so the
-    residue is -[w^(p-q+1)] num_w / den_w, one series quotient.
+    for the reversals num_w, den_w, and den_w(0) != 0, so the residue is
+    -[w^(p-q+1)] num_w / den_w, one integer series quotient.
     """
-    if f.is_zero():
-        return Fraction(0)
-    p = P.degree(f.num)
-    q = P.degree(f.den)
-    k = p - q + 1
-    if k < 0:
-        return Fraction(0)
-    return -P.series_div(P.reverse(f.num, p), P.reverse(f.den, q), k)[k]
+    k = len(f._num) - len(f._den) + 1
+    if not f._num or k < 0:
+        return _ZERO
+    ints, den = _quotient(f._num[::-1], f._den[::-1], k)
+    return Fraction(-ints[k], den)
 
 
 class USeriesRF:
@@ -453,15 +563,17 @@ def exp_over_hbar(eta, sign=1):
     )
 
 
-@dataclass
-class Regularization:
+class Regularization(Record):
     """1 + z = exp(eta/h) * (1 + zbar), with the moments c_j = res{ h^-j z }."""
 
-    eta: QSeries
-    zbar: USeriesRF
-    regular: bool
-    z: USeriesRF
-    moments: list
+    _fields = ("eta", "zbar", "regular", "z", "moments")
+
+    def __init__(self, eta, zbar, regular, z, moments):
+        self.eta = eta
+        self.zbar = zbar
+        self.regular = regular
+        self.z = z
+        self.moments = moments
 
     @cached_property
     def moment_powers(self):
@@ -584,43 +696,55 @@ def moment_closed_form_check(reg, a):
 def residue_of_product_check(fs):
     """Residue of a product of at-most-simple-pole functions as a subset sum.
 
-    The left side is the residue of the reduced global product.  The right
-    side reads one window h^-1 .. h^(k-2) per factor (k factors): its h^-1
-    entry is the residue r_i, the rest is the Taylor series of the regular
-    part f_i - r_i/h.  Each subset S contributes prod_{i in S} r_i times the
-    h^(|S|-1) Taylor coefficient of the product of the other regular parts;
-    that order is at most k-2 whenever S leaves a factor out (for S = all,
-    the product is 1).  The empty subset contributes nothing (its inner
-    derivative order would be -1, which is vacuous).
+    The left side is the residue of the reduced global product; the right
+    side is the subset sum of product_subset_sum.
     """
     fs = list(fs)
     for i, f in enumerate(fs):
         if f.pole_order_at_zero() > 1:
             raise PoleTooHigh(f"function {i} has a pole of order > 1 at 0")
-    total = prod(fs, start=RatFunc.from_scalar(1))
-    lhs = residue_at(total, 0)
+    lhs = residue_at(prod(fs, start=RatFunc.from_scalar(1)), 0)
+    return report_equality(
+        "product-residue-expansion",
+        {"count": len(fs)},
+        [("residue", lhs, product_subset_sum(fs))],
+        len(fs),
+    )
 
+
+def product_subset_sum(fs):
+    """res_0 of prod fs for k functions with at most simple poles at 0, as a
+    sum over subsets.
+
+    Each factor gives one window h^-1 .. h^(k-2), as integer numerators over
+    one denominator: its h^-1 entry is the residue r_i, the rest is the
+    Taylor series of the regular part f_i - r_i/h.  Each subset S
+    contributes prod_{i in S} r_i times the h^(|S|-1) Taylor coefficient of
+    the product of the other regular parts; that order is at most k-2
+    whenever S leaves a factor out (for S = all, the product is 1).  The
+    empty subset contributes nothing (its inner derivative order would be
+    -1, which is vacuous).  The subset and residue products run in int,
+    every term over the product of the window denominators.
+    """
     k = len(fs)
-    windows = [laurent_at_zero(f, 1, k - 2).coeffs for f in fs]
-    res = [w[0] for w in windows]
-    rhs = Fraction(0)
+    windows = [_window(f, 1, k - 2) for f in fs]
+    res = [w[0] for w, _ in windows]
+    regular = [w[1:] for w, _ in windows]
+    acc = 0
     idx = range(k)
     for size in range(1, k + 1):
         for chosen in combinations(idx, size):
             r = prod(res[i] for i in chosen)
             if r == 0:
                 continue
-            rest = P.ONE
+            rest = [1] + [0] * (size - 1)
             for i in idx:
                 if i not in chosen:
-                    rest = P.series_mul(rest, windows[i][1:], size - 1)
-            rhs += r * (rest[size - 1] if len(rest) >= size else 0)
-    return report_equality(
-        "product-residue-expansion",
-        {"count": len(fs)},
-        [("residue", lhs, rhs)],
-        len(fs),
-    )
+                    out = [0] * size
+                    P._accumulate(out, rest, regular[i])
+                    rest = out
+            acc += r * rest[size - 1]
+    return Fraction(acc, prod(den for _, den in windows))
 
 
 def double_residue_split_kernel(a_series, b_series):

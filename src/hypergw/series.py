@@ -124,6 +124,9 @@ class QSeries:
         return self.truncation == other.truncation and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant series equals its scalar, so it hashes like it
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.coeffs, self.truncation))
 
     def __repr__(self):
@@ -295,6 +298,9 @@ class TPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a t-free polynomial equals its QSeries, so it hashes like it
+        if len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __repr__(self):

@@ -6,7 +6,8 @@ package under test.
 """
 
 from fractions import Fraction as Fr
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, prod
 
 
 def _wpoly_mul(p, q, w_order):
@@ -367,3 +368,228 @@ def regularize_eta(moments):
             power = series_mul(power, neg, d)
         eta = acc
     return eta
+
+
+# -- the Fraction RatFunc and the residue routes that the integer RatFunc
+# replaced.  Polynomials are Fraction tuples without trailing zeros; the
+# gcd is Euclid's over the rationals.
+
+
+def _trim(p):
+    p = [Fr(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def _pdivmod(a, b):
+    rem = list(a)
+    quot = [Fr(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        q = rem[i + len(b) - 1] / b[-1]
+        quot[i] = q
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return _trim(quot), _trim(rem)
+
+
+def _pmonic(p):
+    return tuple(c / p[-1] for c in p)
+
+
+def _pgcd(a, b):
+    """Monic gcd by Euclid's algorithm; a and b not both zero."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return _pmonic(a)
+
+
+class RatFunc:
+    """Reduced rational function in h with Fraction coefficients; den monic."""
+
+    def __init__(self, num, den=(Fr(1),)):
+        num, den = _trim(num), _trim(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            self.num, self.den = (), (Fr(1),)
+            return
+        g = _pgcd(num, den)
+        num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+        lc = den[-1]
+        self.num = tuple(c / lc for c in num)
+        self.den = tuple(c / lc for c in den)
+
+    @classmethod
+    def from_scalar(cls, c):
+        return cls((Fr(c),))
+
+    @classmethod
+    def variable(cls):
+        return cls((Fr(0), Fr(1)))
+
+    @classmethod
+    def inv_power(cls, k):
+        return cls((Fr(1),), (Fr(0),) * k + (Fr(1),))
+
+    def is_zero(self):
+        return not self.num
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fr)):
+            other = RatFunc.from_scalar(other)
+        return self.num == other.num and self.den == other.den
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fr)):
+            other = RatFunc.from_scalar(other)
+        num = _padd(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
+        return RatFunc(num, poly_mul(self.den, other.den))
+
+    def __neg__(self):
+        return RatFunc(tuple(-c for c in self.num), self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fr)):
+            other = RatFunc.from_scalar(other)
+        return RatFunc(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        return self * RatFunc(other.den, other.num)
+
+    def evaluate(self, a):
+        a = Fr(a)
+        d = sum(c * a**k for k, c in enumerate(self.den))
+        if d == 0:
+            raise ZeroDivisionError(f"denominator vanishes at {a}")
+        return sum((c * a**k for k, c in enumerate(self.num)), Fr(0)) / d
+
+    def shift(self, a):
+        return RatFunc(taylor_shift(self.num, a), taylor_shift(self.den, a))
+
+    def pole_order_at_zero(self):
+        if self.is_zero():
+            return 0
+        return next(k for k, c in enumerate(self.den) if c != 0)
+
+    def to_str(self, var="h"):
+        def poly_str(p):
+            if not p:
+                return "0"
+            parts = []
+            for k, c in enumerate(p):
+                if c == 0:
+                    continue
+                if k == 0:
+                    parts.append(f"{c}")
+                elif k == 1:
+                    parts.append(f"{c}*{var}" if c != 1 else var)
+                else:
+                    parts.append(f"{c}*{var}^{k}" if c != 1 else f"{var}^{k}")
+            return " + ".join(parts).replace("+ -", "- ")
+
+        if self.den == (Fr(1),):
+            return poly_str(self.num)
+        return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
+
+
+def laurent_at_zero(f, low, high):
+    """Entries [h^-low] f .. [h^high] f of the Laurent expansion at 0."""
+    m = f.pole_order_at_zero()
+    unit = f.den[m:]
+    taylor = series_mul(f.num, series_inv(unit, low + high + m), low + high + m) if f.num else ()
+    # [h^j] f = [h^(j+m)] (num / unit)
+    return [taylor[j + m] if 0 <= j + m < len(taylor) else Fr(0) for j in range(-low, high + 1)]
+
+
+def residue_at(f, a):
+    """Shift the pole to 0, then read the h^-1 entry of the window there."""
+    g = f.shift(Fr(a)) if a else f
+    m = g.pole_order_at_zero()
+    return laurent_at_zero(g, m, -1)[m - 1] if m else Fr(0)
+
+
+def residue_at_infinity(f):
+    """-res_0 { w^-2 f(1/w) }, with f(1/w) rebuilt from the reversals."""
+    if f.is_zero():
+        return Fr(0)
+    p, q = len(f.num) - 1, len(f.den) - 1
+    e = q - p - 2
+    num_w, den_w = f.num[::-1], f.den[::-1]
+    if e >= 0:
+        g = RatFunc((Fr(0),) * e + num_w, den_w)
+    else:
+        g = RatFunc(num_w, (Fr(0),) * -e + den_w)
+    return -residue_at(g, 0)
+
+
+def product_residue_subsets(fs):
+    """The subset sum of the product-residue check with Fraction windows:
+    sum over nonempty subsets S of prod_{i in S} r_i times the h^(|S|-1)
+    Taylor coefficient of the product of the other regular parts."""
+    k = len(fs)
+    windows = [laurent_at_zero(f, 1, k - 2) for f in fs]
+    res = [w[0] for w in windows]
+    rhs = Fr(0)
+    for size in range(1, k + 1):
+        for chosen in combinations(range(k), size):
+            r = prod(res[i] for i in chosen)
+            if r == 0:
+                continue
+            rest = (Fr(1),)
+            for i in range(k):
+                if i not in chosen:
+                    rest = series_mul(rest, windows[i][1:], size - 1)
+            rhs += r * (rest[size - 1] if len(rest) >= size else 0)
+    return rhs
+
+
+def random_ratfunc(rng):
+    """A residue-suite sum trial as the Fraction generator drew it: the
+    function and its listed poles."""
+    den = (Fr(1),)
+    poles = set()
+    for _ in range(rng.randint(1, 3)):
+        a = Fr(rng.randint(-4, 4), rng.randint(1, 3))
+        poles.add(a)
+        for _ in range(rng.randint(1, 2)):
+            den = poly_mul(den, (-a, Fr(1)))
+    num = tuple(Fr(rng.randint(-6, 6)) for _ in range(rng.randint(1, len(den))))
+    return RatFunc(num, den), poles
+
+
+def random_factors(rng):
+    """A residue-suite product trial as the Fraction generator drew it."""
+    fs = []
+    for _ in range(rng.randint(0, 5)):
+        num = tuple(Fr(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
+        den = (Fr(0), Fr(1)) if rng.random() < 0.7 else (Fr(1),)
+        fs.append(RatFunc(num, den) + Fr(rng.randint(-3, 3)))
+    return fs
+
+
+def block_sums(shift, values):
+    """(sum2, sum3c) of the quintic block check by the q-series loop: the
+    powers E_d = E_1^d of E_1 = q exp(shift) by full products, then
+    sum2 = sum_d E_d N_d d/5 and sum3c = sum_d E_d N_d (-2/5)."""
+    d = len(shift) - 1
+    e_pows = [[Fr(0)] + qexp(shift)[:d]]
+    for _ in range(1, d):
+        e_pows.append(qmul(e_pows[-1], e_pows[0]))
+    sum2 = [Fr(0)] * (d + 1)
+    sum3c = [Fr(0)] * (d + 1)
+    for deg, val in enumerate(values, start=1):
+        sum2 = [a + b * (val * Fr(deg, 5)) for a, b in zip(sum2, e_pows[deg - 1])]
+        sum3c = [a + b * (val * Fr(-2, 5)) for a, b in zip(sum3c, e_pows[deg - 1])]
+    return sum2, sum3c

@@ -3,6 +3,8 @@
 import ast
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -294,3 +296,47 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("d,N0,GW1_reduced")
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are plain classes: dataclasses (and the inspect, ast and
+    # dis it pulls in) cost every process start several milliseconds; -S
+    # keeps site hooks of the installation out of the list
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", "import hypergw.cli"],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "hypergw.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_records_keep_their_dataclass_behaviour():
+    from hypergw.hyper import HyperSpec
+    from hypergw.invariants import GWRow, GWTable
+
+    spec = HyperSpec(5, 4)
+    assert repr(spec) == "HyperSpec(n=5, qorder=4)" and HyperSpec(5).qorder == 8
+    assert spec == HyperSpec(5, 4) != HyperSpec(5, 5)
+    assert hash(spec) == hash(HyperSpec(5, 4)) and len({spec, HyperSpec(5, 4)}) == 1
+    with pytest.raises(AttributeError):
+        spec.n = 6
+    with pytest.raises(ValueError):
+        HyperSpec(5, 0)
+    rep = IdentityReport("x")
+    assert repr(rep) == (
+        "IdentityReport(identity='x', parameters={}, max_order_checked=0, "
+        "passed=True, first_failure=None)"
+    )
+    assert rep == IdentityReport("x", {}, 0) != IdentityReport("x", passed=False)
+    assert IdentityReport("y").parameters is not IdentityReport("y").parameters
+    assert repr(GWRow(2, n0=Fr(1))) == (
+        "GWRow(d=2, N0=None, GW1_reduced=None, N1=None, n0=Fraction(1, 1), n1=None)"
+    )
+    assert GWTable(5, 1, [GWRow(1)]) == GWTable(5, 1, [GWRow(1)])
+    with pytest.raises(TypeError):
+        hash(rep)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergw import invariants, series
 from hypergw.errors import MissingColumn, RoutesDisagree
@@ -306,3 +308,33 @@ def test_instanton_round_trip_failure_is_typed(monkeypatch, genus):
     monkeypatch.setattr(invariants, "divisors", lambda d: divisors(d)[1:])
     with pytest.raises(RoutesDisagree, match=f"genus-{genus} multiple-cover"):
         instanton_inversion(table, genus)
+
+
+def _block_values(order):
+    """Values with mixed signs, zeros and denominators."""
+    return [
+        Fr((-1) ** d * (d * d - 3), 7 * d + 1) if d % 4 else Fr(0) for d in range(1, order + 1)
+    ]
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_block_sums_match_qseries_loop(order):
+    # the block-check weights E_d = E_1^d as integer rows, against full
+    # q-series products, on the quintic mirror shift (integral) ...
+    shift = mirror_shift(HyperSpec(5, order))
+    values = _block_values(order)
+    sum2, sum3c = invariants._block_sums(shift, values)
+    want2, want3c = oracles.block_sums(list(shift.coeffs), values)
+    assert list(sum2.coeffs) == want2 and list(sum3c.coeffs) == want3c
+    assert sum2.truncation == sum3c.truncation == order
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=8))
+def test_block_sums_match_qseries_loop_on_rational_shifts(tail):
+    # ... and on shifts with denominators, whose powers carry them
+    shift = QSeries([0] + tail)
+    values = _block_values(len(tail))
+    sum2, sum3c = invariants._block_sums(shift, values)
+    want2, want3c = oracles.block_sums(list(shift.coeffs), values)
+    assert list(sum2.coeffs) == want2 and list(sum3c.coeffs) == want3c

@@ -592,8 +592,9 @@ def test_regular_kernel_matches_ratfunc_product(n):
 
 def test_h0_paths_call_no_gcd(monkeypatch, cold_stages):
     calls = []
-    gcd = P.gcd_poly
-    monkeypatch.setattr(P, "gcd_poly", lambda a, b: calls.append(1) or gcd(a, b))
+    for name in ("gcd_poly", "_gcd_ints"):
+        gcd = getattr(P, name)
+        monkeypatch.setattr(P, name, lambda a, b, gcd=gcd: calls.append(1) or gcd(a, b))
     assert all(r.passed for r in cli.run_suites(["props32", "regularize"], 5, 4))
     assert len(calls) == 0
     assert hyper.ladder_identities(HyperSpec(5, 4)).passed

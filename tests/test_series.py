@@ -348,3 +348,44 @@ def test_rational_round_trip():
     assert format_rational(Fr(12)) == "12"
     assert Fr(format_rational(Fr(-3, 7))) == Fr(-3, 7)
     assert Fr(format_rational(Fr(12))) == Fr(12)
+
+
+# -- equality and hashing agree ---------------------------------------------------
+
+
+@st.composite
+def views(draw):
+    """One drawn value c + q-tail as every type that can equal it: int (when
+    c is integral), Fraction, RatFunc, QSeries and TPoly, plus a RatFunc
+    with poles and a TPoly in t, which equal none of them."""
+    from hypergw.residues import RatFunc
+    from hypergw.series import TPoly
+
+    c = draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)))
+    d = draw(st.integers(0, 3))
+    tail = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+    series = QSeries([c] + tail)
+    out = [Fr(c), RatFunc.from_scalar(c), series, TPoly.from_qseries(series)]
+    out += [TPoly([series, QSeries.one(d)]), RatFunc((c, 1), tuple(tail) + (1,))]
+    return out + [int(c)] if Fr(c).denominator == 1 else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(views(), views())
+def test_equal_values_hash_equally(a, b):
+    values = a + b
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
+def test_constants_collapse_with_their_scalars_in_sets():
+    from hypergw.residues import RatFunc
+    from hypergw.series import TPoly
+
+    assert len({RatFunc.from_scalar(3), 3}) == 1
+    assert len({QSeries.constant(3, 0), 3}) == 1
+    assert len({QSeries.constant(Fr(1, 2), 4), Fr(1, 2)}) == 1
+    q = QSeries([1, 2, 3])
+    assert len({TPoly.from_qseries(q), q}) == 1
