@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
+from math import comb
 
-from . import hyper, invariants
+from . import hyper, invariants, residues
 from . import polys as P
 from .errors import HypergwError
 from .hyper import HyperSpec
@@ -29,7 +31,7 @@ from .residues import (
     rising_product_check,
     vandermonde_check,
 )
-from .report import IdentityReport, report_equality, report_series
+from .report import IdentityReport, report_equality, report_failures, report_series
 from .series import QSeries, format_rational
 
 # Each table entry looks its function up by name when it is called, so a
@@ -116,7 +118,7 @@ def _suite_props32(n, order):
 
 def _u_times_h_power(p, order):
     """The series u * h^p."""
-    return USeriesRF.from_quotients([(0, P.ZERO, P.ONE), (p, P.ONE, P.ONE)], order)
+    return USeriesRF.from_quotients([(0, [], [1]), (p, [1], [1])], order)
 
 
 def _constructed_regularizable(order):
@@ -193,16 +195,6 @@ def _random_factors(rng):
     return fs
 
 
-def _first_failure_report(identity, parameters, failures, max_order):
-    """One report for a family of checks.  `failures` yields the text of
-    each failing check in order; only the first is drawn, so the checks
-    after it do not run."""
-    first = next(failures, None)
-    return IdentityReport(
-        identity, parameters, max_order, passed=first is None, first_failure=first
-    )
-
-
 def _suite_residues(n, order):
     import random
 
@@ -224,10 +216,10 @@ def _suite_residues(n, order):
 
     # the product trials draw from the rng after the sum trials stop
     return [
-        _first_failure_report(
+        report_failures(
             "residue-sum-zero", {"samples": RESIDUE_SAMPLES}, sum_failures(), RESIDUE_SAMPLES
         ),
-        _first_failure_report(
+        report_failures(
             "product-residue-random",
             {"samples": RESIDUE_SAMPLES},
             product_failures(),
@@ -239,13 +231,11 @@ def _suite_residues(n, order):
 def _suite_appendix_a(order):
     bound = min(order, 8)
     top = range(bound + 1)
-    vandermonde = (
-        vandermonde_check(b, qs) for length in range(5) for qs in _tuples(length, 5) for b in top
-    )
+    vandermonde = _vandermonde_failures(bound)
     reciprocal = (reciprocal_sum_check(q, a) for q in top for a in range(1, bound + 1))
     rising = (rising_product_check(q, a, s) for q in top for a in top for s in top)
     return [
-        _first_failure_report(
+        report_failures(
             identity, {"bound": bound}, (c.describe() for c in subs if not c.passed), bound
         )
         for identity, subs in (
@@ -256,13 +246,22 @@ def _suite_appendix_a(order):
     ]
 
 
+def _vandermonde_failures(bound):
+    """vandermonde_check(b, qs) for each failing b <= bound and tuple qs of
+    length <= 4 over 0..5: sums compared at once, a report only on failure."""
+    rows = [[comb(total, b) for b in range(bound + 1)] for total in range(4 * 5 + 1)]
+    for length in range(5):
+        for qs in _tuples(length, 5):
+            sums = list(residues._split_sums(qs)[: bound + 1])
+            sums += [0] * (bound + 1 - len(sums))
+            row = rows[sum(qs)]
+            if sums != row:
+                yield from (vandermonde_check(b, qs) for b, x in enumerate(sums) if x != row[b])
+
+
 def _tuples(length, top):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(length - 1, top):
-        for v in range(top + 1):
-            yield (v,) + rest
+    """The tuples of `length` entries in 0..top, the first varying fastest."""
+    return (p[::-1] for p in product(range(top + 1), repeat=length))
 
 
 def _suite_appendix_b(order):
@@ -298,15 +297,12 @@ def run_suites(names, n, order):
 
 
 def _q_lines(series, start, order):
-    return [f"q^{d}: {format_rational(series[d])}" for d in range(start, order + 1)]
+    x, den = series.ints, series.den
+    return [f"q^{d}: {format_rational(x[d], den)}" for d in range(start, order + 1)]
 
 
 def _kernel_lines(f, order):
-    return [
-        f"w^{j} q^{d}: {format_rational(f.coeff(j)[d])}"
-        for j in range(f.worder + 1)
-        for d in range(order + 1)
-    ]
+    return [f"w^{j} {line}" for j, row in enumerate(f.coeffs) for line in _q_lines(row, 0, order)]
 
 
 def render_dump(what, n, order):

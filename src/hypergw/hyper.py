@@ -23,9 +23,10 @@ from math import comb, factorial
 
 from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
-from .report import Record, merge_reports, report_equality, report_series, series_pairs
-from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
-from .series import QSeries, TPoly, WSeries
+from .report import Record, merge_reports, report_equality, report_failures
+from .report import report_series, series_failure
+from .residues import USeriesRF, _homogeneous, double_residue_split_kernel, exp_over_hbar
+from .series import QSeries, TPoly, WSeries, _scaled_rows
 
 
 class HyperSpec(Record):
@@ -59,7 +60,7 @@ class HyperSpec(Record):
 
 def _v(n, r):
     """v_r = ((1 + r h)^n - 1) / h, the reversal of (w + r)^n - w^n."""
-    return tuple(Fraction(comb(n, k) * r**k) for k in range(1, n + 1))
+    return [comb(n, k) * r**k for k in range(1, n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -68,33 +69,35 @@ def kernel(spec):
 
     Column d comes from column d-1 by the ratio
         F_d / F_(d-1) = prod_{n(d-1)<r<=nd}(n w + r) / ((w + d)^n - w^n),
-    every product truncated at w^worder.
+    every product truncated at w^worder.  Each column stays integer
+    numerators over one denominator; the quotient is one recurrence.
     """
     n, w = spec.n, spec.worder
-    col = (Fraction(1),) + (Fraction(0),) * w
-    cols = [col]
+    col, den = [1] + [0] * w, 1
+    cols = [(col, den)]
     for d in range(1, spec.qorder + 1):
         for r in range(n * (d - 1) + 1, n * d + 1):
-            col = P.series_mul(col, (Fraction(r), Fraction(n)), w)
-        den = tuple(Fraction(comb(n, k) * d ** (n - k)) for k in range(n))
-        col = P.series_div(col, den, w)
-        cols.append(col)
-    return WSeries([QSeries([c[j] for c in cols]) for j in range(w + 1)])
+            col = [r * c + n * p for c, p in zip(col, [0] + col)]
+        vd = [comb(n, k) * d ** (n - k) for k in range(n)]
+        col, den = P._recurrence((col, den), (vd, 1), lambda m: (1, vd[0]), w)
+        cols.append((col, den))
+    dens = [den for _, den in cols]
+    return WSeries([QSeries._ratios([c[j] for c, _ in cols], dens) for j in range(w + 1)])
 
 
 @lru_cache(maxsize=None)
 def _inv_hbar_parts(spec):
     """Per q-degree d, (rnum_d, V_d) with the kernel at w = 1/h equal to
     h^-d rnum_d / V_d: rnum_d = prod_{r<=nd}(n + r h), V_d = prod_{r<=d} v_r,
-    V_d(0) = d! n^d; both built factor by factor from the previous degree."""
+    V_d(0) = d! n^d; integer tuples, built factor by factor by degree."""
     n = spec.n
-    rnum, den = P.ONE, P.ONE
+    rnum, den = (1,), (1,)
     parts = [(rnum, den)]
     for d in range(1, spec.qorder + 1):
         for r in range(n * (d - 1) + 1, n * d + 1):
-            rnum = P.mul(rnum, (Fraction(n), Fraction(r)))
-        den = P.mul(den, _v(n, d))
-        parts.append((rnum, den))
+            rnum = P._mul_ints(rnum, [n, r])
+        den = P._mul_ints(den, _v(n, d))
+        parts.append((tuple(rnum), tuple(den)))
     return tuple(parts)
 
 
@@ -116,17 +119,20 @@ def _narrow_kernel(spec):
 def kernel_value_at(spec, a):
     """The kernel at w = 1/h evaluated at h = a != 0, as a q-series.
 
-    Factors h - a common to rnum_d and V_d are divided out first (exactly,
-    no gcd): at n = 2, a = -2, n + h divides both and the 0/0 is removable.
+    Factors t h - s (a = s/t) common to rnum_d and V_d are divided out
+    first (exactly, no gcd): at n = 2, a = -2, n + h divides both and the
+    0/0 is removable.  As deg rnum_d = deg V_d + d, the value is
+    H(rnum_d) / (H(V_d) s^d) for the forms H(p) = t^deg(p) p(s/t).
     """
-    root = (-Fraction(a), Fraction(1))
+    a = Fraction(a)
+    s, t = a.numerator, a.denominator
     out = []
     for d, (num, den) in enumerate(_inv_hbar_parts(spec)):
-        while not P.eval_poly(den, a):
-            if P.eval_poly(num, a):
+        while not _homogeneous(den, s, t):
+            if _homogeneous(num, s, t):
                 raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
-            num, den = P.exact_div(num, root), P.exact_div(den, root)
-        out.append(P.eval_poly(num, a) / (P.eval_poly(den, a) * Fraction(a) ** d))
+            num, den = P._div_exact(num, [-s, t]), P._div_exact(den, [-s, t])
+        out.append(Fraction(_homogeneous(num, s, t), _homogeneous(den, s, t) * s**d))
     return QSeries(out)
 
 
@@ -196,10 +202,8 @@ def regularizing_exponent(spec, method="closed_form"):
     The residue path reads res_{h=0} log of the window series of the
     kernel at w = 1/h, whose q^0 coefficient is 1, at the ladder's width.
     """
-    d = spec.qorder
     if method == "closed_form":
-        expanded = one_minus_nn_q(spec).power(Fraction(-1, spec.n)) - 1
-        return QSeries([Fraction(0)] + [expanded[k] / k for k in range(1, d + 1)])
+        return (one_minus_nn_q(spec).power(Fraction(-1, spec.n)) - 1).integral()
     if method == "residue":
         return (_narrow_kernel(spec) - 1).log_one_plus().weighted_residues(0)
     raise ValueError(f"unknown method {method!r}")
@@ -222,24 +226,24 @@ def regular_kernel(spec):
         N_d = sum_i e_i rnum_{d-i} prod_{d-i<r<=d} v_r.
     Since V_d(0) != 0, Q_d is regular exactly when h^d divides N_d; a pole
     contradicts the structure theory and raises.  Returns the unreduced
-    pairs (N_d / h^d, V_d), one per degree.
+    pairs of integer tuples (N_d / h^d, V_d), both scaled by the common
+    denominator of the e_i, one per degree.
     """
     n = spec.n
     parts = _inv_hbar_parts(spec)
-    rows = _exp_minus_mu(spec).coeffs
-    e = [P.norm(row.coeffs[: i + 1]) for i, row in enumerate(rows)]
+    # the rows e_i in int over one denominator e_den, so N_d is over it too
+    e, e_den = _scaled_rows(_exp_minus_mu(spec).coeffs)
     out = []
     for d, (_, den) in enumerate(parts):
-        num = P.ZERO
-        tail = P.ONE  # prod_{d-i<r<=d} v_r
+        num = [0] * (n * d + 1)  # deg N_d <= n d
+        tail = [1]  # prod_{d-i<r<=d} v_r
         for i in range(d + 1):
             if i:  # times v_r = ((1 + r h)^n - 1) / h
-                r = d - i + 1
-                tail = P.mul(tail, _v(n, r))
-            num = P.add(num, P.mul(P.mul(e[i], parts[d - i][0]), tail))
+                tail = P._mul_ints(tail, _v(n, d - i + 1))
+            P._accumulate(num, P._mul_ints(e[i][: i + 1], parts[d - i][0]), tail)
         if any(num[:d]):
             raise RegularityViolation(d, d - next(k for k, c in enumerate(num) if c))
-        out.append((num[d:], den))
+        out.append((tuple(num[d:]), tuple(c * e_den for c in den)))
     return tuple(out)
 
 
@@ -317,13 +321,11 @@ def diagonal_identities(spec):
         weighted = weighted * g ** (n - 1 - p)
     weighted = weighted * onemq.power(Fraction(n - 1, 2))
 
-    sym_pairs = [
-        pair for p in range(n) for pair in series_pairs(diags[p], diags[n - 1 - p], d, f"p={p} q")
-    ]
+    symmetry = (series_failure(diags[p], diags[n - 1 - p], d, f"p={p} q") for p in range(n))
     reports = [
         report_series("diagonal-product", {"n": n}, plain, one, d),
         report_series("diagonal-weighted-product", {"n": n}, weighted, one, d),
-        report_equality("diagonal-symmetry", {"n": n}, sym_pairs, d),
+        report_failures("diagonal-symmetry", {"n": n}, symmetry, d),
     ]
     return merge_reports("diagonal-identities", {"n": n, "order": d}, reports, d)
 
@@ -363,10 +365,12 @@ def exponent_methods_check(spec):
 def regular_kernel_checks(spec):
     """Regularity at h = 0 plus the closed forms of value and slope there."""
     d = spec.qorder
-    # regular_kernel raises RegularityViolation on a pole
-    taylor = [P.series_div(num, den, 1) for num, den in regular_kernel(spec)]
-    value = QSeries([t[0] for t in taylor])
-    slope = QSeries([t[1] for t in taylor])
+    # regular_kernel raises RegularityViolation on a pole; (a + a' h + ..) /
+    # (b + b' h + ..) has value a/b and slope (a' b - a b') / b^2 at h = 0
+    pairs = [((*num, 0)[:2], (*den, 0)[:2]) for num, den in regular_kernel(spec)]
+    dens = [b * b for _, (b, _) in pairs]
+    value = QSeries._ratios([a * b for (a, _), (b, _) in pairs], dens)
+    slope = QSeries._ratios([a1 * b - a * b1 for (a, a1), (b, b1) in pairs], dens)
     reports = [
         report_series("regular-kernel-value", {"n": spec.n}, value, kernel_value_at_zero(spec), d),
         report_series("regular-kernel-slope", {"n": spec.n}, slope, kernel_slope_at_zero(spec), d),
@@ -392,8 +396,7 @@ def ladder_identities(spec):
         theta0.append(ladder_residue(spec, p, 0))
         theta1.append(ladder_residue(spec, p, 1))
 
-    pairs0 = []
-    pairs1 = []
+    fails0, fails1 = [], []
     for p in range(n):
         closed0 = one
         for r in range(p + 1):
@@ -402,12 +405,12 @@ def ladder_identities(spec):
         for r in range(p):
             inner = inner + flog_deriv[r] * (p - r)
         closed1 = big_l * closed0 * inner
-        pairs0 += series_pairs(theta0[p], closed0, d, f"p={p} q")
-        pairs1 += series_pairs(theta1[p], closed1, d, f"p={p} q")
+        fails0.append(series_failure(theta0[p], closed0, d, f"p={p} q"))
+        fails1.append(series_failure(theta1[p], closed1, d, f"p={p} q"))
 
     reports = [
-        report_equality("ladder-first-residue", {"n": n}, pairs0, d),
-        report_equality("ladder-second-residue", {"n": n}, pairs1, d),
+        report_failures("ladder-first-residue", {"n": n}, fails0, d),
+        report_failures("ladder-second-residue", {"n": n}, fails1, d),
     ]
 
     # first descent step agrees with the mirror-map route
@@ -436,10 +439,10 @@ def ladder_identities(spec):
     rhs = big_l * (phi1 * n + tail)
 
     reports.append(
-        report_equality(
+        report_failures(
             "paired-ladder-double-residue",
             {"n": n},
-            series_pairs(lhs, mid, d, "mid q") + series_pairs(lhs, rhs, d, "closed q"),
+            (series_failure(lhs, mid, d, "mid q"), series_failure(lhs, rhs, d, "closed q")),
             d,
         )
     )

@@ -156,7 +156,8 @@ def _block_sums(shift, values):
     Both sums accumulate in int over one running denominator, and each
     QSeries is built once at the end."""
     d = shift.truncation
-    e1, den1 = P._scaled((0,) + shift.exp().coeffs[:d])
+    e = shift.exp()
+    e1, den1 = (0,) + e.ints[:d], e.den
     power, den = e1, den1
     acc1, acc2, acc_den = [0] * (d + 1), [0] * (d + 1), 1  # sum N E, sum d N E
     for deg, val in enumerate(values, start=1):
@@ -180,9 +181,7 @@ def _block_sums(shift, values):
             if c:
                 acc1[i] += f * c
                 acc2[i] += deg * f * c
-    sum2 = QSeries._of(P._fractions(acc2, 5 * acc_den))
-    sum3c = QSeries._of(P._fractions([-2 * c for c in acc1], 5 * acc_den))
-    return sum2, sum3c
+    return QSeries._of(acc2, 5 * acc_den), QSeries._of([-2 * c for c in acc1], 5 * acc_den)
 
 
 def quintic_genus1(order):
@@ -290,16 +289,24 @@ def reduced_to_standard(table):
     return table
 
 
+def _weighted_sum(terms):
+    """sum x * a / b over terms (x, a, b), x rational and a, b ints (b > 0),
+    summed in int over one denominator: one Fraction."""
+    dens = [x.denominator * b for x, _, b in terms]
+    den = lcm(*dens)
+    return Fraction(sum(x.numerator * a * (den // e) for (x, a, _), e in zip(terms, dens)), den)
+
+
 def genus0_cover_sum(n0, d):
     """N0_d = sum_{k|d} n0_{d/k} / k^3, from instanton numbers by degree."""
-    return sum(n0[d // k] / Fraction(k) ** 3 for k in divisors(d))
+    return _weighted_sum([(n0[d // k], 1, k**3) for k in divisors(d)])
 
 
 def genus1_cover_sum(n1, n0, d):
     """N1_d = sum_{k|d} n1_{d/k} sigma_k / k + (1/12) sum_{k|d} n0_{d/k} / k."""
-    return (
-        sum(n1[d // k] * Fraction(sigma(k), k) for k in divisors(d))
-        + sum(n0[d // k] / Fraction(k) for k in divisors(d)) / 12
+    return _weighted_sum(
+        [(n1[d // k], sigma(k), k) for k in divisors(d)]
+        + [(n0[d // k], 1, 12 * k) for k in divisors(d)]
     )
 
 
@@ -314,9 +321,8 @@ def instanton_inversion(table, genus):
         big = table.require("N0")
         small = {}
         for d, val in enumerate(big, start=1):
-            small[d] = val - sum(
-                small[d // k] / Fraction(k) ** 3 for k in divisors(d) if k > 1
-            )
+            covers = [(small[d // k], -1, k**3) for k in divisors(d) if k > 1]
+            small[d] = _weighted_sum([(val, 1, 1)] + covers)
         for row in table.rows:
             row.n0 = small[row.d]
         forward = [genus0_cover_sum(small, d) for d in range(1, len(big) + 1)]
@@ -328,11 +334,9 @@ def instanton_inversion(table, genus):
         n0 = {d: v for d, v in enumerate(table.require("n0"), start=1)}
         small = {}
         for d, val in enumerate(big, start=1):
-            cover0 = sum(n0[d // k] / Fraction(k) for k in divisors(d)) / 12
-            cover1 = sum(
-                small[d // k] * Fraction(sigma(k), k) for k in divisors(d) if k > 1
-            )
-            small[d] = val - cover0 - cover1
+            cover0 = [(n0[d // k], -1, 12 * k) for k in divisors(d)]
+            cover1 = [(small[d // k], -sigma(k), k) for k in divisors(d) if k > 1]
+            small[d] = _weighted_sum([(val, 1, 1)] + cover0 + cover1)
         for row in table.rows:
             row.n1 = small[row.d]
         forward = [genus1_cover_sum(small, n0, d) for d in range(1, len(big) + 1)]
@@ -424,8 +428,10 @@ def boundary_locus_by_residues(spec):
     # residue at 0, read off the windows: weight has a simple pole there, so
     # res{ weight c_k } = sum_{i<=k} [h^(i-1)] weight * [h^-i] c_k
     win = laurent_at_zero(weight, 1, d)
-    res0 = QSeries(
-        [sum(win[i] * log_y.coeff(k, -i) for i in range(k + 1)) for k in range(d + 1)]
+    rows = log_y.coeffs  # [h^-i] c_k is entry k - i of row k
+    res0 = QSeries._ratios(
+        [sum(win.ints[i] * row.ints[k - i] for i in range(k + 1)) for k, row in enumerate(rows)],
+        [win.den * row.den for row in rows],
     )
     res0 = res0 + shift_neg * win[1]
     part0 = res0 * Fraction(-n, 24)

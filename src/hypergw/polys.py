@@ -1,31 +1,27 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Exact integer kernels, and dense polynomials over the rationals.
 
-A polynomial is a tuple of Fraction coefficients, lowest degree first,
-with no trailing zeros; the zero polynomial is the empty tuple.  These
-helpers back the rational-function and hypergeometric layers; everything
-is exact.
+The kernels work on integer lists.  A series or polynomial with rational
+coefficients is a pair (ints, den): integer numerators over one
+denominator, the form series.QSeries stores and its callers pass in and
+get back.  The kernels are products (_mul_ints, _accumulate), the
+recurrence behind series quotients, exp, log and the Lagrange powers
+(_recurrence, whose solved coefficients stay over one running
+denominator), the primitive gcd (_gcd_ints, by _pseudo_rem and
+_primitive), exact division by a primitive factor (_div_exact, in the
+integers by Gauss's lemma; it raises ArithmeticError when the division is
+not exact) and the first Taylor coefficients at a rational point s/t
+(_taylor_ints, rounds of the Taylor shift of t^n p(y/t) by s).
 
-Fraction is the type every caller sees, but the dense kernels (products,
-truncated products, the series quotient, the Taylor shift) run in Python
-int: each clears denominators once on entry (_scaled gives the integer
-numerators over the lcm of the denominators), sums in int, and builds one
-Fraction per output coefficient, whose constructor reduces it.  A
-recurrence that divides at every step (the quotient, exp, Lagrange powers)
-keeps its solved coefficients over one running denominator instead, which
-grows only when a new coefficient's reduced denominator does not divide it
-(_recurrence).
-
-The rational functions of the residues module live on integer lists
-alone, with the helpers here: products (_mul_ints, _accumulate), the
-primitive gcd (_gcd_ints, by _pseudo_rem and _primitive), exact division
-by a primitive factor (_div_exact, which stays in the integers by Gauss's
-lemma and raises ArithmeticError when the division is not exact) and the
-first Taylor coefficients at a rational point s/t (_taylor_ints, rounds of
-the Taylor shift of t^n p(y/t) by s).
+The public functions keep the Fraction interface: a polynomial is a tuple
+of Fraction coefficients, lowest degree first, with no trailing zeros (the
+zero polynomial is the empty tuple).  Each clears denominators once on
+entry (_scaled), runs one kernel and builds one Fraction per output
+coefficient (_fractions).
 """
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _lcm
 from operator import mul as _mul
 
 ZERO = ()
@@ -44,34 +40,11 @@ def degree(p):
     return len(p) - 1
 
 
-def add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return norm(out)
-
-
-def neg(p):
-    return tuple(-c for c in p)
-
-
-def scale(p, r):
-    if r == 0:
-        return ZERO
-    return tuple(c * r for c in p)
-
-
 def _scaled(p):
     """(ints, den): den is the lcm of the denominators of p's coefficients
     (Fractions or ints) and ints[i] = p[i] * den, with no Fraction
     arithmetic."""
-    den = 1
-    for c in p:
-        d = c.denominator
-        if den % d:
-            den = den // _int_gcd(den, d) * d
+    den = _lcm(*[c.denominator for c in p])
     return [c.numerator * (den // c.denominator) for c in p], den
 
 
@@ -111,13 +84,6 @@ def mul(a, b):
     return _fractions(out, da * db)
 
 
-def mul_xk(p, k):
-    """Multiply by x**k."""
-    if not p:
-        return ZERO
-    return (Fraction(0),) * k + tuple(p)
-
-
 def divmod_poly(a, b):
     """Quotient and remainder with deg(rem) < deg(b)."""
     if not b:
@@ -135,13 +101,6 @@ def divmod_poly(a, b):
         for j in range(db + 1):
             rem[i - db + j] -= q * b[j]
     return norm(quot), norm(rem)
-
-
-def exact_div(a, b):
-    q, r = divmod_poly(a, b)
-    if r:
-        raise ArithmeticError("polynomial division was not exact")
-    return q
 
 
 def _div_exact(a, b):
@@ -238,13 +197,6 @@ def _gcd_ints(a, b):
     return A if not B else [1]
 
 
-def eval_poly(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _taylor_ints(c, s, t, count):
     """The first count Taylor coefficients e_0.. of r(y) = t^n c(y/t) at
     y = s, for an integer list c of degree n: r(y) = sum_j e_j (y - s)^j,
@@ -275,16 +227,6 @@ def shift(p, a):
     n = len(c)
     e = _taylor_ints(c, s, t, n)
     return norm([Fraction(x, t ** (n - 1 - i) * den) for i, x in enumerate(e)])
-
-
-def reverse(p, deg):
-    """x**deg * p(1/x); requires deg >= degree(p)."""
-    if deg < len(p) - 1:
-        raise ValueError("reversal degree below actual degree")
-    out = [Fraction(0)] * (deg + 1)
-    for i, c in enumerate(p):
-        out[deg - i] = c
-    return norm(out)
 
 
 def _recurrence(rhs, weights, factor, order):

@@ -70,10 +70,32 @@ def series_pairs(lhs, rhs, max_order, var="q"):
     return [(f"{var}^{k}", lhs[k], rhs[k]) for k in range(max_order + 1)]
 
 
+def series_failure(lhs, rhs, max_order, var="q"):
+    """The failure text report_equality gives the triples series_pairs(lhs,
+    rhs, max_order, var), or None when they all agree.  The series are
+    compared as integer numerators over their denominators; Fractions are
+    built for the first failing locus only."""
+    a, b = lhs.truncate(max_order), rhs.truncate(max_order)
+    if a == b:
+        return None
+    k = next(k for k, (x, y) in enumerate(zip(a.ints, b.ints)) if x * b.den != y * a.den)
+    return f"{var}^{k}: {lhs[k]!r} != {rhs[k]!r}"
+
+
+def report_failures(identity, parameters, failures, max_order):
+    """One report for a family of checks.  `failures` yields the failure
+    text of each check in order, None for a check that passed; it is drawn
+    only up to the first text, so the checks after it do not run."""
+    first = next((text for text in failures if text is not None), None)
+    return IdentityReport(
+        identity, parameters, max_order, passed=first is None, first_failure=first
+    )
+
+
 def report_series(identity, parameters, lhs, rhs, max_order, var="q"):
     """report_equality of two series, coefficient by coefficient."""
-    return report_equality(
-        identity, parameters, series_pairs(lhs, rhs, max_order, var), max_order
+    return report_failures(
+        identity, parameters, [series_failure(lhs, rhs, max_order, var)], max_order
     )
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
+from math import lcm as _lcm
 from math import gcd as _int_gcd
 
 from . import polys as P
@@ -36,7 +37,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .report import Record, report_equality, report_series
-from .series import QSeries, convolve_rows, log_one_plus_rows
+from .series import QSeries, _scaled_rows, convolve_rows, format_rational, log_one_plus_rows
 
 _ONE = (1,)
 _ZERO = Fraction(0)
@@ -88,11 +89,6 @@ class RatFunc:
     def variable(cls):
         return cls._reduced([0, 1], [1])
 
-    @classmethod
-    def inv_power(cls, k):
-        """1/h**k (k >= 0)."""
-        return cls._reduced([1], [0] * k + [1])
-
     @property
     def num(self):
         lc = self._den[-1]
@@ -122,24 +118,27 @@ class RatFunc:
         return f"RatFunc({self.to_str()})"
 
     def to_str(self, var="h"):
-        def poly_str(p):
+        lc = self._den[-1]
+
+        def poly_str(p):  # the coefficients c / lc, as num and den give them
             if not p:
                 return "0"
             parts = []
             for k, c in enumerate(p):
                 if c == 0:
                     continue
+                c = format_rational(c, lc)
                 if k == 0:
-                    parts.append(f"{c}")
+                    parts.append(c)
                 elif k == 1:
-                    parts.append(f"{c}*{var}" if c != 1 else var)
+                    parts.append(f"{c}*{var}" if c != "1" else var)
                 else:
-                    parts.append(f"{c}*{var}^{k}" if c != 1 else f"{var}^{k}")
+                    parts.append(f"{c}*{var}^{k}" if c != "1" else f"{var}^{k}")
             return " + ".join(parts).replace("+ -", "- ")
 
         if len(self._den) == 1:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
+            return poly_str(self._num)
+        return f"({poly_str(self._num)}) / ({poly_str(self._den)})"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -208,17 +207,6 @@ class RatFunc:
         return self * RatFunc._reduced(other._den, other._num)
 
     # -- analysis ---------------------------------------------------------
-
-    def evaluate(self, a):
-        a = Fraction(a)
-        s, t = a.numerator, a.denominator
-        d = _homogeneous(self._den, s, t)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {a}")
-        # num(a) / den(a) = (t^p num(a)) t^(q - p) / (t^q den(a))
-        e = len(self._den) - len(self._num)
-        n = _homogeneous(self._num, s, t)
-        return Fraction(n * t**e, d) if e >= 0 else Fraction(n, d * t**-e)
 
     def shift(self, a):
         """The function h -> self(h + a)."""
@@ -314,14 +302,14 @@ def _window(f, low, high):
 
 
 def _row(num, unit, shift, width):
-    """h^shift * num / unit as a QSeries truncated at h^width, for
-    polynomials num and unit with unit(0) != 0; shift < 0 is a pole that
-    no power series holds."""
+    """h^shift * num / unit as a QSeries truncated at h^width, for integer
+    lists num and unit with unit(0) != 0; shift < 0 is a pole that no power
+    series holds."""
     if shift < 0:
         raise WindowTooSmall(f"pole order {-shift} exceeds the window depth")
     order = width - shift
-    ser = P.series_div(num, unit, order) if order >= 0 else ()
-    return QSeries._of(((_ZERO,) * shift + ser)[: width + 1])
+    ints, den = _quotient(num, unit, order) if order >= 0 else ([], 1)
+    return QSeries._of(([0] * shift + ints)[: width + 1], den)
 
 
 def laurent_at_zero(f, low, high):
@@ -331,7 +319,7 @@ def laurent_at_zero(f, low, high):
 
     low must cover the pole order; high >= -low.
     """
-    return QSeries._of(P._fractions(*_window(f, low, high)))
+    return QSeries._of(*_window(f, low, high))
 
 
 def _divide_out(c, factor):
@@ -430,9 +418,9 @@ class USeriesRF:
     @classmethod
     def from_quotients(cls, terms, truncation=None):
         """The u^k coefficient is h^s * num / unit for terms[k] = (s, num, unit),
-        with polynomials num and unit, unit(0) != 0."""
+        with integer lists num and unit, unit(0) != 0."""
         d = len(terms) - 1 if truncation is None else truncation
-        terms = list(terms) + [(0, P.ZERO, P.ONE)] * (d + 1 - len(terms))
+        terms = list(terms) + [(0, [], [1])] * (d + 1 - len(terms))
         return cls._of(
             _row(num, unit, k + s, 2 * d + 2) for k, (s, num, unit) in enumerate(terms)
         )
@@ -457,13 +445,17 @@ class USeriesRF:
     def __getitem__(self, d):
         return self.coeffs[d]
 
-    def coeff(self, k, p):
-        """[u^k h^p] of the series: entry k + p of row k."""
+    def _entry(self, k, p):
+        """(numerator, denominator) of [u^k h^p]: entry k + p of row k."""
         i = k + p
         row = self.coeffs[k]
         if i > row.truncation:
             raise WindowTooSmall(f"h^{p} of u^{k} lies past the width {row.truncation}")
-        return row.coeffs[i] if i >= 0 else _ZERO
+        return (row.ints[i] if i >= 0 else 0), row.den
+
+    def coeff(self, k, p):
+        """[u^k h^p] of the series."""
+        return Fraction(*self._entry(k, p))
 
     def __eq__(self, other):
         if not isinstance(other, USeriesRF):
@@ -515,20 +507,23 @@ class USeriesRF:
         """Divide by a unit q-series (rational-scalar coefficients)."""
         # the h-free factor goes first: its rows are monomials, and a row
         # product skips the zero entries of its left factor
-        return USeriesRF((QSeries.one(g.truncation) / g).coeffs) * self
+        inv = QSeries.one(g.truncation) / g
+        zeros = [0] * (2 * inv.truncation + 2)
+        rows = (QSeries._of(zeros[:k] + [c] + zeros[k:], inv.den) for k, c in enumerate(inv.ints))
+        return USeriesRF._of(rows) * self
 
     def h_euler(self):
         """h u d/du of the series: the u^k coefficient times k h, which is
         row k times k shifted up one place."""
         return USeriesRF._of(
-            QSeries._of((_ZERO,) + tuple(x * k for x in row.coeffs[:-1]))
+            QSeries._of([0] + [x * k for x in row.ints[:-1]], row.den)
             for k, row in enumerate(self.coeffs)
         )
 
     def log_one_plus(self):
         """log(1 + self); self must have no degree-zero term."""
         z = self.coeffs
-        if any(z[0].coeffs):
+        if any(z[0].ints):
             raise NonzeroConstant("log expansion needs a vanishing constant term")
         return USeriesRF._of(log_one_plus_rows(z, z[0]))
 
@@ -538,10 +533,10 @@ class USeriesRF:
 
     def taylor_coeff(self, q):
         """QSeries of [h^q] coeff_d over u-degrees."""
-        return QSeries._of(self.coeff(k, q) for k in range(len(self.coeffs)))
+        return QSeries._ratios(*zip(*(self._entry(k, q) for k in range(len(self.coeffs)))))
 
     def is_regular_at_zero(self):
-        return not any(any(row.coeffs[:k]) for k, row in enumerate(self.coeffs))
+        return not any(any(row.ints[:k]) for k, row in enumerate(self.coeffs))
 
 
 def exp_over_hbar(eta, sign=1):
@@ -550,17 +545,21 @@ def exp_over_hbar(eta, sign=1):
     The u^k coefficient is sum_{m<=k} ((sign eta)^m)_k / m! * h^-m, so row k
     is the polynomial whose h^j coefficient is ((sign eta)^(k-j))_k / (k-j)!.
     """
-    if eta.constant_term != 0:
+    if eta.ints[0]:
         raise NonzeroConstant("exponent series must have no degree-zero term")
     d = eta.truncation
     signed = eta * sign
     powers = [QSeries.one(d)]
     for _ in range(d):
         powers.append(powers[-1] * signed)
-    return USeriesRF._of(
-        QSeries([powers[m][k] / factorial(m) for m in range(k, -1, -1)], 2 * d + 2)
-        for k in range(d + 1)
-    )
+    dens = [p.den * factorial(m) for m, p in enumerate(powers)]
+
+    def row(k):  # entry j is powers[k - j][k] / (k - j)!, then zeros to 2D + 2
+        den = _lcm(*dens[: k + 1])
+        nums = [powers[m].ints[k] * (den // dens[m]) for m in range(k, -1, -1)]
+        return QSeries._of(nums + [0] * (2 * d + 2 - k), den)
+
+    return USeriesRF._of(row(k) for k in range(d + 1))
 
 
 class Regularization(Record):
@@ -611,7 +610,7 @@ def regularize(z):
     arithmetic bug and raises immediately.  The moments res{ h^{-j} z },
     j = 0..D, are kept for the moment checks below.
     """
-    if any(z[0].coeffs):
+    if any(z[0].ints):
         raise NonzeroConstant("series must have no degree-zero term")
     d = z.truncation
     moments = [z.weighted_residues(-j) for j in range(d + 1)]
@@ -753,25 +752,31 @@ def double_residue_split_kernel(a_series, b_series):
     The inner residue treats h1 as a nonzero parameter, so 1/(h1+h2) is
     expanded geometrically in h2/h1; the double residue is then
     sum_k (-1)^k [h^-k]B * [h^(k+1)]A, with k up to the pole order of B,
-    which is at most its u-degree.
+    which is at most its u-degree.  The rows of each series run in int
+    over one denominator.
     """
     d = min(a_series.truncation, b_series.truncation)
+    x, da = _scaled_rows(a_series.coeffs)
+    y, db = _scaled_rows(b_series.coeffs)
     out = []
     for m in range(d + 1):
-        val = Fraction(0)
+        val = 0
         for d1 in range(m + 1):
+            a, b = x[d1], y[m - d1]
             for k in range(m - d1 + 1):
-                c = b_series.coeff(m - d1, -k)
+                c = b[m - d1 - k]  # [h^-k] of B's u^(m-d1) coefficient
                 if c:
-                    val += (-1) ** k * c * a_series.coeff(d1, k + 1)
+                    if d1 + k + 1 >= len(a):
+                        raise WindowTooSmall(f"h^{k + 1} of u^{d1} lies past the width")
+                    val += (-c if k & 1 else c) * a[d1 + k + 1]
         out.append(val)
-    return QSeries(out)
+    return QSeries._of(out, da * db)
 
 
 # -- combinatorial identities -------------------------------------------
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=512)
 def _split_sums(qs):
     """Coefficients of prod_i sum_j C(q_i, j) x^j for a tuple qs.
 
@@ -779,13 +784,15 @@ def _split_sums(qs):
     the left side of the Vandermonde identity.  It is built one binomial row
     at a time by convolution, the row of qs[0] with the sums of qs[1:], never
     from (1 + x)^(sum q), so it stays independent of the right side.  Cached
-    because callers ask for every b of one tuple in a row, and tuples that
-    differ in their first entry share the sums of the rest.
+    because callers ask for every b of one tuple in a row, and tuples share
+    the sums of their tails (the 259 tails of the appendixA tuples fit).
     """
     if not qs:
         return (1,)
     tail = _split_sums(qs[1:])
     q = qs[0]
+    if not q:
+        return tail
     out = [0] * (len(tail) + q)
     for j in range(q + 1):
         c = comb(q, j)

@@ -1,55 +1,49 @@
 """Exact truncated power series in q = e^t, with t- and w-polynomial layers.
 
 QSeries is the workhorse: a series in q truncated at an inclusive degree
-bound, with Fraction coefficients and no rounding anywhere.  Mixing two
-truncations always takes the minimum; nothing is ever zero-extended.
-TPoly layers a finite polynomial in t on top (t is the logarithm of the
-series variable, so d/dt acts as q*d/dq on coefficients), and WSeries
-does the same for a formal variable w with its own truncation order.
+bound, with rational coefficients and no rounding anywhere.  Mixing two
+truncations always takes the minimum; nothing is ever zero-extended.  It
+holds integer numerators over one denominator (ints, den) in one canonical
+form, den > 0 and the content of ints coprime to den.  Each operation runs
+in int (quotients, exp and log on polys._recurrence) and reduces its result
+by one gcd; Fractions are built only for readers (coeffs, indexing).
 
-Every bivariate series of the package (TPoly, WSeries, the window series
-of residues.USeriesRF, the moment powers of a regularization) is a list of
-rows, each a QSeries in the inner variable.  convolve_rows is their one
-truncated product and log_one_plus_rows their one logarithm.
-
-Products, quotients, exp and the Lagrange powers run on the integer kernels
-of the polys module: integer numerators over one common denominator, one
-Fraction built per output coefficient.
+TPoly layers a polynomial in t on top (t is the logarithm of the series
+variable, so d/dt acts as q*d/dq), and WSeries does the same for a formal
+variable w with its own truncation order.  Every bivariate series of the
+package (these two, the window series of residues.USeriesRF, the moment
+powers of a regularization) is a list of QSeries rows; convolve_rows is
+their one truncated product and log_one_plus_rows their one logarithm.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _gcd
+from math import lcm as _lcm
 from operator import mul as _mul
 
 from . import polys as P
-from .errors import (
-    BadConstantTerm,
-    BadMirrorMap,
-    DivByNonUnit,
-    NotTFree,
-    TruncationMismatch,
-)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .errors import BadConstantTerm, BadMirrorMap, DivByNonUnit, NotTFree, TruncationMismatch
 
 
-def format_rational(x) -> str:
-    """Canonical "p/q" string, plain "p" for integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x, den=1) -> str:
+    """Canonical "p/q" string of x / den for an int or Fraction x and an
+    int den > 0, plain "p" for integers."""
+    x, den = x.numerator, x.denominator * den
+    g = _gcd(x, den)
+    if g == den:
+        return str(x // g)
+    return f"{x // g}/{den // g}"
 
 
 class QSeries:
-    """Power series in q truncated at inclusive degree `truncation`."""
+    """Power series in q truncated at inclusive degree `truncation`, held as
+    integer numerators `ints` over one denominator `den` (canonical form)."""
 
-    __slots__ = ("coeffs", "truncation")
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs, truncation=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if truncation is None:
             if not coeffs:
                 raise ValueError("empty series needs an explicit truncation")
@@ -60,18 +54,27 @@ class QSeries:
             raise TruncationMismatch(
                 f"{len(coeffs)} coefficients exceed truncation {truncation}"
             )
-        coeffs.extend([_ZERO] * (truncation + 1 - len(coeffs)))
-        self.coeffs = tuple(coeffs)
-        self.truncation = truncation
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        ints, self.den = P._scaled(coeffs)
+        self.ints = tuple(ints) + (0,) * (truncation + 1 - len(ints))
 
     @classmethod
-    def _of(cls, coeffs):
-        """Internal: wrap Fraction coefficients that QSeries arithmetic made,
-        without coercing them again; the truncation is len(coeffs) - 1."""
+    def _of(cls, ints, den=1):
+        """Internal: the series ints / den (den > 0), reduced to canonical
+        form by one gcd; the truncation is len(ints) - 1."""
         self = object.__new__(cls)
-        self.coeffs = tuple(coeffs)
-        self.truncation = len(self.coeffs) - 1
+        g = _gcd(den, *ints)
+        if g == 1:
+            self.ints, self.den = tuple(ints), den
+        else:
+            self.ints, self.den = tuple([c // g for c in ints]), den // g
         return self
+
+    @classmethod
+    def _ratios(cls, nums, dens):
+        """Internal: the series with coefficients nums[k] / dens[k] (dens > 0)."""
+        den = _lcm(*dens)
+        return cls._of([c * (den // d) for c, d in zip(nums, dens)], den)
 
     # -- constructors ----------------------------------------------------
 
@@ -81,56 +84,66 @@ class QSeries:
 
     @classmethod
     def one(cls, truncation):
-        return cls([_ONE], truncation)
+        return cls([1], truncation)
 
     @classmethod
     def constant(cls, c, truncation):
-        return cls([Fraction(c)], truncation)
+        return cls([c], truncation)
 
     @classmethod
     def monomial(cls, d, truncation, c=1):
         if d > truncation:
             raise TruncationMismatch(f"monomial degree {d} exceeds truncation {truncation}")
-        return cls([_ZERO] * d + [Fraction(c)], truncation)
+        return cls([0] * d + [c], truncation)
 
     # -- access ----------------------------------------------------------
+
+    @property
+    def truncation(self):
+        return len(self.ints) - 1
+
+    @property
+    def coeffs(self):
+        return tuple([Fraction(c, self.den) for c in self.ints])
 
     def __getitem__(self, d):
         if not 0 <= d <= self.truncation:
             raise TruncationMismatch(
                 f"coefficient q^{d} outside stored range 0..{self.truncation}"
             )
-        return self.coeffs[d]
+        return Fraction(self.ints[d], self.den)
 
     @property
     def constant_term(self):
-        return self.coeffs[0]
+        return Fraction(self.ints[0], self.den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.ints)
 
     def truncate(self, truncation):
         if truncation > self.truncation:
             raise TruncationMismatch(
                 f"cannot extend truncation {self.truncation} to {truncation}"
             )
-        return QSeries._of(self.coeffs[: truncation + 1])
+        if truncation == self.truncation:
+            return self
+        return QSeries._of(self.ints[: truncation + 1], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QSeries.constant(other, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.truncation == other.truncation and self.coeffs == other.coeffs
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
         # a constant series equals its scalar, so it hashes like it
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.coeffs, self.truncation))
+        if not any(self.ints[1:]):
+            return hash(Fraction(self.ints[0], self.den))
+        return hash((self.ints, self.den))
 
     def __repr__(self):
-        shown = ", ".join(format_rational(c) for c in self.coeffs[:6])
+        shown = ", ".join(format_rational(c, self.den) for c in self.ints[:6])
         more = ", ..." if self.truncation > 5 else ""
         return f"QSeries([{shown}{more}], D={self.truncation})"
 
@@ -147,13 +160,17 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = min(self.truncation, other.truncation)
-        return QSeries._of([self.coeffs[k] + other.coeffs[k] for k in range(d + 1)])
+        x, dx, y, dy = self.ints, self.den, other.ints, other.den
+        if dx == dy:
+            return QSeries._of([a + b for a, b in zip(x, y)], dx)
+        g = _gcd(dx, dy)
+        sx, sy = dy // g, dx // g
+        return QSeries._of([a * sx + b * sy for a, b in zip(x, y)], dx * sx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._of([-c for c in self.coeffs])
+        return QSeries._of([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -166,27 +183,34 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return QSeries._of([c * r for c in self.coeffs])
+            r = other.numerator
+            return QSeries._of([c * r for c in self.ints], self.den * other.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
-        d = min(self.truncation, other.truncation)
-        return QSeries._of(P.series_mul(self.coeffs, other.coeffs, d))
+        acc = [0] * min(len(self.ints), len(other.ints))
+        P._accumulate(acc, self.ints, other.ints)
+        return QSeries._of(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if r == 0:
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / r)
+            if p < 0:
+                p, q = -p, -q
+            return QSeries._of([c * q for c in self.ints], self.den * p)
         if not isinstance(other, QSeries):
             return NotImplemented
-        if other.constant_term == 0:
+        y, dy = other.ints, other.den
+        if not y[0]:
             raise DivByNonUnit("divisor has zero constant term")
         d = min(self.truncation, other.truncation)
-        return QSeries._of(P.series_div(self.coeffs, other.coeffs, d))
+        # c_m = (dy / y_0) (a_m - sum_{0<j<=m} b_j c_(m-j))
+        return QSeries._of(
+            *P._recurrence((self.ints, self.den), (y, dy), lambda m: (dy, y[0]), d)
+        )
 
     def __rtruediv__(self, other):
         return QSeries.constant(other, self.truncation) / self
@@ -208,41 +232,48 @@ class QSeries:
 
     def derivative(self):
         """d/dt with q = e^t, i.e. q*d/dq; keeps the truncation."""
-        return QSeries._of([d * c for d, c in enumerate(self.coeffs)])
+        return QSeries._of([d * c for d, c in enumerate(self.ints)], self.den)
+
+    def integral(self):
+        """The inverse of derivative on series without a constant term:
+        q^k c_k goes to q^k c_k / k, and the constant term to 0."""
+        den = _lcm(*range(1, len(self.ints)))
+        return QSeries._of(
+            [0] + [c * (den // k) for k, c in enumerate(self.ints) if k], self.den * den
+        )
 
     def exp(self):
-        if self.constant_term != 0:
+        if self.ints[0]:
             raise BadConstantTerm("exp", self.constant_term)
         # c_0 = 1, c_m = (1/m) sum_{0<j<=m} j f_j c_(m-j) = (-1/m) (0 - sum ...)
-        x, den = P._scaled(self.coeffs)
-        jf = ([j * c for j, c in enumerate(x)], den)
+        jf = ([j * c for j, c in enumerate(self.ints)], self.den)
         out = P._recurrence(([1], 1), jf, lambda m: (-1, m) if m else (1, 1), self.truncation)
-        return QSeries._of(P._fractions(*out))
+        return QSeries._of(*out)
 
     def log(self):
-        if self.constant_term != 1:
+        if self.ints[0] != self.den:
             raise BadConstantTerm("log", self.constant_term)
         # M_k = k L_k solves M_k = k f_k - sum_{0<j<k} f_j M_(k-j): the
         # quotient recurrence of (q f') / f, with f_0 = 1
-        x, den = P._scaled(self.coeffs)
-        qdf = ([k * c for k, c in enumerate(x)], den)
-        m, dm = P._recurrence(qdf, (x, den), lambda k: (1, 1), self.truncation)
-        return QSeries._of([_ZERO] + [Fraction(c, dm * k) for k, c in enumerate(m) if k])
+        f = (self.ints, self.den)
+        qdf = ([k * c for k, c in enumerate(self.ints)], self.den)
+        return QSeries._of(*P._recurrence(qdf, f, lambda k: (1, 1), self.truncation)).integral()
 
     def power(self, r):
         """f**r for rational r, via exp(r*log f); needs f(0) = 1."""
-        if self.constant_term != 1:
+        if self.ints[0] != self.den:
             raise BadConstantTerm("pow", self.constant_term)
         return (self.log() * Fraction(r)).exp()
 
     def compose(self, inner):
         """self(inner(q)); inner must have zero constant term."""
-        if inner.constant_term != 0:
+        if inner.ints[0]:
             raise BadConstantTerm("compose", inner.constant_term)
         d = min(self.truncation, inner.truncation)
-        acc = QSeries.constant(self.coeffs[d], d)
+        coeffs = self.coeffs
+        acc = QSeries.constant(coeffs[d], d)
         for k in range(d - 1, -1, -1):
-            acc = acc * inner.truncate(d) + self.coeffs[k]
+            acc = acc * inner.truncate(d) + coeffs[k]
         return acc
 
 
@@ -362,9 +393,9 @@ class TPoly:
     def t_free_part(self):
         """The t-power-0 coefficient, provided everything above vanishes."""
         for k, c in enumerate(self.coeffs[1:], start=1):
-            for d, v in enumerate(c.coeffs):
-                if v != 0:
-                    raise NotTFree(k, d, v)
+            for d, v in enumerate(c.ints):
+                if v:
+                    raise NotTFree(k, d, Fraction(v, c.den))
         return self.coeffs[0]
 
 
@@ -410,20 +441,18 @@ class WSeries:
         With z = (f - f0)/f0 (no w^0 term), log f = log f0 + log(1 + z).
         """
         f0 = self.coeffs[0]
-        if f0.constant_term != 1:
+        if f0.ints[0] != f0.den:
             raise BadConstantTerm("log", f0.constant_term)
         z = [None] + [c / f0 for c in self.coeffs[1:]]
         return WSeries(log_one_plus_rows(z, f0.log()))
 
 
 def _scaled_rows(rows):
-    """Integer numerator lists of QSeries rows over one common denominator."""
-    flat, den = P._scaled([c for row in rows for c in row.coeffs])
-    out, start = [], 0
-    for row in rows:
-        out.append(flat[start : start + len(row.coeffs)])
-        start += len(row.coeffs)
-    return out, den
+    """Integer numerator lists of QSeries rows over the lcm of their
+    denominators."""
+    den = _lcm(*(row.den for row in rows))
+    return [row.ints if row.den == den else [c * (den // row.den) for c in row.ints]
+            for row in rows], den
 
 
 def convolve_rows(a, b, length):
@@ -432,9 +461,8 @@ def convolve_rows(a, b, length):
     at the smallest truncation of the rows it sums, as a sum of QSeries
     products would be.
 
-    The rows of each operand are scaled to one denominator, each output row
-    is accumulated in int over the product of the two, and one Fraction is
-    built per output coefficient."""
+    The rows of each operand are scaled to one denominator and each output
+    row is accumulated in int over the product of the two."""
     x, da = _scaled_rows(a)
     y, db = _scaled_rows(b)
     den = da * db
@@ -445,7 +473,7 @@ def convolve_rows(a, b, length):
         acc = [0] * (t + 1)
         for i in pairs:
             P._accumulate(acc, x[i], y[m - i])
-        out.append(QSeries._of(P._fractions(acc, den)))
+        out.append(QSeries._of(acc, den))
     return out
 
 
@@ -472,7 +500,7 @@ def log_one_plus_rows(z, head):
             P._accumulate(acc, m[j], x[k - j])
         row = [k * dm * c - a for c, a in zip(x[k], acc)]  # M_k over dz dm
         den = dz * dm
-        out.append(QSeries._of(P._fractions(row, den * k)))
+        out.append(QSeries._of(row, den * k))
         g = _gcd(den, *row)
         row, den = [c // g for c in row], den // g
         if dm % den:
@@ -490,7 +518,7 @@ def exp_coordinate_inverse(g):
     x <- Q*exp(-g(x)), O(D^4).  g must vanish at the origin.  Composing
     with it is the reference route for change_exp_variable.
     """
-    if g.constant_term != 0:
+    if g.ints[0]:
         raise BadMirrorMap("shift series must vanish at the origin")
     d = g.truncation
     x = QSeries.monomial(1, d) if d >= 1 else QSeries.zero(d)
@@ -504,10 +532,9 @@ def _lagrange_powers(g):
     """exp(-k g) for k = 1..D (D = g's truncation), the k-th truncated at
     q^(k-1), which is all that [Q^k] reads, as integer numerators over one
     denominator (ints, den).  Each comes from the exp recurrence
-    m c_m = -k sum_j j g_j c_(m-j): O(D^3) integer operations in all, and no
-    Fraction.  Cached per shift, so the extractions of one table share them."""
-    x, den = P._scaled(g.coeffs)
-    jg = ([j * c for j, c in enumerate(x)], den)
+    m c_m = -k sum_j j g_j c_(m-j): O(D^3) integer operations in all.
+    Cached per shift, so the extractions of one table share them."""
+    jg = ([j * c for j, c in enumerate(g.ints)], g.den)
     return tuple(
         # c_0 = 1, c_m = (k/m) (0 - sum_{0<j<=m} j g_j c_(m-j))
         P._recurrence(([1], 1), jg, lambda m, k=k: (k, m) if m else (1, 1), k - 1)
@@ -525,18 +552,14 @@ def change_exp_variable(f, g):
     """
     d = min(f.truncation, g.truncation)
     g = g.truncate(d)
-    if g.constant_term != 0:
+    if g.ints[0]:
         raise BadMirrorMap("shift series must vanish at the origin")
-    x, dx = P._scaled(f.coeffs[: d + 1])
+    x, dx = f.ints[: d + 1], f.den
     df = [j * c for j, c in enumerate(x)]  # q f'(q), over dx
-    out = [f.coeffs[0]]
+    nums, dens = [x[0]], [dx]
     for k, (p, den) in enumerate(_lagrange_powers(g), start=1):
         # [q^k] (q f') exp(-k g): df_j against p_(k-j), j = 1..k
-        out.append(Fraction(sum(map(_mul, df[1 : k + 1], reversed(p))), dx * den * k))
-    return QSeries._of(out)
+        nums.append(sum(map(_mul, df[1 : k + 1], reversed(p))))
+        dens.append(dx * den * k)
+    return QSeries._ratios(nums, dens)
 
-
-def inverse_exp_shift(g):
-    """The shift h with q = Q*exp(h(Q)) inverting Q = q*exp(g(q))."""
-    inv = exp_coordinate_inverse(g)
-    return -g.compose(inv)

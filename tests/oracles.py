@@ -593,3 +593,150 @@ def block_sums(shift, values):
         sum2 = [a + b * (val * Fr(deg, 5)) for a, b in zip(sum2, e_pows[deg - 1])]
         sum3c = [a + b * (val * Fr(-2, 5)) for a, b in zip(sum3c, e_pows[deg - 1])]
     return sum2, sum3c
+
+
+# -- Fraction helpers the package dropped once nothing in it called them -------
+
+
+def mul_xk(p, k):
+    """The Fraction polynomial p times x**k."""
+    if not p:
+        return ()
+    return (Fr(0),) * k + tuple(p)
+
+
+def reverse(p, deg):
+    """x**deg * p(1/x) for a Fraction polynomial p; requires deg >= degree(p)."""
+    if deg < len(p) - 1:
+        raise ValueError("reversal degree below actual degree")
+    return _trim([Fr(0)] * (deg - len(p) + 1) + list(p)[::-1])
+
+
+def evaluate(f, a):
+    """f(a) for a hypergw RatFunc, from its integer tuples: the homogeneous
+    forms t^k p(s/t) of numerator and denominator by Horner's rule, a = s/t."""
+    a = Fr(a)
+    s, t = a.numerator, a.denominator
+
+    def homogeneous(c):
+        acc, tp = 0, 1
+        for x in reversed(c):
+            acc = acc * s + x * tp
+            tp *= t
+        return acc
+
+    d = homogeneous(f._den)
+    if d == 0:
+        raise ZeroDivisionError(f"denominator vanishes at {a}")
+    # num(a) / den(a) = (t^p num(a)) t^(q - p) / (t^q den(a))
+    e = len(f._den) - len(f._num)
+    n = homogeneous(f._num)
+    return Fr(n * t**e, d) if e >= 0 else Fr(n, d * t**-e)
+
+
+# -- the Fraction QSeries ---------------------------------------------------------
+
+
+class QSeries:
+    """The q-series type as it was before it held integer numerators over one
+    denominator: a tuple of Fraction coefficients, every operation a loop of
+    Fraction arithmetic (the loops above).  The differential reference of
+    hypergw.series.QSeries."""
+
+    def __init__(self, coeffs, truncation=None):
+        coeffs = [Fr(c) for c in coeffs]
+        if truncation is None:
+            truncation = len(coeffs) - 1
+        if truncation < 0 or len(coeffs) > truncation + 1:
+            raise ValueError("bad truncation")
+        self.coeffs = tuple(coeffs + [Fr(0)] * (truncation + 1 - len(coeffs)))
+        self.truncation = truncation
+
+    @classmethod
+    def constant(cls, c, truncation):
+        return cls([c], truncation)
+
+    def __getitem__(self, d):
+        if not 0 <= d <= self.truncation:
+            raise IndexError(d)
+        return self.coeffs[d]
+
+    def truncate(self, truncation):
+        return QSeries(self.coeffs[: truncation + 1])
+
+    def _coerce(self, other):
+        if isinstance(other, QSeries):
+            return other
+        if isinstance(other, (int, Fr)):
+            return QSeries.constant(other, self.truncation)
+        return None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSeries([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fr)):
+            return QSeries([c * other for c in self.coeffs])
+        d = min(self.truncation, other.truncation)
+        return QSeries(series_mul(self.coeffs, other.coeffs, d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fr)):
+            return QSeries([c / other for c in self.coeffs])
+        return QSeries(series_quotient(self.coeffs, other.coeffs))
+
+    def __rtruediv__(self, other):
+        return QSeries.constant(other, self.truncation) / self
+
+    def __pow__(self, k):
+        out = QSeries.constant(1, self.truncation)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def derivative(self):
+        return QSeries([d * c for d, c in enumerate(self.coeffs)])
+
+    def integral(self):
+        return QSeries([Fr(0)] + [c / d for d, c in enumerate(self.coeffs) if d])
+
+    def exp(self):
+        return QSeries(qexp(self.coeffs))
+
+    def log(self):
+        return QSeries(qlog(self.coeffs))
+
+    def power(self, r):
+        return (self.log() * Fr(r)).exp()
+
+    def compose(self, inner):
+        d = min(self.truncation, inner.truncation)
+        acc = QSeries.constant(self.coeffs[d], d)
+        for k in range(d - 1, -1, -1):
+            acc = acc * inner.truncate(d) + self.coeffs[k]
+        return acc

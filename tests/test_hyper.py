@@ -178,7 +178,7 @@ def test_quintic_kernel_value_and_slope():
     assert laurent_at_zero(q1, 0, 1)[1] == -375
 
 
-def test_regular_kernel_detects_a_pole(monkeypatch):
+def test_regular_kernel_detects_a_pole(monkeypatch, cold_stages):
     # a wrong exponent leaves exp(-u^3/h) uncancelled: h^3 no longer divides N_3
     spec = HyperSpec(5, 4)
     mu = regularizing_exponent(spec)

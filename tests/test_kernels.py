@@ -1,8 +1,10 @@
 """The integer kernels under the exact series, against the Fraction loops
 they replaced (tests/oracles.py).
 
-Every kernel hands out Fractions; an int compares equal to a Fraction and
-would hide a leak, so each output coefficient is checked for its type.
+The public polys kernels and QSeries.coeffs hand out Fractions; an int
+compares equal to a Fraction and would hide a leak, so each output
+coefficient is checked for its type.  tests/test_qseries.py checks the
+integer pairs a QSeries holds.
 """
 
 from fractions import Fraction as Fr
@@ -236,12 +238,12 @@ def _ref_residue_at_infinity(f):
     if f.is_zero():
         return Fr(0)
     p, q = P.degree(f.num), P.degree(f.den)
-    num_w, den_w = P.reverse(f.num, p), P.reverse(f.den, q)
+    num_w, den_w = oracles.reverse(f.num, p), oracles.reverse(f.den, q)
     e = q - p - 2
     if e >= 0:
-        g = RatFunc(P.mul_xk(num_w, e), den_w)
+        g = RatFunc(oracles.mul_xk(num_w, e), den_w)
     else:
-        g = RatFunc(num_w, P.mul_xk(den_w, -e))
+        g = RatFunc(num_w, oracles.mul_xk(den_w, -e))
     return -residue_at(g, 0)
 
 
@@ -250,7 +252,7 @@ def _ref_residue_at_infinity(f):
 @example([Fr(1)], [], 0)
 @example([Fr(2), Fr(3), Fr(-1)], [1], 0)  # polynomial part
 def test_residue_at_infinity_matches_ratfunc_route(num, roots, zero_pole):
-    den = P.mul_xk(P.ONE, zero_pole)
+    den = oracles.mul_xk(P.ONE, zero_pole)
     for a in roots:
         den = P.mul(den, (Fr(-a), Fr(1)))
     f = RatFunc(num, den)

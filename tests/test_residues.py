@@ -39,6 +39,11 @@ H = RatFunc.variable()
 ONE = RatFunc.from_scalar(1)
 
 
+def inv_power(k):
+    """1/h**k."""
+    return RatFunc([1], [0] * k + [1])
+
+
 def rf(num, den=(1,)):
     return RatFunc([Fr(c) for c in num], [Fr(c) for c in den])
 
@@ -107,12 +112,12 @@ def test_arithmetic_matches_pointwise_evaluation():
         )
         for x in pts:
             try:
-                av, bv = a.evaluate(x), b.evaluate(x)
+                av, bv = oracles.evaluate(a, x), oracles.evaluate(b, x)
             except ZeroDivisionError:
                 continue
-            assert (a + b).evaluate(x) == av + bv
-            assert (a * b).evaluate(x) == av * bv
-            assert (a - b).evaluate(x) == av - bv
+            assert oracles.evaluate(a + b, x) == av + bv
+            assert oracles.evaluate(a * b, x) == av * bv
+            assert oracles.evaluate(a - b, x) == av - bv
 
 
 def test_residue_theorem_on_randomized_functions():
@@ -164,7 +169,7 @@ def test_constructed_example_splits_exactly():
 
 
 def test_inverse_hbar_series_is_not_regularizable():
-    z = u_series(0, RatFunc.inv_power(1), trunc=4)
+    z = u_series(0, inv_power(1), trunc=4)
     out = regularize(z)
     assert out.eta == QSeries.monomial(1, 4)
     assert not out.regular
@@ -214,7 +219,7 @@ def test_non_regularizable_series_passes_the_log_cross_check():
     # z = u h + u^2 / h^2: the fixed point gives eta = 0 while
     # res log(1 + z) = -u^3, the residue of log(1 + zbar) for zbar = z
     for d in (2, 3, 4):
-        z = u_series(0, H, RatFunc.inv_power(2), trunc=d)
+        z = u_series(0, H, inv_power(2), trunc=d)
         reg = regularize(z)
         assert reg.eta == QSeries.zero(d)
         assert reg.zbar == z
@@ -232,7 +237,7 @@ def test_moment_identities_on_constructed_example():
 
 
 def test_counterexample_fails_intrinsic_identity():
-    reg = regularize(u_series(0, RatFunc.inv_power(1), trunc=4))
+    reg = regularize(u_series(0, inv_power(1), trunc=4))
     assert not all(
         moment_identity_check(reg, a, "intrinsic").passed for a in range(5)
     )
@@ -315,13 +320,13 @@ def ref_residue_at(f, a):
 
 
 def ref_weighted_residues(z, power):
-    weight = RatFunc(P.mul_xk((Fr(1),), power)) if power >= 0 else RatFunc.inv_power(-power)
+    weight = RatFunc(oracles.mul_xk((Fr(1),), power)) if power >= 0 else inv_power(-power)
     return QSeries([ref_residue_at(c * weight, 0) for c in z.coeffs])
 
 
 def ref_double_residue_split_kernel(a_series, b_series):
     d = min(a_series.truncation, b_series.truncation)
-    inv_h = RatFunc.inv_power(1)
+    inv_h = inv_power(1)
     out = []
     for m in range(d + 1):
         val = Fr(0)
@@ -339,7 +344,7 @@ def ref_double_residue_split_kernel(a_series, b_series):
             for k in range(depth):
                 c = window[depth - 1 - k]
                 if c:
-                    inner = inner + RatFunc.inv_power(k + 1) * ((-1) ** k * c)
+                    inner = inner + inv_power(k + 1) * ((-1) ** k * c)
             val += ref_residue_at(a * inv_h * inner, 0)
         out.append(val)
     return QSeries(out)
@@ -424,7 +429,7 @@ def ref_exp_over_hbar(eta, sign=1):
     out = []
     for deg in range(d + 1):
         num = [powers[m][deg] / factorial(m) for m in range(deg, -1, -1)]
-        out.append(RatFunc(num, P.mul_xk((Fr(1),), deg)))
+        out.append(RatFunc(num, oracles.mul_xk((Fr(1),), deg)))
     return RefUSeries(out)
 
 
@@ -441,7 +446,7 @@ def ref_regularize(z):
 def windowed_ratfuncs(draw, k):
     """A RatFunc with pole order <= k at 0 and up to two poles elsewhere."""
     num = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-    den = P.mul_xk((Fr(1),), draw(st.integers(0, k)))
+    den = oracles.mul_xk((Fr(1),), draw(st.integers(0, k)))
     for a in draw(st.lists(st.sampled_from(NONZERO_POLES), max_size=2)):
         den = P.mul(den, (-a, Fr(1)))
     return RatFunc([Fr(c) for c in num], den)
@@ -577,7 +582,7 @@ def test_regular_kernel_matches_ratfunc_product(n):
         num = (Fr(1),)
         for r in range(1, n * d + 1):
             num = P.mul(num, (Fr(n), Fr(r)))
-        den = P.mul_xk((Fr(1),), d)
+        den = oracles.mul_xk((Fr(1),), d)
         for r in range(1, d + 1):
             power = (Fr(1),)
             for _ in range(n):
@@ -636,7 +641,7 @@ def ref_product_residue_expansion(fs):
     """The subset sum of the product-residue check by reduced RatFunc
     products of the regular parts f - res(f)/h, one product per subset."""
     res = [residue_at(f, 0) for f in fs]
-    reg = [f - RatFunc.inv_power(1) * r for f, r in zip(fs, res)]
+    reg = [f - inv_power(1) * r for f, r in zip(fs, res)]
     rhs = Fr(0)
     idx = range(len(fs))
     for size in range(1, len(fs) + 1):

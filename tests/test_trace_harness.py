@@ -60,3 +60,27 @@ def test_trace_mode_wraps_every_layer(argv, capsys):
     # the traced job prints what the CLI prints
     assert cli.main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        # the quintic table and the CI gate of the benchmark; before the series
+        # held integer numerators over one denominator they built 8,882 and
+        # 24,811 Fractions
+        (["invariants", "--n", "5", "--order", "24", "--format", "json"], 1776),
+        (["verify", "--n", "5", "--order", "6"], 4962),
+    ],
+)
+def test_count_mode_bounds_fraction_constructions(argv, most):
+    job = _job_module()
+    done = subprocess.run(
+        [sys.executable, str(JOB), "count", str(ROOT / "src"), "--", *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    marker = [line for line in done.stderr.splitlines() if line.startswith(job.MARKER)]
+    assert len(marker) == 1, done.stderr
+    assert json.loads(marker[0][len(job.MARKER):])["fractions"] <= most
