@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 
 from . import hyper, invariants, residues
@@ -191,7 +191,8 @@ def _random_factors(rng):
     for _ in range(rng.randint(0, 5)):
         num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
         den = [0, 1] if rng.random() < 0.7 else [1]
-        fs.append(RatFunc(num, den) + rng.randint(-3, 3))
+        c = rng.randint(-3, 3)  # the function num / den + c
+        fs.append(RatFunc([x + c * y for x, y in zip_longest(num, den, fillvalue=0)], den))
     return fs
 
 

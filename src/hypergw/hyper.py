@@ -11,10 +11,11 @@ into exact pass/fail reports.
 
 The kernel at w = 1/h is kept factored, h^-d rnum_d / V_d, and no RatFunc
 is built here: its window series at h = 0 (USeriesRF) carries the residue
-exponent and the ladder, Q is formed as N_d / (h^d V_d) over the known
-denominator, and the boundary residue reads its value at h = -n.  The
-window series has the width 2D + 2 that regularize reads; no stage here
-reads past entry D + 1 of a row, so mu and the ladder run it at D + 1.
+exponent, the ladder and the regular-kernel checks, regular_kernel forms
+Q as N_d / (h^d V_d) over the known denominator for the dump only, and
+the boundary residue reads its value at h = -n.  The window series has
+the width 2D + 2 that regularize reads; no stage here reads past entry
+D + 1 of a row, so each runs it at D + 1.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
 from .report import Record, merge_reports, report_equality, report_failures
 from .report import report_series, series_failure
-from .residues import USeriesRF, _homogeneous, double_residue_split_kernel, exp_over_hbar
+from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries, _scaled_rows
 
 
@@ -122,17 +123,21 @@ def kernel_value_at(spec, a):
     Factors t h - s (a = s/t) common to rnum_d and V_d are divided out
     first (exactly, no gcd): at n = 2, a = -2, n + h divides both and the
     0/0 is removable.  As deg rnum_d = deg V_d + d, the value is
-    H(rnum_d) / (H(V_d) s^d) for the forms H(p) = t^deg(p) p(s/t).
+    H(rnum_d) / (H(V_d) s^d) for the forms H(p) = t^deg(p) p(s/t) (_taylor_ints).
     """
     a = Fraction(a)
     s, t = a.numerator, a.denominator
+
+    def form(p):
+        return P._taylor_ints(p, s, t, 1)[0]
+
     out = []
     for d, (num, den) in enumerate(_inv_hbar_parts(spec)):
-        while not _homogeneous(den, s, t):
-            if _homogeneous(num, s, t):
+        while not form(den):
+            if form(num):
                 raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
             num, den = P._div_exact(num, [-s, t]), P._div_exact(den, [-s, t])
-        out.append(Fraction(_homogeneous(num, s, t), _homogeneous(den, s, t) * s**d))
+        out.append(Fraction(form(num), form(den) * s**d))
     return QSeries(out)
 
 
@@ -212,13 +217,13 @@ def regularizing_exponent(spec, method="closed_form"):
 @lru_cache(maxsize=None)
 def _exp_minus_mu(spec):
     """exp(-mu/h) as a window u-series, built once per spec for
-    regular_kernel and every _descended_regular."""
+    regular_kernel, regular_kernel_checks and every _descended_regular."""
     return exp_over_hbar(regularizing_exponent(spec), -1)
 
 
 @lru_cache(maxsize=None)
 def regular_kernel(spec):
-    """Q = exp(-mu/h) times the kernel at w = 1/h, holomorphic at h = 0.
+    """Q = exp(-mu/h) K(1/h), holomorphic at h = 0, for dump --what Q.
 
     With e_i = h^i [u^i] exp(-mu/h), a polynomial in h and row i of the
     window series, the q^d coefficient
@@ -363,14 +368,16 @@ def exponent_methods_check(spec):
 
 
 def regular_kernel_checks(spec):
-    """Regularity at h = 0 plus the closed forms of value and slope there."""
+    """Regularity at h = 0 plus the closed forms of value and slope there,
+    read off row k = h^k Q_k of the window product exp(-mu/h) K(1/h): a
+    nonzero entry below k is a pole and raises; entries k, k + 1 are the
+    value and slope."""
     d = spec.qorder
-    # regular_kernel raises RegularityViolation on a pole; (a + a' h + ..) /
-    # (b + b' h + ..) has value a/b and slope (a' b - a b') / b^2 at h = 0
-    pairs = [((*num, 0)[:2], (*den, 0)[:2]) for num, den in regular_kernel(spec)]
-    dens = [b * b for _, (b, _) in pairs]
-    value = QSeries._ratios([a * b for (a, _), (b, _) in pairs], dens)
-    slope = QSeries._ratios([a1 * b - a * b1 for (a, a1), (b, b1) in pairs], dens)
+    window = _exp_minus_mu(spec) * _narrow_kernel(spec)
+    for k, row in enumerate(window.coeffs):
+        if any(row.ints[:k]):
+            raise RegularityViolation(k, k - next(i for i, c in enumerate(row.ints) if c))
+    value, slope = window.taylor_coeff(0), window.taylor_coeff(1)
     reports = [
         report_series("regular-kernel-value", {"n": spec.n}, value, kernel_value_at_zero(spec), d),
         report_series("regular-kernel-slope", {"n": spec.n}, slope, kernel_slope_at_zero(spec), d),

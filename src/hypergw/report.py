@@ -64,15 +64,9 @@ def report_equality(identity, parameters, pairs, max_order):
     return IdentityReport(identity, parameters, max_order, passed=True)
 
 
-def series_pairs(lhs, rhs, max_order, var="q"):
-    """The triples (var^k, lhs[k], rhs[k]) for k = 0..max_order: the loci of
-    a coefficientwise comparison of two series."""
-    return [(f"{var}^{k}", lhs[k], rhs[k]) for k in range(max_order + 1)]
-
-
 def series_failure(lhs, rhs, max_order, var="q"):
-    """The failure text report_equality gives the triples series_pairs(lhs,
-    rhs, max_order, var), or None when they all agree.  The series are
+    """The failure text report_equality gives the triples (var^k, lhs[k],
+    rhs[k]) for k = 0..max_order, or None when they all agree.  The series are
     compared as integer numerators over their denominators; Fractions are
     built for the first failing locus only."""
     a, b = lhs.truncate(max_order), rhs.truncate(max_order)

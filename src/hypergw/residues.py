@@ -3,22 +3,23 @@
 One representation per job.  RatFunc, a reduced fraction of integer
 polynomials, serves only where poles away from 0 matter: residues at
 other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }), as
-in the residue-theorem suite.  Its arithmetic stays in Z[h]: gcds by
-primitive pseudo-remainder sequences, exact division by primitive factors
-(Gauss's lemma), and one Fraction per value it hands out.  A residue at
-s/t divides t h - s out of the denominator by exact synthetic division
-and reads the Taylor coefficients there by repeated synthetic division,
-with no re-expansion of the whole function.  Everything local to h = 0
-runs on exact Laurent windows at the origin, with no gcd: the window
-h^-low .. h^high of f is the power series h^low f truncated at
-h^(low + high), a QSeries.  USeriesRF is a power series in u whose u^k
-coefficient has pole order at most k; under u = h s it is a list of such
-QSeries rows h^k c_k(h), all truncated at one width, multiplied by the
-truncated row convolution of the series module.  On it sit the
-regularization splitting 1 + Z = exp(eta/h) * (1 + Zbar), Zbar
-holomorphic at h = 0, and the residue-moment identities that characterize
-when it exists.  A residue at 0, a weighted residue res{ h^p f } and the
-iterated residue of the split kernel are each one index into a row.
+in the residue-theorem suite.  Its arithmetic stays in Z[h], reduced in
+one place (_lowest_terms: a primitive pseudo-remainder gcd, divided out
+exactly by Gauss's lemma); each value it hands out is one Fraction.  A
+residue at s/t divides t h - s out of the denominator by exact synthetic
+division and reads the Taylor coefficients there by repeated synthetic
+division, with no re-expansion of the whole function.  Everything local
+to h = 0 runs on exact Laurent windows at the origin, all built by _row
+with no gcd: the window h^-low .. h^high of f is the power series
+h^low f truncated at h^(low + high), a QSeries.  USeriesRF is a power
+series in u whose u^k coefficient has pole order at most k; under
+u = h s it is a list of such QSeries rows h^k c_k(h), all truncated at
+one width, multiplied by the truncated row convolution of the series
+module.  On it sit the regularization splitting
+1 + Z = exp(eta/h) * (1 + Zbar), Zbar holomorphic at h = 0, and the
+residue-moment identities that characterize when it exists.  A residue
+at 0, a weighted residue res{ h^p f } and the iterated residue of the
+split kernel are each one index into a row.
 """
 
 from fractions import Fraction
@@ -64,30 +65,20 @@ class RatFunc:
         if dn != dd:  # num/den = (n dd) / (d dn)
             n = [c * dd for c in n]
             d = [c * dn for c in d]
-        if n:
-            g = P._gcd_ints(n, d)
-            if len(g) > 1:
-                n = P._div_exact(n, g)
-                d = P._div_exact(d, g)
-        self._num, self._den = _canonical(n, d)
+        self._num, self._den = _lowest_terms(n, d)
 
     @classmethod
-    def _reduced(cls, num, den):
-        """Internal: build from coprime integer lists without trailing zeros
-        (den nonzero)."""
+    def _of(cls, pair):
+        """Internal: wrap a pair of tuples already in the canonical form."""
         self = object.__new__(cls)
-        self._num, self._den = _canonical(num, den)
+        self._num, self._den = pair
         return self
 
     @classmethod
     def from_scalar(cls, c):
         if type(c) is not int:
             c = Fraction(c)
-        return cls._reduced([c.numerator] if c else [], [c.denominator])
-
-    @classmethod
-    def variable(cls):
-        return cls._reduced([0, 1], [1])
+        return cls._of(_canonical([c.numerator] if c else [], [c.denominator]))
 
     @property
     def num(self):
@@ -152,24 +143,13 @@ class RatFunc:
             return other
         if not c:
             return self
-        g = P._gcd_ints(b, d)
-        if len(g) == 1:
-            num = _add(P._mul_ints(a, d), P._mul_ints(c, b))
-            return RatFunc._reduced(num, P._mul_ints(b, d))
-        db = P._div_exact(d, g)
-        num = _add(P._mul_ints(a, db), P._mul_ints(c, P._div_exact(b, g)))
-        den = P._mul_ints(b, db)
-        if num:
-            g = P._gcd_ints(num, g)
-            if len(g) > 1:
-                num = P._div_exact(num, g)
-                den = P._div_exact(den, g)
-        return RatFunc._reduced(num, den)
+        num = _add(P._mul_ints(a, d), P._mul_ints(c, b))
+        return RatFunc._of(_lowest_terms(num, P._mul_ints(b, d)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced([-c for c in self._num], self._den)
+        return RatFunc._of((tuple(-c for c in self._num), self._den))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -184,17 +164,8 @@ class RatFunc:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._num, self._den
-        c, d = other._num, other._den
-        if not a or not c:
-            return RatFunc._reduced([], [1])
-        g = P._gcd_ints(a, d)
-        if len(g) > 1:
-            a, d = P._div_exact(a, g), P._div_exact(d, g)
-        g = P._gcd_ints(c, b)
-        if len(g) > 1:
-            c, b = P._div_exact(c, g), P._div_exact(b, g)
-        return RatFunc._reduced(P._mul_ints(a, c), P._mul_ints(b, d))
+        num = P._mul_ints(self._num, other._num)
+        return RatFunc._of(_lowest_terms(num, P._mul_ints(self._den, other._den)))
 
     __rmul__ = __mul__
 
@@ -204,7 +175,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return self * RatFunc._reduced(other._den, other._num)
+        return self * RatFunc._of(_canonical(other._den, other._num))
 
     # -- analysis ---------------------------------------------------------
 
@@ -221,7 +192,7 @@ class RatFunc:
             num = [c * t**e for c in num]
         elif e < 0:
             den = [c * t**-e for c in den]
-        return RatFunc._reduced(num, den)
+        return RatFunc._of(_canonical(num, den))
 
     def pole_order_at_zero(self):
         if self.is_zero():
@@ -248,6 +219,16 @@ def _add(x, y):
     return out
 
 
+def _lowest_terms(num, den):
+    """The canonical tuples of num/den for integer lists without trailing
+    zeros, den nonzero: their gcd divided out, then _canonical."""
+    if num:
+        g = P._gcd_ints(num, den)
+        if len(g) > 1:
+            num, den = P._div_exact(num, g), P._div_exact(den, g)
+    return _canonical(num, den)
+
+
 def _canonical(num, den):
     """The canonical tuples of num/den for coprime integer lists without
     trailing zeros: divided by their joint content, the sign moved so the
@@ -260,15 +241,6 @@ def _canonical(num, den):
     if g != 1:
         return tuple(c // g for c in num), tuple(c // g for c in den)
     return tuple(num), tuple(den)
-
-
-def _homogeneous(c, s, t):
-    """t^n c(s/t) for an integer list c of degree n, by Horner's rule."""
-    acc, tp = 0, 1
-    for x in reversed(c):
-        acc = acc * s + x * tp
-        tp *= t
-    return acc
 
 
 def _coerce(x):
@@ -284,21 +256,6 @@ def _quotient(a, b, order):
     lists a and b with b[0] != 0; one integer recurrence."""
     b0 = b[0]
     return P._recurrence((a[: order + 1], 1), (b[: order + 1], 1), lambda m: (1, b0), order)
-
-
-def _window(f, low, high):
-    """(ints, den) of the Laurent window of f at h = 0 for powers
-    -low..high: h^low f truncated at h^(low + high)."""
-    if high < -low:
-        raise ValueError("empty window")
-    m = f.pole_order_at_zero()
-    shift = low - m
-    if shift < 0:
-        raise WindowTooSmall(f"pole order {-shift} exceeds the window depth")
-    width = low + high
-    order = width - shift
-    ints, den = _quotient(f._num, f._den[m:], order) if order >= 0 else ([], 1)
-    return ([0] * shift + ints)[: width + 1], den
 
 
 def _row(num, unit, shift, width):
@@ -319,7 +276,10 @@ def laurent_at_zero(f, low, high):
 
     low must cover the pole order; high >= -low.
     """
-    return QSeries._of(*_window(f, low, high))
+    if high < -low:
+        raise ValueError("empty window")
+    m = f.pole_order_at_zero()
+    return _row(f._num, f._den[m:], low - m, low + high)
 
 
 def _divide_out(c, factor):
@@ -726,9 +686,9 @@ def product_subset_sum(fs):
     every term over the product of the window denominators.
     """
     k = len(fs)
-    windows = [_window(f, 1, k - 2) for f in fs]
-    res = [w[0] for w, _ in windows]
-    regular = [w[1:] for w, _ in windows]
+    windows = [laurent_at_zero(f, 1, k - 2) for f in fs]
+    res = [w.ints[0] for w in windows]
+    regular = [w.ints[1:] for w in windows]
     acc = 0
     idx = range(k)
     for size in range(1, k + 1):
@@ -743,7 +703,7 @@ def product_subset_sum(fs):
                     P._accumulate(out, rest, regular[i])
                     rest = out
             acc += r * rest[size - 1]
-    return Fraction(acc, prod(den for _, den in windows))
+    return Fraction(acc, prod(w.den for w in windows))
 
 
 def double_residue_split_kernel(a_series, b_series):

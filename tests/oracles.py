@@ -634,6 +634,25 @@ def evaluate(f, a):
     return Fr(n * t**e, d) if e >= 0 else Fr(n, d * t**-e)
 
 
+def series_pairs(lhs, rhs, max_order, var="q"):
+    """The triples (var^k, lhs[k], rhs[k]) for k = 0..max_order: the loci of
+    a coefficientwise comparison of two series, the reference of
+    hypergw.report.series_failure."""
+    return [(f"{var}^{k}", lhs[k], rhs[k]) for k in range(max_order + 1)]
+
+
+def value_and_slope(pairs):
+    """Value and slope at h = 0 of each unreduced quotient (num, den) of
+    integer tuples, as two Fraction lists: (a + a' h + ..) / (b + b' h + ..)
+    has value a/b and slope (a' b - a b') / b^2 there."""
+    value, slope = [], []
+    for num, den in pairs:
+        (a, a1), (b, b1) = (*num, 0, 0)[:2], (*den, 0, 0)[:2]
+        value.append(Fr(a, b))
+        slope.append(Fr(a1 * b - a * b1, b * b))
+    return value, slope
+
+
 # -- the Fraction QSeries ---------------------------------------------------------
 
 

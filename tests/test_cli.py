@@ -13,8 +13,10 @@ import pytest
 from hypergw import cli
 from hypergw import polys as P
 from hypergw.invariants import assemble_table
-from hypergw.report import IdentityReport, report_series, series_pairs
+from hypergw.report import IdentityReport, report_series
 from hypergw.series import QSeries
+
+from oracles import series_pairs
 
 
 def run(argv, capsys):
@@ -240,6 +242,47 @@ def test_package_imports_are_used():
                 used |= {elt.value for elt in node.value.elts}
         for name, line in imported.items():
             assert name in used, f"{path.name}:{line} imports {name} unused"
+
+
+def test_package_functions_are_reached():
+    # a function or method defined in the package is referenced by name in
+    # it, exported in __all__, a dunder, or wrapped by the benchmark tracer
+    package = Path(cli.__file__).parent
+    job_path = package.parents[1] / "perfbench" / "job.py"
+    job = {"__name__": "perfbench_job"}
+    exec(compile(job_path.read_text(), str(job_path), "exec"), job)
+    wrapped = {(module, qual) for module, qual, _ in job["LAYERS"]}
+    wrapped |= {("hyper", stage) for stage in job["STAGES"]}
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
+    referenced, exported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= {elt.value for elt in node.value.elts}
+
+    def defined(body, prefix=""):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from defined(node.body, prefix + node.name + ".")
+
+    for module, tree in sorted(trees.items()):
+        for qual, node in defined(tree.body):
+            name = node.name
+            reached = (
+                name in referenced
+                or name in exported
+                or (name.startswith("__") and name.endswith("__"))
+                or (module, qual) in wrapped
+            )
+            assert reached, f"{module}.py:{node.lineno} defines {qual}, which nothing reaches"
 
 
 def test_counterexample_is_checked_from_order_2(capsys):

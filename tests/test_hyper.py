@@ -27,6 +27,7 @@ from hypergw.hyper import (
     mirror_shift,
     one_minus_nn_q,
     regular_kernel,
+    regular_kernel_checks,
     regularizing_exponent,
     tower_structure_check,
 )
@@ -189,6 +190,42 @@ def test_regular_kernel_detects_a_pole(monkeypatch, cold_stages):
     with pytest.raises(RegularityViolation) as err:
         regular_kernel(spec)
     assert (err.value.degree, err.value.order) == (3, 1)
+    # the checks read the same pole off the window product
+    with pytest.raises(RegularityViolation) as err:
+        regular_kernel_checks(spec)
+    assert (err.value.degree, err.value.order) == (3, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_window_reads_match_the_factored_pairs(n):
+    # value and slope at h = 0 read off the window product exp(-mu/h) K(1/h)
+    # against the same values from the whole quotients N_d / (h^d V_d)
+    for order in (1, 2, 5, 8):
+        spec = HyperSpec(n, order)
+        window = hyper._exp_minus_mu(spec) * hyper._narrow_kernel(spec)
+        value, slope = oracles.value_and_slope(regular_kernel(spec))
+        assert list(window.taylor_coeff(0).coeffs) == value
+        assert list(window.taylor_coeff(1).coeffs) == slope
+        for k, row in enumerate(window.coeffs):
+            assert row.ints[:k] == (0,) * k
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_value_at_matches_the_quotients(n):
+    # h^-d rnum_d / V_d from its defining products, reduced and evaluated;
+    # at n = 2, a = -2 the factor 2 + h cancels and the 0/0 is removable
+    spec = HyperSpec(n, 4)
+    for a in (Fr(-n), Fr(1, 2), Fr(-3, 2), Fr(3)):
+        expect = []
+        for d in range(spec.qorder + 1):
+            rnum, den = (Fr(1),), (Fr(1),)
+            for r in range(1, n * d + 1):
+                rnum = oracles.poly_mul(rnum, (Fr(n), Fr(r)))
+            for r in range(1, d + 1):
+                v_r = tuple(Fr(comb(n, k) * r**k) for k in range(1, n + 1))
+                den = oracles.poly_mul(den, v_r)
+            expect.append(oracles.evaluate(RatFunc(rnum, (Fr(0),) * d + den), a))
+        assert hyper.kernel_value_at(spec, a) == QSeries(expect), a
 
 
 def test_regular_kernel_checks_sampled():

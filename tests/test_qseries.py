@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergw.errors import BadConstantTerm, DivByNonUnit, TruncationMismatch
-from hypergw.report import report_equality, report_series, series_pairs
+from hypergw.report import report_equality, report_series
 from hypergw.series import QSeries, format_rational
 
 import oracles
+from oracles import series_pairs
 
 # large and pairwise coprime denominators, next to small ones
 _BIG_DENS = [2**61 - 1, 10**18 + 9, 3**40, 7**25, 2**64]

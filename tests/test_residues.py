@@ -35,7 +35,7 @@ from hypergw.series import QSeries
 
 import oracles
 
-H = RatFunc.variable()
+H = RatFunc([0, 1])
 ONE = RatFunc.from_scalar(1)
 
 
