@@ -56,7 +56,7 @@ DUMPABLE = {
     "mu": lambda spec: _q_lines(hyper.regularizing_exponent(spec), 1, spec.qorder),
     "F": lambda spec: _kernel_lines(hyper.kernel(spec), spec.qorder),
     "Q": lambda spec: [
-        f"q^{d}: {RatFunc(num, den).to_str()}"
+        f"q^{d}: {RatFunc.from_coprime(num, den).to_str()}"
         for d, (num, den) in enumerate(hyper.regular_kernel(spec))
     ],
     "theorem2_rhs": lambda spec: _q_lines(

@@ -12,8 +12,9 @@ into exact pass/fail reports.
 The kernel at w = 1/h is kept factored, h^-d rnum_d / V_d, and no RatFunc
 is built here: its window series at h = 0 (USeriesRF) carries the residue
 exponent, the ladder and the regular-kernel checks, regular_kernel forms
-Q as N_d / (h^d V_d) over the known denominator for the dump only, and
-the boundary residue reads its value at h = -n.  The window series has
+Q as N_d / (h^d V_d) over the known denominator for the dump only, reduced
+by the known irreducible factors of V_d with no gcd, and the boundary
+residue reads its value at h = -n.  The window series has
 the width 2D + 2 that regularize reads; no stage here reads past entry
 D + 1 of a row, so each runs it at D + 1.
 """
@@ -62,6 +63,20 @@ class HyperSpec(Record):
 def _v(n, r):
     """v_r = ((1 + r h)^n - 1) / h, the reversal of (w + r)^n - w^n."""
     return [comb(n, k) * r**k for k in range(1, n + 1)]
+
+
+def _v_factors(n, r):
+    """The irreducible factors of v_r over Q, each primitive: Phi_m(1 + r h)
+    for m | n, m > 1, from the Taylor coefficients of Phi_m at 1 scaled by
+    r^j.  As (1 + r h)^n - 1 is the product of the Phi_m(1 + r h) over m | n
+    and Phi_1(1 + r h) = r h, v_r is an integer times their product."""
+    out = []
+    for m in range(2, n + 1):
+        if n % m == 0:
+            phi = P._cyclotomic(m)
+            taylor = P._taylor_ints(phi, 1, 1, len(phi))
+            out.append(P._primitive([e * r**j for j, e in enumerate(taylor)]))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -230,14 +245,24 @@ def regular_kernel(spec):
     is Q_d = N_d / (h^d V_d) with
         N_d = sum_i e_i rnum_{d-i} prod_{d-i<r<=d} v_r.
     Since V_d(0) != 0, Q_d is regular exactly when h^d divides N_d; a pole
-    contradicts the structure theory and raises.  Returns the unreduced
-    pairs of integer tuples (N_d / h^d, V_d), both scaled by the common
-    denominator of the e_i, one per degree.
+    contradicts the structure theory and raises.
+
+    The pair is then reduced with no gcd.  The irreducible factors of V_d
+    over Q are the Phi_m(1 + r h) of _v_factors, r <= d, and each occurs in
+    V_d once: the roots (zeta - 1)/r, zeta a primitive m-th root of unity,
+    zeta = e^(i theta) with 0 < theta < 2 pi, are 2 sin(theta/2)/r times
+    e^(i (theta + pi)/2), so the argument fixes zeta and then the modulus
+    fixes r, and no two coincide.  So V_d is squarefree, and one trial exact
+    division of N_d by each factor leaves a coprime pair.  Returns the
+    coprime pairs of integer tuples (num, den), one per degree, for
+    RatFunc.from_coprime; N_d / h^d and V_d are both scaled by the common
+    denominator of the e_i before the division.
     """
     n = spec.n
     parts = _inv_hbar_parts(spec)
     # the rows e_i in int over one denominator e_den, so N_d is over it too
     e, e_den = _scaled_rows(_exp_minus_mu(spec).coeffs)
+    factors = []  # the irreducible factors of V_d
     out = []
     for d, (_, den) in enumerate(parts):
         num = [0] * (n * d + 1)  # deg N_d <= n d
@@ -248,7 +273,18 @@ def regular_kernel(spec):
             P._accumulate(num, P._mul_ints(e[i][: i + 1], parts[d - i][0]), tail)
         if any(num[:d]):
             raise RegularityViolation(d, d - next(k for k, c in enumerate(num) if c))
-        out.append((tuple(num[d:]), tuple(c * e_den for c in den)))
+        num, den = num[d:], [c * e_den for c in den]
+        while num and not num[-1]:
+            num.pop()
+        if d:
+            factors += _v_factors(n, d)
+        for f in factors:
+            try:
+                num = P._div_exact(num, f)
+            except ArithmeticError:
+                continue
+            den = P._div_exact(den, f)
+        out.append((tuple(num), tuple(den)))
     return tuple(out)
 
 

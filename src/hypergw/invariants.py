@@ -406,10 +406,17 @@ def boundary_locus_series(spec):
 
 
 def _residue_weight(n):
-    """((1+h)^n - 1) / ((n+h) h^2) as a rational function."""
-    num = tuple(Fraction(comb(n, k) if k else 0) for k in range(n + 1))
-    den = (Fraction(0), Fraction(0), Fraction(n), Fraction(1))
-    return RatFunc(num, den)
+    """((1+h)^n - 1) / ((n+h) h^2) as a rational function, reduced with no
+    gcd: each irreducible factor h, h, n + h of the denominator is divided
+    out of the numerator wherever that division is exact (h once, since
+    (1+h)^n - 1 has a simple zero at 0; n + h at n = 2 only)."""
+    num, den = [0] + [comb(n, k) for k in range(1, n + 1)], [1]
+    for factor in ([0, 1], [0, 1], [n, 1]):
+        try:
+            num = P._div_exact(num, factor)
+        except ArithmeticError:
+            den = P._mul_ints(den, factor)
+    return RatFunc.from_coprime(num, den)
 
 
 def boundary_locus_by_residues(spec):

@@ -9,8 +9,9 @@ recurrence behind series quotients, exp, log and the Lagrange powers
 denominator), the primitive gcd (_gcd_ints, by _pseudo_rem and
 _primitive), exact division by a primitive factor (_div_exact, in the
 integers by Gauss's lemma; it raises ArithmeticError when the division is
-not exact) and the first Taylor coefficients at a rational point s/t
-(_taylor_ints, rounds of the Taylor shift of t^n p(y/t) by s).
+not exact), the first Taylor coefficients at a rational point s/t
+(_taylor_ints, rounds of the Taylor shift of t^n p(y/t) by s) and the
+cyclotomic polynomials (_cyclotomic, by exact division).
 
 The public functions keep the Fraction interface: a polynomial is a tuple
 of Fraction coefficients, lowest degree first, with no trailing zeros (the
@@ -20,6 +21,7 @@ coefficient (_fractions).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 from math import lcm as _lcm
 from operator import mul as _mul
@@ -124,6 +126,18 @@ def _div_exact(a, b):
     if any(rem[:db]):
         raise ArithmeticError("polynomial division was not exact")
     return quot
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """Phi_m as an integer tuple, lowest degree first: x^m - 1 divided
+    exactly by Phi_k for each k | m with k < m, since x^m - 1 is the product
+    of the Phi_k over all k | m."""
+    p = [-1] + [0] * (m - 1) + [1]
+    for k in range(1, m):
+        if m % k == 0:
+            p = _div_exact(p, _cyclotomic(k))
+    return tuple(p)
 
 
 def monic(p):

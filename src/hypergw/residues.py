@@ -3,9 +3,11 @@
 One representation per job.  RatFunc, a reduced fraction of integer
 polynomials, serves only where poles away from 0 matter: residues at
 other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }), as
-in the residue-theorem suite.  Its arithmetic stays in Z[h], reduced in
-one place (_lowest_terms: a primitive pseudo-remainder gcd, divided out
-exactly by Gauss's lemma); each value it hands out is one Fraction.  A
+in the residue-theorem suite.  Its arithmetic stays in Z[h]; the
+constructor and the arithmetic reduce in one place (_lowest_terms: a
+primitive pseudo-remainder gcd, divided out exactly by Gauss's lemma),
+and from_coprime takes a pair its caller has already reduced by known
+factors, with no gcd; each value it hands out is one Fraction.  A
 residue at s/t divides t h - s out of the denominator by exact synthetic
 division and reads the Taylor coefficients there by repeated synthetic
 division, with no re-expansion of the whole function.  Everything local
@@ -66,6 +68,15 @@ class RatFunc:
             n = [c * dd for c in n]
             d = [c * dn for c in d]
         self._num, self._den = _lowest_terms(n, d)
+
+    @classmethod
+    def from_coprime(cls, num, den):
+        """num/den for integer sequences without trailing zeros, den nonzero,
+        that the caller knows to be coprime over Q (as when every known
+        irreducible factor of den has been divided out): no gcd runs, only
+        the content and sign normalization of _canonical.  A pair with a
+        common factor breaks the canonical form, and with it equality."""
+        return cls._of(_canonical(num, den))
 
     @classmethod
     def _of(cls, pair):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from hypergw import hyper, residues, series
+from hypergw import hyper, polys, residues, series
 
 
 def _clear_caches():
-    for module in (hyper, residues, series):
+    for module in (hyper, polys, residues, series):
         for stage in vars(module).values():
             if hasattr(stage, "cache_clear"):
                 stage.cache_clear()

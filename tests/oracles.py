@@ -642,8 +642,8 @@ def series_pairs(lhs, rhs, max_order, var="q"):
 
 
 def value_and_slope(pairs):
-    """Value and slope at h = 0 of each unreduced quotient (num, den) of
-    integer tuples, as two Fraction lists: (a + a' h + ..) / (b + b' h + ..)
+    """Value and slope at h = 0 of each quotient (num, den) of integer
+    tuples, as two Fraction lists: (a + a' h + ..) / (b + b' h + ..)
     has value a/b and slope (a' b - a b') / b^2 there."""
     value, slope = [], []
     for num, den in pairs:
@@ -651,6 +651,41 @@ def value_and_slope(pairs):
         value.append(Fr(a, b))
         slope.append(Fr(a1 * b - a * b1, b * b))
     return value, slope
+
+
+def unreduced_regular_kernel(n, e_rows):
+    """The pairs (N_d / h^d, V_d) of the regular kernel Q = exp(-mu/h) K(1/h)
+    straight from their defining products, unreduced, as Fraction tuples:
+    N_d = sum_i e_i rnum_(d-i) prod_(d-i<r<=d) v_r for the rows e_i (e_i[j]
+    the h^j coefficient of h^i [u^i] exp(-mu/h), read up to j = i),
+    rnum_k = prod_(r<=nk) (n + r h), V_d = prod_(r<=d) v_r and
+    v_r = ((1 + r h)^n - 1) / h.  One pair per row."""
+
+    def v(r):
+        return tuple(Fr(comb(n, k) * r**k) for k in range(1, n + 1))
+
+    def products(factors):
+        out = [(Fr(1),)]
+        for f in factors:
+            out.append(poly_mul(out[-1], f))
+        return out
+
+    top = len(e_rows) - 1
+    rnum = products((Fr(n), Fr(r)) for r in range(1, n * top + 1))[::n]
+    big_v = products(v(r) for r in range(1, top + 1))
+    pairs = []
+    for d in range(top + 1):
+        acc = ()
+        tail = (Fr(1),)
+        for i in range(d + 1):
+            if i:
+                tail = poly_mul(tail, v(d - i + 1))
+            term = poly_mul(poly_mul(tuple(e_rows[i][: i + 1]), rnum[d - i]), tail)
+            acc = _padd(acc, term)
+        if any(acc[:d]):
+            raise ArithmeticError(f"h^{d} does not divide N_{d}")
+        pairs.append((acc[d:], big_v[d]))
+    return pairs
 
 
 # -- the Fraction QSeries ---------------------------------------------------------

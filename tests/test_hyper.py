@@ -1,7 +1,7 @@
 """The hypergeometric kernel, the tower, the mirror map, and their identities."""
 
 from fractions import Fraction as Fr
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -208,6 +208,64 @@ def test_window_reads_match_the_factored_pairs(n):
         assert list(window.taylor_coeff(1).coeffs) == slope
         for k, row in enumerate(window.coeffs):
             assert row.ints[:k] == (0,) * k
+
+
+# -- the regular kernel reduced by the factors of V_d, with no gcd -----------------
+
+
+def _divisors(n):
+    return [m for m in range(1, n + 1) if n % m == 0]
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 31):
+        product = [1]
+        for m in _divisors(n):
+            phi = P._cyclotomic(m)
+            # monic, of degree Euler's totient of m
+            assert phi[-1] == 1
+            assert len(phi) - 1 == sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+            product = P._mul_ints(product, phi)
+        assert product == [-1] + [0] * (n - 1) + [1]
+
+
+def test_the_factors_of_v_r_multiply_back_to_v_r():
+    for n in range(1, 13):
+        for r in range(1, 7):
+            v = hyper._v(n, r)
+            factors = hyper._v_factors(n, r)
+            assert len(factors) == len(_divisors(n)) - 1
+            product = [1]
+            for f in factors:
+                assert P._int_content(f) == 1 and f[-1] > 0
+                product = P._mul_ints(product, f)
+            k, rest = divmod(v[-1], product[-1])
+            assert rest == 0
+            assert [k * c for c in product] == v
+
+
+def test_the_factors_of_V_d_are_pairwise_coprime():
+    for n in range(1, 13):
+        factors = [f for r in range(1, 7) for f in hyper._v_factors(n, r)]
+        for i, f in enumerate(factors):
+            for g in factors[:i]:
+                assert P._gcd_ints(f, g) == [1]
+
+
+@pytest.mark.parametrize(
+    "n, order",
+    [(n, order) for n in range(1, 9) for order in range(1, 7)] + [(9, 3), (10, 3), (12, 3)],
+)
+def test_regular_kernel_pairs_match_the_gcd_reduction(n, order):
+    # the coprime pairs against RatFunc's gcd over the unreduced N_d / V_d;
+    # RatFunc's form is canonical, so a common factor left over shows here
+    spec = HyperSpec(n, order)
+    rows = [row.coeffs for row in hyper._exp_minus_mu(spec).coeffs]
+    unreduced = oracles.unreduced_regular_kernel(n, rows)
+    reduced = regular_kernel(spec)
+    assert len(reduced) == len(unreduced) == order + 1
+    for (num, den), pair in zip(reduced, unreduced):
+        assert RatFunc.from_coprime(num, den) == RatFunc(*pair)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

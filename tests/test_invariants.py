@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as Fr
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from hypergw.invariants import (
 )
 from hypergw.report import IdentityReport
 from hypergw.residues import (
+    RatFunc,
     moment_closed_form_check,
     moment_identity_check,
     regularize,
@@ -182,6 +184,15 @@ def test_boundary_residue_route():
         total, parts = boundary_locus_by_residues(spec)
         assert total == boundary_locus_series(spec)
         assert parts["zero"] + parts["minus_n"] + parts["infinity"] == total
+
+
+def test_residue_weight_matches_the_gcd_reduction():
+    # the weight divided by its known factors h, h, n + h, against RatFunc's
+    # gcd over ((1+h)^n - 1) / ((n+h) h^2); at n = 2 the factor 2 + h cancels
+    for n in range(1, 13):
+        num = [0] + [comb(n, k) for k in range(1, n + 1)]
+        assert invariants._residue_weight(n) == RatFunc(num, [0, 0, n, 1])
+    assert invariants._residue_weight(2) == RatFunc([1], [0, 1])
 
 
 def test_locus_split_sums_to_series():

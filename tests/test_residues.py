@@ -595,7 +595,10 @@ def test_regular_kernel_matches_ratfunc_product(n):
     assert [RatFunc(num, den) for num, den in regular_kernel(spec)] == list(ref.coeffs)
 
 
-def test_h0_paths_call_no_gcd(monkeypatch, cold_stages):
+def test_h0_paths_call_no_gcd(monkeypatch, capsys, cold_stages):
+    # the windows at h = 0 need no gcd, dump Q is reduced by the known factors
+    # of V_d and the boundary weight by h and n + h: of the commands only the
+    # residue-theorem suite reaches the gcd
     calls = []
     for name in ("gcd_poly", "_gcd_ints"):
         gcd = getattr(P, name)
@@ -603,6 +606,13 @@ def test_h0_paths_call_no_gcd(monkeypatch, cold_stages):
     assert all(r.passed for r in cli.run_suites(["props32", "regularize"], 5, 4))
     assert len(calls) == 0
     assert hyper.ladder_identities(HyperSpec(5, 4)).passed
+    assert len(calls) == 0
+    for n in range(2, 9):
+        args = ["--n", str(n), "--order", "4"]
+        for what in cli.DUMPABLE:
+            assert cli.main(["dump", "--what", what, *args]) == 0
+        assert cli.main(["verify", "--suite", "props31,props32,theorem3", *args]) == 0
+    capsys.readouterr()
     assert len(calls) == 0
 
 
