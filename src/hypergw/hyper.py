@@ -223,7 +223,7 @@ def regularizing_exponent(spec, method="closed_form"):
     kernel at w = 1/h, whose q^0 coefficient is 1, at the ladder's width.
     """
     if method == "closed_form":
-        return (one_minus_nn_q(spec).power(Fraction(-1, spec.n)) - 1).integral()
+        return (kernel_value_at_zero(spec) - 1).integral()
     if method == "residue":
         return (_narrow_kernel(spec) - 1).log_one_plus().weighted_residues(0)
     raise ValueError(f"unknown method {method!r}")
@@ -299,8 +299,7 @@ def kernel_slope_at_zero(spec):
     """Closed form for the first h-derivative of the regular kernel at h = 0."""
     n = spec.n
     c = Fraction((n - 2) * (n + 1), 24 * n)
-    base = one_minus_nn_q(spec)
-    return (base.power(Fraction(-1, n)) - base.power(Fraction(-1))) * c
+    return (kernel_value_at_zero(spec) - 1 / one_minus_nn_q(spec)) * c
 
 
 @lru_cache(maxsize=None)
@@ -311,9 +310,9 @@ def log_kernel_w(spec):
 
 
 def dw_kernel_coeffs(n, upto):
-    """Taylor coefficients in w of (1+w)^n / (1+nw)."""
-    num = tuple(Fraction(comb(n, k)) for k in range(n + 1))
-    return list(P.series_div(num, (Fraction(1), Fraction(n)), upto))
+    """Taylor coefficients in w of (1+w)^n / (1+nw), up to w^upto: the
+    integers sum_{k<=j} C(n, j-k) (-n)^k."""
+    return [sum(comb(n, j - k) * (-n) ** k for k in range(j + 1)) for j in range(upto + 1)]
 
 
 # -- ladder series -------------------------------------------------------

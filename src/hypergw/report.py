@@ -52,16 +52,8 @@ class IdentityReport(Record):
 
 def report_equality(identity, parameters, pairs, max_order):
     """Build a report from (locus, lhs, rhs) triples compared exactly."""
-    for locus, lhs, rhs in pairs:
-        if lhs != rhs:
-            return IdentityReport(
-                identity,
-                parameters,
-                max_order,
-                passed=False,
-                first_failure=f"{locus}: {lhs!r} != {rhs!r}",
-            )
-    return IdentityReport(identity, parameters, max_order, passed=True)
+    failures = (f"{locus}: {lhs!r} != {rhs!r}" for locus, lhs, rhs in pairs if lhs != rhs)
+    return report_failures(identity, parameters, failures, max_order)
 
 
 def series_failure(lhs, rhs, max_order, var="q"):
@@ -95,13 +87,5 @@ def report_series(identity, parameters, lhs, rhs, max_order, var="q"):
 
 def merge_reports(identity, parameters, reports, max_order):
     """Collapse sub-reports into one, keeping the first failure."""
-    for rep in reports:
-        if not rep.passed:
-            return IdentityReport(
-                identity,
-                parameters,
-                max_order,
-                passed=False,
-                first_failure=f"{rep.identity}: {rep.first_failure}",
-            )
-    return IdentityReport(identity, parameters, max_order, passed=True)
+    failures = (f"{rep.identity}: {rep.first_failure}" for rep in reports if not rep.passed)
+    return report_failures(identity, parameters, failures, max_order)

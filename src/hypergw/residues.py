@@ -534,7 +534,8 @@ def exp_over_hbar(eta, sign=1):
 
 
 class Regularization(Record):
-    """1 + z = exp(eta/h) * (1 + zbar), with the moments c_j = res{ h^-j z }."""
+    """1 + z = exp(eta/h) * (1 + zbar), with the moments c_j = res{ h^-j z }
+    and the moment sums that the moment checks read."""
 
     _fields = ("eta", "zbar", "regular", "z", "moments")
 
@@ -546,19 +547,30 @@ class Regularization(Record):
         self.moments = moments
 
     @cached_property
-    def moment_powers(self):
-        """[g^m for m = 1..D] of g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, each a
-        polynomial in s truncated at s^D with QSeries coefficients.  They
-        depend on the moments alone, so every moment check on this
-        regularization shares them."""
-        d = self.z.truncation
-        g = [c * Fraction((-1) ** j, factorial(j)) for j, c in enumerate(self.moments)]
-        power = [QSeries.one(d)]  # g^0
-        out = []
-        for _ in range(d):
-            power = convolve_rows(power, g, d + 1)
-            out.append(power)
-        return out
+    def moment_windows(self):
+        """For G = g/s and g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, the sums
+        sum_{m>=2} G^m / (m(m-1)) = (1 - G) log(1 - G) + G and
+        sum_{m>=0} G^m = 1 / (1 - G), the latter by the row recurrence
+        W_k = sum_{0<i<=k} G_i W_(k-i), as USeriesRF windows in (u, s).
+
+        Row k of G holds s^k [u^k] G: entry e is (-1)^j / j! [u^k] c_j with
+        j = e - k + 1.  Row 0 is zero, since every c_j is O(u), so both sums
+        are exact to u^D, and the checks read at most entry k of row k, so
+        width D covers them.  Built from the moments alone, once per
+        regularization, on its first moment check."""
+        c, d = self.moments, self.z.truncation
+        dens = [m.den * factorial(j) for j, m in enumerate(c)]
+
+        def row(k):  # entries k - 1 .. D hold j = 0 .. D - k + 1
+            nums = [(-1) ** j * c[j].ints[k] for j in range(d - k + 2)]
+            return QSeries._ratios([0] * (k - 1) + nums, [1] * (k - 1) + dens[: d - k + 2])
+
+        big_g = USeriesRF._of([QSeries.zero(d)] + [row(k) for k in range(1, d + 1)])
+        log = (-big_g).log_one_plus()
+        w = [QSeries.one(d)]
+        for k in range(1, d + 1):
+            w.append(sum((big_g[i] * w[k - i] for i in range(1, k + 1)), QSeries.zero(d)))
+        return log + big_g - big_g * log, USeriesRF._of(w)
 
     @cached_property
     def eta_powers(self):
@@ -606,35 +618,28 @@ def regularize(z):
 def moment_identity_check(reg, a, which):
     """The residue-moment identities tied to regularizability.
 
-    reg is regularize(z) for the series z under test.
-    which = "intrinsic": the criterion that holds exactly when the series
-    is regularizable; both sides use only residues of h-powers of z.
-    which = "regularized": the evaluation identity whose right side is
-    eta^a / (1 + zbar(0, u)); requires a regularizable input.
+    reg is regularize(z) for the series z under test; the left sides read
+    the moment windows of reg, which use the moments alone.
+    which = "intrinsic": sum_{m>=2} [s^(m-2-a)] g^m / (m(m-1)), the
+    [s^(-2-a)] entry of (1 - G) log(1 - G) + G, against a! res{ h^(a+1) z }:
+    the criterion that holds exactly when the series is regularizable.
+    which = "regularized": sum_{m>=0} [s^(m-a)] g^m, the [s^-a] entry of
+    1 / (1 - G), against eta^a / (1 + zbar(0, u)); requires a
+    regularizable input.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
     if which not in ("intrinsic", "regularized"):
         raise ValueError(f"unknown identity kind {which!r}")
     d = reg.z.truncation
-    lhs = QSeries.zero(d)
-    for m, power in enumerate(reg.moment_powers, start=1):
-        if which == "intrinsic":
-            if m < 2 or m - 2 - a < 0:
-                continue
-            lhs = lhs + power[m - 2 - a] * Fraction(1, m * (m - 1))
-        else:
-            if m - a < 0:
-                continue
-            lhs = lhs + power[m - a]
     if which == "intrinsic":
+        lhs = reg.moment_windows[0].taylor_coeff(-2 - a)
         rhs = reg.z.weighted_residues(a + 1) * factorial(a)
         name = "moment-intrinsic"
     else:
-        if a == 0:
-            lhs = lhs + QSeries.one(d)  # empty-product term
         if not reg.regular:
             raise NotRegularizable("evaluation identity needs a regularizable series")
+        lhs = reg.moment_windows[1].taylor_coeff(-a)
         denom = QSeries.one(d) + reg.zbar.taylor_coeff(0)
         rhs = reg.eta**a / denom
         name = "moment-regularized"

@@ -11,9 +11,10 @@ by one gcd; Fractions are built only for readers (coeffs, indexing).
 TPoly layers a polynomial in t on top (t is the logarithm of the series
 variable, so d/dt acts as q*d/dq), and WSeries does the same for a formal
 variable w with its own truncation order.  Every bivariate series of the
-package (these two, the window series of residues.USeriesRF, the moment
-powers of a regularization) is a list of QSeries rows; convolve_rows is
-their one truncated product and log_one_plus_rows their one logarithm.
+package (these two and the window series of residues.USeriesRF, which
+also hold the moment sums of a regularization) is a list of QSeries rows;
+convolve_rows is their one truncated product and log_one_plus_rows their
+one logarithm.
 """
 
 from fractions import Fraction

@@ -370,6 +370,30 @@ def regularize_eta(moments):
     return eta
 
 
+def moment_sums(moments, a, which):
+    """The left side of a moment identity from the power list of
+    g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, for the moments c_j, j = 0..D
+    (coefficient lists of length D + 1): g^m for m = 1..D, each a list of
+    u-coefficient lists over s^0..s^D, and then
+        intrinsic:   sum_{m>=2} [s^(m-2-a)] g^m / (m(m-1)),
+        regularized: sum_{m>=1} [s^(m-a)] g^m, plus 1 for a = 0."""
+    d = len(moments) - 1
+    g = [[c * Fr((-1) ** j, factorial(j)) for c in m] for j, m in enumerate(moments)]
+    power = [[Fr(1)] + [Fr(0)] * d]  # g^0
+    lhs = [Fr(1 if which == "regularized" and a == 0 else 0)] + [Fr(0)] * d
+    for m in range(1, d + 1):
+        power = convolve_rows(power, g, d + 1)
+        if which == "intrinsic":
+            if m < 2 or m - 2 - a < 0:
+                continue
+            lhs = _row_add(lhs, [c / (m * (m - 1)) for c in power[m - 2 - a]])
+        else:
+            if m - a < 0:
+                continue
+            lhs = _row_add(lhs, power[m - a])
+    return lhs
+
+
 # -- the Fraction RatFunc and the residue routes that the integer RatFunc
 # replaced.  Polynomials are Fraction tuples without trailing zeros; the
 # gcd is Euclid's over the rationals.

@@ -1,7 +1,6 @@
 """Rational functions, residues, regularization, and the moment identities."""
 
 import random
-import sys
 from fractions import Fraction as Fr
 from functools import cached_property
 from itertools import combinations
@@ -31,6 +30,7 @@ from hypergw.residues import (
     vandermonde_check,
 )
 from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
+from hypergw.invariants import bridge_series
 from hypergw.series import QSeries
 
 import oracles
@@ -555,6 +555,48 @@ def test_regularize_exponent_matches_power_sum_fixed_point(case):
     assert list(reg.eta.coeffs) == oracles.regularize_eta([m.coeffs for m in reg.moments])
 
 
+def g_window(reg):
+    """G = g/s for g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, as a window series
+    in (u, s) built from its u-coefficients, rational functions of s."""
+    c = reg.moments
+    return USeriesRF(
+        RatFunc([Fr((-1) ** j, factorial(j)) * m[k] for j, m in enumerate(c)], [0, 1])
+        for k in range(len(c))
+    )
+
+
+def assert_moment_windows_match_power_list(reg):
+    """The moment windows against the power list of oracles.moment_sums, and
+    the fixed-point eta against its Lagrange form -[s^-1] log(1 - G)."""
+    intrinsic, geometric = reg.moment_windows
+    moments = [m.coeffs for m in reg.moments]
+    for a in range(5):
+        want = oracles.moment_sums(moments, a, "intrinsic")
+        assert list(intrinsic.taylor_coeff(-2 - a).coeffs) == want
+    for a in range(4):
+        want = oracles.moment_sums(moments, a, "regularized")
+        assert list(geometric.taylor_coeff(-a).coeffs) == want
+    assert reg.eta == -(-g_window(reg)).log_one_plus().taylor_coeff(-1)
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_moment_windows_match_power_list_on_suite_series(order):
+    assert_moment_windows_match_power_list(regularize(cli._constructed_regularizable(order)))
+    assert_moment_windows_match_power_list(regularize(cli._u_times_h_power(-1, order)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_moment_windows_match_power_list_on_bridge_series(n):
+    for order in range(1, 9) if n != 5 else (*range(1, 9), 12):
+        assert_moment_windows_match_power_list(regularize(bridge_series(HyperSpec(n, order))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(regularizable_windows())
+def test_moment_windows_match_power_list_on_drawn_series(case):
+    assert_moment_windows_match_power_list(regularize(case[1]))
+
+
 def test_fixed_point_halves_series_products(monkeypatch):
     # the power-sum rounds made 140 QSeries.__mul__ calls here: per term of
     # each of the D rounds, a power of eta, its scaling and its moment product
@@ -616,20 +658,19 @@ def test_h0_paths_call_no_gcd(monkeypatch, capsys, cold_stages):
     assert len(calls) == 0
 
 
-def test_moment_powers_built_once_per_regularization(monkeypatch):
-    calls = []
-    convolve = residues.convolve_rows
-
-    def counted(*args):
-        if sys._getframe(1).f_code.co_name == "moment_powers":
-            calls.append(1)
-        return convolve(*args)
-
-    monkeypatch.setattr(residues, "convolve_rows", counted)
+def test_moment_windows_built_once_per_regularization(monkeypatch):
+    built, checks = [], []
+    build = residues.Regularization.__dict__["moment_windows"].func
+    counted = cached_property(lambda reg: built.append(reg) or build(reg))
+    counted.__set_name__(residues.Regularization, "moment_windows")
+    monkeypatch.setattr(residues.Regularization, "moment_windows", counted)
+    check = cli.moment_identity_check
+    monkeypatch.setattr(cli, "moment_identity_check", lambda *a: checks.append(1) or check(*a))
     assert all(r.passed for r in cli._suite_regularize(5, 6))
-    # D = 6 powers of g for each of the three regularizations, shared by the
-    # 16 moment checks
-    assert len(calls) == 3 * 6
+    # one build for each of the three regularizations, shared by the 16
+    # moment checks
+    assert len(checks) == 16
+    assert len(built) == 3
 
 
 def test_eta_powers_built_once_per_regularization(monkeypatch):
