@@ -2,7 +2,8 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.
+package under test.  The argparse parser of the command line is kept at
+the end.
 """
 
 from fractions import Fraction as Fr
@@ -818,3 +819,42 @@ class QSeries:
         for k in range(d - 1, -1, -1):
             acc = acc * inner.truncate(d) + self.coeffs[k]
         return acc
+
+
+# -- the command line ---------------------------------------------------------
+
+
+def cli_parser():
+    """The argparse parser the command line was read with, the reference for
+    the table-driven parser in cli.py; only the suite and series names come
+    from the package."""
+    import argparse
+
+    from hypergw.cli import DUMPABLE, SUITES
+
+    parser = argparse.ArgumentParser(
+        prog="hypergw",
+        description="Exact genus-0/1 Gromov-Witten invariants of Calabi-Yau "
+        "hypersurfaces and their identity suites.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, default=5, help="hypersurface degree (>= 1)")
+    common.add_argument("--order", type=int, default=6, help="q-truncation (>= 1)")
+    common.add_argument("--output", default=None, help="output path (default stdout)")
+
+    p_inv = sub.add_parser("invariants", parents=[common], help="emit the invariant table")
+    p_inv.add_argument("--format", choices=("json", "csv", "text"), default="text")
+
+    p_ver = sub.add_parser("verify", parents=[common], help="run identity suites")
+    p_ver.add_argument(
+        "--suite",
+        default=",".join(SUITES),
+        help="comma-separated subset of: " + ", ".join(SUITES),
+    )
+    p_ver.add_argument("--format", choices=("json", "text"), default="text")
+
+    p_dump = sub.add_parser("dump", parents=[common], help="print one series")
+    p_dump.add_argument("--what", required=True, help="one of: " + ", ".join(DUMPABLE))
+    return parser

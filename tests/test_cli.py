@@ -344,18 +344,29 @@ def test_output_file(tmp_path, capsys):
 def test_cli_import_loads_no_dataclasses():
     # the records are plain classes: dataclasses (and the inspect, ast and
     # dis it pulls in) cost every process start several milliseconds; -S
-    # keeps site hooks of the installation out of the list
+    # keeps site hooks of the installation out of the list; argparse (with
+    # the gettext and locale it loads) is as costly, and a short job must
+    # not import it lazily either
     src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, hypergw.cli\n"
+        "hypergw.cli.main(['dump', '--what', 'I', '--n', '2', '--order', '4'])\n"
+        "sys.stderr.write('modules: ' + ' '.join(sys.modules) + '\\n')\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-c", "import hypergw.cli"],
+        [sys.executable, "-S", "-X", "importtime", "-c", code],
         env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "hypergw.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    lines = proc.stderr.splitlines()
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in lines}
+    after_main = set(lines[-1].split()[1:])
+    assert "hypergw.cli" in loaded and "hypergw.cli" in after_main
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale"}
+    assert not loaded & forbidden
+    assert not after_main & forbidden
 
 
 def test_records_keep_their_dataclass_behaviour():
