@@ -25,8 +25,8 @@ from math import comb, factorial
 
 from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
-from .report import Record, merge_reports, report_equality, report_failures
-from .report import report_series, series_failure
+from .report import IdentityReport, Record, equality_failure, first_failure, merge_reports
+from .report import series_failure
 from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries, _scaled_rows
 
@@ -38,6 +38,8 @@ class HyperSpec(Record):
     _fields = ("n", "qorder")
 
     def __init__(self, n, qorder=8):
+        if type(n) is not int or type(qorder) is not int:  # as 5.0 or True, equal to an int
+            raise TypeError(f"n and qorder must be ints, got {n!r} and {qorder!r}")
         if n < 1:
             raise ValueError("n must be >= 1")
         if qorder < 1:
@@ -362,36 +364,38 @@ def diagonal_identities(spec):
     weighted = weighted * onemq.power(Fraction(n - 1, 2))
 
     symmetry = (series_failure(diags[p], diags[n - 1 - p], d, f"p={p} q") for p in range(n))
-    reports = [
-        report_series("diagonal-product", {"n": n}, plain, one, d),
-        report_series("diagonal-weighted-product", {"n": n}, weighted, one, d),
-        report_failures("diagonal-symmetry", {"n": n}, symmetry, d),
+    parts = [
+        ("diagonal-product", series_failure(plain, one, d)),
+        ("diagonal-weighted-product", series_failure(weighted, one, d)),
+        ("diagonal-symmetry", first_failure(symmetry)),
     ]
-    return merge_reports("diagonal-identities", {"n": n, "order": d}, reports, d)
+    return merge_reports("diagonal-identities", {"n": n, "order": d}, parts, d)
 
 
 def tower_structure_check(spec):
     """Degrees and constant terms of the tower entries, and the consistency
     of the reduced coefficients across rows."""
     n, d = spec.n, spec.qorder
-    seen = {}
-    pairs = []
-    for p in range(n):
-        for k in range(p, n):
-            entry = i_series(spec, p, k)
-            pairs.append((f"t-degree of ({p},{k})", entry.t_degree <= k - p, True))
-            for r in range(p, k + 1):
-                reduced = entry.coeff(k - r) * factorial(k - r)
-                expect = Fraction(1) if r == p else Fraction(0)
-                pairs.append(
-                    (f"constant of reduced ({p},{r}) from k={k}", reduced[0], expect)
-                )
-                key = (p, r)
-                if key in seen:
-                    pairs.append((f"reduced ({p},{r}) consistent", reduced, seen[key]))
-                else:
-                    seen[key] = reduced
-    return report_equality("tower-structure", {"n": n, "order": d}, pairs, d)
+
+    def failures():
+        seen = {}
+        for p in range(n):
+            for k in range(p, n):
+                entry = i_series(spec, p, k)
+                yield equality_failure(f"t-degree of ({p},{k})", entry.t_degree <= k - p, True)
+                for r in range(p, k + 1):
+                    reduced = entry.coeff(k - r) * factorial(k - r)
+                    expect = Fraction(1) if r == p else Fraction(0)
+                    yield equality_failure(
+                        f"constant of reduced ({p},{r}) from k={k}", reduced[0], expect
+                    )
+                    if (p, r) in seen:
+                        label = f"reduced ({p},{r}) consistent q"
+                        yield series_failure(reduced, seen[p, r], d, label)
+                    else:
+                        seen[p, r] = reduced
+
+    return IdentityReport("tower-structure", {"n": n, "order": d}, d, first_failure(failures()))
 
 
 def exponent_methods_check(spec):
@@ -399,7 +403,9 @@ def exponent_methods_check(spec):
     d = spec.qorder
     a = regularizing_exponent(spec, "closed_form")
     b = regularizing_exponent(spec, "residue")
-    return report_series("exponent-methods-agree", {"n": spec.n, "order": d}, a, b, d)
+    return IdentityReport(
+        "exponent-methods-agree", {"n": spec.n, "order": d}, d, series_failure(a, b, d)
+    )
 
 
 def regular_kernel_checks(spec):
@@ -413,11 +419,11 @@ def regular_kernel_checks(spec):
         if any(row.ints[:k]):
             raise RegularityViolation(k, k - next(i for i, c in enumerate(row.ints) if c))
     value, slope = window.taylor_coeff(0), window.taylor_coeff(1)
-    reports = [
-        report_series("regular-kernel-value", {"n": spec.n}, value, kernel_value_at_zero(spec), d),
-        report_series("regular-kernel-slope", {"n": spec.n}, slope, kernel_slope_at_zero(spec), d),
+    parts = [
+        ("regular-kernel-value", series_failure(value, kernel_value_at_zero(spec), d)),
+        ("regular-kernel-slope", series_failure(slope, kernel_slope_at_zero(spec), d)),
     ]
-    return merge_reports("regular-kernel", {"n": spec.n, "order": d}, reports, d)
+    return merge_reports("regular-kernel", {"n": spec.n, "order": d}, parts, d)
 
 
 def ladder_identities(spec):
@@ -432,11 +438,8 @@ def ladder_identities(spec):
     flog_deriv = [f.log().derivative() for f in fs]
     phi1 = kernel_slope_at_zero(spec)
 
-    theta0 = []
-    theta1 = []
-    for p in range(n):
-        theta0.append(ladder_residue(spec, p, 0))
-        theta1.append(ladder_residue(spec, p, 1))
+    theta0 = [ladder_residue(spec, p, 0) for p in range(n)]
+    theta1 = [ladder_residue(spec, p, 1) for p in range(n)]
 
     fails0, fails1 = [], []
     for p in range(n):
@@ -450,16 +453,13 @@ def ladder_identities(spec):
         fails0.append(series_failure(theta0[p], closed0, d, f"p={p} q"))
         fails1.append(series_failure(theta1[p], closed1, d, f"p={p} q"))
 
-    reports = [
-        report_failures("ladder-first-residue", {"n": n}, fails0, d),
-        report_failures("ladder-second-residue", {"n": n}, fails1, d),
-    ]
-
-    # first descent step agrees with the mirror-map route
+    # the first descent step agrees with the mirror-map route
     step = one + mirror_shift(spec).derivative()
-    reports.append(
-        report_series("ladder-step-matches-mirror", {"n": n}, diagonal_series(spec, 1), step, d)
-    )
+    parts = [
+        ("ladder-first-residue", first_failure(fails0)),
+        ("ladder-second-residue", first_failure(fails1)),
+        ("ladder-step-matches-mirror", series_failure(diagonal_series(spec, 1), step, d)),
+    ]
 
     # double residue of the paired ladder series
     descended = [_descended_regular(spec, p) for p in range(n)]
@@ -480,12 +480,6 @@ def ladder_identities(spec):
             tail = tail + flog_deriv[r] * (p - r)
     rhs = big_l * (phi1 * n + tail)
 
-    reports.append(
-        report_failures(
-            "paired-ladder-double-residue",
-            {"n": n},
-            (series_failure(lhs, mid, d, "mid q"), series_failure(lhs, rhs, d, "closed q")),
-            d,
-        )
-    )
-    return merge_reports("ladder-identities", {"n": n, "order": d}, reports, d)
+    paired = (series_failure(lhs, mid, d, "mid q"), series_failure(lhs, rhs, d, "closed q"))
+    parts.append(("paired-ladder-double-residue", first_failure(paired)))
+    return merge_reports("ladder-identities", {"n": n, "order": d}, parts, d)

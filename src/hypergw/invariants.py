@@ -22,7 +22,7 @@ from . import hyper
 from . import polys as P
 from .errors import MissingColumn, RoutesDisagree
 from .hyper import HyperSpec
-from .report import Record, merge_reports, report_equality, report_series
+from .report import Record, merge_reports, merged_failure, series_failure
 from .residues import RatFunc, laurent_at_zero, residue_at
 from .series import QSeries, TPoly, change_exp_variable, format_rational
 
@@ -135,16 +135,13 @@ def quintic_genus0(order):
     lhs3 = j1 * j1 * j1 * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
     one = TPoly.from_qseries(QSeries.one(d))
     t_plus_shift = TPoly.t_variable(d) + TPoly.from_qseries(shift)
-    reports = [
-        report_equality("block-0", {}, [("value", _j_poly(spec, 0), one)], d),
-        report_equality("block-1", {}, [("value", j1, t_plus_shift)], d),
-        report_equality("block-2", {}, [("value", lhs2, j2)], d),
-        report_equality("block-3", {}, [("value", lhs3, j3)], d),
+    parts = [
+        ("block-0", series_failure(_j_poly(spec, 0), one, d)),
+        ("block-1", series_failure(j1, t_plus_shift, d)),
+        ("block-2", series_failure(lhs2, j2, d)),
+        ("block-3", series_failure(lhs3, j3, d)),
     ]
-    report = merge_reports(
-        "mirror-block-reconstruction", {"n": 5, "order": d}, reports, d
-    )
-    return values, report
+    return values, merge_reports("mirror-block-reconstruction", {"n": 5, "order": d}, parts, d)
 
 
 def _block_sums(shift, values):
@@ -272,12 +269,28 @@ class GWTable(Record):
                 elif val.denominator == 1:
                     cells.append(str(val.numerator))
                 else:
-                    cells.append(f"{format_rational(val)} (~{float(val):.6g})")
+                    cells.append(f"{format_rational(val)} (~{_approx(val)})")
             table.append(cells)
         widths = [max(len(r[i]) for r in table) for i in range(len(header))]
         for r in table:
             lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
         return "\n".join(lines) + "\n"
+
+
+def _approx(x):
+    """x in the shape of %.6g, for the text table only: through a float
+    inside its range, and past it from the Fraction in integers, rounded
+    half to even to six significant digits."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        e = len(str(abs(x.numerator) // x.denominator)) - 1  # the decimal exponent
+        m = round(abs(x) / 10 ** (e - 5))
+        if m == 10**6:
+            m, e = 10**5, e + 1
+        digits = str(m).rstrip("0")
+        mantissa = digits[0] + ("." + digits[1:] if digits[1:] else "")
+        return f"{'-' if x < 0 else ''}{mantissa}e+{e}"
 
 
 def reduced_to_standard(table):
@@ -310,40 +323,34 @@ def genus1_cover_sum(n1, n0, d):
     )
 
 
-def instanton_inversion(table, genus):
-    """Strip multiple covers: solve the divisor-sum relations recursively.
+def instanton_inversion(table):
+    """Strip multiple covers: solve the divisor-sum relations recursively,
+    genus 0 and then genus 1, which reads the genus-0 numbers.
 
     The relations are `genus0_cover_sum` and `genus1_cover_sum`.  Forward
     substitution of the solved columns reproduces the inputs exactly; that
-    round trip is checked here.
+    round trip is checked here, for each genus.
     """
-    if genus == 0:
-        big = table.require("N0")
-        small = {}
-        for d, val in enumerate(big, start=1):
-            covers = [(small[d // k], -1, k**3) for k in divisors(d) if k > 1]
-            small[d] = _weighted_sum([(val, 1, 1)] + covers)
-        for row in table.rows:
-            row.n0 = small[row.d]
-        forward = [genus0_cover_sum(small, d) for d in range(1, len(big) + 1)]
-        if forward != big:
-            raise RoutesDisagree("genus-0 multiple-cover round trip failed")
-        return table
-    if genus == 1:
-        big = table.require("N1")
-        n0 = {d: v for d, v in enumerate(table.require("n0"), start=1)}
-        small = {}
-        for d, val in enumerate(big, start=1):
-            cover0 = [(n0[d // k], -1, 12 * k) for k in divisors(d)]
-            cover1 = [(small[d // k], -sigma(k), k) for k in divisors(d) if k > 1]
-            small[d] = _weighted_sum([(val, 1, 1)] + cover0 + cover1)
-        for row in table.rows:
-            row.n1 = small[row.d]
-        forward = [genus1_cover_sum(small, n0, d) for d in range(1, len(big) + 1)]
-        if forward != big:
-            raise RoutesDisagree("genus-1 multiple-cover round trip failed")
-        return table
-    raise ValueError("genus must be 0 or 1")
+    big = table.require("N0")
+    n0 = {}
+    for d, val in enumerate(big, start=1):
+        covers = [(n0[d // k], -1, k**3) for k in divisors(d) if k > 1]
+        n0[d] = _weighted_sum([(val, 1, 1)] + covers)
+    for row in table.rows:
+        row.n0 = n0[row.d]
+    if [genus0_cover_sum(n0, d) for d in range(1, len(big) + 1)] != big:
+        raise RoutesDisagree("genus-0 multiple-cover round trip failed")
+    big = table.require("N1")
+    n1 = {}
+    for d, val in enumerate(big, start=1):
+        cover0 = [(n0[d // k], -1, 12 * k) for k in divisors(d)]
+        cover1 = [(n1[d // k], -sigma(k), k) for k in divisors(d) if k > 1]
+        n1[d] = _weighted_sum([(val, 1, 1)] + cover0 + cover1)
+    for row in table.rows:
+        row.n1 = n1[row.d]
+    if [genus1_cover_sum(n1, n0, d) for d in range(1, len(big) + 1)] != big:
+        raise RoutesDisagree("genus-1 multiple-cover round trip failed")
+    return table
 
 
 def assemble_table(n, order):
@@ -367,8 +374,7 @@ def assemble_table(n, order):
                 raise RoutesDisagree(
                     f"genus-1 routes disagree at degree {row.d}: {row.N1} vs {v}"
                 )
-        instanton_inversion(table, 0)
-        instanton_inversion(table, 1)
+        instanton_inversion(table)
     return table
 
 
@@ -488,8 +494,8 @@ def locus_split_check(spec):
         (shift_neg + mu) * Fraction((n - 2) * (n + 1), 2 * n) + phi0_log - log_i0
     ) * Fraction(-n, 24)
 
-    reports = [
-        report_series(name, {"n": n}, a, b, d)
+    checks = [
+        (name, series_failure(a, b, d))
         for name, a, b in (
             ("effective-locus-forms", eff_half, eff_parity),
             ("boundary-residue-route", by_res, boundary),
@@ -498,7 +504,7 @@ def locus_split_check(spec):
             ("locus-sum-matches-series", eff_parity + boundary, total),
         )
     ]
-    return merge_reports("locus-split", {"n": n, "order": d}, reports, d)
+    return merge_reports("locus-split", {"n": n, "order": d}, checks, d)
 
 
 # -- low dimensions ---------------------------------------------------------
@@ -524,50 +530,33 @@ def low_dimension_checks(order):
         - hyper.diagonal_series(spec3, 0).log() * Fraction(1, 2)
     )
     extracted3 = QSeries([Fraction(0)] + extract_invariants(series3, spec3))
-    covers = torus_cover_series(d)
-    rep3 = merge_reports(
-        "torus-cover-match",
-        {"n": 3, "order": d},
+    torus = merged_failure(
         [
-            report_series("cubic-closed-form", {}, series3, direct3, d),
-            report_series("cubic-cover-counts", {}, extracted3, covers, d, "Q"),
-        ],
-        d,
+            ("cubic-closed-form", series_failure(series3, direct3, d)),
+            ("cubic-cover-counts", series_failure(extracted3, torus_cover_series(d), d, "Q")),
+        ]
     )
 
     spec4 = HyperSpec(4, d)
     j1 = _j_poly(spec4, 1)
     j2 = _j_poly(spec4, 2)
     gap = j2 - j1 * j1 * Fraction(1, 2)
-    zero_tp = TPoly.zero(d)
     j2p = j2.d_dt()
     j1p = hyper.diagonal_series(spec4, 1)
     decomposition = (j2p.div_qseries(j1p) - j1).d_dt()
     diag_gap = TPoly.from_qseries(
         hyper.diagonal_series(spec4, 2) - hyper.diagonal_series(spec4, 1)
     )
-    extracted4 = extract_invariants(reduced_genus1_series(spec4), spec4)
-    rep4 = merge_reports(
-        "k3-vanishing",
-        {"n": 4, "order": d},
+    extracted4 = QSeries([Fraction(0)] + extract_invariants(reduced_genus1_series(spec4), spec4))
+    k3 = merged_failure(
         [
-            report_equality("quartic-gap-vanishes", {}, [("value", gap, zero_tp)], d),
-            report_equality(
-                "quartic-gap-derivative",
-                {},
-                [("value", decomposition, diag_gap)],
-                d,
-            ),
-            report_equality(
-                "quartic-invariants-vanish",
-                {},
-                [(f"Q^{k}", v, Fraction(0)) for k, v in enumerate(extracted4, 1)],
-                d,
-            ),
-        ],
-        d,
+            ("quartic-gap-vanishes", series_failure(gap, TPoly.zero(d), d)),
+            ("quartic-gap-derivative", series_failure(decomposition, diag_gap, d)),
+            ("quartic-invariants-vanish", series_failure(extracted4, QSeries.zero(d), d, "Q")),
+        ]
     )
-    return merge_reports("low-dimensions", {"order": d}, [rep3, rep4], d)
+    parts = [("torus-cover-match", torus), ("k3-vanishing", k3)]
+    return merge_reports("low-dimensions", {"order": d}, parts, d)
 
 
 # -- bridge to the regularization machinery ---------------------------------

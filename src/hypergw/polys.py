@@ -42,6 +42,15 @@ def degree(p):
     return len(p) - 1
 
 
+def _exact(c):
+    """c itself when it is an int or a Fraction.  Anything else, a float or
+    a string say, raises TypeError: it would enter the exact arithmetic
+    rounded or parsed."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"expected an int or a Fraction, got {c!r}")
+
+
 def _scaled(p):
     """(ints, den): den is the lcm of the denominators of p's coefficients
     (Fractions or ints) and ints[i] = p[i] * den, with no Fraction

@@ -1,4 +1,9 @@
-"""Structured pass/fail records for the identity suites."""
+"""Structured pass/fail records for the identity suites.
+
+Every check below the identity level returns its failure text, or None
+when it passes; an IdentityReport stands for one identity a suite reports."""
+
+from .series import TPoly
 
 
 class Record:
@@ -20,16 +25,20 @@ class Record:
 
 
 class IdentityReport(Record):
+    """One identity as a suite prints it; it passes exactly when it has no
+    failure text."""
+
     _fields = ("identity", "parameters", "max_order_checked", "passed", "first_failure")
 
-    def __init__(
-        self, identity, parameters=None, max_order_checked=0, passed=True, first_failure=None
-    ):
+    def __init__(self, identity, parameters=None, max_order_checked=0, first_failure=None):
         self.identity = identity
         self.parameters = {} if parameters is None else parameters
         self.max_order_checked = max_order_checked
-        self.passed = passed
         self.first_failure = first_failure
+
+    @property
+    def passed(self):
+        return self.first_failure is None
 
     def to_dict(self):
         out = {
@@ -50,17 +59,28 @@ class IdentityReport(Record):
         return f"{head}: FAIL at {self.first_failure}"
 
 
-def report_equality(identity, parameters, pairs, max_order):
-    """Build a report from (locus, lhs, rhs) triples compared exactly."""
-    failures = (f"{locus}: {lhs!r} != {rhs!r}" for locus, lhs, rhs in pairs if lhs != rhs)
-    return report_failures(identity, parameters, failures, max_order)
+def first_failure(failures):
+    """The first text that `failures` yields other than None, or None.  It
+    is drawn only up to that text, so the checks after it do not run."""
+    return next((text for text in failures if text is not None), None)
+
+
+def equality_failure(locus, lhs, rhs):
+    """`locus: lhs != rhs` when the two differ, else None."""
+    return None if lhs == rhs else f"{locus}: {lhs!r} != {rhs!r}"
 
 
 def series_failure(lhs, rhs, max_order, var="q"):
-    """The failure text report_equality gives the triples (var^k, lhs[k],
-    rhs[k]) for k = 0..max_order, or None when they all agree.  The series are
+    """The first coefficient k <= max_order at which two series differ, as
+    `var^k: lhs[k] != rhs[k]`, or None when they all agree.  The series are
     compared as integer numerators over their denominators; Fractions are
-    built for the first failing locus only."""
+    built for the failing coefficient only.  t-polynomials are compared row
+    by row, the t^j row labelled `t^j var`."""
+    if isinstance(lhs, TPoly):
+        rows = range(max(lhs.t_degree, rhs.t_degree) + 1)
+        return first_failure(
+            series_failure(lhs.coeff(j), rhs.coeff(j), max_order, f"t^{j} {var}") for j in rows
+        )
     a, b = lhs.truncate(max_order), rhs.truncate(max_order)
     if a == b:
         return None
@@ -68,24 +88,12 @@ def series_failure(lhs, rhs, max_order, var="q"):
     return f"{var}^{k}: {lhs[k]!r} != {rhs[k]!r}"
 
 
-def report_failures(identity, parameters, failures, max_order):
-    """One report for a family of checks.  `failures` yields the failure
-    text of each check in order, None for a check that passed; it is drawn
-    only up to the first text, so the checks after it do not run."""
-    first = next((text for text in failures if text is not None), None)
-    return IdentityReport(
-        identity, parameters, max_order, passed=first is None, first_failure=first
-    )
+def merged_failure(parts):
+    """The first failing part of (name, failure text or None) pairs, as
+    `name: text`, or None when every part passed."""
+    return next((f"{name}: {text}" for name, text in parts if text is not None), None)
 
 
-def report_series(identity, parameters, lhs, rhs, max_order, var="q"):
-    """report_equality of two series, coefficient by coefficient."""
-    return report_failures(
-        identity, parameters, [series_failure(lhs, rhs, max_order, var)], max_order
-    )
-
-
-def merge_reports(identity, parameters, reports, max_order):
-    """Collapse sub-reports into one, keeping the first failure."""
-    failures = (f"{rep.identity}: {rep.first_failure}" for rep in reports if not rep.passed)
-    return report_failures(identity, parameters, failures, max_order)
+def merge_reports(identity, parameters, parts, max_order):
+    """One report for (name, failure text or None) parts."""
+    return IdentityReport(identity, parameters, max_order, merged_failure(parts))

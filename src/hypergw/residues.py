@@ -26,7 +26,7 @@ split kernel are each one index into a row.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, prod
 from math import lcm as _lcm
 from math import gcd as _int_gcd
@@ -39,7 +39,7 @@ from .errors import (
     RoutesDisagree,
     WindowTooSmall,
 )
-from .report import Record, report_equality, report_series
+from .report import IdentityReport, Record, equality_failure, series_failure
 from .series import QSeries, _scaled_rows, convolve_rows, format_rational, log_one_plus_rows
 
 _ONE = (1,)
@@ -58,8 +58,8 @@ class RatFunc:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=_ONE):
-        n, dn = P._scaled(num)
-        d, dd = P._scaled(den)
+        n, dn = P._scaled([P._exact(c) for c in num])
+        d, dd = P._scaled([P._exact(c) for c in den])
         _strip(n)
         _strip(d)
         if not d:
@@ -87,8 +87,7 @@ class RatFunc:
 
     @classmethod
     def from_scalar(cls, c):
-        if type(c) is not int:
-            c = Fraction(c)
+        c = P._exact(c)
         return cls._of(_canonical([c.numerator] if c else [], [c.denominator]))
 
     @property
@@ -643,7 +642,7 @@ def moment_identity_check(reg, a, which):
         denom = QSeries.one(d) + reg.zbar.taylor_coeff(0)
         rhs = reg.eta**a / denom
         name = "moment-regularized"
-    return report_series(name, {"a": a}, lhs, rhs, d, "u")
+    return IdentityReport(name, {"a": a}, d, series_failure(lhs, rhs, d, "u"))
 
 
 def moment_closed_form_check(reg, a):
@@ -665,26 +664,22 @@ def moment_closed_form_check(reg, a):
     if 0 <= a < d:
         # the lone eta-power term; for a + 1 > d it is zero to this order
         rhs = rhs + eta_pow[a + 1] * Fraction(1, factorial(a + 1))
-    return report_series("moment-closed-form", {"a": a}, lhs, rhs, d, "u")
+    return IdentityReport("moment-closed-form", {"a": a}, d, series_failure(lhs, rhs, d, "u"))
 
 
 def residue_of_product_check(fs):
     """Residue of a product of at-most-simple-pole functions as a subset sum.
 
     The left side is the residue of the reduced global product; the right
-    side is the subset sum of product_subset_sum.
+    side is the subset sum of product_subset_sum.  Returns the failure
+    text, or None.
     """
     fs = list(fs)
     for i, f in enumerate(fs):
         if f.pole_order_at_zero() > 1:
             raise PoleTooHigh(f"function {i} has a pole of order > 1 at 0")
     lhs = residue_at(prod(fs, start=RatFunc.from_scalar(1)), 0)
-    return report_equality(
-        "product-residue-expansion",
-        {"count": len(fs)},
-        [("residue", lhs, product_subset_sum(fs))],
-        len(fs),
-    )
+    return equality_failure("residue", lhs, product_subset_sum(fs))
 
 
 def product_subset_sum(fs):
@@ -777,15 +772,37 @@ def _split_sums(qs):
     return tuple(out)
 
 
+def vandermonde_failures(bound):
+    """The failure text of vandermonde_check(b, qs) for each failing
+    b <= bound and tuple qs of length <= 4 over 0..5, the first entry
+    varying fastest.  The left sides of one tuple are compared with a
+    binomial row at once; a case is checked alone only when it fails."""
+    rows = [[comb(total, b) for b in range(bound + 1)] for total in range(4 * 5 + 1)]
+    for length in range(5):
+        for reverse in product(range(6), repeat=length):
+            qs = reverse[::-1]
+            sums = list(_split_sums(qs)[: bound + 1])
+            sums += [0] * (bound + 1 - len(sums))
+            row = rows[sum(qs)]
+            if sums != row:
+                yield from (vandermonde_check(b, qs) for b, x in enumerate(sums) if x != row[b])
+
+
+def _case_failure(identity, parameters, lhs, rhs):
+    """The text the appendixA suite prints for a failing case, else None."""
+    if lhs == rhs:
+        return None
+    params = " ".join(f"{k}={v}" for k, v in parameters.items())
+    return f"{identity} [{params}]: FAIL at value: {lhs!r} != {rhs!r}"
+
+
 def vandermonde_check(b, qs):
     """Sums of binomial products over split choices match one big binomial."""
     qs = tuple(qs)
     sums = _split_sums(qs)
     lhs = sums[b] if 0 <= b < len(sums) else 0
     rhs = comb(sum(qs), b) if b <= sum(qs) else 0
-    return report_equality(
-        "binomial-vandermonde", {"b": b, "qs": qs}, [("value", lhs, rhs)], b
-    )
+    return _case_failure("binomial-vandermonde", {"b": b, "qs": qs}, lhs, rhs)
 
 
 def reciprocal_sum_check(q, a):
@@ -794,9 +811,7 @@ def reciprocal_sum_check(q, a):
         raise ValueError("a must be >= 1")
     lhs = sum(Fraction((-1) ** b * comb(q, b), a + b) for b in range(q + 1))
     rhs = Fraction(factorial(a - 1) * factorial(q), factorial(a + q))
-    return report_equality(
-        "alternating-reciprocal-sum", {"q": q, "a": a}, [("value", lhs, rhs)], q
-    )
+    return _case_failure("alternating-reciprocal-sum", {"q": q, "a": a}, lhs, rhs)
 
 
 def rising_product_check(q, a, s):
@@ -809,9 +824,4 @@ def rising_product_check(q, a, s):
     )
     k = s - q
     rhs = Fraction((-1) ** q * factorial(s) * (comb(a, k) if 0 <= k <= a else 0))
-    return report_equality(
-        "alternating-rising-product",
-        {"q": q, "a": a, "s": s},
-        [("value", lhs, rhs)],
-        max(q, s),
-    )
+    return _case_failure("alternating-rising-product", {"q": q, "a": a, "s": s}, lhs, rhs)

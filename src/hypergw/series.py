@@ -44,7 +44,7 @@ class QSeries:
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs, truncation=None):
-        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, (int, Fraction)) else P._exact(c) for c in coeffs]
         if truncation is None:
             if not coeffs:
                 raise ValueError("empty series needs an explicit truncation")
@@ -264,7 +264,7 @@ class QSeries:
         """f**r for rational r, via exp(r*log f); needs f(0) = 1."""
         if self.ints[0] != self.den:
             raise BadConstantTerm("pow", self.constant_term)
-        return (self.log() * Fraction(r)).exp()
+        return (self.log() * P._exact(r)).exp()
 
     def compose(self, inner):
         """self(inner(q)); inner must have zero constant term."""

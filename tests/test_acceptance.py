@@ -9,6 +9,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as Fr
+from itertools import product
 
 from hypergw import cli
 from hypergw.hyper import (
@@ -166,19 +167,19 @@ def test_criterion_7_residue_suite():
                 num = tuple(Fr(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
                 d = (Fr(0), Fr(1)) if rng.random() < 0.7 else (Fr(1),)
                 fs.append(RatFunc(num, d) + Fr(rng.randint(-3, 3)))
-            assert residue_of_product_check(fs).passed
+            assert residue_of_product_check(fs) is None
 
         for length in range(5):
-            for qs in cli._tuples(length, 5):
+            for qs in product(range(6), repeat=length):
                 for b in range(9):
-                    assert vandermonde_check(b, qs).passed
+                    assert vandermonde_check(b, qs) is None
         for q in range(9):
             for a in range(1, 9):
-                assert reciprocal_sum_check(q, a).passed
+                assert reciprocal_sum_check(q, a) is None
         for q in range(9):
             for a in range(9):
                 for s in range(9):
-                    assert rising_product_check(q, a, s).passed
+                    assert rising_product_check(q, a, s) is None
 
 
 def test_criterion_8_locus_split_suite():

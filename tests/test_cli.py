@@ -13,7 +13,7 @@ import pytest
 from hypergw import cli
 from hypergw import polys as P
 from hypergw.invariants import assemble_table
-from hypergw.report import IdentityReport, report_series
+from hypergw.report import IdentityReport, series_failure
 from hypergw.series import QSeries
 
 from oracles import series_pairs
@@ -169,7 +169,7 @@ def test_verify_json_format(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def broken(names, n, order):
         return [
-            IdentityReport("forced", {}, order, passed=False, first_failure="q^0")
+            IdentityReport("forced", {}, order, first_failure="q^0")
         ]
 
     monkeypatch.setattr(cli, "run_suites", broken)
@@ -222,6 +222,31 @@ def test_package_has_no_assert():
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             assert not isinstance(node, ast.Assert), where
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), where
+
+
+def test_package_holds_no_float():
+    # no float enters the exact arithmetic: no float literal and no use of the
+    # name float, except in invariants._approx, the text table's approximation
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" == (
+                "invariants._approx"
+            ):
+                exempt |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if id(node) not in exempt:
+                assert not (isinstance(node, ast.Constant) and type(node.value) is float), where
+                assert not (isinstance(node, ast.Name) and node.id == "float"), where
+
+
+def test_text_table_past_float_range(capsys):
+    # values past 10^308 are approximated from the Fraction, with no traceback
+    code, out, _ = run(["invariants", "--n", "8", "--order", "44"], capsys)
+    assert code == 0
+    assert "(~1.51082e+314)" in out
 
 
 def test_package_imports_are_used():
@@ -308,9 +333,11 @@ def test_series_pairs_keep_every_locus_format():
             (label, lhs[k], rhs[k]) for k, label in enumerate(labels)
         ]
     assert series_pairs(lhs, rhs, 1) == [("q^0", 1, 4), ("q^1", 2, 5)]
-    rep = report_series("x", {"n": 3}, lhs, QSeries([1, 2, 7]), 2, "mid q")
-    assert rep.first_failure == "mid q^2: Fraction(3, 1) != Fraction(7, 1)"
-    assert report_series("x", {}, lhs, lhs, 2).describe() == "x: pass (order 2)"
+    text = series_failure(lhs, QSeries([1, 2, 7]), 2, "mid q")
+    assert text == "mid q^2: Fraction(3, 1) != Fraction(7, 1)"
+    assert series_failure(lhs, lhs, 2) is None
+    assert IdentityReport("x", {}, 2, None).describe() == "x: pass (order 2)"
+    assert IdentityReport("x", {"n": 3}, 2, text).describe() == f"x [n=3]: FAIL at {text}"
 
 
 def test_random_ratfunc_lists_every_pole():
@@ -386,7 +413,7 @@ def test_records_keep_their_dataclass_behaviour():
         "IdentityReport(identity='x', parameters={}, max_order_checked=0, "
         "passed=True, first_failure=None)"
     )
-    assert rep == IdentityReport("x", {}, 0) != IdentityReport("x", passed=False)
+    assert rep == IdentityReport("x", {}, 0) != IdentityReport("x", first_failure="q^0")
     assert IdentityReport("y").parameters is not IdentityReport("y").parameters
     assert repr(GWRow(2, n0=Fr(1))) == (
         "GWRow(d=2, N0=None, GW1_reduced=None, N1=None, n0=Fraction(1, 1), n1=None)"

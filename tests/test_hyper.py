@@ -1,5 +1,6 @@
 """The hypergeometric kernel, the tower, the mirror map, and their identities."""
 
+import re
 from fractions import Fraction as Fr
 from math import comb, factorial, gcd
 
@@ -52,6 +53,13 @@ def test_spec_validation():
     assert HyperSpec._fields == ("n", "qorder")
     assert vars(HyperSpec(5, 4)) == {"n": 5, "qorder": 4}
     assert HyperSpec(5, 4).worder == 7
+
+
+@pytest.mark.parametrize("n, qorder", [(5.0, 3), (True, 2), (5, 3.0), ("5", 3)])
+def test_spec_takes_only_ints(n, qorder):
+    # 5.0 and True equal 5 and 1, and would share their stage-cache keys
+    with pytest.raises(TypeError, match=re.escape(f"got {n!r} and {qorder!r}")):
+        HyperSpec(n, qorder)
 
 
 # -- kernel ------------------------------------------------------------------

@@ -120,6 +120,12 @@ def test_zero_table_conversion():
     assert tab.column("N1") == [0, 0]
 
 
+def test_text_table_approximates_past_float_range():
+    rows = [GWRow(1, N0=Fr(1, 3)), GWRow(2, N0=Fr(10**400 + 1, 3)), GWRow(3, N0=Fr(-(10**500), 7))]
+    cells = [line.split()[-1] for line in GWTable(5, 3, rows).to_text().splitlines()[2:]]
+    assert cells == ["(~0.333333)", "(~3.33333e+399)", "(~-1.42857e+499)"]
+
+
 def test_instanton_values():
     tab = assemble_table(5, D)
     assert tab.column("n0") == [INST0_ORACLE[d] for d in range(1, D + 1)]
@@ -131,7 +137,7 @@ def test_instanton_values():
 def test_inversion_needs_columns():
     tab = GWTable(n=5, truncation=2, rows=[GWRow(d=1), GWRow(d=2)])
     with pytest.raises(MissingColumn):
-        instanton_inversion(tab, 0)
+        instanton_inversion(tab)
     with pytest.raises(MissingColumn):
         reduced_to_standard(tab)
 
@@ -298,7 +304,7 @@ def test_block_reconstruction_failure_is_typed(monkeypatch):
 
     def broken(order):
         values, _ = real(order)
-        return values, IdentityReport("forced", {}, order, passed=False, first_failure="q^1")
+        return values, IdentityReport("forced", {}, order, first_failure="q^1")
 
     monkeypatch.setattr(invariants, "quintic_genus0", broken)
     with pytest.raises(RoutesDisagree, match="block reconstruction"):
@@ -315,10 +321,14 @@ def test_genus1_route_mismatch_is_typed(monkeypatch):
 @pytest.mark.parametrize("genus", [0, 1])
 def test_instanton_round_trip_failure_is_typed(monkeypatch, genus):
     table = assemble_table(5, 3)
-    # dropping k = 1 from every divisor sum breaks the forward substitution
-    monkeypatch.setattr(invariants, "divisors", lambda d: divisors(d)[1:])
+    if genus == 0:
+        # dropping k = 1 from every divisor sum breaks both forward substitutions
+        monkeypatch.setattr(invariants, "divisors", lambda d: divisors(d)[1:])
+    else:
+        # sigma(1) = 2 breaks only the genus-1 one, which is reached after genus 0
+        monkeypatch.setattr(invariants, "sigma", lambda r: sigma(r) + (r == 1))
     with pytest.raises(RoutesDisagree, match=f"genus-{genus} multiple-cover"):
-        instanton_inversion(table, genus)
+        instanton_inversion(table)
 
 
 def _block_values(order):

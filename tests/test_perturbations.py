@@ -1,0 +1,242 @@
+"""Every reshaped identity can fail, and says where.
+
+Each entry perturbs the route behind one side of one identity, after the
+suite has run once unperturbed, so every cached stage is already built: only
+the checks that read the patched name see the change.  The perturbation adds
+C q^K (C t q^K for a t-polynomial), or for the diagonals multiplies them by
+powers of 1 + C q^K chosen to keep the earlier parts of the merged report
+true.  Exactly the named report must then fail, its failure text must name
+the first differing coefficient, and every other report of the suite must
+still pass.
+
+The mirror blocks are perturbed on their weighted-sum side (`_block_sums`)
+and through the mirror shift: the J-polynomials also build the genus-0
+series, whose t-freeness is a hard error, so no one-sided change of them
+reaches the blocks.
+"""
+
+from fractions import Fraction as Fr
+
+import pytest
+
+from hypergw import cli, hyper, invariants, report, residues
+from hypergw.hyper import HyperSpec
+from hypergw.residues import USeriesRF
+from hypergw.series import QSeries, TPoly
+
+C, K = Fr(3, 7), 3
+N, ORDER = 5, 6
+
+
+def bump(series):
+    """series + C q^K."""
+    return series + QSeries.monomial(K, series.truncation, C)
+
+
+def t_bump(poly):
+    """poly + C t q^K."""
+    d = poly.truncation
+    return poly + TPoly([QSeries.zero(d), QSeries.monomial(K, d, C)])
+
+
+def t0_bump(poly):
+    """poly + C q^K."""
+    return poly + TPoly.from_qseries(QSeries.monomial(K, poly.truncation, C))
+
+
+def wrap(owner, name, change, when=None):
+    """A patch: owner.name passes its result through change, for the calls
+    whose arguments satisfy when (every call when it is None)."""
+
+    def patch(monkeypatch):
+        real = getattr(owner, name)
+
+        def patched(*args):
+            out = real(*args)
+            return change(out) if when is None or when(*args) else out
+
+        monkeypatch.setattr(owner, name, patched)
+
+    return patch
+
+
+def diagonal_powers(exponents):
+    """Multiply diagonal p of the quintic by (1 + C q^K)^exponents[p]."""
+
+    def patch(monkeypatch):
+        real = hyper.diagonal_series
+
+        def patched(spec, p):
+            power = exponents.get(p, 0) if spec.n == N else 0
+            return real(spec, p) * bump(QSeries.one(spec.qorder)).power(power)
+
+        monkeypatch.setattr(hyper, "diagonal_series", patched)
+
+    return patch
+
+
+def boundary_part(key):
+    """Perturb one residue part of the boundary locus, or the total."""
+
+    def change(result):
+        total, parts = result
+        if key == "total":
+            return bump(total), parts
+        return total, {**parts, key: bump(parts[key])}
+
+    return wrap(invariants, "boundary_locus_by_residues", change)
+
+
+def suite(name):
+    return lambda: cli.run_suites([name], N, ORDER)
+
+
+def blocks():
+    return [invariants.quintic_genus0(ORDER)[1]]
+
+
+# (id, runner, failing report, start of its failure text, patch)
+ENTRIES = [
+    # diagonal identities: each part, the earlier parts kept true
+    ("diagonal-product", suite("props31"), "diagonal-identities",
+     "diagonal-product: q^3", wrap(hyper, "one_minus_nn_q", bump)),
+    # prod (1 + e)^a_p = 1, prod (1 + e)^((n-1-p) a_p) != 1
+    ("diagonal-weighted", suite("props31"), "diagonal-identities",
+     "diagonal-weighted-product: q^3", diagonal_powers({0: 1, 1: -1})),
+    # both products kept, diagonal 0 moved off diagonal 4
+    ("diagonal-symmetry", suite("props31"), "diagonal-identities",
+     "diagonal-symmetry: p=0 q^3", diagonal_powers({0: 1, 1: -2, 2: 1})),
+    # the reduced (1,2) coefficient read from k = 3, and from k = 2
+    ("tower-consistent-k3", suite("props31"), "tower-structure",
+     "reduced (1,2) consistent q^3",
+     wrap(hyper, "i_series", t_bump, lambda spec, p, k: (p, k) == (1, 3))),
+    ("tower-consistent-k2", suite("props31"), "tower-structure",
+     "reduced (1,2) consistent q^3",
+     wrap(hyper, "i_series", t0_bump, lambda spec, p, k: (p, k) == (1, 2))),
+    # regular kernel: the window side and the closed side of value and slope
+    ("regular-value-window", suite("props32"), "regular-kernel",
+     "regular-kernel-value: q^3",
+     wrap(USeriesRF, "taylor_coeff", bump, lambda window, q: q == 0)),
+    ("regular-value-closed", suite("props32"), "regular-kernel",
+     "regular-kernel-value: q^3", wrap(hyper, "kernel_value_at_zero", bump)),
+    ("regular-slope-window", suite("props32"), "regular-kernel",
+     "regular-kernel-slope: q^3",
+     wrap(USeriesRF, "taylor_coeff", bump, lambda window, q: q == 1)),
+    ("regular-slope-closed", suite("props32"), "regular-kernel",
+     "regular-kernel-slope: q^3", wrap(hyper, "kernel_slope_at_zero", bump)),
+    # ladder: residue side and closed side of both residues, the step, the pair
+    ("ladder-first-residue", suite("theorem3"), "ladder-identities",
+     "ladder-first-residue: p=2 q^3",
+     wrap(hyper, "ladder_residue", bump, lambda spec, p, o: (p, o) == (2, 0))),
+    ("ladder-first-closed", suite("theorem3"), "ladder-identities",
+     "ladder-first-residue: p=0 q^3", wrap(hyper, "linear_factor", bump)),
+    ("ladder-second-residue", suite("theorem3"), "ladder-identities",
+     "ladder-second-residue: p=1 q^3",
+     wrap(hyper, "ladder_residue", bump, lambda spec, p, o: (p, o) == (1, 1))),
+    ("ladder-second-closed", suite("theorem3"), "ladder-identities",
+     "ladder-second-residue: p=0 q^3", wrap(hyper, "kernel_slope_at_zero", bump)),
+    # the step's side is 1 + the derivative of the mirror shift, which the
+    # locus split reads as well, so the derivative is perturbed
+    ("ladder-step", suite("theorem3"), "ladder-identities",
+     "ladder-step-matches-mirror: q^3",
+     wrap(QSeries, "derivative", bump, lambda f: f == hyper.mirror_shift(HyperSpec(N, ORDER)))),
+    ("ladder-double-residue", suite("theorem3"), "ladder-identities",
+     "paired-ladder-double-residue: mid q^3",
+     wrap(hyper, "double_residue_split_kernel", bump)),
+    # locus split: each part, from each side where the sides are separate routes
+    ("locus-effective-half", suite("theorem3"), "locus-split",
+     "effective-locus-forms: q^3",
+     wrap(invariants, "effective_locus_series", bump, lambda spec, form: form == "half-sum")),
+    ("locus-boundary-closed", suite("theorem3"), "locus-split",
+     "boundary-residue-route: q^3", wrap(invariants, "boundary_locus_series", bump)),
+    ("locus-boundary-residues", suite("theorem3"), "locus-split",
+     "boundary-residue-route: q^3", boundary_part("total")),
+    ("locus-origin", suite("theorem3"), "locus-split",
+     "boundary-residue-at-origin: q^3", boundary_part("zero")),
+    ("locus-minus-n", suite("theorem3"), "locus-split",
+     "boundary-residue-at-minus-n: q^3", boundary_part("minus_n")),
+    ("locus-sum", suite("theorem3"), "locus-split",
+     "locus-sum-matches-series: q^3",
+     wrap(invariants, "reduced_genus1_series", bump, lambda spec: spec.n == N)),
+    # low dimensions, nested two deep
+    ("cubic-closed-form", suite("special"), "low-dimensions",
+     "torus-cover-match: cubic-closed-form: q^3",
+     wrap(invariants, "reduced_genus1_series", bump, lambda spec: spec.n == 3)),
+    ("cubic-cover-counts", suite("special"), "low-dimensions",
+     "torus-cover-match: cubic-cover-counts: Q^3",
+     wrap(invariants, "torus_cover_series", bump)),
+    ("quartic-gap", suite("special"), "low-dimensions",
+     "k3-vanishing: quartic-gap-vanishes: t^1 q^3",
+     wrap(invariants, "_j_poly", t_bump, lambda spec, k: (spec.n, k) == (4, 2))),
+    ("quartic-gap-derivative", suite("special"), "low-dimensions",
+     "k3-vanishing: quartic-gap-derivative: t^0 q^3",
+     wrap(hyper, "diagonal_series", bump, lambda spec, p: (spec.n, p) == (4, 2))),
+    ("quartic-invariants", suite("special"), "low-dimensions",
+     "k3-vanishing: quartic-invariants-vanish: Q^3",
+     wrap(invariants, "extract_invariants", lambda vals: vals[:2] + [vals[2] + C] + vals[3:],
+          lambda series, spec: spec.n == 4)),
+    # mirror blocks
+    ("block-0", blocks, "mirror-block-reconstruction", "block-0: t^0 q^3",
+     wrap(invariants, "_j_poly", t0_bump, lambda spec, k: k == 0)),
+    ("block-1", blocks, "mirror-block-reconstruction", "block-1: t^0 q^3",
+     wrap(hyper, "mirror_shift", bump)),
+    ("block-2", blocks, "mirror-block-reconstruction", "block-2: t^0 q^3",
+     wrap(invariants, "_block_sums", lambda sums: (bump(sums[0]), sums[1]))),
+    ("block-3", blocks, "mirror-block-reconstruction", "block-3: t^0 q^3",
+     wrap(invariants, "_block_sums", lambda sums: (sums[0], bump(sums[1])))),
+    # Appendix A: the first failing case of each family
+    ("vandermonde", suite("appendixA"), "binomial-vandermonde-exhaustive",
+     "binomial-vandermonde [b=1 qs=(2, 1)]: FAIL at value: 4 != 3",
+     wrap(residues, "_split_sums", lambda sums: (sums[0], sums[1] + 1) + sums[2:],
+          lambda qs: qs in ((2, 1), (1, 2)))),
+    ("reciprocal", suite("appendixA"), "alternating-reciprocal-exhaustive",
+     "alternating-reciprocal-sum [q=1 a=6]: FAIL at value: ",
+     wrap(residues, "factorial", lambda out: out + 1, lambda m: m >= 7)),
+    ("rising", suite("appendixA"), "alternating-rising-exhaustive",
+     "alternating-rising-product [q=0 a=0 s=0]: FAIL at value: Fraction(2, 1) != Fraction(1, 1)",
+     wrap(residues, "prod", lambda out: out + 1)),
+    # the random product-residue trials, from each side
+    ("product-residue-global", suite("residues"), "product-residue-random",
+     "trial 0: residue: ", wrap(residues, "residue_at", lambda out: out + C)),
+    ("product-residue-subsets", suite("residues"), "product-residue-random",
+     "trial 0: residue: ", wrap(residues, "product_subset_sum", lambda out: out + C)),
+]
+
+
+@pytest.mark.parametrize(
+    "run, target, label, patch", [entry[1:] for entry in ENTRIES], ids=[e[0] for e in ENTRIES]
+)
+def test_one_sided_perturbation_fails_its_report(
+    cold_stages, monkeypatch, run, target, label, patch
+):
+    assert all(rep.passed for rep in run())  # and every cached stage is built
+    patch(monkeypatch)
+    failing = {rep.identity: rep.first_failure for rep in run() if not rep.passed}
+    assert list(failing) == [target]
+    text = failing[target]
+    assert text.startswith(label) and "TPoly(" not in text, text
+
+
+def test_verify_builds_a_report_only_for_what_it_prints(monkeypatch, capsys):
+    built = []
+    real = report.IdentityReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(report.IdentityReport, "__init__", counted)
+    assert cli.main(["verify", "--n", "5", "--order", "6"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 38
+    assert len(built) <= 45  # 654 before sub-checks returned text
+
+
+def test_passed_is_read_off_the_failure():
+    rep = report.IdentityReport("x", {}, 2, "q^1: 1 != 2")
+    assert not rep.passed and rep.to_dict()["pass"] is False
+    assert report.IdentityReport("x", {}, 2).passed
+    with pytest.raises(TypeError):
+        report.IdentityReport("x", {}, 2, passed=False)
+    with pytest.raises(AttributeError):
+        rep.passed = True

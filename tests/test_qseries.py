@@ -6,6 +6,7 @@ int numerators, one per coefficient, over an int denominator den > 0 that
 is coprime to them as a whole.  Equal series therefore hold equal pairs.
 """
 
+import re
 from fractions import Fraction as Fr
 from math import gcd
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergw.errors import BadConstantTerm, DivByNonUnit, TruncationMismatch
-from hypergw.report import report_equality, report_series
+from hypergw.report import equality_failure, first_failure, series_failure
 from hypergw.series import QSeries, format_rational
 
 import oracles
@@ -86,6 +87,21 @@ def test_zero_and_constants_are_canonical():
     half = QSeries.constant(Fr(-1, 2), 2)
     assert (half.ints, half.den) == ((-1, 0, 0), 2)
     assert (half + half).den == 1 and (half * 0).den == 1
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: QSeries([0.1, 1]), "0.1"),
+        (lambda: QSeries(["1/3"]), "'1/3'"),
+        (lambda: QSeries.constant(0.5, 2), "0.5"),
+        (lambda: QSeries([1, 1]).power(0.1), "0.1"),
+    ],
+)
+def test_inexact_input_is_refused(build, shown):
+    # a float would enter rounded, a string parsed; the error names the value
+    with pytest.raises(TypeError, match=re.escape(shown)):
+        build()
 
 
 # -- ring operations ----------------------------------------------------------------
@@ -188,8 +204,8 @@ def test_series_reports_match_the_pair_loop(a, b, data):
     f, g = QSeries(a), QSeries(b)
     top = min(f.truncation, g.truncation)
     order = top if data is None else data.draw(st.integers(0, top))
-    want = report_equality("x", {"n": 1}, series_pairs(f, g, order, "p=1 q"), order)
-    assert report_series("x", {"n": 1}, f, g, order, "p=1 q") == want
+    want = first_failure(equality_failure(*t) for t in series_pairs(f, g, order, "p=1 q"))
+    assert series_failure(f, g, order, "p=1 q") == want
 
 
 @settings(max_examples=100, deadline=None)

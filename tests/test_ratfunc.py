@@ -1,6 +1,7 @@
 """The integer RatFunc and its residue routes against the Fraction oracles."""
 
 import random
+import re
 from fractions import Fraction as Fr
 from math import gcd
 
@@ -174,6 +175,20 @@ def test_residue_trials_match_the_fraction_generators():
         fs, gs = cli._random_factors(new), oracles.random_factors(old)
         assert len(fs) == len(gs) and all(same(f, g) for f, g in zip(fs, gs))
     assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: RatFunc([0.5]), "0.5"),
+        (lambda: RatFunc([1], [Fr(1), 0.5]), "0.5"),
+        (lambda: RatFunc.from_scalar(0.1), "0.1"),
+        (lambda: RatFunc.from_scalar("1/3"), "'1/3'"),
+    ],
+)
+def test_inexact_input_is_refused(build, shown):
+    with pytest.raises(TypeError, match=re.escape(shown)):
+        build()
 
 
 def test_residue_suite_builds_few_fractions():
