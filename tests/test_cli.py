@@ -224,17 +224,20 @@ def test_package_has_no_assert():
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), where
 
 
+APPROX = ("invariants", "_approx")
+
+
 def test_package_holds_no_float():
     # no float enters the exact arithmetic: no float literal and no use of the
     # name float, except in invariants._approx, the text table's approximation
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        exempt = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" == (
-                "invariants._approx"
-            ):
-                exempt |= {id(sub) for sub in ast.walk(node)}
+        exempt = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == APPROX
+            for sub in ast.walk(node)
+        }
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if id(node) not in exempt:
