@@ -12,8 +12,6 @@ effective-locus and boundary-locus parts is verified against an
 independent residue evaluation of the boundary part.
 """
 
-import csv
-import io
 from fractions import Fraction
 from math import comb, lcm
 from math import gcd as _int_gcd
@@ -202,71 +200,49 @@ def quintic_genus1(order):
 _COLUMNS = ("N0", "GW1_reduced", "N1", "n0", "n1")
 
 
-class GWRow(Record):
-    _fields = ("d", "N0", "GW1_reduced", "N1", "n0", "n1")
-
-    def __init__(self, d, N0=None, GW1_reduced=None, N1=None, n0=None, n1=None):
-        self.d = d
-        self.N0 = N0
-        self.GW1_reduced = GW1_reduced
-        self.N1 = N1
-        self.n0 = n0
-        self.n1 = n1
-
-
 class GWTable(Record):
-    _fields = ("n", "truncation", "rows")
+    """The invariants for d = 1..truncation: `columns` maps each filled name
+    of _COLUMNS to its values, lowest degree first, and `blocks` is the
+    mirror-block report of the genus-0 pass that built N0 (None for n != 5)."""
 
-    def __init__(self, n, truncation, rows):
+    _fields = ("n", "truncation", "columns", "blocks")
+
+    def __init__(self, n, truncation, columns, blocks=None):
         self.n = n
         self.truncation = truncation
-        self.rows = rows
+        self.columns = columns
+        self.blocks = blocks
 
     def column(self, name):
-        return [getattr(row, name) for row in self.rows]
-
-    def require(self, name):
-        vals = self.column(name)
-        if any(v is None for v in vals):
+        if name not in self.columns:
             raise MissingColumn(f"column {name} is not filled")
-        return vals
+        return self.columns[name]
 
     def to_json_obj(self):
-        rows = []
-        for row in self.rows:
-            rec = {"d": row.d}
-            for col in _COLUMNS:
-                val = getattr(row, col)
-                if val is not None:
-                    rec[col] = format_rational(val)
-            rows.append(rec)
+        rows = [{"d": d} for d in range(1, self.truncation + 1)]
+        for name in _COLUMNS:
+            for rec, val in zip(rows, self.columns.get(name, ())):
+                rec[name] = format_rational(val)
         return {"n": self.n, "truncation": self.truncation, "rows": rows}
 
     def to_csv_text(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("d",) + _COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [row.d]
-                + [
-                    format_rational(getattr(row, col)) if getattr(row, col) is not None else ""
-                    for col in _COLUMNS
-                ]
-            )
-        return buf.getvalue()
+        # every cell is an int, a p/q string or empty, so none needs quoting
+        columns = [self.columns.get(name) for name in _COLUMNS]
+        lines = [",".join(("d",) + _COLUMNS)]
+        for i in range(self.truncation):
+            cells = ["" if col is None else format_rational(col[i]) for col in columns]
+            lines.append(",".join([str(i + 1)] + cells))
+        return "\n".join(lines) + "\n"
 
     def to_text(self):
         lines = [f"degree-{self.n} hypersurface, orders 1..{self.truncation}"]
-        header = ["d"] + [c for c in _COLUMNS if any(v is not None for v in self.column(c))]
+        header = ["d"] + [name for name in _COLUMNS if name in self.columns]
         table = [header]
-        for row in self.rows:
-            cells = [str(row.d)]
-            for col in header[1:]:
-                val = getattr(row, col)
-                if val is None:
-                    cells.append("")
-                elif val.denominator == 1:
+        for i in range(self.truncation):
+            cells = [str(i + 1)]
+            for name in header[1:]:
+                val = self.columns[name][i]
+                if val.denominator == 1:
                     cells.append(str(val.numerator))
                 else:
                     cells.append(f"{format_rational(val)} (~{_approx(val)})")
@@ -293,15 +269,6 @@ def _approx(x):
         return f"{'-' if x < 0 else ''}{mantissa}e+{e}"
 
 
-def reduced_to_standard(table):
-    """Fill the standard genus-1 column: N1 = reduced + N0/12 (quintic)."""
-    n0 = table.require("N0")
-    red = table.require("GW1_reduced")
-    for row, a, b in zip(table.rows, red, n0):
-        row.N1 = a + b / 12
-    return table
-
-
 def _weighted_sum(terms):
     """sum x * a / b over terms (x, a, b), x rational and a, b ints (b > 0),
     summed in int over one denominator: one Fraction."""
@@ -323,34 +290,30 @@ def genus1_cover_sum(n1, n0, d):
     )
 
 
-def instanton_inversion(table):
-    """Strip multiple covers: solve the divisor-sum relations recursively,
-    genus 0 and then genus 1, which reads the genus-0 numbers.
+def instanton_inversion(big0, big1):
+    """Strip multiple covers from the genus-0 and genus-1 numbers N0, N1
+    (lowest degree first): solve the divisor-sum relations recursively,
+    genus 0 and then genus 1, which reads the genus-0 numbers.  Returns the
+    lists (n0, n1).
 
     The relations are `genus0_cover_sum` and `genus1_cover_sum`.  Forward
     substitution of the solved columns reproduces the inputs exactly; that
     round trip is checked here, for each genus.
     """
-    big = table.require("N0")
     n0 = {}
-    for d, val in enumerate(big, start=1):
+    for d, val in enumerate(big0, start=1):
         covers = [(n0[d // k], -1, k**3) for k in divisors(d) if k > 1]
         n0[d] = _weighted_sum([(val, 1, 1)] + covers)
-    for row in table.rows:
-        row.n0 = n0[row.d]
-    if [genus0_cover_sum(n0, d) for d in range(1, len(big) + 1)] != big:
+    if [genus0_cover_sum(n0, d) for d in n0] != big0:
         raise RoutesDisagree("genus-0 multiple-cover round trip failed")
-    big = table.require("N1")
     n1 = {}
-    for d, val in enumerate(big, start=1):
+    for d, val in enumerate(big1, start=1):
         cover0 = [(n0[d // k], -1, 12 * k) for k in divisors(d)]
         cover1 = [(n1[d // k], -sigma(k), k) for k in divisors(d) if k > 1]
         n1[d] = _weighted_sum([(val, 1, 1)] + cover0 + cover1)
-    for row in table.rows:
-        row.n1 = n1[row.d]
-    if [genus1_cover_sum(n1, n0, d) for d in range(1, len(big) + 1)] != big:
+    if [genus1_cover_sum(n1, n0, d) for d in n1] != big1:
         raise RoutesDisagree("genus-1 multiple-cover round trip failed")
-    return table
+    return list(n0.values()), list(n1.values())
 
 
 def assemble_table(n, order):
@@ -358,24 +321,19 @@ def assemble_table(n, order):
     reduced genus-1 column otherwise."""
     spec = HyperSpec(n, order)
     reduced = extract_invariants(reduced_genus1_series(spec), spec)
-    rows = [GWRow(d=d, GW1_reduced=v) for d, v in enumerate(reduced, start=1)]
-    table = GWTable(n=n, truncation=order, rows=rows)
-    if n == 5:
-        values, report = quintic_genus0(order)
-        if not report.passed:
-            raise RoutesDisagree(f"block reconstruction failed: {report.first_failure}")
-        for row, v in zip(table.rows, values):
-            row.N0 = v
-        reduced_to_standard(table)
-        # the closed genus-1 form must agree with reduced + N0/12
-        direct = quintic_genus1(order)
-        for row, v in zip(table.rows, direct):
-            if row.N1 != v:
-                raise RoutesDisagree(
-                    f"genus-1 routes disagree at degree {row.d}: {row.N1} vs {v}"
-                )
-        instanton_inversion(table)
-    return table
+    if n != 5:
+        return GWTable(n, order, {"GW1_reduced": reduced})
+    big0, blocks = quintic_genus0(order)
+    if not blocks.passed:
+        raise RoutesDisagree(f"block reconstruction failed: {blocks.first_failure}")
+    big1 = [a + b / 12 for a, b in zip(reduced, big0)]
+    # the closed genus-1 form must agree with reduced + N0/12
+    for d, (a, b) in enumerate(zip(big1, quintic_genus1(order)), start=1):
+        if a != b:
+            raise RoutesDisagree(f"genus-1 routes disagree at degree {d}: {a} vs {b}")
+    n0, n1 = instanton_inversion(big0, big1)
+    columns = {"N0": big0, "GW1_reduced": reduced, "N1": big1, "n0": n0, "n1": n1}
+    return GWTable(n, order, columns, blocks)
 
 
 # -- locus split -----------------------------------------------------------

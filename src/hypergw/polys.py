@@ -156,21 +156,12 @@ def monic(p):
     return p if lc == 1 else tuple(c / lc for c in p)
 
 
-def _int_content(z):
-    g = 0
-    for c in z:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g or 1
-
-
 def _primitive(z):
     while z and z[-1] == 0:
         z.pop()
     if not z:
         return z
-    g = _int_content(z)
+    g = _int_gcd(*z)
     if z[-1] < 0:
         g = -g
     return [c // g for c in z]

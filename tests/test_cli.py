@@ -45,10 +45,12 @@ def test_invariants_json_round_trip(capsys):
     code, out, _ = run(["invariants", "--n", "5", "--order", "3", "--format", "json"], capsys)
     obj = json.loads(out)
     # every printed string parses back to the table's Fraction
-    for row, rec in zip(assemble_table(5, 3).rows, obj["rows"], strict=True):
-        assert rec.pop("d") == row.d
+    table = assemble_table(5, 3)
+    assert len(obj["rows"]) == 3
+    for d, rec in enumerate(obj["rows"], start=1):
+        assert rec.pop("d") == d
         assert {col: Fr(v) for col, v in rec.items()} == {
-            col: getattr(row, col) for col in ("N0", "GW1_reduced", "N1", "n0", "n1")
+            col: table.column(col)[d - 1] for col in ("N0", "GW1_reduced", "N1", "n0", "n1")
         }
 
 
@@ -64,6 +66,45 @@ def test_cubic_table_pattern(capsys):
     assert code == 0
     rows = {row["d"]: row["GW1_reduced"] for row in json.loads(out)["rows"]}
     assert rows == {1: "0", 2: "0", 3: "1", 4: "0", 5: "0", 6: "3/2"}
+
+
+# the benchmark's digests gate the json tables only; these outputs pin the
+# csv and text formats, empty csv cells included
+QUINTIC_CSV = """\
+d,N0,GW1_reduced,N1,n0,n1
+1,2875,0,2875/12,2875,0
+2,4876875/8,2875/32,407125/8,609250,0
+3,8564575000/27,49355000/81,243388750/9,317206375,609250
+"""
+
+QUINTIC_TEXT = """\
+degree-5 hypersurface, orders 1..3
+d                            N0            GW1_reduced                          N1         n0      n1
+1                          2875                      0          2875/12 (~239.583)       2875       0
+2           4876875/8 (~609609)     2875/32 (~89.8438)         407125/8 (~50890.6)     609250       0
+3  8564575000/27 (~3.17206e+08)  49355000/81 (~609321)  243388750/9 (~2.70432e+07)  317206375  609250
+"""
+
+CUBIC_CSV = """\
+d,N0,GW1_reduced,N1,n0,n1
+1,,0,,,
+2,,0,,,
+3,,1,,,
+4,,0,,,
+"""
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--n", "5", "--order", "3", "--format", "csv"], QUINTIC_CSV),
+        (["--n", "5", "--order", "3", "--format", "text"], QUINTIC_TEXT),
+        (["--n", "3", "--order", "4", "--format", "csv"], CUBIC_CSV),
+    ],
+    ids=["quintic-csv", "quintic-text", "cubic-csv"],
+)
+def test_invariants_table_formats_are_pinned(args, expected, capsys):
+    assert run(["invariants"] + args, capsys) == (0, expected, "")
 
 
 def test_usage_error_on_bad_order(capsys):
@@ -164,6 +205,37 @@ def test_verify_json_format(capsys):
     assert code == 0
     recs = json.loads(out)
     assert all(rec["pass"] for rec in recs)
+
+
+def test_appendix_b_runs_genus0_once(monkeypatch, capsys):
+    # the suite prints the block report of the pass that built its table
+    calls = []
+    real = cli.invariants.quintic_genus0
+
+    def counted(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(cli.invariants, "quintic_genus0", counted)
+    code, out, _ = run(["verify", "--suite", "appendixB", "--order", "6"], capsys)
+    assert code == 0 and calls == [6]
+    assert out.splitlines()[0] == "mirror-block-reconstruction [n=5 order=6]: pass (order 6)"
+
+
+def test_verify_builds_one_report_per_printed_line_but_one(monkeypatch, capsys):
+    # 38 lines, and one moment-intrinsic report that the counterexample check
+    # of the regularize suite builds and does not print
+    built = []
+    real = cli.IdentityReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.IdentityReport, "__init__", counted)
+    assert cli.main(["verify", "--n", "5", "--order", "6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 38
+    assert len(built) <= 39  # 40 while appendixB ran the genus-0 pass twice
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
@@ -381,6 +453,7 @@ def test_cli_import_loads_no_dataclasses():
     code = (
         "import sys, hypergw.cli\n"
         "hypergw.cli.main(['dump', '--what', 'I', '--n', '2', '--order', '4'])\n"
+        "hypergw.cli.main(['invariants', '--n', '5', '--order', '2', '--format', 'csv'])\n"
         "sys.stderr.write('modules: ' + ' '.join(sys.modules) + '\\n')\n"
     )
     proc = subprocess.run(
@@ -394,14 +467,14 @@ def test_cli_import_loads_no_dataclasses():
     loaded = {line.rsplit("|", 1)[-1].strip() for line in lines}
     after_main = set(lines[-1].split()[1:])
     assert "hypergw.cli" in loaded and "hypergw.cli" in after_main
-    forbidden = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale"}
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale", "csv"}
     assert not loaded & forbidden
     assert not after_main & forbidden
 
 
 def test_records_keep_their_dataclass_behaviour():
     from hypergw.hyper import HyperSpec
-    from hypergw.invariants import GWRow, GWTable
+    from hypergw.invariants import GWTable
 
     spec = HyperSpec(5, 4)
     assert repr(spec) == "HyperSpec(n=5, qorder=4)" and HyperSpec(5).qorder == 8
@@ -418,9 +491,10 @@ def test_records_keep_their_dataclass_behaviour():
     )
     assert rep == IdentityReport("x", {}, 0) != IdentityReport("x", first_failure="q^0")
     assert IdentityReport("y").parameters is not IdentityReport("y").parameters
-    assert repr(GWRow(2, n0=Fr(1))) == (
-        "GWRow(d=2, N0=None, GW1_reduced=None, N1=None, n0=Fraction(1, 1), n1=None)"
+    assert repr(GWTable(2, 1, {"GW1_reduced": [Fr(1)]})) == (
+        "GWTable(n=2, truncation=1, columns={'GW1_reduced': [Fraction(1, 1)]}, blocks=None)"
     )
-    assert GWTable(5, 1, [GWRow(1)]) == GWTable(5, 1, [GWRow(1)])
+    assert GWTable(5, 1, {"N0": [Fr(1)]}) == GWTable(5, 1, {"N0": [Fr(1)]})
+    assert GWTable(5, 1, {"N0": [Fr(1)]}) != GWTable(5, 1, {"N0": [Fr(1)]}, rep)
     with pytest.raises(TypeError):
         hash(rep)

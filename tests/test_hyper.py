@@ -245,7 +245,7 @@ def test_the_factors_of_v_r_multiply_back_to_v_r():
             assert len(factors) == len(_divisors(n)) - 1
             product = [1]
             for f in factors:
-                assert P._int_content(f) == 1 and f[-1] > 0
+                assert gcd(*f) == 1 and f[-1] > 0
                 product = P._mul_ints(product, f)
             k, rest = divmod(v[-1], product[-1])
             assert rest == 0

@@ -12,7 +12,6 @@ from hypergw import invariants, series
 from hypergw.errors import MissingColumn, RoutesDisagree
 from hypergw.hyper import HyperSpec, mirror_shift, regularizing_exponent
 from hypergw.invariants import (
-    GWRow,
     GWTable,
     assemble_table,
     boundary_locus_by_residues,
@@ -27,7 +26,6 @@ from hypergw.invariants import (
     quintic_genus0,
     quintic_genus1,
     reduced_genus1_series,
-    reduced_to_standard,
     sigma,
     torus_cover_series,
 )
@@ -109,20 +107,14 @@ def test_sigma_values():
 
 def test_reduced_standard_round_trip():
     tab = assemble_table(5, 4)
-    for row in tab.rows:
-        assert row.N1 - row.N0 / 12 == row.GW1_reduced
-
-
-def test_zero_table_conversion():
-    rows = [GWRow(d=d, N0=Fr(0), GW1_reduced=Fr(0)) for d in (1, 2)]
-    tab = GWTable(n=5, truncation=2, rows=rows)
-    reduced_to_standard(tab)
-    assert tab.column("N1") == [0, 0]
+    columns = zip(tab.column("N1"), tab.column("N0"), tab.column("GW1_reduced"), strict=True)
+    for big1, big0, reduced in columns:
+        assert big1 - big0 / 12 == reduced
 
 
 def test_text_table_approximates_past_float_range():
-    rows = [GWRow(1, N0=Fr(1, 3)), GWRow(2, N0=Fr(10**400 + 1, 3)), GWRow(3, N0=Fr(-(10**500), 7))]
-    cells = [line.split()[-1] for line in GWTable(5, 3, rows).to_text().splitlines()[2:]]
+    column = [Fr(1, 3), Fr(10**400 + 1, 3), Fr(-(10**500), 7)]
+    cells = [line.split()[-1] for line in GWTable(5, 3, {"N0": column}).to_text().splitlines()[2:]]
     assert cells == ["(~0.333333)", "(~3.33333e+399)", "(~-1.42857e+499)"]
 
 
@@ -135,11 +127,11 @@ def test_instanton_values():
 
 
 def test_inversion_needs_columns():
-    tab = GWTable(n=5, truncation=2, rows=[GWRow(d=1), GWRow(d=2)])
+    tab = assemble_table(4, 2)
+    with pytest.raises(MissingColumn, match="column N0 is not filled"):
+        instanton_inversion(tab.column("N0"), tab.column("N1"))
     with pytest.raises(MissingColumn):
-        instanton_inversion(tab)
-    with pytest.raises(MissingColumn):
-        reduced_to_standard(tab)
+        GWTable(n=5, truncation=2, columns={}).column("GW1_reduced")
 
 
 # -- degenerate dimensions ---------------------------------------------------------
@@ -256,10 +248,11 @@ def test_json_round_trip():
     tab = assemble_table(5, 3)
     obj = json.loads(json.dumps(tab.to_json_obj()))
     assert (obj["n"], obj["truncation"]) == (5, 3)
-    for row, rec in zip(tab.rows, obj["rows"], strict=True):
-        assert rec["d"] == row.d
+    for d, rec in enumerate(obj["rows"], start=1):
+        assert rec["d"] == d
         for col in ("N0", "GW1_reduced", "N1", "n0", "n1"):
-            assert Fr(rec[col]) == getattr(row, col)
+            assert Fr(rec[col]) == tab.column(col)[d - 1]
+    assert len(obj["rows"]) == 3
 
 
 def test_csv_columns():
@@ -272,7 +265,9 @@ def test_csv_columns():
 def test_non_quintic_table_has_reduced_only():
     tab = assemble_table(4, 3)
     assert tab.column("GW1_reduced") == [0, 0, 0]
-    assert tab.column("N0") == [None] * 3
+    assert list(tab.columns) == ["GW1_reduced"] and tab.blocks is None
+    with pytest.raises(MissingColumn):
+        tab.column("N0")
 
 
 # -- integrality and typed failures ----------------------------------------------
@@ -328,7 +323,7 @@ def test_instanton_round_trip_failure_is_typed(monkeypatch, genus):
         # sigma(1) = 2 breaks only the genus-1 one, which is reached after genus 0
         monkeypatch.setattr(invariants, "sigma", lambda r: sigma(r) + (r == 1))
     with pytest.raises(RoutesDisagree, match=f"genus-{genus} multiple-cover"):
-        instanton_inversion(table)
+        instanton_inversion(table.column("N0"), table.column("N1"))
 
 
 def _block_values(order):
