@@ -216,19 +216,16 @@ def linear_factor(spec):
 
 
 @lru_cache(maxsize=None)
-def regularizing_exponent(spec, method="closed_form"):
-    """mu: by termwise integration of the closed form, or by the residue
-    of the logarithm of the kernel at w = 1/h.  Both are exact and must
-    agree; the agreement is one of the verified identities.
+def regularizing_exponent(spec):
+    """mu, by termwise integration of the closed form of the regular kernel
+    at h = 0; its agreement with exponent_by_residue is a verified identity."""
+    return (kernel_value_at_zero(spec) - 1).integral()
 
-    The residue path reads res_{h=0} log of the window series of the
-    kernel at w = 1/h, whose q^0 coefficient is 1, at the ladder's width.
-    """
-    if method == "closed_form":
-        return (kernel_value_at_zero(spec) - 1).integral()
-    if method == "residue":
-        return (_narrow_kernel(spec) - 1).log_one_plus().weighted_residues(0)
-    raise ValueError(f"unknown method {method!r}")
+
+def exponent_by_residue(spec):
+    """mu as res_{h=0} log of the kernel at w = 1/h (its window series at the
+    ladder's width); exponent_methods_check alone reads it, uncached."""
+    return (_narrow_kernel(spec) - 1).log_one_plus().weighted_residues(0)
 
 
 @lru_cache(maxsize=None)
@@ -401,11 +398,8 @@ def tower_structure_check(spec):
 def exponent_methods_check(spec):
     """The two constructions of the regularizing exponent agree."""
     d = spec.qorder
-    a = regularizing_exponent(spec, "closed_form")
-    b = regularizing_exponent(spec, "residue")
-    return IdentityReport(
-        "exponent-methods-agree", {"n": spec.n, "order": d}, d, series_failure(a, b, d)
-    )
+    text = series_failure(regularizing_exponent(spec), exponent_by_residue(spec), d)
+    return IdentityReport("exponent-methods-agree", {"n": spec.n, "order": d}, d, text)
 
 
 def regular_kernel_checks(spec):

@@ -339,23 +339,24 @@ def assemble_table(n, order):
 # -- locus split -----------------------------------------------------------
 
 
-def effective_locus_series(spec, variant="half-sum"):
-    """The effective-locus part of the generating series, in both printed
-    shapes; their agreement is an instance of the diagonal identities."""
-    n, d = spec.n, spec.qorder
-    mu = hyper.regularizing_exponent(spec)
-    log_onemq = hyper.one_minus_nn_q(spec).log()
-    if variant == "half-sum":
-        out = mu * Fraction((n - 2) * (n + 1), 24)
-        out = out - log_onemq * Fraction((n - 2) * (3 * n - 5), 24)
-        for p in range(n - 2):
-            binom2 = Fraction((n - 1 - p) * (n - 2 - p), 2)
-            out = out - hyper.diagonal_series(spec, p).log() * binom2
-        return out * Fraction(1, 2)
-    if variant == "parity":
-        out = mu * Fraction((n - 2) * (n + 1), 48)
-        return out - _parity_block(spec, Fraction(n + 1, 48), Fraction(n - 2, 48))
-    raise ValueError(f"unknown variant {variant!r}")
+def effective_locus_half_sum(spec):
+    """The effective-locus part of the generating series, half-sum shape; its
+    agreement with effective_locus_parity is an instance of the diagonal
+    identities."""
+    n = spec.n
+    out = hyper.regularizing_exponent(spec) * Fraction((n - 2) * (n + 1), 24)
+    out = out - hyper.one_minus_nn_q(spec).log() * Fraction((n - 2) * (3 * n - 5), 24)
+    for p in range(n - 2):
+        binom2 = Fraction((n - 1 - p) * (n - 2 - p), 2)
+        out = out - hyper.diagonal_series(spec, p).log() * binom2
+    return out * Fraction(1, 2)
+
+
+def effective_locus_parity(spec):
+    """The effective-locus part in its parity shape."""
+    n = spec.n
+    out = hyper.regularizing_exponent(spec) * Fraction((n - 2) * (n + 1), 48)
+    return out - _parity_block(spec, Fraction(n + 1, 48), Fraction(n - 2, 48))
 
 
 def boundary_locus_series(spec):
@@ -435,8 +436,8 @@ def locus_split_check(spec):
     the closed boundary part (also piecewise); and the two parts sum to
     the full generating series."""
     n, d = spec.n, spec.qorder
-    eff_half = effective_locus_series(spec, "half-sum")
-    eff_parity = effective_locus_series(spec, "parity")
+    eff_half = effective_locus_half_sum(spec)
+    eff_parity = effective_locus_parity(spec)
     boundary = boundary_locus_series(spec)
     by_res, parts = boundary_locus_by_residues(spec)
     total = reduced_genus1_series(spec)

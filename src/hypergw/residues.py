@@ -39,7 +39,7 @@ from .errors import (
     RoutesDisagree,
     WindowTooSmall,
 )
-from .report import IdentityReport, Record, equality_failure, series_failure
+from .report import Record, equality_failure, series_failure
 from .series import QSeries, _scaled_rows, convolve_rows, format_rational, log_one_plus_rows
 
 _ONE = (1,)
@@ -614,42 +614,38 @@ def regularize(z):
     return Regularization(eta, zbar, regular, z, moments)
 
 
-def moment_identity_check(reg, a, which):
-    """The residue-moment identities tied to regularizability.
-
-    reg is regularize(z) for the series z under test; the left sides read
-    the moment windows of reg, which use the moments alone.
-    which = "intrinsic": sum_{m>=2} [s^(m-2-a)] g^m / (m(m-1)), the
-    [s^(-2-a)] entry of (1 - G) log(1 - G) + G, against a! res{ h^(a+1) z }:
-    the criterion that holds exactly when the series is regularizable.
-    which = "regularized": sum_{m>=0} [s^(m-a)] g^m, the [s^-a] entry of
-    1 / (1 - G), against eta^a / (1 + zbar(0, u)); requires a
-    regularizable input.
-    """
+def moment_identity_check(reg, a):
+    """The residue-moment criterion, which holds exactly when the series is
+    regularizable: sum_{m>=2} [s^(m-2-a)] g^m / (m(m-1)), the [s^(-2-a)]
+    entry of (1 - G) log(1 - G) + G, against a! res{ h^(a+1) z }.  reg is
+    regularize(z) for the series z under test.  Returns the failure text,
+    or None."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if which not in ("intrinsic", "regularized"):
-        raise ValueError(f"unknown identity kind {which!r}")
+    lhs = reg.moment_windows[0].taylor_coeff(-2 - a)
+    rhs = reg.z.weighted_residues(a + 1) * factorial(a)
+    return series_failure(lhs, rhs, reg.z.truncation, "u")
+
+
+def moment_regularized_check(reg, a):
+    """The moment identity of a regularizable series: sum_{m>=0} [s^(m-a)] g^m,
+    the [s^-a] entry of 1 / (1 - G), against eta^a / (1 + zbar(0, u)).
+    Returns the failure text, or None."""
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    if not reg.regular:
+        raise NotRegularizable("evaluation identity needs a regularizable series")
     d = reg.z.truncation
-    if which == "intrinsic":
-        lhs = reg.moment_windows[0].taylor_coeff(-2 - a)
-        rhs = reg.z.weighted_residues(a + 1) * factorial(a)
-        name = "moment-intrinsic"
-    else:
-        if not reg.regular:
-            raise NotRegularizable("evaluation identity needs a regularizable series")
-        lhs = reg.moment_windows[1].taylor_coeff(-a)
-        denom = QSeries.one(d) + reg.zbar.taylor_coeff(0)
-        rhs = reg.eta**a / denom
-        name = "moment-regularized"
-    return IdentityReport(name, {"a": a}, d, series_failure(lhs, rhs, d, "u"))
+    lhs = reg.moment_windows[1].taylor_coeff(-a)
+    rhs = reg.eta**a / (QSeries.one(d) + reg.zbar.taylor_coeff(0))
+    return series_failure(lhs, rhs, d, "u")
 
 
 def moment_closed_form_check(reg, a):
     """Closed form for res{ h^a z } from eta and the Taylor coefficients of zbar.
 
-    reg is regularize(z) for the series z under test.
-    """
+    reg is regularize(z) for the series z under test.  Returns the failure
+    text, or None."""
     d = reg.z.truncation
     if not reg.regular:
         raise NotRegularizable("closed form needs a regularizable series")
@@ -664,7 +660,7 @@ def moment_closed_form_check(reg, a):
     if 0 <= a < d:
         # the lone eta-power term; for a + 1 > d it is zero to this order
         rhs = rhs + eta_pow[a + 1] * Fraction(1, factorial(a + 1))
-    return IdentityReport("moment-closed-form", {"a": a}, d, series_failure(lhs, rhs, d, "u"))
+    return series_failure(lhs, rhs, d, "u")
 
 
 def residue_of_product_check(fs):

@@ -14,6 +14,7 @@ from hypergw.hyper import (
     diagonal_identities,
     diagonal_series,
     dw_kernel_coeffs,
+    exponent_by_residue,
     exponent_methods_check,
     i_series,
     kernel,
@@ -192,9 +193,7 @@ def test_regular_kernel_detects_a_pole(monkeypatch, cold_stages):
     spec = HyperSpec(5, 4)
     mu = regularizing_exponent(spec)
     regular_kernel.cache_clear()
-    monkeypatch.setattr(
-        hyper, "regularizing_exponent", lambda s, method="closed_form": mu + QSeries.monomial(3, 4)
-    )
+    monkeypatch.setattr(hyper, "regularizing_exponent", lambda s: mu + QSeries.monomial(3, 4))
     with pytest.raises(RegularityViolation) as err:
         regular_kernel(spec)
     assert (err.value.degree, err.value.order) == (3, 1)
@@ -453,7 +452,7 @@ def test_narrow_stages_match_full_width_reads(n):
 
     log = (kernel_inv_hbar(spec) - 1).log_one_plus()
     expect = QSeries([row_read(log, k, -1) for k in range(d + 1)])
-    assert regularizing_exponent(spec, "residue") == expect
+    assert exponent_by_residue(spec) == expect
 
     # N_d / (h^d V_d) against the full-width window product exp(-mu/h) K(1/h):
     # regular, with the same Taylor coefficients through h^(D+2)

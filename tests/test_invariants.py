@@ -18,7 +18,8 @@ from hypergw.invariants import (
     boundary_locus_series,
     bridge_series,
     divisors,
-    effective_locus_series,
+    effective_locus_half_sum,
+    effective_locus_parity,
     extract_invariants,
     instanton_inversion,
     locus_split_check,
@@ -34,6 +35,7 @@ from hypergw.residues import (
     RatFunc,
     moment_closed_form_check,
     moment_identity_check,
+    moment_regularized_check,
     regularize,
 )
 from hypergw.series import QSeries
@@ -170,9 +172,7 @@ def test_low_dimension_checks():
 def test_effective_locus_forms_agree():
     for n in (2, 3, 4, 5):
         spec = HyperSpec(n, 5)
-        assert effective_locus_series(spec, "half-sum") == effective_locus_series(
-            spec, "parity"
-        )
+        assert effective_locus_half_sum(spec) == effective_locus_parity(spec)
 
 
 def test_boundary_residue_route():
@@ -231,14 +231,14 @@ def test_bridge_regular_part_value(quintic_bridge):
 def test_bridge_moment_identities(quintic_bridge):
     _, reg = quintic_bridge
     for a in range(3):
-        assert moment_identity_check(reg, a, "intrinsic").passed
-        assert moment_identity_check(reg, a, "regularized").passed
+        assert moment_identity_check(reg, a) is None
+        assert moment_regularized_check(reg, a) is None
 
 
 def test_bridge_moment_closed_form():
     reg = regularize(bridge_series(HyperSpec(4, 5)))
     for a in range(-2, 3):
-        assert moment_closed_form_check(reg, a).passed
+        assert moment_closed_form_check(reg, a) is None
 
 
 # -- tables ------------------------------------------------------------------------

@@ -13,15 +13,22 @@ The mirror blocks are perturbed on their weighted-sum side (`_block_sums`)
 and through the mirror shift: the J-polynomials also build the genus-0
 series, whose t-freeness is a hard error, so no one-sided change of them
 reaches the blocks.
+
+A report whose identity is checked inside a stage that raises on a mismatch
+cannot print FAIL; its entry in RAISING names the error the suite raises
+instead.  Every identity that `verify` prints has an entry in one table.
 """
 
+import json
 from fractions import Fraction as Fr
+from functools import cached_property
 
 import pytest
 
 from hypergw import cli, hyper, invariants, report, residues
+from hypergw.errors import RoutesDisagree
 from hypergw.hyper import HyperSpec
-from hypergw.residues import USeriesRF
+from hypergw.residues import USeriesRF, exp_over_hbar
 from hypergw.series import QSeries, TPoly
 
 C, K = Fr(3, 7), 3
@@ -58,6 +65,44 @@ def wrap(owner, name, change, when=None):
         monkeypatch.setattr(owner, name, patched)
 
     return patch
+
+
+def cached(name, change):
+    """A patch: the cached property Regularization.name passes its value
+    through change."""
+
+    def patch(monkeypatch):
+        real = residues.Regularization.__dict__[name].func
+        prop = cached_property(lambda reg: change(real(reg)))
+        prop.__set_name__(residues.Regularization, name)
+        monkeypatch.setattr(residues.Regularization, name, prop)
+
+    return patch
+
+
+class BumpedWindow:
+    """A moment window whose every Taylor coefficient is moved by C u^K."""
+
+    def __init__(self, window):
+        self.window = window
+
+    def taylor_coeff(self, q):
+        return bump(self.window.taylor_coeff(q))
+
+
+def grown(z):
+    """(1 + z) exp(C q^K / h) - 1: regularizable exactly when z is, with its
+    exponent moved by C q^K and its regular part kept."""
+    return exp_over_hbar(QSeries.monomial(K, z.truncation, C), 1) * (z + 1) - 1
+
+
+def moved_moments(reg):
+    """reg with its stored moments moved by C u^K after its moment windows
+    were built from the true ones, so that only the closed form reads the
+    moved ones."""
+    reg.moment_windows
+    reg.moments = [bump(c) for c in reg.moments]
+    return reg
 
 
 def diagonal_powers(exponents):
@@ -113,6 +158,11 @@ ENTRIES = [
     ("tower-consistent-k2", suite("props31"), "tower-structure",
      "reduced (1,2) consistent q^3",
      wrap(hyper, "i_series", t0_bump, lambda spec, p, k: (p, k) == (1, 2))),
+    # the regularizing exponent: closed form against the residue route
+    ("exponent-closed-form", suite("props32"), "exponent-methods-agree", "q^3",
+     wrap(hyper, "regularizing_exponent", bump)),
+    ("exponent-residue", suite("props32"), "exponent-methods-agree", "q^3",
+     wrap(hyper, "exponent_by_residue", bump)),
     # regular kernel: the window side and the closed side of value and slope
     ("regular-value-window", suite("props32"), "regular-kernel",
      "regular-kernel-value: q^3",
@@ -124,6 +174,26 @@ ENTRIES = [
      wrap(USeriesRF, "taylor_coeff", bump, lambda window, q: q == 1)),
     ("regular-slope-closed", suite("props32"), "regular-kernel",
      "regular-kernel-slope: q^3", wrap(hyper, "kernel_slope_at_zero", bump)),
+    # regularization: each side of each identity, the counterexample, the bridge
+    ("moment-intrinsic-window", suite("regularize"), "moment-intrinsic", "u^3",
+     cached("moment_windows", lambda windows: (BumpedWindow(windows[0]), windows[1]))),
+    ("moment-intrinsic-residue", suite("regularize"), "moment-intrinsic", "u^3",
+     wrap(USeriesRF, "weighted_residues", bump, lambda z, p: p == 5)),
+    ("moment-regularized-window", suite("regularize"), "moment-regularized", "u^3",
+     cached("moment_windows", lambda windows: (windows[0], BumpedWindow(windows[1])))),
+    ("moment-regularized-closed", suite("regularize"), "moment-regularized", "u^3",
+     wrap(QSeries, "__pow__", bump, lambda eta, a: a == 3)),
+    ("moment-closed-form-moments", suite("regularize"), "moment-closed-form", "u^3",
+     wrap(cli, "regularize", moved_moments)),
+    ("moment-closed-form-closed", suite("regularize"), "moment-closed-form", "u^3",
+     cached("eta_powers", lambda powers: [bump(p) for p in powers])),
+    ("counterexample", suite("regularize"), "counterexample-detected",
+     "criterion did not fail",
+     wrap(cli, "moment_identity_check", lambda text: None, lambda reg, a: not reg.regular)),
+    ("bridge-exponent-eta", suite("regularize"), "bridge-exponent-is-mu", "q^3",
+     wrap(invariants, "bridge_series", grown)),
+    ("bridge-exponent-mu", suite("regularize"), "bridge-exponent-is-mu", "q^3",
+     wrap(hyper, "regularizing_exponent", bump)),
     # ladder: residue side and closed side of both residues, the step, the pair
     ("ladder-first-residue", suite("theorem3"), "ladder-identities",
      "ladder-first-residue: p=2 q^3",
@@ -146,7 +216,7 @@ ENTRIES = [
     # locus split: each part, from each side where the sides are separate routes
     ("locus-effective-half", suite("theorem3"), "locus-split",
      "effective-locus-forms: q^3",
-     wrap(invariants, "effective_locus_series", bump, lambda spec, form: form == "half-sum")),
+     wrap(invariants, "effective_locus_half_sum", bump)),
     ("locus-boundary-closed", suite("theorem3"), "locus-split",
      "boundary-residue-route: q^3", wrap(invariants, "boundary_locus_series", bump)),
     ("locus-boundary-residues", suite("theorem3"), "locus-split",
@@ -195,11 +265,23 @@ ENTRIES = [
     ("rising", suite("appendixA"), "alternating-rising-exhaustive",
      "alternating-rising-product [q=0 a=0 s=0]: FAIL at value: Fraction(2, 1) != Fraction(1, 1)",
      wrap(residues, "prod", lambda out: out + 1)),
-    # the random product-residue trials, from each side
+    # the random residue trials, from each side
+    ("residue-sum-finite", suite("residues"), "residue-sum-zero",
+     "trial 0: total residue ", wrap(cli, "residue_at", lambda out: out + C)),
+    ("residue-sum-infinity", suite("residues"), "residue-sum-zero",
+     "trial 0: total residue ", wrap(cli, "residue_at_infinity", lambda out: out + C)),
     ("product-residue-global", suite("residues"), "product-residue-random",
      "trial 0: residue: ", wrap(residues, "residue_at", lambda out: out + C)),
     ("product-residue-subsets", suite("residues"), "product-residue-random",
      "trial 0: residue: ", wrap(residues, "product_subset_sum", lambda out: out + C)),
+]
+
+# (id, runner, report, error, start of its message, patch)
+RAISING = [
+    # assemble_table's instanton inversion checks both round trips
+    ("instanton-round-trips", suite("appendixB"), "instanton-round-trips", RoutesDisagree,
+     "genus-1 multiple-cover round trip failed",
+     wrap(invariants, "genus1_cover_sum", lambda out: out + C)),
 ]
 
 
@@ -217,19 +299,24 @@ def test_one_sided_perturbation_fails_its_report(
     assert text.startswith(label) and "TPoly(" not in text, text
 
 
-def test_verify_builds_a_report_only_for_what_it_prints(monkeypatch, capsys):
-    built = []
-    real = report.IdentityReport.__init__
+@pytest.mark.parametrize(
+    "run, error, message, patch",
+    [(run, error, message, patch) for _, run, _, error, message, patch in RAISING],
+    ids=[e[0] for e in RAISING],
+)
+def test_one_sided_perturbation_raises_before_its_report(
+    cold_stages, monkeypatch, run, error, message, patch
+):
+    assert all(rep.passed for rep in run())
+    patch(monkeypatch)
+    with pytest.raises(error, match=message):
+        run()
 
-    def counted(self, *args, **kwargs):
-        built.append(args[0])
-        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(report.IdentityReport, "__init__", counted)
-    assert cli.main(["verify", "--n", "5", "--order", "6"]) == 0
-    printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 38
-    assert len(built) <= 45  # 654 before sub-checks returned text
+def test_every_printed_identity_has_an_entry(capsys):
+    assert cli.main(["verify", "--n", str(N), "--order", str(ORDER), "--format", "json"]) == 0
+    printed = {rep["identity"] for rep in json.loads(capsys.readouterr().out)}
+    assert printed - {entry[2] for entry in ENTRIES + RAISING} == set()
 
 
 def test_passed_is_read_off_the_failure():

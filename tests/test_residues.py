@@ -21,6 +21,7 @@ from hypergw.residues import (
     laurent_at_zero,
     moment_closed_form_check,
     moment_identity_check,
+    moment_regularized_check,
     reciprocal_sum_check,
     regularize,
     residue_at,
@@ -231,22 +232,22 @@ def test_non_regularizable_series_passes_the_log_cross_check():
 def test_moment_identities_on_constructed_example():
     reg = regularize(constructed_example(Fr(3, 2), 5))
     for a in range(5):
-        assert moment_identity_check(reg, a, "intrinsic").passed
+        assert moment_identity_check(reg, a) is None
     for a in range(4):
-        assert moment_identity_check(reg, a, "regularized").passed
+        assert moment_regularized_check(reg, a) is None
 
 
 def test_counterexample_fails_intrinsic_identity():
     reg = regularize(u_series(0, inv_power(1), trunc=4))
     assert not all(
-        moment_identity_check(reg, a, "intrinsic").passed for a in range(5)
+        moment_identity_check(reg, a) is None for a in range(5)
     )
 
 
 def test_moment_closed_form():
     reg = regularize(constructed_example(Fr(-2, 5), 5))
     for a in range(-3, 4):
-        assert moment_closed_form_check(reg, a).passed
+        assert moment_closed_form_check(reg, a) is None
 
 
 # -- residue of a product ---------------------------------------------------------
@@ -664,11 +665,12 @@ def test_moment_windows_built_once_per_regularization(monkeypatch):
     counted = cached_property(lambda reg: built.append(reg) or build(reg))
     counted.__set_name__(residues.Regularization, "moment_windows")
     monkeypatch.setattr(residues.Regularization, "moment_windows", counted)
-    check = cli.moment_identity_check
-    monkeypatch.setattr(cli, "moment_identity_check", lambda *a: checks.append(1) or check(*a))
+    for name in ("moment_identity_check", "moment_regularized_check"):
+        check = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, check=check: checks.append(1) or check(*a))
     assert all(r.passed for r in cli._suite_regularize(5, 6))
     # one build for each of the three regularizations, shared by the 16
-    # moment checks
+    # moment checks (9 of the criterion, 7 of the regularized identity)
     assert len(checks) == 16
     assert len(built) == 3
 
