@@ -319,6 +319,21 @@ def test_every_printed_identity_has_an_entry(capsys):
     assert printed - {entry[2] for entry in ENTRIES + RAISING} == set()
 
 
+def test_verify_builds_a_report_only_for_what_it_prints(monkeypatch, capsys):
+    built = []
+    real = report.IdentityReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(report.IdentityReport, "__init__", counted)
+    assert cli.main(["verify", "--n", "5", "--order", "6"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 38
+    assert len(built) == len(printed)  # 654 before sub-checks returned text
+
+
 def test_passed_is_read_off_the_failure():
     rep = report.IdentityReport("x", {}, 2, "q^1: 1 != 2")
     assert not rep.passed and rep.to_dict()["pass"] is False
