@@ -89,6 +89,10 @@ def kernel(spec):
         F_d / F_(d-1) = prod_{n(d-1)<r<=nd}(n w + r) / ((w + d)^n - w^n),
     every product truncated at w^worder.  Each column stays integer
     numerators over one denominator; the quotient is one recurrence.
+
+    Built at w-rows 0..n + 2 and width D.  Tower entry (0, k) reads rows
+    0..k <= n - 1, the n = 1 mirror shift row 1 and log_kernel_w rows
+    0..max(n - 2, 0); only dump --what F reads rows n..n + 2.
     """
     n, w = spec.n, spec.worder
     col, den = [1] + [0] * w, 1
@@ -123,14 +127,21 @@ def _inv_hbar_parts(spec):
 def kernel_inv_hbar(spec):
     """The kernel at w = 1/h as a window u-series, expanded straight from
     the factored form h^-d rnum_d / V_d; the q^d coefficient has pole order
-    exactly d at h = 0."""
+    exactly d at h = 0.
+
+    Built at rows u^0..u^D and width 2D + 2: bridge_series reads it whole
+    for regularize, whose moment closed form reads entry 2D + 2; the stages
+    here read it through _narrow_kernel."""
     return USeriesRF.from_quotients(
         [(-d, rnum, den) for d, (rnum, den) in enumerate(_inv_hbar_parts(spec))]
     )
 
 
 def _narrow_kernel(spec):
-    """kernel_inv_hbar at width D + 1, which covers every read made below."""
+    """kernel_inv_hbar at width D + 1.  The largest entry read is D + 1 of
+    row D, by the slope (taylor_coeff(1)) in regular_kernel_checks and
+    through ladder_series by ladder_residue at order 1; exponent_by_residue
+    reads entry k - 1 of row k."""
     return kernel_inv_hbar(spec).narrow(spec.qorder + 1)
 
 
@@ -159,26 +170,29 @@ def kernel_value_at(spec, a):
 
 
 @lru_cache(maxsize=None)
-def _tower_row(spec, p):
-    """Row p of the t-polynomial tower, entries for k = p..n-1."""
-    n, d = spec.n, spec.qorder
-    if p == 0:
-        f = kernel(spec)
-        row = []
-        for k in range(n):
-            coeffs = [f.coeff(k - j) * Fraction(1, factorial(j)) for j in range(k + 1)]
-            row.append(TPoly(coeffs))
-        return tuple(row)
-    prev = _tower_row(spec, p - 1)
-    diag = prev[0].t_free_part()
-    return tuple(entry.div_qseries(diag).d_dt() for entry in prev[1:])
-
-
 def i_series(spec, p, k):
-    """Tower entry with indices (p, k); a polynomial in t of degree <= k-p."""
+    """Tower entry with indices (p, k); a polynomial in t of degree <= k-p.
+    Row 0 is read off the kernel's w-rows 0..k; entry (p, k) is the
+    t-derivative of tower_ratio(spec, p - 1, k).
+
+    Built one entry at a time at width D, when read: tower_structure_check
+    reads all of 0 <= p <= k <= n - 1, diagonal_series entry (p, p), and
+    entry (p, k) builds (p + 1, k).  So invariants --n 5 builds (0, 0..3)
+    and (1, 1) only."""
     if not 0 <= p <= k <= spec.n - 1:
         raise ValueError("need 0 <= p <= k <= n-1")
-    return _tower_row(spec, p)[k - p]
+    if p == 0:
+        f = kernel(spec)
+        return TPoly([f.coeff(k - j) * Fraction(1, factorial(j)) for j in range(k + 1)])
+    return tower_ratio(spec, p - 1, k).d_dt()
+
+
+@lru_cache(maxsize=None)
+def tower_ratio(spec, p, k):
+    """Entry (p, k) over diagonal p, at width D: at p = 0 the J-polynomial
+    J_k, whose t-free part at k = 1 is the mirror shift.  Each ratio is
+    divided once, for the tower, the mirror shift and the J-polynomials."""
+    return i_series(spec, p, k).div_qseries(diagonal_series(spec, p))
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +212,7 @@ def mirror_shift(spec):
     if spec.n == 1:
         f = kernel(spec)
         return f.coeff(1) / f.coeff(0)
-    ratio = i_series(spec, 0, 1).div_qseries(diagonal_series(spec, 0))
-    shifted = ratio - TPoly.t_variable(spec.qorder)
+    shifted = tower_ratio(spec, 0, 1) - TPoly.t_variable(spec.qorder)
     return shifted.t_free_part()
 
 
@@ -303,9 +316,14 @@ def kernel_slope_at_zero(spec):
 
 @lru_cache(maxsize=None)
 def log_kernel_w(spec):
-    """Bigraded logarithm of the kernel divided by its w-constant part."""
-    f = kernel(spec)
-    return f.div_qseries(f.coeff(0)).log()
+    """Bigraded logarithm of the kernel divided by its w-constant part, on
+    w-rows 0..max(n - 2, 0) at width D.  Those are all its readers take:
+    the genus-1 log tail reads rows 2..n - 2 and the boundary residue at
+    infinity rows 0..n - 2.  Row k of the log depends only on rows <= k of
+    the kernel, and log(f / f0) differs from log f only in row 0, log f0,
+    which is replaced by zero; so each row is divided by f0 once."""
+    rows = WSeries(kernel(spec).coeffs[: max(spec.n - 1, 1)]).log().coeffs
+    return WSeries((QSeries.zero(spec.qorder),) + rows[1:])
 
 
 def dw_kernel_coeffs(n, upto):
@@ -320,7 +338,10 @@ def dw_kernel_coeffs(n, upto):
 @lru_cache(maxsize=None)
 def ladder_series(spec, p):
     """Series obtained from the normalized kernel at w = 1/h by p descent
-    steps (1/diagonal) * (1 + h d/dt), at width D + 1."""
+    steps (1/diagonal) * (1 + h d/dt), at rows u^0..u^D and width D + 1.
+    Through _descended_regular, ladder_residue at orders 0 and 1 reads
+    entries k and k + 1 of row k, so entry D + 1 of row D; the boundary
+    residue at the origin reads rung 0's log at entries <= D."""
     if not 0 <= p <= spec.n - 1:
         raise ValueError("need 0 <= p <= n-1")
     if p == 0:

@@ -102,7 +102,7 @@ def extract_invariants(series, spec):
 
 def _j_poly(spec, k):
     """J_k = (tower row 0 entry k) / (diagonal 0), a t-polynomial."""
-    return hyper.i_series(spec, 0, k).div_qseries(hyper.diagonal_series(spec, 0))
+    return hyper.tower_ratio(spec, 0, k)
 
 
 def quintic_genus0(order):

@@ -433,9 +433,6 @@ class WSeries:
     def __repr__(self):
         return f"WSeries(W={self.worder}, D={self.truncation})"
 
-    def div_qseries(self, g):
-        return WSeries([c / g for c in self.coeffs])
-
     def log(self):
         """Bigraded logarithm; the (w^0, q^0) coefficient must be 1.
 

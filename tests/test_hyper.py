@@ -6,9 +6,9 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from hypergw import hyper
+from hypergw import hyper, invariants
 from hypergw import polys as P
-from hypergw.errors import RegularityViolation, WindowTooSmall
+from hypergw.errors import RegularityViolation, TruncationMismatch, WindowTooSmall
 from hypergw.hyper import (
     HyperSpec,
     diagonal_identities,
@@ -40,7 +40,7 @@ from hypergw.residues import (
     exp_over_hbar,
     laurent_at_zero,
 )
-from hypergw.series import QSeries
+from hypergw.series import QSeries, TPoly, WSeries
 
 import oracles
 
@@ -483,6 +483,40 @@ def test_reading_past_the_width_raises():
 
 
 # -- bigraded log -----------------------------------------------------------------------
+
+
+def full_row_log(spec):
+    """The bigraded log of K / K_0 on all n + 3 w-rows: every row divided by
+    K_0, then the whole quotient logged."""
+    f = kernel(spec)
+    return WSeries([c / f.coeff(0) for c in f.coeffs]).log()
+
+
+@pytest.mark.parametrize("order", [4, 10, 24])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_log_kernel_keeps_the_rows_it_is_read_on(n, order):
+    spec = HyperSpec(n, order)
+    kept, full = log_kernel_w(spec), full_row_log(spec)
+    top = max(n - 2, 0)  # the genus-1 series reads rows 0..n - 2
+    assert kept.worder == top and kept.truncation == order
+    assert kept.coeffs == full.coeffs[: top + 1]
+    with pytest.raises(TruncationMismatch):
+        kept.coeff(max(n - 1, 1))
+
+
+def test_quintic_table_divides_each_tower_ratio_once(cold_stages, monkeypatch):
+    divided = []
+    real = TPoly.div_qseries
+
+    def counted(poly, g):
+        divided.append(poly)
+        return real(poly, g)
+
+    monkeypatch.setattr(TPoly, "div_qseries", counted)
+    invariants.assemble_table(5, 6)
+    # J_0..J_3; the mirror shift and tower entry (1, 1) read J_1
+    assert len(divided) == 4
+    assert hyper.i_series.cache_info().currsize == 5
 
 
 def test_log_kernel_linear_coefficient_is_mirror_shift():

@@ -5,9 +5,9 @@ suite has run once unperturbed, so every cached stage is already built: only
 the checks that read the patched name see the change.  The perturbation adds
 C q^K (C t q^K for a t-polynomial), or for the diagonals multiplies them by
 powers of 1 + C q^K chosen to keep the earlier parts of the merged report
-true.  Exactly the named report must then fail, its failure text must name
-the first differing coefficient, and every other report of the suite must
-still pass.
+true.  Exactly the named reports, each keyed by identity and parameters,
+must then fail, each failure text must name the first differing
+coefficient, and every other report of the suite must still pass.
 
 The mirror blocks are perturbed on their weighted-sum side (`_block_sums`)
 and through the mirror shift: the J-polynomials also build the genus-0
@@ -29,7 +29,7 @@ from hypergw import cli, hyper, invariants, report, residues
 from hypergw.errors import RoutesDisagree
 from hypergw.hyper import HyperSpec
 from hypergw.residues import USeriesRF, exp_over_hbar
-from hypergw.series import QSeries, TPoly
+from hypergw.series import QSeries, TPoly, WSeries
 
 C, K = Fr(3, 7), 3
 N, ORDER = 5, 6
@@ -90,6 +90,11 @@ class BumpedWindow:
         return bump(self.window.taylor_coeff(q))
 
 
+def top_row_bumped(logw):
+    """The kernel log with its last kept row, w^(n-2), moved by C q^K."""
+    return WSeries(logw.coeffs[:-1] + (bump(logw.coeffs[-1]),))
+
+
 def grown(z):
     """(1 + z) exp(C q^K / h) - 1: regularizable exactly when z is, with its
     exponent moved by C q^K and its regular part kept."""
@@ -132,6 +137,17 @@ def boundary_part(key):
     return wrap(invariants, "boundary_locus_by_residues", change)
 
 
+def key(parameters):
+    return tuple(sorted(parameters.items()))
+
+
+def moment_reports(label, plain, bridge=()):
+    """{parameters: label} for the regularize suite's moment reports at a in
+    plain, and on the bridge series at a in bridge."""
+    params = [{"a": a} for a in plain] + [{"a": a, "series": "bridge"} for a in bridge]
+    return {key(p): label for p in params}
+
+
 def suite(name):
     return lambda: cli.run_suites([name], N, ORDER)
 
@@ -140,7 +156,9 @@ def blocks():
     return [invariants.quintic_genus0(ORDER)[1]]
 
 
-# (id, runner, failing report, start of its failure text, patch)
+# (id, runner, failing identity, start of its failure text, patch); for an
+# identity printed more than once, {parameters: start of the failure text}
+# of exactly the reports that fail
 ENTRIES = [
     # diagonal identities: each part, the earlier parts kept true
     ("diagonal-product", suite("props31"), "diagonal-identities",
@@ -175,17 +193,24 @@ ENTRIES = [
     ("regular-slope-closed", suite("props32"), "regular-kernel",
      "regular-kernel-slope: q^3", wrap(hyper, "kernel_slope_at_zero", bump)),
     # regularization: each side of each identity, the counterexample, the bridge
-    ("moment-intrinsic-window", suite("regularize"), "moment-intrinsic", "u^3",
+    ("moment-intrinsic-window", suite("regularize"), "moment-intrinsic",
+     moment_reports("u^3", range(5), range(3)),
      cached("moment_windows", lambda windows: (BumpedWindow(windows[0]), windows[1]))),
-    ("moment-intrinsic-residue", suite("regularize"), "moment-intrinsic", "u^3",
+    ("moment-intrinsic-residue", suite("regularize"), "moment-intrinsic",
+     moment_reports("u^3", [4]),
      wrap(USeriesRF, "weighted_residues", bump, lambda z, p: p == 5)),
-    ("moment-regularized-window", suite("regularize"), "moment-regularized", "u^3",
+    ("moment-regularized-window", suite("regularize"), "moment-regularized",
+     moment_reports("u^3", range(4), range(3)),
      cached("moment_windows", lambda windows: (windows[0], BumpedWindow(windows[1])))),
-    ("moment-regularized-closed", suite("regularize"), "moment-regularized", "u^3",
+    ("moment-regularized-closed", suite("regularize"), "moment-regularized",
+     moment_reports("u^3", [3]),
      wrap(QSeries, "__pow__", bump, lambda eta, a: a == 3)),
-    ("moment-closed-form-moments", suite("regularize"), "moment-closed-form", "u^3",
+    ("moment-closed-form-moments", suite("regularize"), "moment-closed-form",
+     moment_reports("u^3", range(-3, 1)),
      wrap(cli, "regularize", moved_moments)),
-    ("moment-closed-form-closed", suite("regularize"), "moment-closed-form", "u^3",
+    # at a = -2 and -1 the first coefficient moved is u^4; a = -3 is untouched
+    ("moment-closed-form-closed", suite("regularize"), "moment-closed-form",
+     {**moment_reports("u^4", range(-2, 0)), **moment_reports("u^3", range(4))},
      cached("eta_powers", lambda powers: [bump(p) for p in powers])),
     ("counterexample", suite("regularize"), "counterexample-detected",
      "criterion did not fail",
@@ -245,6 +270,12 @@ ENTRIES = [
      "k3-vanishing: quartic-invariants-vanish: Q^3",
      wrap(invariants, "extract_invariants", lambda vals: vals[:2] + [vals[2] + C] + vals[3:],
           lambda series, spec: spec.n == 4)),
+    # the last kept row of the kernel log, w^(n-2): the quartic's genus-1
+    # series reads it; locus-split reads it with one weight on both sides of
+    # each part (the residue at infinity is _log_tail's sum), so no theorem3
+    # report sees it
+    ("log-kernel-top-row", suite("special"), "low-dimensions",
+     "k3-vanishing: quartic-invariants-vanish: Q^3", wrap(hyper, "log_kernel_w", top_row_bumped)),
     # mirror blocks
     ("block-0", blocks, "mirror-block-reconstruction", "block-0: t^0 q^3",
      wrap(invariants, "_j_poly", t0_bump, lambda spec, k: k == 0)),
@@ -282,6 +313,9 @@ RAISING = [
     ("instanton-round-trips", suite("appendixB"), "instanton-round-trips", RoutesDisagree,
      "genus-1 multiple-cover round trip failed",
      wrap(invariants, "genus1_cover_sum", lambda out: out + C)),
+    # and, before it, that the quintic's two genus-1 routes agree
+    ("log-kernel-top-row-quintic", suite("appendixB"), "instanton-round-trips", RoutesDisagree,
+     "genus-1 routes disagree at degree 3", wrap(hyper, "log_kernel_w", top_row_bumped)),
 ]
 
 
@@ -291,12 +325,18 @@ RAISING = [
 def test_one_sided_perturbation_fails_its_report(
     cold_stages, monkeypatch, run, target, label, patch
 ):
-    assert all(rep.passed for rep in run())  # and every cached stage is built
+    reports = run()
+    assert all(rep.passed for rep in reports)  # and every cached stage is built
+    if isinstance(label, str):
+        (params,) = [rep.parameters for rep in reports if rep.identity == target]
+        label = {key(params): label}
     patch(monkeypatch)
-    failing = {rep.identity: rep.first_failure for rep in run() if not rep.passed}
-    assert list(failing) == [target]
-    text = failing[target]
-    assert text.startswith(label) and "TPoly(" not in text, text
+    failing = {(rep.identity, key(rep.parameters)): rep.first_failure
+               for rep in run() if not rep.passed}
+    assert set(failing) == {(target, params) for params in label}
+    for params, start in label.items():
+        text = failing[target, params]
+        assert text.startswith(start) and "TPoly(" not in text, text
 
 
 @pytest.mark.parametrize(
