@@ -8,15 +8,16 @@ constructor and the arithmetic reduce in one place (_lowest_terms: a
 primitive pseudo-remainder gcd, divided out exactly by Gauss's lemma),
 and from_coprime takes a pair its caller has already reduced by known
 factors, with no gcd; each value it hands out is one Fraction.  A
-residue at s/t divides t h - s out of the denominator by exact synthetic
-division and reads the Taylor coefficients there by repeated synthetic
-division, with no re-expansion of the whole function.  Everything local
-to h = 0 runs on exact Laurent windows at the origin, all built by _row
-with no gcd: the window h^-low .. h^high of f is the power series
-h^low f truncated at h^(low + high), a QSeries.  USeriesRF is a power
-series in u whose u^k coefficient has pole order at most k; under
-u = h s it is a list of such QSeries rows h^k c_k(h), all truncated at
-one width, multiplied by the truncated row convolution of the series
+residue at s/t takes the Taylor coefficients of the denominator there by
+one Taylor shift (repeated synthetic division): its leading zeros count
+the pole order m and the rest expand the unit, and the numerator needs
+only its first m coefficients, so no division is ever tried.
+Everything local to h = 0 runs on exact Laurent windows at the origin,
+all built by _row with no gcd: the window h^-low .. h^high of f is the
+power series h^low f truncated at h^(low + high), a QSeries.  USeriesRF
+is a power series in u whose u^k coefficient has pole order at most k;
+under u = h s it is a list of such QSeries rows h^k c_k(h), all truncated
+at one width, multiplied by the truncated row convolution of the series
 module.  On it sit the regularization splitting
 1 + Z = exp(eta/h) * (1 + Zbar), Zbar holomorphic at h = 0, and the
 residue-moment identities that characterize when it exists.  A residue
@@ -58,8 +59,8 @@ class RatFunc:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=_ONE):
-        n, dn = P._scaled([P._exact(c) for c in num])
-        d, dd = P._scaled([P._exact(c) for c in den])
+        n, dn = _cleared(num)
+        d, dd = _cleared(den)
         _strip(n)
         _strip(d)
         if not d:
@@ -213,6 +214,16 @@ class RatFunc:
         return k
 
 
+def _cleared(p):
+    """(ints, den) of a coefficient sequence: a list of plain ints as it is
+    (copied), over 1; anything else through _exact and _scaled, so a float
+    or a string raises TypeError."""
+    ints = list(p)
+    if all(type(c) is int for c in ints):
+        return ints, 1
+    return P._scaled([P._exact(c) for c in ints])
+
+
 def _strip(c):
     while c and c[-1] == 0:
         c.pop()
@@ -292,36 +303,27 @@ def laurent_at_zero(f, low, high):
     return _row(f._num, f._den[m:], low - m, low + high)
 
 
-def _divide_out(c, factor):
-    """(m, u) with c = factor^m u and factor not dividing u, for integer
-    lists and a primitive factor: exact divisions until one fails."""
-    m = 0
-    while True:
-        try:
-            c = P._div_exact(c, factor)
-        except ArithmeticError:
-            return m, c
-        m += 1
-
-
 def residue_at(f, a):
     """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles.
 
-    With a = s/t, exact synthetic division takes den = (t h - s)^m u with
-    u(a) != 0, all in integers.  For an integer list p of degree k,
-    t^k p(h) = sum_j e_j (t h - s)^j (the first m e_j by repeated synthetic
-    division), so the residue is t^(deg u - deg num - 1) times [x^(m-1)] of
-    the integer series quotient sum_j e_j(num) x^j / sum_j e_j(u) x^j.
+    With a = s/t and x = t h - s, an integer list p of degree k has
+    t^k p(h) = sum_j e_j x^j, read off by one Taylor shift.  The e_j of den
+    vanish below the pole order m and the rest expand its unit, so the
+    residue is t^(deg den - deg num - 1) times [x^(m-1)] of the integer
+    series quotient sum_j e_j(num) x^j / sum_j e_(m+j)(den) x^j.
     """
     s, t = a.numerator, a.denominator
-    m, unit = _divide_out(f._den, (-s, t))
+    num, den = f._num, f._den
+    taylor = P._taylor_ints(den, s, t, len(den))
+    m = 0
+    while not taylor[m]:
+        m += 1
     if not m:
         return _ZERO
-    num = f._num
-    ints, den = _quotient(P._taylor_ints(num, s, t, m), P._taylor_ints(unit, s, t, m), m - 1)
-    e = len(unit) - len(num) - 1
+    ints, q = _quotient(P._taylor_ints(num, s, t, m), taylor[m:], m - 1)
+    e = len(den) - len(num) - 1
     c = ints[m - 1]
-    return Fraction(c * t**e, den) if e >= 0 else Fraction(c, den * t**-e)
+    return Fraction(c * t**e, q) if e >= 0 else Fraction(c, q * t**-e)
 
 
 def residue_at_infinity(f):
@@ -666,15 +668,18 @@ def moment_closed_form_check(reg, a):
 def residue_of_product_check(fs):
     """Residue of a product of at-most-simple-pole functions as a subset sum.
 
-    The left side is the residue of the reduced global product; the right
+    The left side is the residue of the global product, its numerators and
+    denominators multiplied as integer lists and reduced once; the right
     side is the subset sum of product_subset_sum.  Returns the failure
     text, or None.
     """
     fs = list(fs)
+    num, den = [1], [1]
     for i, f in enumerate(fs):
         if f.pole_order_at_zero() > 1:
             raise PoleTooHigh(f"function {i} has a pole of order > 1 at 0")
-    lhs = residue_at(prod(fs, start=RatFunc.from_scalar(1)), 0)
+        num, den = P._mul_ints(num, f._num), P._mul_ints(den, f._den)
+    lhs = residue_at(RatFunc._of(_lowest_terms(num, den)), 0)
     return equality_failure("residue", lhs, product_subset_sum(fs))
 
 
@@ -689,27 +694,33 @@ def product_subset_sum(fs):
     the product of the other regular parts; that order is at most k-2
     whenever S leaves a factor out (for S = all, the product is 1).  The
     empty subset contributes nothing (its inner derivative order would be
-    -1, which is vacuous).  The subset and residue products run in int,
-    every term over the product of the window denominators.
+    -1, which is vacuous).  A subset holding a factor with r_i = 0 adds 0,
+    so only subsets of the poles are enumerated, and the factors without a
+    pole sit in every complement.  Each complement's product of regular
+    parts is built once, from the complement with one factor fewer, as the
+    subsets shrink.  The subset and residue products run in int, every
+    term over the product of the window denominators.
     """
     k = len(fs)
     windows = [laurent_at_zero(f, 1, k - 2) for f in fs]
-    res = [w.ints[0] for w in windows]
-    regular = [w.ints[1:] for w in windows]
+    poles = [i for i, w in enumerate(windows) if w.ints[0]]
+    width = len(poles)
+    base = [1] + [0] * (width - 1)
+    for w in windows:
+        if not w.ints[0]:
+            out = [0] * width
+            P._accumulate(out, base, w.ints[1:])
+            base = out
+    rests = {(): base}  # complement among the poles -> its product, to |S| entries
     acc = 0
-    idx = range(k)
-    for size in range(1, k + 1):
-        for chosen in combinations(idx, size):
-            r = prod(res[i] for i in chosen)
-            if r == 0:
-                continue
-            rest = [1] + [0] * (size - 1)
-            for i in idx:
-                if i not in chosen:
-                    out = [0] * size
-                    P._accumulate(out, rest, regular[i])
-                    rest = out
-            acc += r * rest[size - 1]
+    for size in range(width, 0, -1):
+        for kept in combinations(poles, width - size):
+            if kept:
+                rest = [0] * size
+                P._accumulate(rest, rests[kept[:-1]], windows[kept[-1]].ints[1:])
+                rests[kept] = rest
+            r = prod(windows[i].ints[0] for i in poles if i not in kept)
+            acc += r * rests[kept][size - 1]
     return Fraction(acc, prod(w.den for w in windows))
 
 

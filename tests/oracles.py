@@ -8,7 +8,7 @@ the end.
 
 from fractions import Fraction as Fr
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 
 def _wpoly_mul(p, q, w_order):
@@ -543,6 +543,48 @@ def residue_at(f, a):
     g = f.shift(Fr(a)) if a else f
     m = g.pole_order_at_zero()
     return laurent_at_zero(g, m, -1)[m - 1] if m else Fr(0)
+
+
+def _divide_linear(c, s, t):
+    """c / (t h - s) for an integer list c by synthetic division from the
+    top, or None when it does not divide.  t h - s is primitive, so by
+    Gauss's lemma a quotient over Q has integer coefficients and every step
+    of a division that works is exact."""
+    rem = list(c)
+    quot = [0] * (len(c) - 1)
+    for i in range(len(c) - 1, 0, -1):
+        q, r = divmod(rem[i], t)
+        if r:
+            return None
+        quot[i - 1] = q
+        rem[i - 1] += q * s
+    return quot if rem[0] == 0 else None
+
+
+def residue_at_by_division(f, a):
+    """The residue at a = s/t by dividing the pole out: t h - s is divided
+    out of the cleared denominator until it no longer divides, leaving
+    (t h - s)^m u; then, with x = t h - s and t^k p(h) = sum_j e_j(p) x^j
+    for p of degree k (the binomial expansion of p((x + s)/t)), the residue
+    is t^(deg u - deg num - 1) [x^(m-1)] e(num) / e(u)."""
+    a = Fr(a)
+    s, t = a.numerator, a.denominator
+    cleared = lcm(*(c.denominator for c in f.num + f.den))
+    num, unit = ([c.numerator * (cleared // c.denominator) for c in p] for p in (f.num, f.den))
+    m = 0
+    while (quot := _divide_linear(unit, s, t)) is not None:
+        unit, m = quot, m + 1
+    if not m:
+        return Fr(0)
+
+    def expand(p):
+        k = len(p) - 1
+        return [
+            Fr(sum(c * t ** (k - i) * comb(i, j) * s ** (i - j) for i, c in enumerate(p) if i >= j))
+            for j in range(m)
+        ]
+
+    return series_quotient(expand(num), expand(unit))[m - 1] * Fr(t) ** (len(unit) - len(num) - 1)
 
 
 def residue_at_infinity(f):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypergw import cli
+from hypergw import cli, polys, residues
 from hypergw.hyper import HyperSpec, regular_kernel
 from hypergw.residues import (
     RatFunc,
@@ -17,6 +17,7 @@ from hypergw.residues import (
     product_subset_sum,
     residue_at,
     residue_at_infinity,
+    residue_of_product_check,
 )
 
 import oracles
@@ -129,6 +130,7 @@ def test_residues_match_shift_route(pair, extra):
     for a in poles:
         got = residue_at(f, a)
         assert got == oracles.residue_at(g, a) and type(got) is Fr
+        assert got == oracles.residue_at_by_division(g, a)
     got = residue_at_infinity(f)
     assert got == oracles.residue_at_infinity(g) and type(got) is Fr
 
@@ -195,6 +197,29 @@ def test_residue_suite_builds_few_fractions():
     # the Fraction RatFunc built 32,754 here; the integer one about 2,000:
     # the drawn poles, one per residue and the sums of the residue theorem
     assert _count_fractions(lambda: cli._suite_residues(5, 6)) <= 2500
+
+
+def test_product_check_reduces_once_and_residues_divide_nothing(monkeypatch):
+    def counted(owner, name):
+        calls, real = [], getattr(owner, name)
+
+        def patched(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, patched)
+        return calls
+
+    fs = [RatFunc([1 + i, 2, i], [0, 1]) for i in range(5)]
+    pole = RatFunc([1, 1, 1], [-1, 6, -12, 8])  # (1 + h + h^2) / (2 h - 1)^3
+    reduced, divided = counted(residues, "_lowest_terms"), counted(polys, "_div_exact")
+    # the product of the five factors is reduced once
+    assert residue_of_product_check(fs) is None
+    assert len(reduced) == 1
+    # the pole order 3 is read off one Taylor shift: no division is tried
+    divided.clear()
+    assert residue_at(pole, Fr(1, 2)) == Fr(1, 8)
+    assert divided == []
 
 
 @pytest.mark.parametrize("n", range(1, 9))
