@@ -129,7 +129,7 @@ def _u_times_h_power(p, order):
 def _constructed_regularizable(order):
     """exp(3u/(2h)) (1 + u h) - 1: regularizable by construction."""
     growth = QSeries.monomial(1, order, Fraction(3, 2))
-    return exp_over_hbar(growth, 1) * (_u_times_h_power(1, order) + 1) - 1
+    return exp_over_hbar(growth) * (_u_times_h_power(1, order) + 1) - 1
 
 
 def _suite_regularize(n, order):
@@ -163,7 +163,9 @@ def _suite_regularize(n, order):
 def _random_ratfunc(rng):
     """Rational function with a few small rational poles, and those poles.
 
-    A pole that cancels against the numerator is still listed; its residue is 0.
+    A pole that cancels against the numerator is still listed; its residue
+    is 0.  The factors t h - s of the poles s/t, the only ones numerator
+    and denominator can share, are divided out.
     """
     den = [1]
     poles = set()
@@ -174,17 +176,21 @@ def _random_ratfunc(rng):
             den = P._mul_ints(den, [-a.numerator, a.denominator])
     num = [rng.randint(-6, 6) for _ in range(rng.randint(1, len(den)))]
     # the denominator is the monic prod (h - a) times its leading coefficient
-    return RatFunc([c * den[-1] for c in num], den), poles
+    factors = [(-a.numerator, a.denominator) for a in poles]
+    num, den = P._cancel_factors([c * den[-1] for c in num], den, factors)
+    return RatFunc.from_coprime(num, den), poles
 
 
 def _random_factors(rng):
-    """Up to five functions with at most a simple pole at 0."""
+    """Up to five functions with at most a simple pole at 0, which h, the
+    one factor numerator and denominator can share, is divided out of."""
     fs = []
     for _ in range(rng.randint(0, 5)):
         num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
         den = [0, 1] if rng.random() * 10 < 7 else [1]
         c = rng.randint(-3, 3)  # the function num / den + c
-        fs.append(RatFunc([x + c * y for x, y in zip_longest(num, den, fillvalue=0)], den))
+        num = [x + c * y for x, y in zip_longest(num, den, fillvalue=0)]
+        fs.append(RatFunc.from_coprime(*P._cancel_factors(num, den, [(0, 1)])))
     return fs
 
 

@@ -148,10 +148,11 @@ def _narrow_kernel(spec):
 def kernel_value_at(spec, a):
     """The kernel at w = 1/h evaluated at h = a != 0, as a q-series.
 
-    Factors t h - s (a = s/t) common to rnum_d and V_d are divided out
-    first (exactly, no gcd): at n = 2, a = -2, n + h divides both and the
-    0/0 is removable.  As deg rnum_d = deg V_d + d, the value is
-    H(rnum_d) / (H(V_d) s^d) for the forms H(p) = t^deg(p) p(s/t) (_taylor_ints).
+    The factor t h - s (a = s/t) is divided out of rnum_d and V_d wherever
+    it divides both (_cancel_factors, no gcd): at n = 2, a = -2, n + h
+    divides both and the 0/0 is removable.  The division keeps the degree
+    gap deg rnum_d = deg V_d + d, so the value is H(rnum_d) / (H(V_d) s^d)
+    for the forms H(p) = t^deg(p) p(s/t) (_taylor_ints).
     """
     a = Fraction(a)
     s, t = a.numerator, a.denominator
@@ -160,11 +161,10 @@ def kernel_value_at(spec, a):
         return P._taylor_ints(p, s, t, 1)[0]
 
     out = []
-    for d, (num, den) in enumerate(_inv_hbar_parts(spec)):
-        while not form(den):
-            if form(num):
-                raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
-            num, den = P._div_exact(num, [-s, t]), P._div_exact(den, [-s, t])
+    for d, pair in enumerate(_inv_hbar_parts(spec)):
+        num, den = P._cancel_factors(*pair, [(-s, t)])
+        if not form(den):
+            raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
         out.append(Fraction(form(num), form(den) * s**d))
     return QSeries(out)
 
@@ -245,7 +245,7 @@ def exponent_by_residue(spec):
 def _exp_minus_mu(spec):
     """exp(-mu/h) as a window u-series, built once per spec for
     regular_kernel, regular_kernel_checks and every _descended_regular."""
-    return exp_over_hbar(regularizing_exponent(spec), -1)
+    return exp_over_hbar(-regularizing_exponent(spec))
 
 
 @lru_cache(maxsize=None)
@@ -264,11 +264,11 @@ def regular_kernel(spec):
     V_d once: the roots (zeta - 1)/r, zeta a primitive m-th root of unity,
     zeta = e^(i theta) with 0 < theta < 2 pi, are 2 sin(theta/2)/r times
     e^(i (theta + pi)/2), so the argument fixes zeta and then the modulus
-    fixes r, and no two coincide.  So V_d is squarefree, and one trial exact
-    division of N_d by each factor leaves a coprime pair.  Returns the
-    coprime pairs of integer tuples (num, den), one per degree, for
-    RatFunc.from_coprime; N_d / h^d and V_d are both scaled by the common
-    denominator of the e_i before the division.
+    fixes r, and no two coincide.  So V_d is squarefree, and dividing each
+    factor out wherever it divides N_d (_cancel_factors) leaves a coprime
+    pair.  Returns the coprime pairs of integer tuples (num, den), one per
+    degree, for RatFunc.from_coprime; N_d / h^d and V_d are both scaled by
+    the common denominator of the e_i before the division.
     """
     n = spec.n
     parts = _inv_hbar_parts(spec)
@@ -285,17 +285,9 @@ def regular_kernel(spec):
             P._accumulate(num, P._mul_ints(e[i][: i + 1], parts[d - i][0]), tail)
         if any(num[:d]):
             raise RegularityViolation(d, d - next(k for k, c in enumerate(num) if c))
-        num, den = num[d:], [c * e_den for c in den]
-        while num and not num[-1]:
-            num.pop()
         if d:
             factors += _v_factors(n, d)
-        for f in factors:
-            try:
-                num = P._div_exact(num, f)
-            except ArithmeticError:
-                continue
-            den = P._div_exact(den, f)
+        num, den = P._cancel_factors(num[d:], [c * e_den for c in den], factors)
         out.append((tuple(num), tuple(den)))
     return tuple(out)
 

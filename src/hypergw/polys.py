@@ -9,9 +9,11 @@ recurrence behind series quotients, exp, log and the Lagrange powers
 denominator), the primitive gcd (_gcd_ints, by _pseudo_rem and
 _primitive), exact division by a primitive factor (_div_exact, in the
 integers by Gauss's lemma; it raises ArithmeticError when the division is
-not exact), the first Taylor coefficients at a rational point s/t
-(_taylor_ints, rounds of the Taylor shift of t^n p(y/t) by s) and the
-cyclotomic polynomials (_cyclotomic, by exact division).
+not exact), the reduction of a fraction by factors known in advance
+(_cancel_factors, by exact division, so no gcd runs), the first Taylor
+coefficients at a rational point s/t (_taylor_ints, rounds of the Taylor
+shift of t^n p(y/t) by s) and the cyclotomic polynomials (_cyclotomic,
+by exact division).
 
 The public functions keep the Fraction interface: a polynomial is a tuple
 of Fraction coefficients, lowest degree first, with no trailing zeros (the
@@ -62,6 +64,12 @@ def _scaled(p):
 def _fractions(ints, den):
     """The Fractions ints[i] / den, each reduced by its constructor."""
     return tuple([Fraction(c, den) for c in ints])
+
+
+def _strip(c):
+    """Drop the trailing zeros of the list c, in place."""
+    while c and c[-1] == 0:
+        c.pop()
 
 
 def _accumulate(acc, x, y):
@@ -135,6 +143,24 @@ def _div_exact(a, b):
     if any(rem[:db]):
         raise ArithmeticError("polynomial division was not exact")
     return quot
+
+
+def _cancel_factors(num, den, factors):
+    """(num, den) without trailing zeros, with each nonconstant primitive
+    factor divided out of both for as long as it divides both (_div_exact).
+    When the factors hold every irreducible factor that num and den can
+    share, the pair returned is coprime over Q, as RatFunc.from_coprime
+    takes it."""
+    num, den = list(num), list(den)
+    _strip(num)
+    _strip(den)
+    for f in factors:
+        while True:
+            try:  # neither is rebound unless both divisions are exact
+                num, den = _div_exact(num, f), _div_exact(den, f)
+            except ArithmeticError:
+                break
+    return num, den
 
 
 @lru_cache(maxsize=None)
@@ -277,25 +303,16 @@ def _recurrence(rhs, weights, factor, order):
     return c, den
 
 
-def series_div(a, b, order):
-    """a / b as a power series to the given order; b[0] must be nonzero.
-    a may be shorter than order + 1 (zero past its end)."""
-    if not b or b[0] == 0:
-        raise ZeroDivisionError("series inverse of a non-unit")
-    b0 = b[0]
-    return _fractions(
-        *_recurrence(
-            _scaled(a[: order + 1]),
-            _scaled(b[: order + 1]),
-            lambda m: (b0.denominator, b0.numerator),
-            order,
-        )
-    )
-
-
 def series_inv(p, order):
     """1/p as a power series to the given order; p[0] must be nonzero."""
-    return series_div(ONE, p, order)
+    if not p or p[0] == 0:
+        raise ZeroDivisionError("series inverse of a non-unit")
+    p0 = p[0]
+    return _fractions(
+        *_recurrence(
+            ([1], 1), _scaled(p[: order + 1]), lambda m: (p0.denominator, p0.numerator), order
+        )
+    )
 
 
 def series_mul(a, b, order):

@@ -6,12 +6,13 @@ other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }), as
 in the residue-theorem suite.  Its arithmetic stays in Z[h]; the
 constructor and the arithmetic reduce in one place (_lowest_terms: a
 primitive pseudo-remainder gcd, divided out exactly by Gauss's lemma),
-and from_coprime takes a pair its caller has already reduced by known
-factors, with no gcd; each value it hands out is one Fraction.  A
-residue at s/t takes the Taylor coefficients of the denominator there by
-one Taylor shift (repeated synthetic division): its leading zeros count
-the pole order m and the rest expand the unit, and the numerator needs
-only its first m coefficients, so no division is ever tried.
+and from_coprime takes a pair its caller has already reduced by the
+factors it knows (polys._cancel_factors), with no gcd, as every command
+does; each value it hands out is one Fraction.  A residue at s/t takes
+the Taylor coefficients of the denominator there by one Taylor shift
+(repeated synthetic division): its leading zeros count the pole order m
+and the rest expand the unit, and the numerator needs only its first m
+coefficients, so no division is ever tried.
 Everything local to h = 0 runs on exact Laurent windows at the origin,
 all built by _row with no gcd: the window h^-low .. h^high of f is the
 power series h^low f truncated at h^(low + high), a QSeries.  USeriesRF
@@ -61,8 +62,8 @@ class RatFunc:
     def __init__(self, num, den=_ONE):
         n, dn = _cleared(num)
         d, dd = _cleared(den)
-        _strip(n)
-        _strip(d)
+        P._strip(n)
+        P._strip(d)
         if not d:
             raise ZeroDivisionError("zero denominator")
         if dn != dd:  # num/den = (n dd) / (d dn)
@@ -224,11 +225,6 @@ def _cleared(p):
     return P._scaled([P._exact(c) for c in ints])
 
 
-def _strip(c):
-    while c and c[-1] == 0:
-        c.pop()
-
-
 def _add(x, y):
     """Sum of two integer lists, without trailing zeros."""
     if len(x) < len(y):
@@ -236,7 +232,7 @@ def _add(x, y):
     out = list(x)
     for i, c in enumerate(y):
         out[i] += c
-    _strip(out)
+    P._strip(out)
     return out
 
 
@@ -354,31 +350,23 @@ class USeriesRF:
     Built from coefficients, H = 2D + 2, which regularize reads: the
     moments res{ h^-j z }, j <= D, need 2D - 1, the Taylor coefficients
     h^q, q <= D + 2, of the moment closed form 2D + 2.  The hyper stages
-    read at most entry D + 1 of a row and run narrowed to H = D + 1.  A
-    coefficient whose pole order exceeds its u-degree raises
-    WindowTooSmall.  (The name dates from RatFunc coefficients.)
+    read at most entry D + 1 of a row and run narrowed to H = D + 1.  The
+    constructor takes scalar coefficients; from_quotients builds rows with
+    poles, and a coefficient whose pole order exceeds its u-degree raises
+    WindowTooSmall there.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, truncation=None):
+    def __init__(self, coeffs, truncation):
         coeffs = list(coeffs)
-        if truncation is None:
-            if not coeffs:
-                raise ValueError("empty series needs an explicit truncation")
-            truncation = len(coeffs) - 1
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         if len(coeffs) > truncation + 1:
             raise ValueError("more coefficients than the stated truncation")
         coeffs.extend([0] * (truncation + 1 - len(coeffs)))
         width = 2 * truncation + 2
-        self.coeffs = tuple(
-            laurent_at_zero(c, k, width - k)
-            if isinstance(c, RatFunc)
-            else QSeries.monomial(k, width, c)
-            for k, c in enumerate(coeffs)
-        )
+        self.coeffs = tuple(QSeries.monomial(k, width, c) for k, c in enumerate(coeffs))
 
     @classmethod
     def _of(cls, rows):
@@ -511,19 +499,18 @@ class USeriesRF:
         return not any(any(row.ints[:k]) for k, row in enumerate(self.coeffs))
 
 
-def exp_over_hbar(eta, sign=1):
-    """exp(sign * eta(u) / h) as a USeriesRF; eta must vanish at u = 0.
+def exp_over_hbar(eta):
+    """exp(eta(u) / h) as a USeriesRF; eta must vanish at u = 0.
 
-    The u^k coefficient is sum_{m<=k} ((sign eta)^m)_k / m! * h^-m, so row k
-    is the polynomial whose h^j coefficient is ((sign eta)^(k-j))_k / (k-j)!.
+    The u^k coefficient is sum_{m<=k} (eta^m)_k / m! * h^-m, so row k is the
+    polynomial whose h^j coefficient is (eta^(k-j))_k / (k-j)!.
     """
     if eta.ints[0]:
         raise NonzeroConstant("exponent series must have no degree-zero term")
     d = eta.truncation
-    signed = eta * sign
     powers = [QSeries.one(d)]
     for _ in range(d):
-        powers.append(powers[-1] * signed)
+        powers.append(powers[-1] * eta)
     dens = [p.den * factorial(m) for m, p in enumerate(powers)]
 
     def row(k):  # entry j is powers[k - j][k] / (k - j)!, then zeros to 2D + 2
@@ -605,7 +592,7 @@ def regularize(z):
         for j in range(d, 0, -1):
             acc = scaled[j - 1] - eta * acc
         eta = acc
-    zbar = exp_over_hbar(eta, -1) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
+    zbar = exp_over_hbar(-eta) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
     regular = zbar.is_regular_at_zero()
     # the logs are read only at entry k - 1 of row k, so width D covers them
     eta_log = z.narrow(d).log_one_plus().weighted_residues(0)
@@ -666,20 +653,22 @@ def moment_closed_form_check(reg, a):
 
 
 def residue_of_product_check(fs):
-    """Residue of a product of at-most-simple-pole functions as a subset sum.
+    """Residue of a product of Laurent polynomials with at most simple poles
+    at 0, as a subset sum.
 
-    The left side is the residue of the global product, its numerators and
-    denominators multiplied as integer lists and reduced once; the right
-    side is the subset sum of product_subset_sum.  Returns the failure
-    text, or None.
+    Each denominator is c h^m, m <= 1; any other raises PoleTooHigh.  The
+    left side is the residue of the global product, its numerators and
+    denominators multiplied as integer lists, with h, the only factor they
+    can share, divided out; the right side is the subset sum of
+    product_subset_sum.  Returns the failure text, or None.
     """
     fs = list(fs)
     num, den = [1], [1]
     for i, f in enumerate(fs):
-        if f.pole_order_at_zero() > 1:
-            raise PoleTooHigh(f"function {i} has a pole of order > 1 at 0")
+        if len(f._den) > 2 or any(f._den[:-1]):
+            raise PoleTooHigh(f"function {i} has a pole away from 0 or of order > 1 at 0")
         num, den = P._mul_ints(num, f._num), P._mul_ints(den, f._den)
-    lhs = residue_at(RatFunc._of(_lowest_terms(num, den)), 0)
+    lhs = residue_at(RatFunc.from_coprime(*P._cancel_factors(num, den, [(0, 1)])), 0)
     return equality_failure("residue", lhs, product_subset_sum(fs))
 
 

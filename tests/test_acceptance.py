@@ -125,9 +125,7 @@ def test_criterion_6_regularization_suite():
         for a in range(4):
             assert moment_regularized_check(reg, a) is None
 
-        bad = regularize(
-            USeriesRF([RatFunc.from_scalar(0), RatFunc([1], [0, 1])], order)
-        )
+        bad = regularize(USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1])], order))
         assert not all(
             moment_identity_check(bad, a) is None for a in range(5)
         )

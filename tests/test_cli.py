@@ -473,6 +473,29 @@ def test_cli_import_loads_no_dataclasses():
     assert not after_main & forbidden
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5", "--order", "6"],
+        ["invariants", "--n", "5", "--order", "24", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_optimized_interpreter_prints_the_same(argv):
+    # checks raise typed errors, never a bare assert that -O would strip, so
+    # python -O prints the same bytes and exits with the same code
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "hypergw.cli", *argv], env=env, capture_output=True
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout == optimized.stdout and plain.stdout
+
+
 def test_records_keep_their_dataclass_behaviour():
     from hypergw.hyper import HyperSpec
     from hypergw.invariants import GWTable

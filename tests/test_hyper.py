@@ -425,7 +425,7 @@ def row_read(series, k, p):
 def test_narrow_stages_match_full_width_reads(n):
     d = 6
     spec = HyperSpec(n, d)
-    back = exp_over_hbar(regularizing_exponent(spec), -1)
+    back = exp_over_hbar(-regularizing_exponent(spec))
     wide = [back * y for y in full_width_ladder(spec)]
     for p in range(n):
         assert ladder_series(spec, p).truncation == d

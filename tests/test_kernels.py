@@ -90,29 +90,17 @@ def test_qseries_mul_matches_fraction_loop(a, b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(coeff_lists(0, 9), units, coeff_lists(0, 8), st.integers(0, 8))
-@example([], Fr(-1), [], 0)
-@example([Fr(1)], Fr(-3, 10**18 + 9), [Fr(7, 3**40)], 1)
-@example([Fr(5, 3)], Fr(2), [Fr(0), Fr(1)], 6)  # a shorter than order + 1
-def test_series_div_matches_fraction_loop(a, b0, b_tail, order):
-    b = [b0] + b_tail
-    got = P.series_div(tuple(a), tuple(b), order)
-    pad = [Fr(0)] * (order + 1)
-    a_full = (a + pad)[: order + 1]
-    b_full = (b + pad)[: order + 1]
-    assert list(got) == oracles.series_quotient(a_full, b_full)
-    assert len(got) == order + 1 and _fractions_only(got)
-
-
-@settings(max_examples=60, deadline=None)
 @given(units, coeff_lists(0, 8), st.integers(0, 8))
 @example(Fr(-7, 2), [], 0)
+@example(Fr(-1), [], 0)
 @example(Fr(3), [Fr(1, 2**64)], 1)
+@example(Fr(-3, 10**18 + 9), [Fr(7, 3**40)], 1)
+@example(Fr(2), [Fr(0), Fr(1)], 6)  # p shorter than order + 1
 def test_series_inv_matches_fraction_loop(p0, tail, order):
     p = (p0, *tail)
     got = P.series_inv(p, order)
     assert got == oracles.series_inv(p, order)
-    assert _fractions_only(got)
+    assert len(got) == order + 1 and _fractions_only(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,7 +119,7 @@ def test_quotient_checks_are_unchanged():
     with pytest.raises(DivByNonUnit):
         QSeries([Fr(1), Fr(2)]) / QSeries([Fr(0), Fr(1)])
     with pytest.raises(ZeroDivisionError):
-        P.series_div((Fr(1),), (Fr(0), Fr(1)), 3)
+        P.series_inv((Fr(0), Fr(1)), 3)
     with pytest.raises(ZeroDivisionError):
         P.series_inv((), 3)
 
@@ -298,11 +286,11 @@ def test_series_mul_builds_one_fraction_per_coefficient():
     assert _count_fractions(lambda: P.series_mul(mixed, _B25, 24)) <= 25 + ints
 
 
-def test_series_div_builds_one_fraction_per_coefficient():
-    assert _count_fractions(lambda: P.series_div(_A25, _B25, 24)) <= 25
-    mixed = tuple(int(c) if k % 3 == 0 else c for k, c in enumerate(_A25))
+def test_series_inv_builds_one_fraction_per_coefficient():
+    assert _count_fractions(lambda: P.series_inv(_B25, 24)) <= 25
+    mixed = tuple(int(c) if k % 3 == 0 else c for k, c in enumerate(_B25))
     ints = sum(type(c) is not Fr for c in mixed)
-    assert _count_fractions(lambda: P.series_div(mixed, _B25, 24)) <= 25 + ints
+    assert _count_fractions(lambda: P.series_inv(mixed, 24)) <= 25 + ints
 
 
 def test_exp_minus_mu_built_once_per_spec(monkeypatch, cold_stages):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypergw import cli, polys, residues
+from hypergw import cli, hyper, polys, residues
 from hypergw.hyper import HyperSpec, regular_kernel
 from hypergw.residues import (
     RatFunc,
@@ -213,13 +213,63 @@ def test_product_check_reduces_once_and_residues_divide_nothing(monkeypatch):
     fs = [RatFunc([1 + i, 2, i], [0, 1]) for i in range(5)]
     pole = RatFunc([1, 1, 1], [-1, 6, -12, 8])  # (1 + h + h^2) / (2 h - 1)^3
     reduced, divided = counted(residues, "_lowest_terms"), counted(polys, "_div_exact")
-    # the product of the five factors is reduced once
+    cancelled = counted(polys, "_cancel_factors")
+    # the product of the five factors is reduced once, by h alone, with no gcd
     assert residue_of_product_check(fs) is None
-    assert len(reduced) == 1
+    assert reduced == []
+    assert [factors for _, _, factors in cancelled] == [[(0, 1)]]
     # the pole order 3 is read off one Taylor shift: no division is tried
     divided.clear()
     assert residue_at(pole, Fr(1, 2)) == Fr(1, 8)
     assert divided == []
+
+
+# irreducible primitive factors, either sign: the linear t h - s, and the
+# Phi_m(1 + r h) that dump --what Q divides out of V_d
+irreducible = st.tuples(
+    st.one_of(
+        st.tuples(st.integers(-4, 4), st.integers(1, 3))
+        .filter(lambda pt: gcd(*pt) == 1)
+        .map(lambda pt: (-pt[0], pt[1])),
+        st.sampled_from(
+            [tuple(f) for n in (2, 3, 4, 6) for r in (1, 2) for f in hyper._v_factors(n, r)]
+        ),
+    ),
+    st.sampled_from((1, -1)),
+).map(lambda fs: tuple(c * fs[1] for c in fs[0]))
+
+
+@st.composite
+def known_factor_pairs(draw):
+    """(num, den, factors): num and den each an integer times the drawn
+    factors with multiplicities 0..2, num possibly zero, both padded with
+    trailing zeros."""
+    factors = draw(st.lists(irreducible, max_size=3))
+
+    def build(scale):
+        p = [scale]
+        for f in factors:
+            for _ in range(draw(st.integers(0, 2))):
+                p = polys._mul_ints(p, f)
+        return p + [0] * draw(st.integers(0, 2))
+
+    num = build(draw(st.integers(-6, 6)))
+    den = build(draw(st.integers(-6, 6).filter(bool)))
+    return num, den, factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(known_factor_pairs())
+@example(([0, 0], [0, 1, 0], [(0, 1)]))  # a zero numerator
+@example(([0, 0, 2, 0], [0, 0, 0, 3], [(0, 1)]))  # h twice from both
+@example(([2, 3, 1], [2, 1], [(2, 1), (1, 1)]))  # (h + 1)(h + 2) / (h + 2)
+def test_cancel_factors_matches_gcd(case):
+    # when the factors hold every common factor, dividing them out leaves the
+    # coprime pair that the gcd route reduces to
+    num, den, factors = case
+    got = polys._cancel_factors(num, den, factors)
+    assert all(p[-1] for p in got if p) and got[1]
+    assert RatFunc.from_coprime(*got) == RatFunc(num, den)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
