@@ -90,6 +90,22 @@ def test_qseries_mul_matches_fraction_loop(a, b):
 
 
 @settings(max_examples=80, deadline=None)
+@given(coeff_lists(0, 9), units, coeff_lists(0, 8), st.integers(0, 8))
+@example([], Fr(-1), [], 0)
+@example([Fr(1)], Fr(-3, 10**18 + 9), [Fr(7, 3**40)], 1)
+@example([Fr(5, 3)], Fr(2), [Fr(0), Fr(1)], 6)  # a shorter than order + 1
+def test_series_div_matches_fraction_loop(a, b0, b_tail, order):
+    # the quotient a / b is series_mul(a, series_inv(b))
+    b = [b0] + b_tail
+    got = P.series_mul(tuple(a), P.series_inv(tuple(b), order), order)
+    pad = [Fr(0)] * (order + 1)
+    a_full = (a + pad)[: order + 1]
+    b_full = (b + pad)[: order + 1]
+    assert list(got) == oracles.series_quotient(a_full, b_full)
+    assert len(got) == order + 1 and _fractions_only(got)
+
+
+@settings(max_examples=80, deadline=None)
 @given(units, coeff_lists(0, 8), st.integers(0, 8))
 @example(Fr(-7, 2), [], 0)
 @example(Fr(-1), [], 0)
