@@ -53,7 +53,7 @@ DUMPABLE = {
     "I": lambda spec: _q_lines(hyper.diagonal_series(spec, 0), 0, spec.qorder),
     "mirror": lambda spec: _q_lines(hyper.mirror_shift(spec), 1, spec.qorder),
     "mu": lambda spec: _q_lines(hyper.regularizing_exponent(spec), 1, spec.qorder),
-    "F": lambda spec: _kernel_lines(hyper.kernel(spec), spec.qorder),
+    "F": lambda spec: _kernel_lines(hyper._kernel_rows(spec, spec.n + 3), spec.qorder),
     "Q": lambda spec: [
         f"q^{d}: {RatFunc.from_coprime(num, den).to_str()}"
         for d, (num, den) in enumerate(hyper.regular_kernel(spec))

@@ -2,7 +2,8 @@
 
 Everything is generated by one bigraded kernel in (w, q): the q^d
 coefficient is prod_{r<=nd}(nw+r) / prod_{r<=d}((w+r)^n - w^n).  Its
-w-coefficients seed a tower of t-polynomials whose diagonal entries are
+w-rows 0..max(n - 1, 1), all the stages read (dump --what F alone builds
+rows 0..n + 2), seed a tower of t-polynomials whose diagonal entries are
 unit q-series; the tower yields the mirror map, the regularizing exponent
 mu, the h-regular kernel Q obtained by stripping exp(mu/h), and the
 ladder series built by repeated first-order descent operators.  The
@@ -56,11 +57,6 @@ class HyperSpec(Record):
     def __hash__(self):
         return hash((self.n, self.qorder))
 
-    @property
-    def worder(self):
-        """The w-order of the kernel, n + 2."""
-        return self.n + 2
-
 
 def _v(n, r):
     """v_r = ((1 + r h)^n - 1) / h, the reversal of (w + r)^n - w^n."""
@@ -81,20 +77,16 @@ def _v_factors(n, r):
     return out
 
 
-@lru_cache(maxsize=None)
-def kernel(spec):
-    """The (w, q) kernel as a WSeries; (w^0, q^0) coefficient is 1.
+def _kernel_rows(spec, rows):
+    """The (w, q) kernel on w-rows 0..rows - 1 at width D, as a WSeries;
+    its (w^0, q^0) coefficient is 1.
 
     Column d comes from column d-1 by the ratio
         F_d / F_(d-1) = prod_{n(d-1)<r<=nd}(n w + r) / ((w + d)^n - w^n),
-    every product truncated at w^worder.  Each column stays integer
+    every product truncated at w^(rows - 1).  Each column stays integer
     numerators over one denominator; the quotient is one recurrence.
-
-    Built at w-rows 0..n + 2 and width D.  Tower entry (0, k) reads rows
-    0..k <= n - 1, the n = 1 mirror shift row 1 and log_kernel_w rows
-    0..max(n - 2, 0); only dump --what F reads rows n..n + 2.
-    """
-    n, w = spec.n, spec.worder
+    Rows are the leading rows of any longer build."""
+    n, w = spec.n, rows - 1
     col, den = [1] + [0] * w, 1
     cols = [(col, den)]
     for d in range(1, spec.qorder + 1):
@@ -105,6 +97,15 @@ def kernel(spec):
         cols.append((col, den))
     dens = [den for _, den in cols]
     return WSeries([QSeries._ratios([c[j] for c, _ in cols], dens) for j in range(w + 1)])
+
+
+@lru_cache(maxsize=None)
+def kernel(spec):
+    """The kernel on the w-rows its stages read, 0..max(n - 1, 1): tower
+    entry (0, k) reads rows 0..k <= n - 1, the n = 1 mirror shift row 1 and
+    log_kernel_w rows 0..max(n - 2, 0).  dump --what F builds its own rows
+    0..n + 2 with _kernel_rows."""
+    return _kernel_rows(spec, max(spec.n, 2))
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +173,8 @@ def kernel_value_at(spec, a):
 @lru_cache(maxsize=None)
 def i_series(spec, p, k):
     """Tower entry with indices (p, k); a polynomial in t of degree <= k-p.
-    Row 0 is read off the kernel's w-rows 0..k; entry (p, k) is the
-    t-derivative of tower_ratio(spec, p - 1, k).
+    Row 0 is read off the kernel's w-rows 0..k, k <= n - 1, all held by
+    kernel; entry (p, k) is the t-derivative of tower_ratio(spec, p - 1, k).
 
     Built one entry at a time at width D, when read: tower_structure_check
     reads all of 0 <= p <= k <= n - 1, diagonal_series entry (p, p), and
@@ -309,7 +310,8 @@ def kernel_slope_at_zero(spec):
 @lru_cache(maxsize=None)
 def log_kernel_w(spec):
     """Bigraded logarithm of the kernel divided by its w-constant part, on
-    w-rows 0..max(n - 2, 0) at width D.  Those are all its readers take:
+    w-rows 0..max(n - 2, 0) at width D, from the first of the kernel's
+    rows 0..max(n - 1, 1).  Those are all its readers take:
     the genus-1 log tail reads rows 2..n - 2 and the boundary residue at
     infinity rows 0..n - 2.  Row k of the log depends only on rows <= k of
     the kernel, and log(f / f0) differs from log f only in row 0, log f0,
@@ -442,20 +444,20 @@ def ladder_identities(spec):
     one = QSeries.one(d)
     big_l = linear_factor(spec)
     fs = [one / (big_l * diagonal_series(spec, p)) for p in range(n)]
-    flog_deriv = [f.log().derivative() for f in fs]
+    flog_deriv = [f.log().derivative() for f in fs[: n - 1]]  # read at r <= n - 2
     phi1 = kernel_slope_at_zero(spec)
 
     theta0 = [ladder_residue(spec, p, 0) for p in range(n)]
     theta1 = [ladder_residue(spec, p, 1) for p in range(n)]
 
-    fails0, fails1 = [], []
+    fails0, fails1, inners = [], [], []
+    closed0 = one
     for p in range(n):
-        closed0 = one
-        for r in range(p + 1):
-            closed0 = closed0 * fs[r]
+        closed0 = closed0 * fs[p]
         inner = phi1
         for r in range(p):
             inner = inner + flog_deriv[r] * (p - r)
+        inners.append(inner)
         closed1 = big_l * closed0 * inner
         fails0.append(series_failure(theta0[p], closed0, d, f"p={p} q"))
         fails1.append(series_failure(theta1[p], closed1, d, f"p={p} q"))
@@ -481,11 +483,8 @@ def ladder_identities(spec):
         mid = mid + theta1[p] * theta0[n - 2 - p]
     mid = mid + theta1[n - 1] * theta0[n - 1]
 
-    tail = QSeries.zero(d)
-    for p in range(n - 1):
-        for r in range(p):
-            tail = tail + flog_deriv[r] * (p - r)
-    rhs = big_l * (phi1 * n + tail)
+    # the closed form L (n phi1 + sum_{p<=n-2} sum_{r<p} (p - r) f_r'/f_r), read off the inners
+    rhs = big_l * sum(inners[: n - 1], phi1)
 
     paired = (series_failure(lhs, mid, d, "mid q"), series_failure(lhs, rhs, d, "closed q"))
     parts.append(("paired-ladder-double-residue", first_failure(paired)))

@@ -35,8 +35,7 @@ ONE = (Fraction(1),)
 def norm(coeffs):
     """Coerce to Fraction and strip trailing zeros."""
     out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
+    _strip(out)
     return tuple(out)
 
 
@@ -98,8 +97,7 @@ def mul(a, b):
     x, da = _scaled(a)
     y, db = _scaled(b)
     out = _mul_ints(x, y)
-    while out and out[-1] == 0:
-        out.pop()
+    _strip(out)
     return _fractions(out, da * db)
 
 
@@ -183,8 +181,7 @@ def monic(p):
 
 
 def _primitive(z):
-    while z and z[-1] == 0:
-        z.pop()
+    _strip(z)
     if not z:
         return z
     g = _int_gcd(*z)
@@ -205,8 +202,7 @@ def _pseudo_rem(a, b):
         for j in range(db + 1):
             r[dr - db + j] -= c * b[j]
         r.pop()
-        while r and r[-1] == 0:
-            r.pop()
+        _strip(r)
     return r
 
 
@@ -217,8 +213,6 @@ def gcd_poly(a, b):
         return monic(b)
     if not b:
         return monic(a)
-    if len(a) == 1 or len(b) == 1:  # a nonzero constant
-        return ONE
     return monic(tuple(Fraction(c) for c in _gcd_ints(_scaled(a)[0], _scaled(b)[0])))
 
 

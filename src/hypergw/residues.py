@@ -60,8 +60,8 @@ class RatFunc:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=_ONE):
-        n, dn = _cleared(num)
-        d, dd = _cleared(den)
+        n, dn = P._scaled([P._exact(c) for c in num])
+        d, dd = P._scaled([P._exact(c) for c in den])
         P._strip(n)
         P._strip(d)
         if not d:
@@ -193,18 +193,7 @@ class RatFunc:
 
     def shift(self, a):
         """The function h -> self(h + a)."""
-        s, t = a.numerator, a.denominator
-        # t^k p(h + a) = sum_j e_j t^j h^j for each p of degree k
-        num, den = (
-            [e * t**j for j, e in enumerate(P._taylor_ints(p, s, t, len(p)))]
-            for p in (self._num, self._den)
-        )
-        e = len(den) - len(num)  # f(h + a) = t^(q - p) num / den
-        if e > 0:
-            num = [c * t**e for c in num]
-        elif e < 0:
-            den = [c * t**-e for c in den]
-        return RatFunc._of(_canonical(num, den))
+        return RatFunc(P.shift(self.num, a), P.shift(self.den, a))
 
     def pole_order_at_zero(self):
         if self.is_zero():
@@ -213,16 +202,6 @@ class RatFunc:
         while self._den[k] == 0:
             k += 1
         return k
-
-
-def _cleared(p):
-    """(ints, den) of a coefficient sequence: a list of plain ints as it is
-    (copied), over 1; anything else through _exact and _scaled, so a float
-    or a string raises TypeError."""
-    ints = list(p)
-    if all(type(c) is int for c in ints):
-        return ints, 1
-    return P._scaled([P._exact(c) for c in ints])
 
 
 def _add(x, y):

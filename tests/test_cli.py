@@ -16,6 +16,7 @@ from hypergw.invariants import assemble_table
 from hypergw.report import IdentityReport, series_failure
 from hypergw.series import QSeries
 
+import oracles
 from oracles import series_pairs
 
 
@@ -171,6 +172,17 @@ def test_dump_kernel_is_bigraded(capsys):
     code, out, _ = run(["dump", "--what", "F", "--n", "2", "--order", "1"], capsys)
     assert code == 0
     assert "w^0 q^1: 2" in out.split("\n")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dump_kernel_prints_rows_up_to_n_plus_2(n, capsys):
+    # built for the dump alone: at n = 1 the shared kernel holds 2 rows, the
+    # dump prints 4
+    cols = oracles.kernel_columns(n, 4, n + 2)
+    want = [f"w^{j} q^{d}: {cols[d][j]}" for j in range(n + 3) for d in range(5)]
+    code, out, _ = run(["dump", "--what", "F", "--n", str(n), "--order", "4"], capsys)
+    assert code == 0
+    assert out == "\n".join(want) + "\n"
 
 
 def test_dump_regular_kernel(capsys):

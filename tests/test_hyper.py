@@ -50,10 +50,9 @@ def test_spec_validation():
         HyperSpec(0, 4)
     with pytest.raises(ValueError):
         HyperSpec(3, 0)
-    # two fields; the w-order of the kernel is derived from n
+    # two fields
     assert HyperSpec._fields == ("n", "qorder")
     assert vars(HyperSpec(5, 4)) == {"n": 5, "qorder": 4}
-    assert HyperSpec(5, 4).worder == 7
 
 
 @pytest.mark.parametrize("n, qorder", [(5.0, 3), (True, 2), (5, 3.0), ("5", 3)])
@@ -86,14 +85,27 @@ def test_conic_kernel_is_central_binomial():
 
 
 def test_kernel_matches_brute_force_columns():
-    # n = 1 included: mirror_shift reads the kernel directly there
+    # n = 1 included: mirror_shift reads the kernel directly there; all
+    # n + 3 rows, as dump --what F prints them
     for n in range(1, 9):
         spec = HyperSpec(n, 6)
-        cols = oracles.kernel_columns(n, 6, spec.worder)
-        f = kernel(spec)
+        cols = oracles.kernel_columns(n, 6, n + 2)
+        f = hyper._kernel_rows(spec, n + 3)
         for d in range(7):
-            for j in range(spec.worder + 1):
+            for j in range(n + 3):
                 assert f.coeff(j)[d] == cols[d][j]
+
+
+@pytest.mark.parametrize("order", [1, 6, 24])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_keeps_the_rows_its_stages_read(n, order):
+    # tower entry (0, k) reads rows 0..n - 1, the n = 1 mirror shift row 1;
+    # the rows kept are the leading rows of the dump's longer build
+    spec = HyperSpec(n, order)
+    kept, full = kernel(spec), hyper._kernel_rows(spec, n + 3)
+    top = max(n - 1, 1)
+    assert kept.worder == top and kept.truncation == order
+    assert kept.coeffs == full.coeffs[: top + 1]
 
 
 def test_inverse_hbar_kernel_pole_orders():
@@ -488,7 +500,7 @@ def test_reading_past_the_width_raises():
 def full_row_log(spec):
     """The bigraded log of K / K_0 on all n + 3 w-rows: every row divided by
     K_0, then the whole quotient logged."""
-    f = kernel(spec)
+    f = hyper._kernel_rows(spec, spec.n + 3)
     return WSeries([c / f.coeff(0) for c in f.coeffs]).log()
 
 

@@ -662,24 +662,41 @@ def test_h0_paths_call_no_gcd(monkeypatch, capsys, cold_stages):
     # the windows at h = 0 need no gcd, and every rational function a command
     # builds is reduced by the factors its denominator is known to have: those
     # of V_d for dump Q, h and n + h for the boundary weight, the drawn poles
-    # and h in the residue suite.  So no command reaches the gcd or the
-    # RatFunc constructor; quintic-verify made 881 and 697 calls before.
+    # and h in the residue suite.  So no command reaches the gcd, the
+    # RatFunc constructor or RatFunc.shift (which runs the constructor);
+    # quintic-verify made 881 and 697 calls before.
     calls = []
     for name in ("gcd_poly", "_gcd_ints"):
         gcd = getattr(P, name)
         monkeypatch.setattr(P, name, lambda a, b, gcd=gcd: calls.append(gcd) or gcd(a, b))
-    init = RatFunc.__init__
+    init, shift = RatFunc.__init__, RatFunc.shift
     monkeypatch.setattr(RatFunc, "__init__", lambda f, *a: calls.append(init) or init(f, *a))
-    assert cli.main(["verify", "--n", "5", "--order", "6"]) == 0
+    monkeypatch.setattr(RatFunc, "shift", lambda f, a: calls.append(shift) or shift(f, a))
+    jobs = [
+        ["verify", "--n", "5", "--order", "6"],
+        ["invariants", "--n", "5", "--order", "24", "--format", "json"],
+    ]
     # the dim-sweep jobs of the benchmark
     for n in range(2, 9):
         args = ["--n", str(n), "--order", "4"]
-        for what in cli.DUMPABLE:
-            assert cli.main(["dump", "--what", what, *args]) == 0
-        assert cli.main(["verify", "--suite", "props31,props32,theorem3", *args]) == 0
-        assert cli.main(["invariants", "--n", str(n), "--order", "8", "--format", "json"]) == 0
+        jobs += [["dump", "--what", what, *args] for what in cli.DUMPABLE]
+        jobs.append(["verify", "--suite", "props31,props32,theorem3", *args])
+        jobs.append(["invariants", "--n", str(n), "--order", "8", "--format", "json"])
+    # the w-rows each job asks the kernel builder for
+    built, build = [], hyper._kernel_rows
+    for job in jobs:
+        monkeypatch.setattr(
+            hyper,
+            "_kernel_rows",
+            lambda spec, rows, job=job: built.append((job, spec.n, rows)) or build(spec, rows),
+        )
+        assert cli.main(job) == 0
     capsys.readouterr()
     assert calls == []
+    # the shared kernel holds rows 0..max(n - 1, 1); the F dump alone asks for more
+    dumps = [(n, rows) for job, n, rows in built if job[:3] == ["dump", "--what", "F"]]
+    assert dumps == [(n, n + 3) for n in range(2, 9)]
+    assert all(rows <= max(n, 2) for job, n, rows in built if job[:3] != ["dump", "--what", "F"])
 
 
 def test_moment_windows_built_once_per_regularization(monkeypatch):
