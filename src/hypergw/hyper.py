@@ -153,20 +153,16 @@ def kernel_value_at(spec, a):
     it divides both (_cancel_factors, no gcd): at n = 2, a = -2, n + h
     divides both and the 0/0 is removable.  The division keeps the degree
     gap deg rnum_d = deg V_d + d, so the value is H(rnum_d) / (H(V_d) s^d)
-    for the forms H(p) = t^deg(p) p(s/t) (_taylor_ints).
+    for the forms H(p) = t^deg(p) p(s/t) (_form_at).
     """
     a = Fraction(a)
     s, t = a.numerator, a.denominator
-
-    def form(p):
-        return P._taylor_ints(p, s, t, 1)[0]
-
     out = []
     for d, pair in enumerate(_inv_hbar_parts(spec)):
         num, den = P._cancel_factors(*pair, [(-s, t)])
-        if not form(den):
+        if not P._form_at(den, s, t):
             raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
-        out.append(Fraction(form(num), form(den) * s**d))
+        out.append(Fraction(P._form_at(num, s, t), P._form_at(den, s, t) * s**d))
     return QSeries(out)
 
 

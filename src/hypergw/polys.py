@@ -6,14 +6,16 @@ denominator, the form series.QSeries stores and its callers pass in and
 get back.  The kernels are products (_mul_ints, _accumulate), the
 recurrence behind series quotients, exp, log and the Lagrange powers
 (_recurrence, whose solved coefficients stay over one running
-denominator), the primitive gcd (_gcd_ints, by _pseudo_rem and
-_primitive), exact division by a primitive factor (_div_exact, in the
-integers by Gauss's lemma; it raises ArithmeticError when the division is
-not exact), the reduction of a fraction by factors known in advance
-(_cancel_factors, by exact division, so no gcd runs), the first Taylor
-coefficients at a rational point s/t (_taylor_ints, rounds of the Taylor
-shift of t^n p(y/t) by s) and the cyclotomic polynomials (_cyclotomic,
-by exact division).
+denominator), the first coefficients of a quotient with no gcd
+(_quotient_head, fraction-free), the primitive gcd (_gcd_ints, by
+_pseudo_rem and _primitive), exact division by a primitive factor
+(_div_exact, in the integers by Gauss's lemma; it raises ArithmeticError
+when the division is not exact), the reduction of a fraction by factors
+known in advance (_cancel_factors, by exact division after a root test of
+each linear factor, so no gcd runs), the first Taylor coefficients at a
+rational point s/t (_taylor_ints, rounds of the Taylor shift of
+t^n p(y/t) by s), the value t^n p(s/t) (_form_at, by Horner's rule) and
+the cyclotomic polynomials (_cyclotomic, by exact division).
 
 The public functions keep the Fraction interface: a polynomial is a tuple
 of Fraction coefficients, lowest degree first, with no trailing zeros (the
@@ -143,17 +145,31 @@ def _div_exact(a, b):
     return quot
 
 
+def _form_at(p, s, t):
+    """t^k p(s/t) for an integer list p of degree k, by Horner; 0 for []."""
+    v, tp = 0, 1
+    for c in reversed(p):
+        v = v * s + c * tp
+        tp *= t
+    return v
+
+
 def _cancel_factors(num, den, factors):
     """(num, den) without trailing zeros, with each nonconstant primitive
-    factor divided out of both for as long as it divides both (_div_exact).
-    When the factors hold every irreducible factor that num and den can
-    share, the pair returned is coprime over Q, as RatFunc.from_coprime
-    takes it."""
+    factor divided out of both for as long as it divides both.  A linear
+    c0 + c1 h divides p exactly when _form_at(p, -c0, c1) = 0 (Gauss's
+    lemma), so it is divided (_div_exact) only when num and den pass that
+    root test; any other factor is tried by _div_exact.  A constant factor
+    raises ValueError.  When the factors hold every irreducible factor that
+    num and den can share, the pair returned is coprime over Q, as
+    RatFunc.from_coprime takes it."""
     num, den = list(num), list(den)
     _strip(num)
     _strip(den)
     for f in factors:
-        while True:
+        if len(f) < 2 or not f[-1]:
+            raise ValueError(f"factor {tuple(f)} is not a nonconstant polynomial")
+        while len(f) > 2 or not (_form_at(num, -f[0], f[1]) or _form_at(den, -f[0], f[1])):
             try:  # neither is rebound unless both divisions are exact
                 num, den = _div_exact(num, f), _div_exact(den, f)
             except ArithmeticError:
@@ -295,6 +311,19 @@ def _recurrence(rhs, weights, factor, order):
             den = grown
         c.append(num * (den // d))
     return c, den
+
+
+def _quotient_head(a, b, k):
+    """(ints, den) of a / b to h^k for integer lists, b0 = b[0] != 0, with
+    no gcd: [h^m] a / b = C_m / b0^(m+1) for C_m = a_m b0^m - sum_{0<j<=m}
+    b_j b0^(j-1) C_(m-j), so ints[m] = C_m b0^(k-m) over den = b0^(k+1)."""
+    b0 = b[0]
+    w = [c * b0**j for j, c in enumerate(b[1 : k + 1])]  # b_(j+1) b0^j
+    out, pw = [], 1
+    for m in range(k + 1):
+        out.append((a[m] * pw if m < len(a) else 0) - sum(map(_mul, w, reversed(out))))
+        pw *= b0
+    return [c * b0 ** (k - m) for m, c in enumerate(out)], pw
 
 
 def series_inv(p, order):

@@ -12,7 +12,8 @@ does; each value it hands out is one Fraction.  A residue at s/t takes
 the Taylor coefficients of the denominator there by one Taylor shift
 (repeated synthetic division): its leading zeros count the pole order m
 and the rest expand the unit, and the numerator needs only its first m
-coefficients, so no division is ever tried.
+coefficients, read with those of the unit by one fraction-free quotient
+(polys._quotient_head), so no division is ever tried.
 Everything local to h = 0 runs on exact Laurent windows at the origin,
 all built by _row with no gcd: the window h^-low .. h^high of f is the
 power series h^low f truncated at h^(low + high), a QSeries.  USeriesRF
@@ -249,7 +250,10 @@ def _coerce(x):
 
 def _quotient(a, b, order):
     """(ints, den) of the power series a / b to the given order, for integer
-    lists a and b with b[0] != 0; one integer recurrence."""
+    lists a and b with b[0] != 0; one integer recurrence.  The windows keep
+    it: its running denominator stays small, while polys._quotient_head
+    carries b[0]^(order + 1), and on it the rows of verify --n 5 --order 24
+    (width 50) take about eight times as long."""
     b0 = b[0]
     return P._recurrence((a[: order + 1], 1), (b[: order + 1], 1), lambda m: (1, b0), order)
 
@@ -284,8 +288,9 @@ def residue_at(f, a):
     With a = s/t and x = t h - s, an integer list p of degree k has
     t^k p(h) = sum_j e_j x^j, read off by one Taylor shift.  The e_j of den
     vanish below the pole order m and the rest expand its unit, so the
-    residue is t^(deg den - deg num - 1) times [x^(m-1)] of the integer
-    series quotient sum_j e_j(num) x^j / sum_j e_(m+j)(den) x^j.
+    residue is t^(deg den - deg num - 1) times [x^(m-1)] of the
+    fraction-free series quotient (polys._quotient_head)
+    sum_j e_j(num) x^j / sum_j e_(m+j)(den) x^j.
     """
     s, t = a.numerator, a.denominator
     num, den = f._num, f._den
@@ -295,7 +300,7 @@ def residue_at(f, a):
         m += 1
     if not m:
         return _ZERO
-    ints, q = _quotient(P._taylor_ints(num, s, t, m), taylor[m:], m - 1)
+    ints, q = P._quotient_head(P._taylor_ints(num, s, t, m), taylor[m:], m - 1)
     e = len(den) - len(num) - 1
     c = ints[m - 1]
     return Fraction(c * t**e, q) if e >= 0 else Fraction(c, q * t**-e)
@@ -306,12 +311,13 @@ def residue_at_infinity(f):
 
     With p = deg num and q = deg den, w^{-2} f(1/w) = w^(q-p-2) num_w / den_w
     for the reversals num_w, den_w, and den_w(0) != 0, so the residue is
-    -[w^(p-q+1)] num_w / den_w, one integer series quotient.
+    -[w^(p-q+1)] num_w / den_w, one fraction-free series quotient
+    (polys._quotient_head).
     """
     k = len(f._num) - len(f._den) + 1
     if not f._num or k < 0:
         return _ZERO
-    ints, den = _quotient(f._num[::-1], f._den[::-1], k)
+    ints, den = P._quotient_head(f._num[::-1], f._den[::-1], k)
     return Fraction(-ints[k], den)
 
 
@@ -636,17 +642,18 @@ def residue_of_product_check(fs):
     at 0, as a subset sum.
 
     Each denominator is c h^m, m <= 1; any other raises PoleTooHigh.  The
-    left side is the residue of the global product, its numerators and
-    denominators multiplied as integer lists, with h, the only factor they
-    can share, divided out; the right side is the subset sum of
-    product_subset_sum.  Returns the failure text, or None.
+    left side is the residue of the global product: its numerators
+    multiplied as integer lists, over the product of the c h^m, with h, the
+    only factor they can share, divided out; the right side is the subset
+    sum of product_subset_sum.  Returns the failure text, or None.
     """
     fs = list(fs)
-    num, den = [1], [1]
+    num, c, m = [1], 1, 0
     for i, f in enumerate(fs):
         if len(f._den) > 2 or any(f._den[:-1]):
             raise PoleTooHigh(f"function {i} has a pole away from 0 or of order > 1 at 0")
-        num, den = P._mul_ints(num, f._num), P._mul_ints(den, f._den)
+        num, c, m = P._mul_ints(num, f._num), c * f._den[-1], m + len(f._den) - 1
+    den = [0] * m + [c]
     lhs = residue_at(RatFunc.from_coprime(*P._cancel_factors(num, den, [(0, 1)])), 0)
     return equality_failure("residue", lhs, product_subset_sum(fs))
 
@@ -655,8 +662,9 @@ def product_subset_sum(fs):
     """res_0 of prod fs for k functions with at most simple poles at 0, as a
     sum over subsets.
 
-    Each factor gives one window h^-1 .. h^(k-2), as integer numerators over
-    one denominator: its h^-1 entry is the residue r_i, the rest is the
+    Each factor gives one window h^-1 .. h^(k-2), an integer list over one
+    denominator read off one fraction-free quotient (polys._quotient_head):
+    its h^-1 entry is the residue r_i, the rest is the
     Taylor series of the regular part f_i - r_i/h.  Each subset S
     contributes prod_{i in S} r_i times the h^(|S|-1) Taylor coefficient of
     the product of the other regular parts; that order is at most k-2
@@ -670,14 +678,21 @@ def product_subset_sum(fs):
     term over the product of the window denominators.
     """
     k = len(fs)
-    windows = [laurent_at_zero(f, 1, k - 2) for f in fs]
-    poles = [i for i, w in enumerate(windows) if w.ints[0]]
+    rows, dens = [], []
+    for f in fs:  # the window of f: h f to h^(k - 1)
+        m = f.pole_order_at_zero()
+        if m > 1:
+            raise WindowTooSmall(f"pole order {m} at 0 exceeds the window depth 1")
+        ints, den = P._quotient_head(f._num, f._den[m:], k - 2 + m)
+        rows.append([0] * (1 - m) + ints)
+        dens.append(den)
+    poles = [i for i, row in enumerate(rows) if row[0]]
     width = len(poles)
     base = [1] + [0] * (width - 1)
-    for w in windows:
-        if not w.ints[0]:
+    for row in rows:
+        if not row[0]:
             out = [0] * width
-            P._accumulate(out, base, w.ints[1:])
+            P._accumulate(out, base, row[1:])
             base = out
     rests = {(): base}  # complement among the poles -> its product, to |S| entries
     acc = 0
@@ -685,11 +700,11 @@ def product_subset_sum(fs):
         for kept in combinations(poles, width - size):
             if kept:
                 rest = [0] * size
-                P._accumulate(rest, rests[kept[:-1]], windows[kept[-1]].ints[1:])
+                P._accumulate(rest, rests[kept[:-1]], rows[kept[-1]][1:])
                 rests[kept] = rest
-            r = prod(windows[i].ints[0] for i in poles if i not in kept)
+            r = prod(rows[i][0] for i in poles if i not in kept)
             acc += r * rests[kept][size - 1]
-    return Fraction(acc, prod(w.den for w in windows))
+    return Fraction(acc, prod(dens))
 
 
 def double_residue_split_kernel(a_series, b_series):

@@ -622,6 +622,32 @@ def product_residue_subsets(fs):
     return rhs
 
 
+def _div_ints(a, b):
+    """a / b for integer lists without trailing zeros, or None when b does
+    not divide a in Z[h]: one full pass of long division."""
+    rem = list(a)
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        q, r = divmod(rem[i + len(b) - 1], b[-1])
+        if r:
+            return None
+        quot[i] = q
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return quot if not any(rem) else None
+
+
+def cancel_factors_by_trial(num, den, factors):
+    """The known-factor reduction by trial division, the route the root test
+    replaced: each factor is tried by a full division pass of num and then
+    of den, and divided out of both for as long as both passes are exact."""
+    num, den = [int(c) for c in _trim(num)], [int(c) for c in _trim(den)]
+    for f in factors:
+        while (q := _div_ints(num, f)) is not None and (r := _div_ints(den, f)) is not None:
+            num, den = q, r
+    return num, den
+
+
 def random_ratfunc(rng):
     """A residue-suite sum trial as the Fraction generator drew it: the
     function and its listed poles."""

@@ -5,9 +5,11 @@ suite has run once unperturbed, so every cached stage is already built: only
 the checks that read the patched name see the change.  The perturbation adds
 C q^K (C t q^K for a t-polynomial), or for the diagonals multiplies them by
 powers of 1 + C q^K chosen to keep the earlier parts of the merged report
-true.  Exactly the named reports, each keyed by identity and parameters,
-must then fail, each failure text must name the first differing
-coefficient, and every other report of the suite must still pass.
+true.  An entry may instead perturb a kernel that several identities read,
+and then names each of them.  Exactly the named reports, each keyed by
+identity and parameters, must then fail, each failure text must name the
+first differing coefficient, and every other report of the suite must
+still pass.
 
 The mirror blocks are perturbed on their weighted-sum side (`_block_sums`)
 and through the mirror shift: the J-polynomials also build the genus-0
@@ -146,6 +148,12 @@ def numerator_only_cancelled(monkeypatch):
     )
 
 
+def last_numerator_bumped(pair):
+    """(ints, den) of a quotient head with its last numerator moved by 1."""
+    ints, den = pair
+    return (ints[:-1] + [ints[-1] + 1] if ints else ints), den
+
+
 def key(parameters):
     return tuple(sorted(parameters.items()))
 
@@ -167,7 +175,8 @@ def blocks():
 
 # (id, runner, failing identity, start of its failure text, patch); for an
 # identity printed more than once, {parameters: start of the failure text}
-# of exactly the reports that fail
+# of exactly the reports that fail; for a patch that fails several
+# identities, the tuple of them and the tuple of their texts
 ENTRIES = [
     # diagonal identities: each part, the earlier parts kept true
     ("diagonal-product", suite("props31"), "diagonal-identities",
@@ -319,6 +328,12 @@ ENTRIES = [
     # global product divides its numerator by h, sees it (first at trial 3)
     ("cancel-numerator-only", suite("residues"), "product-residue-random",
      "trial 3: residue: ", numerator_only_cancelled),
+    # the fraction-free quotient kernel under every residue and window: both
+    # trials read it, the product check on both sides, and each fails
+    ("quotient-head", suite("residues"), ("residue-sum-zero", "product-residue-random"),
+     ("trial 2: total residue -409/4050",
+      "trial 2: residue: Fraction(28, 1) != Fraction(27, 1)"),
+     wrap(polys, "_quotient_head", last_numerator_bumped)),
 ]
 
 # (id, runner, report, error, start of its message, patch)
@@ -333,6 +348,21 @@ RAISING = [
 ]
 
 
+def expected_failures(reports, target, label):
+    """{(identity, parameters key): start of its failure text} for one entry;
+    a tuple of identities pairs each with its own label."""
+    if isinstance(target, tuple):
+        return {
+            report_key: start
+            for one, text in zip(target, label, strict=True)
+            for report_key, start in expected_failures(reports, one, text).items()
+        }
+    if isinstance(label, str):
+        (params,) = [rep.parameters for rep in reports if rep.identity == target]
+        label = {key(params): label}
+    return {(target, params): start for params, start in label.items()}
+
+
 @pytest.mark.parametrize(
     "run, target, label, patch", [entry[1:] for entry in ENTRIES], ids=[e[0] for e in ENTRIES]
 )
@@ -341,15 +371,13 @@ def test_one_sided_perturbation_fails_its_report(
 ):
     reports = run()
     assert all(rep.passed for rep in reports)  # and every cached stage is built
-    if isinstance(label, str):
-        (params,) = [rep.parameters for rep in reports if rep.identity == target]
-        label = {key(params): label}
+    want = expected_failures(reports, target, label)
     patch(monkeypatch)
     failing = {(rep.identity, key(rep.parameters)): rep.first_failure
                for rep in run() if not rep.passed}
-    assert set(failing) == {(target, params) for params in label}
-    for params, start in label.items():
-        text = failing[target, params]
+    assert set(failing) == set(want)
+    for report_key, start in want.items():
+        text = failing[report_key]
         assert text.startswith(start) and "TPoly(" not in text, text
 
 
@@ -370,7 +398,9 @@ def test_one_sided_perturbation_raises_before_its_report(
 def test_every_printed_identity_has_an_entry(capsys):
     assert cli.main(["verify", "--n", str(N), "--order", str(ORDER), "--format", "json"]) == 0
     printed = {rep["identity"] for rep in json.loads(capsys.readouterr().out)}
-    assert printed - {entry[2] for entry in ENTRIES + RAISING} == set()
+    named = {entry[2] for entry in ENTRIES + RAISING if isinstance(entry[2], str)}
+    named |= {one for entry in ENTRIES if isinstance(entry[2], tuple) for one in entry[2]}
+    assert printed - named == set()
 
 
 def test_verify_builds_a_report_only_for_what_it_prints(monkeypatch, capsys):

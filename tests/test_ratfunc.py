@@ -199,6 +199,33 @@ def test_residue_suite_builds_few_fractions():
     assert _count_fractions(lambda: cli._suite_residues(5, 6)) <= 2500
 
 
+def test_residue_suite_tries_no_failing_division_and_no_recurrence(monkeypatch):
+    # every factor the trials divide out is linear, so a root test decides
+    # it and a division runs only when it is exact (1,086 of 1,229 failed
+    # under trial division); each residue reads its few coefficients from
+    # the fraction-free quotient, never the series recurrence
+    divisions, failed, recurrences = [], [], []
+    real_div, real_rec = polys._div_exact, polys._recurrence
+
+    def div_exact(a, b):
+        divisions.append(b)
+        try:
+            return real_div(a, b)
+        except ArithmeticError:
+            failed.append((a, b))
+            raise
+
+    def recurrence(*args):
+        recurrences.append(args)
+        return real_rec(*args)
+
+    monkeypatch.setattr(polys, "_div_exact", div_exact)
+    monkeypatch.setattr(polys, "_recurrence", recurrence)
+    assert all(rep.passed for rep in cli._suite_residues(5, 6))
+    assert failed == [] and recurrences == []
+    assert len(divisions) == 112  # 56 factors divided out, from both sides
+
+
 def test_product_check_reduces_once_and_residues_divide_nothing(monkeypatch):
     def counted(owner, name):
         calls, real = [], getattr(owner, name)
@@ -270,6 +297,50 @@ def test_cancel_factors_matches_gcd(case):
     got = polys._cancel_factors(num, den, factors)
     assert all(p[-1] for p in got if p) and got[1]
     assert RatFunc.from_coprime(*got) == RatFunc(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(known_factor_pairs())
+@example(([1, 2], [3, 4], [(0, 1)]))  # h divides neither side
+@example(([0, 2], [3, 4], [(0, 1)]))  # the numerator only
+@example(([3, 4], [0, 0, 2], [(0, 1)]))  # the denominator only
+@example(([0, 0, 2], [0, 4], [(0, 1)]))  # both, once
+@example(([3, 6, 4, 1], [3, 3, 1], [(3, 3, 1), (1, 1)]))  # Phi_3(1 + h) from both
+@example(([3, 3, 1], [2, 1], [(3, 3, 1)]))  # Phi_3(1 + h) from the numerator only
+@example(([0, 0], [4, -4, 0], [(-1, 2), (0, 1)]))  # a zero numerator
+def test_cancel_factors_matches_trial_division(case):
+    # the root test divides exactly where a full trial division would
+    num, den, factors = case
+    assert polys._cancel_factors(num, den, factors) == oracles.cancel_factors_by_trial(
+        num, den, factors
+    )
+
+
+@pytest.mark.parametrize("factor", [(1,), (-3,), (0,), (2, 0), ()])
+def test_cancel_factors_refuses_a_constant_factor(factor):
+    # a unit would divide at every step, a zero at none
+    with pytest.raises(ValueError, match="not a nonconstant polynomial"):
+        polys._cancel_factors([1, 2], [3, 4], [(0, 1), factor])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), max_size=8),
+    st.integers(-12, 12).filter(bool),
+    st.lists(st.integers(-50, 50), max_size=7),
+    st.integers(-1, 6),
+)
+@example([1], 1, [], 0)
+@example([4, 5], -3, [], -1)  # the empty head a one-entry window reads
+@example([], -12, [5, 0, 7], 6)
+@example([3, -1, 4, 1, -5], 7, [2, -1], 6)
+def test_quotient_head_matches_the_recurrence(a, b0, b_tail, k):
+    # the fraction-free kernel gives the series quotient's Fractions
+    b = [b0] + b_tail
+    ints, den = polys._quotient_head(a, b, k)
+    want, want_den = residues._quotient(a, b, k)
+    assert len(ints) == k + 1 and den == b0 ** (k + 1)
+    assert [Fr(c, den) for c in ints] == [Fr(c, want_den) for c in want]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
