@@ -30,9 +30,10 @@ split kernel are each one index into a row.
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from math import lcm as _lcm
 from math import gcd as _int_gcd
+from operator import mul
 
 from . import polys as P
 from .errors import (
@@ -737,45 +738,64 @@ def double_residue_split_kernel(a_series, b_series):
 # -- combinatorial identities -------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _split_sums(qs):
-    """Coefficients of prod_i sum_j C(q_i, j) x^j for a tuple qs.
+@lru_cache(maxsize=64)
+def _packed_row(q, slot):
+    """sum_j C(q, j) 2^(slot j): the binomial row of q, one slot per entry."""
+    return sum(comb(q, j) << slot * j for j in range(q + 1))
 
-    Entry b is the sum over splits j_1 + ... + j_k = b of prod_i C(q_i, j_i),
-    the left side of the Vandermonde identity.  It is built one binomial row
-    at a time by convolution, the row of qs[0] with the sums of qs[1:], never
-    from (1 + x)^(sum q), so it stays independent of the right side.  Cached
-    because callers ask for every b of one tuple in a row, and tuples share
-    the sums of their tails (the 259 tails of the appendixA tuples fit).
-    """
-    if not qs:
-        return (1,)
-    tail = _split_sums(qs[1:])
-    q = qs[0]
-    if not q:
-        return tail
-    out = [0] * (len(tail) + q)
-    for j in range(q + 1):
-        c = comb(q, j)
-        for i, s in enumerate(tail):
-            out[i + j] += c * s
-    return tuple(out)
+
+@lru_cache(maxsize=512)
+def _split_packed(qs, slot):
+    """prod_i sum_j C(q_i, j) x^j at x = 2^slot: slot b holds the Vandermonde
+    left side, the sum over splits j_1 + ... + j_k = b of prod_i C(q_i, j_i).
+    The entries are >= 0 and sum to 2^(sum q), so none carries out of a slot
+    of sum q + 1 bits.  Built row by row, never from (1 + x)^(sum q), so it
+    stays independent of the right side; cached, as tuples share their tails
+    (the 259 tails of the appendixA tuples fit)."""
+    return _packed_row(qs[0], slot) * _split_packed(qs[1:], slot) if qs else 1
+
+
+def _split_sums(qs):
+    """The entries of _split_packed(qs), at a slot wider than sum q and at
+    least the 21 bits of the appendixA suite, whose cache it shares."""
+    slot = max(sum(qs), 20) + 1
+    packed = _split_packed(qs, slot)
+    return tuple(packed >> slot * b & (1 << slot) - 1 for b in range(sum(qs) + 1))
 
 
 def vandermonde_failures(bound):
-    """The failure text of vandermonde_check(b, qs) for each failing
-    b <= bound and tuple qs of length <= 4 over 0..5, the first entry
-    varying fastest.  The left sides of one tuple are compared with a
-    binomial row at once; a case is checked alone only when it fails."""
-    rows = [[comb(total, b) for b in range(bound + 1)] for total in range(4 * 5 + 1)]
-    for length in range(5):
-        for reverse in product(range(6), repeat=length):
-            qs = reverse[::-1]
-            sums = list(_split_sums(qs)[: bound + 1])
-            sums += [0] * (bound + 1 - len(sums))
-            row = rows[sum(qs)]
-            if sums != row:
-                yield from (vandermonde_check(b, qs) for b, x in enumerate(sums) if x != row[b])
+    """The failure text of vandermonde_check(b, qs) for each failing b <= bound
+    and tuple qs of length <= 4 over 0..5, first entry fastest: slots 0..bound
+    of each left side (21 bits hold totals to 20) meet comb(sum qs, b) at once."""
+    slot = 4 * 5 + 1
+    mask = (1 << slot * (bound + 1)) - 1
+    rows = [sum(comb(total, b) << slot * b for b in range(bound + 1)) for total in range(21)]
+    for qs in (r[::-1] for length in range(5) for r in product(range(6), repeat=length)):
+        if _split_packed(qs, slot) & mask != rows[sum(qs)]:
+            yield from filter(None, (vandermonde_check(b, qs) for b in range(bound + 1)))
+
+
+def reciprocal_failures(bound):
+    """The failure text of reciprocal_sum_check(q, a) for each failing
+    q <= bound and 1 <= a <= bound, in integers over a (a + 1) ... (a + q)."""
+    for q, a in product(range(bound + 1), range(1, bound + 1)):
+        den = perm(a + q, q + 1)
+        lhs = sum((-1) ** b * comb(q, b) * (den // (a + b)) for b in range(q + 1))
+        if lhs * factorial(a + q) != factorial(a - 1) * factorial(q) * den:
+            yield reciprocal_sum_check(q, a)
+
+
+def rising_failures(bound):
+    """The failure text of rising_product_check(q, a, s) for each failing q, a,
+    s <= bound: the signed row C(q, b) dotted with the rising products of (a, s)."""
+    top = range(bound + 1)
+    signed = [[(-1) ** b * comb(q, b) for b in range(q + 1)] for q in top]
+    pairs = product(top, repeat=2)
+    rungs = {(a, s): [prod(range(a - s + 1 + b, a + 1 + b)) for b in top] for a, s in pairs}
+    for q, a, s in product(top, repeat=3):
+        rhs = (-1) ** q * factorial(s) * (comb(a, s - q) if s >= q else 0)
+        if sum(map(mul, signed[q], rungs[a, s])) != rhs:
+            yield rising_product_check(q, a, s)
 
 
 def _case_failure(identity, parameters, lhs, rhs):
@@ -789,16 +809,18 @@ def _case_failure(identity, parameters, lhs, rhs):
 def vandermonde_check(b, qs):
     """Sums of binomial products over split choices match one big binomial."""
     qs = tuple(qs)
+    if b < 0 or min(qs, default=0) < 0:
+        raise ValueError("b and every q_i must be nonnegative")
     sums = _split_sums(qs)
-    lhs = sums[b] if 0 <= b < len(sums) else 0
-    rhs = comb(sum(qs), b) if b <= sum(qs) else 0
+    lhs = sums[b] if b < len(sums) else 0
+    rhs = comb(sum(qs), b)
     return _case_failure("binomial-vandermonde", {"b": b, "qs": qs}, lhs, rhs)
 
 
 def reciprocal_sum_check(q, a):
     """Alternating binomial sum against reciprocals collapses to a beta value."""
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    if q < 0 or a < 1:
+        raise ValueError("q must be nonnegative and a >= 1")
     lhs = sum(Fraction((-1) ** b * comb(q, b), a + b) for b in range(q + 1))
     rhs = Fraction(factorial(a - 1) * factorial(q), factorial(a + q))
     return _case_failure("alternating-reciprocal-sum", {"q": q, "a": a}, lhs, rhs)
@@ -806,12 +828,10 @@ def reciprocal_sum_check(q, a):
 
 def rising_product_check(q, a, s):
     """Alternating binomial sum against shifted rising products."""
-    if a < 0 or s < 0:
-        raise ValueError("a and s must be nonnegative")
+    if min(q, a, s) < 0:
+        raise ValueError("q, a and s must be nonnegative")
     # term b: (-1)^b C(q, b) prod_{a-s<r<=a} (r + b), all in integers
-    lhs = Fraction(
-        sum((-1) ** b * comb(q, b) * prod(range(a - s + 1 + b, a + 1 + b)) for b in range(q + 1))
-    )
-    k = s - q
-    rhs = Fraction((-1) ** q * factorial(s) * (comb(a, k) if 0 <= k <= a else 0))
-    return _case_failure("alternating-rising-product", {"q": q, "a": a, "s": s}, lhs, rhs)
+    lhs = sum((-1) ** b * comb(q, b) * prod(range(a - s + 1 + b, a + 1 + b)) for b in range(q + 1))
+    rhs = (-1) ** q * factorial(s) * (comb(a, s - q) if s >= q else 0)
+    params = {"q": q, "a": a, "s": s}
+    return _case_failure("alternating-rising-product", params, Fraction(lhs), Fraction(rhs))

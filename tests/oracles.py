@@ -96,6 +96,20 @@ def split_sum(qs, b):
     return sum(comb(q0, j) * split_sum(qs[1:], b - j) for j in range(min(q0, b) + 1))
 
 
+def split_sums_by_rows(qs):
+    """Every entry of prod_i sum_j C(q_i, j) x^j: the binomial row of qs[0]
+    convolved into the sums of qs[1:], one Python double loop per row."""
+    if not qs:
+        return (1,)
+    tail = split_sums_by_rows(qs[1:])
+    out = [0] * (len(tail) + qs[0])
+    for j in range(qs[0] + 1):
+        c = comb(qs[0], j)
+        for i, s in enumerate(tail):
+            out[i + j] += c * s
+    return tuple(out)
+
+
 def wlog(f):
     """Bigraded log of f[j][d] (coefficient of w^j q^d; f[0][0] = 1) by the
     power sum log f0 + sum_m (-1)^(m+1) rest^m / m, rest = (f - f0)/f0,

@@ -303,11 +303,18 @@ ENTRIES = [
      wrap(invariants, "_block_sums", lambda sums: (bump(sums[0]), sums[1]))),
     ("block-3", blocks, "mirror-block-reconstruction", "block-3: t^0 q^3",
      wrap(invariants, "_block_sums", lambda sums: (sums[0], bump(sums[1])))),
-    # Appendix A: the first failing case of each family
+    # Appendix A: the first failing case of each family; 1 << 21 is slot 1
+    # (b = 1) of the 21-bit packing of the Vandermonde left sides
     ("vandermonde", suite("appendixA"), "binomial-vandermonde-exhaustive",
      "binomial-vandermonde [b=1 qs=(2, 1)]: FAIL at value: 4 != 3",
-     wrap(residues, "_split_sums", lambda sums: (sums[0], sums[1] + 1) + sums[2:],
-          lambda qs: qs in ((2, 1), (1, 2)))),
+     wrap(residues, "_split_packed", lambda packed: packed + (1 << 21),
+          lambda qs, slot: qs in ((2, 1), (1, 2)))),
+    # the binomial row of q = 2 under the left sides: (2,) has left the
+    # 512-entry cache of packed products by the end of the first run, so it
+    # is the first tuple rebuilt from the moved row
+    ("packed-row", suite("appendixA"), "binomial-vandermonde-exhaustive",
+     "binomial-vandermonde [b=1 qs=(2,)]: FAIL at value: 3 != 2",
+     wrap(residues, "_packed_row", lambda row: row + (1 << 21), lambda q, slot: q == 2)),
     ("reciprocal", suite("appendixA"), "alternating-reciprocal-exhaustive",
      "alternating-reciprocal-sum [q=1 a=6]: FAIL at value: ",
      wrap(residues, "factorial", lambda out: out + 1, lambda m: m >= 7)),

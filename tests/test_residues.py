@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as Fr
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
@@ -32,9 +32,11 @@ from hypergw.residues import (
 )
 from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
 from hypergw.invariants import bridge_series
+from hypergw.report import first_failure
 from hypergw.series import QSeries
 
 import oracles
+from test_kernels import _count_fractions
 
 H = RatFunc([0, 1])
 ONE = RatFunc.from_scalar(1)
@@ -768,10 +770,21 @@ def test_product_residue_matches_ratfunc_subsets(fs):
 @example([])
 @example([7, 7, 7, 7, 7])
 def test_vandermonde_left_side_matches_split_enumeration(qs):
+    # totals reach 35, so the packed slot grows past the suite's 21 bits
     top = sum(qs) + 2
     expect = [oracles.split_sum(qs, b) for b in range(top + 1)]
     assert list(residues._split_sums(tuple(qs))) + [0, 0] == expect
+    assert residues._split_sums(tuple(qs)) == oracles.split_sums_by_rows(qs)
     assert all(vandermonde_check(b, qs) is None for b in range(top + 1))
+
+
+def bumped_slot_1(monkeypatch, tuples):
+    """Move slot 1 (the b = 1 left side) of the packed products of tuples by 1."""
+    packed = residues._split_packed
+    monkeypatch.setattr(
+        residues, "_split_packed",
+        lambda qs, slot: packed(qs, slot) + (1 << slot if qs in tuples else 0),
+    )
 
 
 def test_appendix_a_vandermonde_can_fail(monkeypatch):
@@ -780,34 +793,79 @@ def test_appendix_a_vandermonde_can_fail(monkeypatch):
         return next(r.passed for r in reports if r.identity == "binomial-vandermonde-exhaustive")
 
     assert passed()  # leaves left sides in the cache
-    sums = residues._split_sums
-
-    def perturbed(qs):
-        out = list(sums(qs))
-        if qs == (1, 2):
-            out[1] += 1
-        return tuple(out)
-
-    monkeypatch.setattr(residues, "_split_sums", perturbed)
+    bumped_slot_1(monkeypatch, ((1, 2),))
     assert not passed()
     monkeypatch.undo()
     assert passed()
 
 
 def test_appendix_a_reports_the_first_failure(monkeypatch):
-    sums = residues._split_sums
-
-    def perturbed(qs):
-        out = list(sums(qs))
-        if qs in ((2, 1), (1, 2)):
-            out[1] += 1
-        return tuple(out)
-
-    monkeypatch.setattr(residues, "_split_sums", perturbed)
+    bumped_slot_1(monkeypatch, ((2, 1), (1, 2)))
     report = cli._suite_appendix_a(6)[0]
     assert report.identity == "binomial-vandermonde-exhaustive"
     # (2, 1) comes before (1, 2) in the enumeration
-    assert not report.passed and "qs=(2, 1)" in report.first_failure
+    assert report.first_failure == "binomial-vandermonde [b=1 qs=(2, 1)]: FAIL at value: 4 != 3"
+
+
+def per_case(bound):
+    """The three appendixA families as one check per case, in suite order."""
+    top = range(bound + 1)
+    tuples = [r[::-1] for length in range(5) for r in product(range(6), repeat=length)]
+    return (
+        (vandermonde_check(b, qs) for qs in tuples for b in top),
+        (reciprocal_sum_check(q, a) for q in top for a in range(1, bound + 1)),
+        (rising_product_check(q, a, s) for q in top for a in top for s in top),
+    )
+
+
+FAMILIES = (residues.vandermonde_failures, residues.reciprocal_failures, residues.rising_failures)
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_appendix_a_families_yield_nothing_on_a_pass(bound):
+    for family in FAMILIES:
+        assert next(family(bound), "none") == "none"
+
+
+@pytest.mark.parametrize(
+    "name, when", [("prod", lambda r: True), ("factorial", lambda m: m >= 7)], ids=["prod", "factorial"]
+)
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_appendix_a_families_fail_first_where_each_case_does(monkeypatch, name, when, bound):
+    # every product moved by 1, or every factorial from 7! up, as the
+    # rising and reciprocal entries of the perturbation table do
+    real = getattr(residues, name)
+    monkeypatch.setattr(residues, name, lambda arg: real(arg) + (1 if when(arg) else 0))
+    firsts = [first_failure(family(bound)) for family in FAMILIES]
+    assert firsts == [first_failure(cases) for cases in per_case(bound)]
+    # a factorial reaches 7! once a + q can reach 7
+    assert any(firsts) == (name == "prod" or bound >= 4)
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_appendix_a_builds_no_fraction_and_checks_no_case_on_a_pass(monkeypatch, order):
+    # 1,064 Fractions at order 6 and 2,250 at order 8 with a check per case
+    for check in ("vandermonde_check", "reciprocal_sum_check", "rising_product_check"):
+        monkeypatch.setattr(residues, check, lambda *args, check=check: pytest.fail(check))
+    assert _count_fractions(lambda: cli._suite_appendix_a(order)) == 0
+
+
+@pytest.mark.parametrize(
+    "check, args, named",
+    [
+        (vandermonde_check, (1, [-1]), "q_i"),
+        (vandermonde_check, (0, [-2, 3]), "q_i"),
+        (vandermonde_check, (-1, [2]), "b"),
+        (reciprocal_sum_check, (-1, 2), "q"),
+        (reciprocal_sum_check, (2, 0), "a"),
+        (rising_product_check, (-1, 2, 2), "q"),
+        (rising_product_check, (2, -1, 2), "a"),
+        (rising_product_check, (2, 2, -1), "s"),
+    ],
+)
+def test_appendix_a_checks_refuse_negative_arguments(check, args, named):
+    with pytest.raises(ValueError, match=rf"\b{named}\b"):
+        check(*args)
 
 
 def test_residue_suite_names_its_first_failing_trial(monkeypatch):
