@@ -65,8 +65,8 @@ RESIDUE_SAMPLES = 200
 RESIDUE_SEED = 20080915
 
 # command -> (help, {option: (kind, default, required, help)}), kind being
-# int, str or a tuple of choices.  The parser, the usage lines, the -h text
-# and the error messages all read this one table.
+# int, str or a tuple of choices.  Both readers of the command line, _plain
+# and the argparse parser of _parser, are built from this one table.
 _COMMON = {
     "n": (int, 5, False, "hypersurface degree (>= 1)"),
     "order": (int, 6, False, "q-truncation (>= 1)"),
@@ -272,224 +272,94 @@ def render_dump(what, n, order):
 
 # -- command line -------------------------------------------------------------
 #
-# The grammar of the COMMANDS table, read straight from it, so that a
-# short job pays next to nothing for parsing: `--opt value` and
-# `--opt=value`, a unique prefix of a long option, the last value of a
-# repeated option wins, and -h is honoured anywhere before the first error.
-# The top level takes -h and the command; tokens the command does not take
-# are reported after the command has parsed, under the top-level usage.
-
-_HELP = ("-h", "--help")
+# Two readers of the COMMANDS table.  _plain takes the line every job gives,
+# a command and then exact `--opt value` or `--opt=value` pairs, which
+# argparse would read the same way.  Every other line (-h, option prefixes,
+# "--", negative values, every error) goes to argparse, imported only then:
+# with the gettext and locale it loads, it is a large share of a short job.
 
 
-def _prog(command):
-    return PROG if command is None else f"{PROG} {command}"
+def _plain(argv):
+    """The fields of a plain command line: a command, then exact `--opt
+    value` or `--opt=value` pairs whose values convert, a spaced value not
+    starting with '-', and every required option given.  None for any
+    other line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    table = COMMANDS[argv[0]][1]
+    fields = {name: spec[1] for name, spec in table.items()}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        name = option[2:]
+        if option[:2] != "--" or name not in table:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        kind = table[name][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        fields[name] = value
+        given.add(name)
+    if any(spec[2] and name not in given for name, spec in table.items()):
+        return None
+    return {"command": argv[0], **fields}
 
 
-def _invocation(name, kind):
-    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper()
-    return f"--{name} {metavar}"
+def _parser():
+    """The argparse parser of the COMMANDS table, with three deviations:
+    help is laid out at HELP_WIDTH whatever COLUMNS says, `--opt=--` is
+    read as the string "--" (argparse drops it and stores an empty list),
+    and text for stdout goes through _stdout, so that help to a closed
+    pipe exits 141."""
+    import argparse
+    from functools import partial
 
+    class Parser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            # an option's one value is "--" only when given as `--opt=--`
+            if action.option_strings and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
 
-def _wrap(text, width):
-    """Greedy word wrap."""
-    lines = []
-    for word in text.split():
-        if lines and len(lines[-1]) + 1 + len(word) <= width:
-            lines[-1] += " " + word
-        else:
-            lines.append(word)
-    return lines
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:
+                _stdout(message)
+            else:
+                super()._print_message(message, file)
 
-
-def _usage(command):
-    """The usage line of the top level (command None) or of a command,
-    wrapped under the first option when it is too long."""
-    if command is None:
-        parts = ["[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
-    else:
-        parts = ["[-h]"]
-        for name, (kind, _, required, _) in COMMANDS[command][1].items():
-            text = _invocation(name, kind)
-            parts += text.split() if required else [f"[{text}]"]
-    lines = ["usage: " + _prog(command)]
-    indent = " " * (len(lines[0]) + 1)
-    for part in parts:
-        if len(lines[-1]) + 1 + len(part) <= HELP_WIDTH:
-            lines[-1] += " " + part
-        else:
-            lines.append(indent + part)
-    return "\n".join(lines) + "\n"
-
-
-def _help(command):
-    """The -h text of the top level or of a command."""
-    options = [(2, "-h, --help", "show this help message and exit")]
-    if command is None:
-        names = [(2, "{" + ",".join(COMMANDS) + "}", None)]
-        names += [(4, name, text) for name, (text, _) in COMMANDS.items()]
-        sections = [("positional arguments", names), ("options", options)]
-        blocks = [_usage(None), "\n".join(_wrap(DESCRIPTION, HELP_WIDTH))]
-    else:
-        options += [
-            (2, _invocation(name, kind), text)
-            for name, (kind, _, _, text) in COMMANDS[command][1].items()
-        ]
-        sections = [("options", options)]
-        blocks = [_usage(command)]
-    # help text starts two columns after the widest entry, at most column 24
-    column = min(24, 2 + max(i + len(entry) for _, rows in sections for i, entry, _ in rows))
-    for heading, rows in sections:
-        lines = [heading + ":"]
-        for indent, entry, text in rows:
-            head = " " * indent + entry
-            wrapped = _wrap(text, max(HELP_WIDTH - column, 11)) if text else []
-            if wrapped and len(head) + 2 <= column:
-                head = head.ljust(column) + wrapped.pop(0)
-            lines += [head] + [" " * column + line for line in wrapped]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(block.rstrip("\n") for block in blocks) + "\n"
-
-
-def _error(command, message):
-    """A parse error: the usage of the top level or of `command`, exit 2."""
-    sys.stderr.write(_usage(command) + f"{_prog(command)}: error: {message}\n")
-    raise SystemExit(2)
+    formatter = partial(argparse.HelpFormatter, width=HELP_WIDTH)
+    parser = Parser(prog=PROG, description=DESCRIPTION, formatter_class=formatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (text, options) in COMMANDS.items():
+        sub = commands.add_parser(command, help=text, formatter_class=formatter)
+        for name, (kind, default, required, about) in options.items():
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument(f"--{name}", default=default, required=required, help=about, **typed)
+    return parser
 
 
 def _refuse(message):
     """An input the parser took but the program cannot run: exit 2."""
-    sys.stderr.write(_usage(None) + f"error: {message}\n")
+    sys.stderr.write(_parser().format_usage() + f"error: {message}\n")
     raise SystemExit(2)
-
-
-def _negative_number(token):
-    """Whether a token starting with '-' is a negative number, and so an
-    argument: '-' and digits, or '-', optional digits, '.' and digits, with
-    one final newline allowed."""
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, frac = body.partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return frac.isdecimal() and (not whole or whole.isdecimal())
-
-
-def _classify(token, options, command):
-    """How one token reads: None for an argument, else the pair
-    (option string, or None for an option not in `options`; value after '='
-    or attached to -h, else None)."""
-    if not token.startswith("-"):
-        return None
-    if token in options:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in options:
-        return name, value
-    if token[1] == "-":
-        found = [(o, value if eq else None) for o in options if o.startswith(name)]
-    else:  # -h is the one short option; -hVALUE carries VALUE
-        found = [(o, token[2:]) for o in options if o == token[:2]]
-    if len(found) > 1:
-        matches = ", ".join(o for o, _ in found)
-        _error(command, f"ambiguous option: {token} could match {matches}")
-    if found:
-        return found[0]
-    if _negative_number(token) or " " in token:
-        return None
-    return None, None
-
-
-def _help_exit(command, option, value):
-    """-h: print the help, exit 0.  -hh is -h twice; any other value given
-    to -h or --help is an error."""
-    while value is not None:
-        if option == "--help" or value[:1] != "h":
-            _error(command, f"argument -h/--help: ignored explicit argument {value!r}")
-        value = value[1:] or None
-    _stdout(_help(command))
-    raise SystemExit(0)
-
-
-def _convert(command, option, kind, value):
-    if kind is int:
-        try:
-            return int(value)
-        except ValueError:
-            _error(command, f"argument {option}: invalid int value: {value!r}")
-    if isinstance(kind, tuple) and value not in kind:
-        choices = ", ".join(map(repr, kind))
-        _error(
-            command, f"argument {option}: invalid choice: {value!r} (choose from {choices})"
-        )
-    return value
-
-
-def _parse_command(command, argv):
-    """The option values of `command` read from argv, and the tokens it
-    does not take."""
-    table = COMMANDS[command][1]
-    options = _HELP + tuple("--" + name for name in table)
-    kinds = []
-    for i, token in enumerate(argv):
-        if token == "--":  # takes no value; every token after it is an argument
-            kinds += [(None, None)] + [None] * (len(argv) - i - 1)
-            break
-        kinds.append(_classify(token, options, command))
-    values = {name: spec[1] for name, spec in table.items()}
-    seen, unknown = set(), []
-    i = 0
-    while i < len(argv):
-        kind = kinds[i]
-        if kind is None or kind[0] is None:
-            unknown.append(argv[i])
-        elif kind[0] in _HELP:
-            _help_exit(command, *kind)
-        else:
-            option, value = kind
-            if value is None:
-                if i + 1 == len(argv) or kinds[i + 1] is not None:
-                    _error(command, f"argument {option}: expected one argument")
-                i += 1
-                value = argv[i]
-            name = option[2:]
-            values[name] = _convert(command, option, table[name][0], value)
-            seen.add(name)
-        i += 1
-    missing = [f"--{name}" for name, spec in table.items() if spec[2] and name not in seen]
-    if missing:
-        _error(command, "the following arguments are required: " + ", ".join(missing))
-    return values, unknown
 
 
 def _parse_args(argv):
     """{"command": ..., option name: value, ...} from argv (sys.argv[1:]
     when None); exits 0 after -h and 2 on an error."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    unknown = []
-    for i, token in enumerate(argv):
-        kind = None if token == "--" else _classify(token, _HELP, None)
-        if kind is None:
-            break
-        if kind[0] is None:
-            unknown.append(token)
-        else:
-            _help_exit(None, *kind)
-    else:
-        i = len(argv)
-    # the command is the first argument; a "--" before it is taken as the
-    # command, provided some token follows it
-    if argv[i:] in ([], ["--"]):
-        _error(None, "the following arguments are required: command")
-    command = argv[i]
-    if command not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    values, rest = _parse_command(command, argv[i + 1 :])
-    if unknown + rest:
-        _error(None, "unrecognized arguments: " + " ".join(unknown + rest))
-    return {"command": command, **values}
+    return _plain(argv) or vars(_parser().parse_args(argv))
 
 
 # -- entry point --------------------------------------------------------------

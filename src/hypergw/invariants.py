@@ -237,11 +237,12 @@ class GWTable(Record):
     def to_text(self):
         lines = [f"degree-{self.n} hypersurface, orders 1..{self.truncation}"]
         header = ["d"] + [name for name in _COLUMNS if name in self.columns]
+        columns = [self.column(name) for name in header[1:]]
         table = [header]
         for i in range(self.truncation):
             cells = [str(i + 1)]
-            for name in header[1:]:
-                val = self.columns[name][i]
+            for col in columns:
+                val = col[i]
                 if val.denominator == 1:
                     cells.append(str(val.numerator))
                 else:

@@ -907,9 +907,9 @@ class QSeries:
 
 
 def cli_parser():
-    """The argparse parser the command line was read with, the reference for
-    the table-driven parser in cli.py; only the suite and series names come
-    from the package."""
+    """The command-line parser written out by hand in argparse, the
+    reference for cli's plain path and for the parser it builds from its
+    COMMANDS table; only the suite and series names come from the package."""
     import argparse
 
     from hypergw.cli import DUMPABLE, SUITES

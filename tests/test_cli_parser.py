@@ -1,5 +1,6 @@
-"""The table-driven command-line parser against the argparse parser it
-replaced (oracles.cli_parser): same exit code, output bytes and fields."""
+"""The command-line parser against the hand-built reference parser
+(oracles.cli_parser): same exit code, output bytes and fields.  cli reads a
+plain line itself (cli._plain) and hands every other line to argparse."""
 
 import contextlib
 import io
@@ -104,6 +105,17 @@ LISTED = [
 def test_parser_matches_argparse(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert_same(argv)
+
+
+@pytest.mark.parametrize("argv", BENCH_JOBS, ids=" ".join)
+def test_plain_path_reads_every_job(argv):
+    assert cli._plain(argv) == reference(argv)
+
+
+@pytest.mark.parametrize("argv", LISTED, ids=repr)
+def test_plain_path_leaves_help_and_errors_to_argparse(argv):
+    if outcome(reference, argv)[0] is not None:
+        assert cli._plain(argv) is None
 
 
 _OPTIONS = ["--help", "--n", "--order", "--output", "--format", "--suite", "--what"]
