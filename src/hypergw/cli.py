@@ -10,7 +10,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import zip_longest
 
 from . import hyper, invariants, residues
 from . import polys as P
@@ -180,16 +179,16 @@ def _random_ratfunc(rng):
 
 
 def _random_factors(rng):
-    """Up to five functions with at most a simple pole at 0, which h, the
-    one factor numerator and denominator can share, is divided out of."""
-    fs = []
+    """Up to five functions f = num / h + c or num + c, each as the integer
+    list of h f."""
+    rows = []
     for _ in range(rng.randint(0, 5)):
         num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
-        den = [0, 1] if rng.random() * 10 < 7 else [1]
-        c = rng.randint(-3, 3)  # the function num / den + c
-        num = [x + c * y for x, y in zip_longest(num, den, fillvalue=0)]
-        fs.append(RatFunc.from_coprime(*P._cancel_factors(num, den, [(0, 1)])))
-    return fs
+        # h f = num + c h for f = num / h + c, else h num + c h
+        row = num + [0] if rng.random() * 10 < 7 else [0] + num
+        row[1] += rng.randint(-3, 3)
+        rows.append(row)
+    return rows
 
 
 def _suite_residues(n, order):

@@ -162,7 +162,9 @@ def _cancel_factors(num, den, factors):
     root test; any other factor is tried by _div_exact.  A constant factor
     raises ValueError.  When the factors hold every irreducible factor that
     num and den can share, the pair returned is coprime over Q, as
-    RatFunc.from_coprime takes it."""
+    RatFunc.from_coprime takes it.  Its callers: the residue-theorem draws
+    (cli._random_ratfunc), hyper.kernel_value_at, the dump --what Q pairs
+    (hyper.regular_kernel) and the boundary weight (invariants._residue_weight)."""
     num, den = list(num), list(den)
     _strip(num)
     _strip(den)

@@ -2,14 +2,15 @@
 
 One representation per job.  RatFunc, a reduced fraction of integer
 polynomials, serves only where poles away from 0 matter: residues at
-other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }), as
-in the residue-theorem suite.  Its arithmetic stays in Z[h]; the
-constructor and the arithmetic reduce in one place (_lowest_terms: a
-primitive pseudo-remainder gcd, divided out exactly by Gauss's lemma),
-and from_coprime takes a pair its caller has already reduced by the
-factors it knows (polys._cancel_factors), with no gcd, as every command
-does; each value it hands out is one Fraction.  A residue at s/t takes
-the Taylor coefficients of the denominator there by one Taylor shift
+other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }).  Its
+callers, the residue-theorem trials of the residues suite, the dump
+--what Q pairs and the boundary weight of the locus split, build it with
+from_coprime from a pair reduced by the factors they know
+(polys._cancel_factors), with no gcd; each value it hands out is one
+Fraction.  Its arithmetic stays in Z[h] and reduces in one place
+(_lowest_terms: a primitive pseudo-remainder gcd, divided out exactly by
+Gauss's lemma).  A residue at s/t takes the Taylor coefficients of the
+denominator there by one Taylor shift
 (repeated synthetic division): its leading zeros count the pole order m
 and the rest expand the unit, and the numerator needs only its first m
 coefficients, read with those of the unit by one fraction-free quotient
@@ -24,11 +25,13 @@ module.  On it sit the regularization splitting
 1 + Z = exp(eta/h) * (1 + Zbar), Zbar holomorphic at h = 0, and the
 residue-moment identities that characterize when it exists.  A residue
 at 0, a weighted residue res{ h^p f } and the iterated residue of the
-split kernel are each one index into a row.
+split kernel are each one index into a row.  The residue-of-a-product
+trials and the combinatorial identities run on plain integers: a factor
+with at most a simple pole at 0 is the integer list of h f.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from math import comb, factorial, perm, prod
 from math import lcm as _lcm
@@ -39,7 +42,6 @@ from . import polys as P
 from .errors import (
     NonzeroConstant,
     NotRegularizable,
-    PoleTooHigh,
     RoutesDisagree,
     WindowTooSmall,
 )
@@ -638,55 +640,36 @@ def moment_closed_form_check(reg, a):
     return series_failure(lhs, rhs, d, "u")
 
 
-def residue_of_product_check(fs):
-    """Residue of a product of Laurent polynomials with at most simple poles
-    at 0, as a subset sum.
-
-    Each denominator is c h^m, m <= 1; any other raises PoleTooHigh.  The
-    left side is the residue of the global product: its numerators
-    multiplied as integer lists, over the product of the c h^m, with h, the
-    only factor they can share, divided out; the right side is the subset
-    sum of product_subset_sum.  Returns the failure text, or None.
+def residue_of_product_check(rows):
+    """Residue at 0 of a product of k Laurent polynomials with at most simple
+    poles at 0, each given as the integer list row_i of h f_i, as a subset
+    sum.  res_0 prod f_i = [h^(k-1)] prod row_i: the left side reads that
+    entry of the full product of the rows, the right side is the subset sum
+    of product_subset_sum.  Returns the failure text, or None.
     """
-    fs = list(fs)
-    num, c, m = [1], 1, 0
-    for i, f in enumerate(fs):
-        if len(f._den) > 2 or any(f._den[:-1]):
-            raise PoleTooHigh(f"function {i} has a pole away from 0 or of order > 1 at 0")
-        num, c, m = P._mul_ints(num, f._num), c * f._den[-1], m + len(f._den) - 1
-    den = [0] * m + [c]
-    lhs = residue_at(RatFunc.from_coprime(*P._cancel_factors(num, den, [(0, 1)])), 0)
-    return equality_failure("residue", lhs, product_subset_sum(fs))
+    rows = list(rows)
+    full = reduce(P._mul_ints, rows, [1])
+    lhs = full[len(rows) - 1] if 0 < len(rows) <= len(full) else 0
+    return equality_failure("residue", lhs, product_subset_sum(rows))
 
 
-def product_subset_sum(fs):
-    """res_0 of prod fs for k functions with at most simple poles at 0, as a
-    sum over subsets.
+def product_subset_sum(rows):
+    """res_0 of prod f_i for k functions with at most simple poles at 0,
+    given as the nonempty integer lists row_i of h f_i, as a sum over
+    subsets.
 
-    Each factor gives one window h^-1 .. h^(k-2), an integer list over one
-    denominator read off one fraction-free quotient (polys._quotient_head):
-    its h^-1 entry is the residue r_i, the rest is the
-    Taylor series of the regular part f_i - r_i/h.  Each subset S
-    contributes prod_{i in S} r_i times the h^(|S|-1) Taylor coefficient of
-    the product of the other regular parts; that order is at most k-2
-    whenever S leaves a factor out (for S = all, the product is 1).  The
-    empty subset contributes nothing (its inner derivative order would be
-    -1, which is vacuous).  A subset holding a factor with r_i = 0 adds 0,
-    so only subsets of the poles are enumerated, and the factors without a
+    Entry 0 of row_i is the residue r_i, the rest is the Taylor series of
+    the regular part f_i - r_i/h.  Each subset S contributes
+    prod_{i in S} r_i times the h^(|S|-1) Taylor coefficient of the
+    product of the other regular parts; that order is at most k-2 whenever
+    S leaves a factor out (for S = all, the product is 1).  The empty
+    subset contributes nothing (its inner derivative order would be -1,
+    which is vacuous).  A subset holding a factor with r_i = 0 adds 0, so
+    only subsets of the poles are enumerated, and the factors without a
     pole sit in every complement.  Each complement's product of regular
     parts is built once, from the complement with one factor fewer, as the
-    subsets shrink.  The subset and residue products run in int, every
-    term over the product of the window denominators.
+    subsets shrink.  Every product runs in int.
     """
-    k = len(fs)
-    rows, dens = [], []
-    for f in fs:  # the window of f: h f to h^(k - 1)
-        m = f.pole_order_at_zero()
-        if m > 1:
-            raise WindowTooSmall(f"pole order {m} at 0 exceeds the window depth 1")
-        ints, den = P._quotient_head(f._num, f._den[m:], k - 2 + m)
-        rows.append([0] * (1 - m) + ints)
-        dens.append(den)
     poles = [i for i, row in enumerate(rows) if row[0]]
     width = len(poles)
     base = [1] + [0] * (width - 1)
@@ -705,7 +688,7 @@ def product_subset_sum(fs):
                 rests[kept] = rest
             r = prod(rows[i][0] for i in poles if i not in kept)
             acc += r * rests[kept][size - 1]
-    return Fraction(acc, prod(dens))
+    return acc
 
 
 def double_residue_split_kernel(a_series, b_series):
@@ -755,83 +738,53 @@ def _split_packed(qs, slot):
     return _packed_row(qs[0], slot) * _split_packed(qs[1:], slot) if qs else 1
 
 
-def _split_sums(qs):
-    """The entries of _split_packed(qs), at a slot wider than sum q and at
-    least the 21 bits of the appendixA suite, whose cache it shares."""
-    slot = max(sum(qs), 20) + 1
-    packed = _split_packed(qs, slot)
-    return tuple(packed >> slot * b & (1 << slot) - 1 for b in range(sum(qs) + 1))
-
-
 def vandermonde_failures(bound):
-    """The failure text of vandermonde_check(b, qs) for each failing b <= bound
-    and tuple qs of length <= 4 over 0..5, first entry fastest: slots 0..bound
-    of each left side (21 bits hold totals to 20) meet comb(sum qs, b) at once."""
+    """The failure text of each failing b <= bound and tuple qs of length
+    <= 4 over 0..5, first entry fastest: slots 0..bound of each left side
+    (21 bits hold totals to 20) meet comb(sum qs, b) at once, and a tuple
+    that differs names each b whose slot differs."""
     slot = 4 * 5 + 1
     mask = (1 << slot * (bound + 1)) - 1
     rows = [sum(comb(total, b) << slot * b for b in range(bound + 1)) for total in range(21)]
     for qs in (r[::-1] for length in range(5) for r in product(range(6), repeat=length)):
-        if _split_packed(qs, slot) & mask != rows[sum(qs)]:
-            yield from filter(None, (vandermonde_check(b, qs) for b in range(bound + 1)))
+        packed = _split_packed(qs, slot)
+        if packed & mask != rows[sum(qs)]:
+            for b in range(bound + 1):
+                lhs, rhs = packed >> slot * b & (1 << slot) - 1, comb(sum(qs), b)
+                if lhs != rhs:
+                    yield _case_failure("binomial-vandermonde", {"b": b, "qs": qs}, lhs, rhs)
 
 
 def reciprocal_failures(bound):
-    """The failure text of reciprocal_sum_check(q, a) for each failing
-    q <= bound and 1 <= a <= bound, in integers over a (a + 1) ... (a + q)."""
+    """The failure text of each failing q <= bound and 1 <= a <= bound of
+    sum_b (-1)^b C(q, b) / (a + b) = (a - 1)! q! / (a + q)!, in integers
+    over a (a + 1) ... (a + q)."""
     for q, a in product(range(bound + 1), range(1, bound + 1)):
         den = perm(a + q, q + 1)
         lhs = sum((-1) ** b * comb(q, b) * (den // (a + b)) for b in range(q + 1))
         if lhs * factorial(a + q) != factorial(a - 1) * factorial(q) * den:
-            yield reciprocal_sum_check(q, a)
+            rhs = Fraction(factorial(a - 1) * factorial(q), factorial(a + q))
+            params = {"q": q, "a": a}
+            yield _case_failure("alternating-reciprocal-sum", params, Fraction(lhs, den), rhs)
 
 
 def rising_failures(bound):
-    """The failure text of rising_product_check(q, a, s) for each failing q, a,
-    s <= bound: the signed row C(q, b) dotted with the rising products of (a, s)."""
+    """The failure text of each failing q, a, s <= bound of
+    sum_b (-1)^b C(q, b) prod_{a-s<r<=a} (r + b) = (-1)^q s! C(a, s - q):
+    the signed row C(q, b) dotted with the rising products of (a, s)."""
     top = range(bound + 1)
     signed = [[(-1) ** b * comb(q, b) for b in range(q + 1)] for q in top]
     pairs = product(top, repeat=2)
     rungs = {(a, s): [prod(range(a - s + 1 + b, a + 1 + b)) for b in top] for a, s in pairs}
     for q, a, s in product(top, repeat=3):
+        lhs = sum(map(mul, signed[q], rungs[a, s]))
         rhs = (-1) ** q * factorial(s) * (comb(a, s - q) if s >= q else 0)
-        if sum(map(mul, signed[q], rungs[a, s])) != rhs:
-            yield rising_product_check(q, a, s)
+        if lhs != rhs:
+            params = {"q": q, "a": a, "s": s}
+            yield _case_failure("alternating-rising-product", params, Fraction(lhs), Fraction(rhs))
 
 
 def _case_failure(identity, parameters, lhs, rhs):
-    """The text the appendixA suite prints for a failing case, else None."""
-    if lhs == rhs:
-        return None
+    """The text the appendixA suite prints for a failing case."""
     params = " ".join(f"{k}={v}" for k, v in parameters.items())
     return f"{identity} [{params}]: FAIL at value: {lhs!r} != {rhs!r}"
-
-
-def vandermonde_check(b, qs):
-    """Sums of binomial products over split choices match one big binomial."""
-    qs = tuple(qs)
-    if b < 0 or min(qs, default=0) < 0:
-        raise ValueError("b and every q_i must be nonnegative")
-    sums = _split_sums(qs)
-    lhs = sums[b] if b < len(sums) else 0
-    rhs = comb(sum(qs), b)
-    return _case_failure("binomial-vandermonde", {"b": b, "qs": qs}, lhs, rhs)
-
-
-def reciprocal_sum_check(q, a):
-    """Alternating binomial sum against reciprocals collapses to a beta value."""
-    if q < 0 or a < 1:
-        raise ValueError("q must be nonnegative and a >= 1")
-    lhs = sum(Fraction((-1) ** b * comb(q, b), a + b) for b in range(q + 1))
-    rhs = Fraction(factorial(a - 1) * factorial(q), factorial(a + q))
-    return _case_failure("alternating-reciprocal-sum", {"q": q, "a": a}, lhs, rhs)
-
-
-def rising_product_check(q, a, s):
-    """Alternating binomial sum against shifted rising products."""
-    if min(q, a, s) < 0:
-        raise ValueError("q, a and s must be nonnegative")
-    # term b: (-1)^b C(q, b) prod_{a-s<r<=a} (r + b), all in integers
-    lhs = sum((-1) ** b * comb(q, b) * prod(range(a - s + 1 + b, a + 1 + b)) for b in range(q + 1))
-    rhs = (-1) ** q * factorial(s) * (comb(a, s - q) if s >= q else 0)
-    params = {"q": q, "a": a, "s": s}
-    return _case_failure("alternating-rising-product", params, Fraction(lhs), Fraction(rhs))

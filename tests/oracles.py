@@ -110,6 +110,45 @@ def split_sums_by_rows(qs):
     return tuple(out)
 
 
+def case_failure(identity, parameters, lhs, rhs):
+    """The text the appendixA suite prints for a failing case, else None."""
+    if lhs == rhs:
+        return None
+    params = " ".join(f"{k}={v}" for k, v in parameters.items())
+    return f"{identity} [{params}]: FAIL at value: {lhs!r} != {rhs!r}"
+
+
+def vandermonde_check(b, qs):
+    """One appendixA case: the split sums of qs at b against C(sum qs, b)."""
+    qs = tuple(qs)
+    if b < 0 or min(qs, default=0) < 0:
+        raise ValueError("b and every q_i must be nonnegative")
+    sums = split_sums_by_rows(qs)
+    lhs = sums[b] if b < len(sums) else 0
+    return case_failure("binomial-vandermonde", {"b": b, "qs": qs}, lhs, comb(sum(qs), b))
+
+
+def reciprocal_sum_check(q, a):
+    """One appendixA case: sum_b (-1)^b C(q, b) / (a + b) in Fractions
+    against the beta value (a - 1)! q! / (a + q)!."""
+    if q < 0 or a < 1:
+        raise ValueError("q must be nonnegative and a >= 1")
+    lhs = sum(Fr((-1) ** b * comb(q, b), a + b) for b in range(q + 1))
+    rhs = Fr(factorial(a - 1) * factorial(q), factorial(a + q))
+    return case_failure("alternating-reciprocal-sum", {"q": q, "a": a}, lhs, rhs)
+
+
+def rising_product_check(q, a, s):
+    """One appendixA case: sum_b (-1)^b C(q, b) prod_{a-s<r<=a} (r + b)
+    against (-1)^q s! C(a, s - q)."""
+    if min(q, a, s) < 0:
+        raise ValueError("q, a and s must be nonnegative")
+    lhs = sum((-1) ** b * comb(q, b) * prod(range(a - s + 1 + b, a + 1 + b)) for b in range(q + 1))
+    rhs = (-1) ** q * factorial(s) * (comb(a, s - q) if s >= q else 0)
+    params = {"q": q, "a": a, "s": s}
+    return case_failure("alternating-rising-product", params, Fr(lhs), Fr(rhs))
+
+
 def wlog(f):
     """Bigraded log of f[j][d] (coefficient of w^j q^d; f[0][0] = 1) by the
     power sum log f0 + sum_m (-1)^(m+1) rest^m / m, rest = (f - f0)/f0,
@@ -175,11 +214,13 @@ def quintic_tables(order):
     for d in range(d_max + 1):
         for j in range(t_max + 1):
             h[d][j] = Fr(5, 2) * (bmul(j1, j2)[d][j] - j3[d][j]) - Fr(5, 6) * t3[d][j]
-    assert all(h[d][j] == 0 for d in range(d_max + 1) for j in range(1, t_max + 1))
+    if any(h[d][j] != 0 for d in range(d_max + 1) for j in range(1, t_max + 1)):
+        raise AssertionError("the genus-0 combination depends on t")
     hq = [h[d][0] for d in range(d_max + 1)]
 
     shift = [j1[d][0] for d in range(d_max + 1)]
-    assert j1[0][1] == 1 and shift[0] == 0
+    if j1[0][1] != 1 or shift[0] != 0:
+        raise AssertionError("J_1 does not start t + O(q)")
     big_q = [Fr(0)] + qexp(shift)[:d_max]
 
     def extract(series):

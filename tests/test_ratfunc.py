@@ -148,24 +148,36 @@ def test_laurent_window_matches_fraction_route(pair, extra, high):
     assert all(type(c) is Fr for c in win.coeffs)
 
 
-@st.composite
-def simple_pole_factors(draw):
-    """Functions with at most a simple pole at 0 and poles elsewhere."""
-    num, den = draw(pairs())
-    zero_pole = draw(st.booleans())
-    return num, oracles.poly_mul(den, (Fr(0), Fr(1)) if zero_pole else (Fr(1),))
+def h_times(g):
+    """h g of an oracle function as an integer list, or None when it is not
+    a polynomial with integer coefficients."""
+    hg = g * oracles.RatFunc.variable()
+    if hg.den != (1,) or any(c.denominator != 1 for c in hg.num):
+        return None
+    return [int(c) for c in hg.num]
+
+
+def stripped(row):
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+# a factor of the product check as the integer list h f, which is the
+# function h f / h
+factor_rows = st.lists(st.integers(-7, 7), min_size=1, max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(simple_pole_factors(), max_size=5))
+@given(st.lists(factor_rows, max_size=5))
 @example([])
-@example([ZERO, CONSTANT])
-def test_product_subset_sum_matches_fraction_loop(factor_pairs):
-    fs, gs = zip(*map(both, factor_pairs)) if factor_pairs else ((), ())
-    if any(f.pole_order_at_zero() > 1 for f in fs):
-        return  # the cancelling factors can leave a double pole at 0
-    got = product_subset_sum(fs)
-    assert got == oracles.product_residue_subsets(gs) and type(got) is Fr
+@example([[0], [0, 1]])
+@example([[0], [-7, 3, 0]])
+def test_product_subset_sum_matches_fraction_loop(rows):
+    gs = [oracles.RatFunc(tuple(map(Fr, row)), (Fr(0), Fr(1))) for row in rows]
+    got = product_subset_sum(rows)
+    assert got == oracles.product_residue_subsets(gs) and type(got) is int
 
 
 def test_residue_trials_match_the_fraction_generators():
@@ -174,9 +186,20 @@ def test_residue_trials_match_the_fraction_generators():
         (f, poles), (g, want) = cli._random_ratfunc(new), oracles.random_ratfunc(old)
         assert same(f, g) and poles == want
     for _ in range(cli.RESIDUE_SAMPLES):
-        fs, gs = cli._random_factors(new), oracles.random_factors(old)
-        assert len(fs) == len(gs) and all(same(f, g) for f, g in zip(fs, gs))
+        rows, gs = cli._random_factors(new), oracles.random_factors(old)
+        assert [stripped(row) for row in rows] == [h_times(g) for g in gs]
     assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 424242])
+def test_product_rows_are_h_times_the_fraction_draws(seed):
+    # each row is h f of the function the Fraction generator draws, from the
+    # same draws: the rng ends in the same state after every trial
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(cli.RESIDUE_SAMPLES):
+        rows, gs = cli._random_factors(new), oracles.random_factors(old)
+        assert [stripped(row) for row in rows] == [h_times(g) for g in gs]
+        assert new.getstate() == old.getstate()
 
 
 @pytest.mark.parametrize(
@@ -223,10 +246,12 @@ def test_residue_suite_tries_no_failing_division_and_no_recurrence(monkeypatch):
     monkeypatch.setattr(polys, "_recurrence", recurrence)
     assert all(rep.passed for rep in cli._suite_residues(5, 6))
     assert failed == [] and recurrences == []
-    assert len(divisions) == 112  # 56 factors divided out, from both sides
+    # 12 poles of the sum trials' draws divided out, from both sides; the
+    # product trials build integer rows and divide nothing
+    assert len(divisions) == 24
 
 
-def test_product_check_reduces_once_and_residues_divide_nothing(monkeypatch):
+def test_product_check_reduces_nothing_and_residues_divide_nothing(monkeypatch):
     def counted(owner, name):
         calls, real = [], getattr(owner, name)
 
@@ -237,16 +262,16 @@ def test_product_check_reduces_once_and_residues_divide_nothing(monkeypatch):
         monkeypatch.setattr(owner, name, patched)
         return calls
 
-    fs = [RatFunc([1 + i, 2, i], [0, 1]) for i in range(5)]
+    rows = [[1 + i, 2, i] for i in range(5)]  # (1 + i)/h + 2 + i h
     pole = RatFunc([1, 1, 1], [-1, 6, -12, 8])  # (1 + h + h^2) / (2 h - 1)^3
     reduced, divided = counted(residues, "_lowest_terms"), counted(polys, "_div_exact")
-    cancelled = counted(polys, "_cancel_factors")
-    # the product of the five factors is reduced once, by h alone, with no gcd
-    assert residue_of_product_check(fs) is None
-    assert reduced == []
-    assert [factors for _, _, factors in cancelled] == [[(0, 1)]]
+    cancelled, heads = counted(polys, "_cancel_factors"), counted(polys, "_quotient_head")
+    residues_at, built = counted(residues, "residue_at"), counted(RatFunc, "_of")
+    # the product of the five factors is one integer product of their rows:
+    # nothing is reduced, and no residue or quotient is taken
+    assert residue_of_product_check(rows) is None
+    assert reduced == cancelled == heads == residues_at == built == []
     # the pole order 3 is read off one Taylor shift: no division is tried
-    divided.clear()
     assert residue_at(pole, Fr(1, 2)) == Fr(1, 8)
     assert divided == []
 

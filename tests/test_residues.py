@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as Fr
 from functools import cached_property
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, perm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypergw import cli, hyper, residues
 from hypergw import polys as P
-from hypergw.errors import NonzeroConstant, PoleTooHigh, RoutesDisagree, WindowTooSmall
+from hypergw.errors import NonzeroConstant, RoutesDisagree, WindowTooSmall
 from hypergw.residues import (
     RatFunc,
     USeriesRF,
@@ -22,13 +22,11 @@ from hypergw.residues import (
     moment_closed_form_check,
     moment_identity_check,
     moment_regularized_check,
-    reciprocal_sum_check,
+    product_subset_sum,
     regularize,
     residue_at,
     residue_at_infinity,
     residue_of_product_check,
-    rising_product_check,
-    vandermonde_check,
 )
 from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
 from hypergw.invariants import bridge_series
@@ -272,44 +270,30 @@ def test_moment_closed_form():
 
 
 def test_single_function_case():
-    f = rf([3, 1, 2], [0, 1])  # 3/h + 1 + 2h
-    assert residue_of_product_check([f]) is None
-    assert residue_at(f, 0) == 3
+    f = rf([3, 1, 2], [0, 1])  # 3/h + 1 + 2h, the row h f = 3 + h + 2h^2
+    assert residue_of_product_check([[3, 1, 2]]) is None
+    assert residue_at(f, 0) == product_subset_sum([[3, 1, 2]]) == 3
 
 
 def test_two_function_case_explicit():
-    r1, a1, b1 = Fr(2), Fr(5), Fr(-1)
-    r2, a2, b2 = Fr(-3), Fr(7), Fr(4)
+    r1, a1, b1 = 2, 5, -1
+    r2, a2, b2 = -3, 7, 4
     f1 = rf([r1, a1, b1], [0, 1])
     f2 = rf([r2, a2, b2], [0, 1])
-    assert residue_at(f1 * f2, 0) == r1 * a2 + r2 * a1
-    assert residue_of_product_check([f1, f2]) is None
+    rows = [[r1, a1, b1], [r2, a2, b2]]
+    assert residue_at(f1 * f2, 0) == product_subset_sum(rows) == r1 * a2 + r2 * a1
+    assert residue_of_product_check(rows) is None
 
 
 def test_empty_product():
     assert residue_of_product_check([]) is None
-
-
-def test_double_pole_rejected():
-    with pytest.raises(PoleTooHigh):
-        residue_of_product_check([rf([1], [0, 0, 1])])
-
-
-def test_pole_away_from_zero_rejected():
-    # the product is reduced by h alone, so a factor must be a Laurent polynomial
-    with pytest.raises(PoleTooHigh, match="function 1 has a pole away from 0 "):
-        residue_of_product_check([rf([3, 1], [0, 1]), rf([2, 5, -1], [0, -1, 1])])
+    assert product_subset_sum([]) == 0
 
 
 def test_random_products():
     rng = random.Random(424242)
     for _ in range(200):
-        fs = []
-        for _ in range(rng.randint(0, 5)):
-            num = tuple(Fr(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3)))
-            den = (Fr(0), Fr(1)) if rng.random() < 0.7 else (Fr(1),)
-            fs.append(RatFunc(num, den) + Fr(rng.randint(-3, 3)))
-        assert residue_of_product_check(fs) is None
+        assert residue_of_product_check(cli._random_factors(rng)) is None
 
 
 # -- double residue ----------------------------------------------------------------
@@ -750,16 +734,19 @@ def ref_product_residue_expansion(fs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(windowed_ratfuncs(1, elsewhere=0), max_size=5))
+@given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4), max_size=5))
 @example([])
-@example([rf([3, 1, 2], [0, 1])])
-@example([rf([2, 5, -1], [0, -1]), rf([-3, 7], [0, 2])])
-def test_product_residue_matches_ratfunc_subsets(fs):
-    # the check passes exactly when its window subset sum equals the residue
-    # of the global product; the RatFunc subset sum must equal it too
-    text = residue_of_product_check(fs)
+@example([[3, 1, 2]])
+@example([[-2, -5, 1], [-3, 7]])
+def test_product_residue_matches_ratfunc_subsets(rows):
+    # the check passes exactly when its subset sum equals the residue of the
+    # full row product; the RatFunc subset sum over the functions row / h
+    # must equal both
+    text = residue_of_product_check(rows)
     assert text is None, text
+    fs = [rf(row, [0, 1]) for row in rows]
     assert ref_product_residue_expansion(fs) == residue_at(prod(fs, start=ONE), 0)
+    assert residue_at(prod(fs, start=ONE), 0) == product_subset_sum(rows)
 
 
 # -- combinatorial identities -------------------------------------------------------
@@ -772,10 +759,12 @@ def test_product_residue_matches_ratfunc_subsets(fs):
 def test_vandermonde_left_side_matches_split_enumeration(qs):
     # totals reach 35, so the packed slot grows past the suite's 21 bits
     top = sum(qs) + 2
-    expect = [oracles.split_sum(qs, b) for b in range(top + 1)]
-    assert list(residues._split_sums(tuple(qs))) + [0, 0] == expect
-    assert residues._split_sums(tuple(qs)) == oracles.split_sums_by_rows(qs)
-    assert all(vandermonde_check(b, qs) is None for b in range(top + 1))
+    slot = max(sum(qs), 20) + 1
+    packed = residues._split_packed(tuple(qs), slot)
+    sums = [packed >> slot * b & (1 << slot) - 1 for b in range(top + 1)]
+    assert sums == [oracles.split_sum(qs, b) for b in range(top + 1)]
+    assert tuple(sums[:-2]) == oracles.split_sums_by_rows(qs)
+    assert all(oracles.vandermonde_check(b, qs) is None for b in range(top + 1))
 
 
 def bumped_slot_1(monkeypatch, tuples):
@@ -808,13 +797,14 @@ def test_appendix_a_reports_the_first_failure(monkeypatch):
 
 
 def per_case(bound):
-    """The three appendixA families as one check per case, in suite order."""
+    """The three appendixA families as one oracle check per case, in suite
+    order."""
     top = range(bound + 1)
     tuples = [r[::-1] for length in range(5) for r in product(range(6), repeat=length)]
     return (
-        (vandermonde_check(b, qs) for qs in tuples for b in top),
-        (reciprocal_sum_check(q, a) for q in top for a in range(1, bound + 1)),
-        (rising_product_check(q, a, s) for q in top for a in top for s in top),
+        (oracles.vandermonde_check(b, qs) for qs in tuples for b in top),
+        (oracles.reciprocal_sum_check(q, a) for q in top for a in range(1, bound + 1)),
+        (oracles.rising_product_check(q, a, s) for q in top for a in top for s in top),
     )
 
 
@@ -833,9 +823,13 @@ def test_appendix_a_families_yield_nothing_on_a_pass(bound):
 @pytest.mark.parametrize("bound", range(1, 9))
 def test_appendix_a_families_fail_first_where_each_case_does(monkeypatch, name, when, bound):
     # every product moved by 1, or every factorial from 7! up, as the
-    # rising and reciprocal entries of the perturbation table do
-    real = getattr(residues, name)
-    monkeypatch.setattr(residues, name, lambda arg: real(arg) + (1 if when(arg) else 0))
+    # rising and reciprocal entries of the perturbation table do, in the
+    # families and in the oracle's checks alike
+    for module in (residues, oracles):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda arg, real=real: real(arg) + (1 if when(arg) else 0)
+        )
     firsts = [first_failure(family(bound)) for family in FAMILIES]
     assert firsts == [first_failure(cases) for cases in per_case(bound)]
     # a factorial reaches 7! once a + q can reach 7
@@ -844,26 +838,39 @@ def test_appendix_a_families_fail_first_where_each_case_does(monkeypatch, name, 
 
 @pytest.mark.parametrize("order", [6, 8])
 def test_appendix_a_builds_no_fraction_and_checks_no_case_on_a_pass(monkeypatch, order):
-    # 1,064 Fractions at order 6 and 2,250 at order 8 with a check per case
-    for check in ("vandermonde_check", "reciprocal_sum_check", "rising_product_check"):
-        monkeypatch.setattr(residues, check, lambda *args, check=check: pytest.fail(check))
+    # 1,064 Fractions at order 6 and 2,250 at order 8 with a check per case;
+    # a failure text is built only for a case its family's decision failed
+    monkeypatch.setattr(residues, "_case_failure", lambda *args: pytest.fail(str(args)))
     assert _count_fractions(lambda: cli._suite_appendix_a(order)) == 0
+
+
+def test_appendix_a_prints_the_case_its_decision_failed(monkeypatch):
+    # only the reciprocal family reads perm: its common denominator
+    # a (a + 1) ... (a + q) moved by 1.  The text is built from the integers
+    # the decision compared, so no second route can clear the case.
+    monkeypatch.setattr(residues, "perm", lambda n, k: perm(n, k) + 1)
+    vandermonde, reciprocal, rising = cli._suite_appendix_a(6)
+    assert vandermonde.passed and rising.passed
+    assert reciprocal.first_failure == (
+        "alternating-reciprocal-sum [q=0 a=2]: FAIL at value: Fraction(1, 3) != Fraction(1, 2)"
+    )
 
 
 @pytest.mark.parametrize(
     "check, args, named",
     [
-        (vandermonde_check, (1, [-1]), "q_i"),
-        (vandermonde_check, (0, [-2, 3]), "q_i"),
-        (vandermonde_check, (-1, [2]), "b"),
-        (reciprocal_sum_check, (-1, 2), "q"),
-        (reciprocal_sum_check, (2, 0), "a"),
-        (rising_product_check, (-1, 2, 2), "q"),
-        (rising_product_check, (2, -1, 2), "a"),
-        (rising_product_check, (2, 2, -1), "s"),
+        (oracles.vandermonde_check, (1, [-1]), "q_i"),
+        (oracles.vandermonde_check, (0, [-2, 3]), "q_i"),
+        (oracles.vandermonde_check, (-1, [2]), "b"),
+        (oracles.reciprocal_sum_check, (-1, 2), "q"),
+        (oracles.reciprocal_sum_check, (2, 0), "a"),
+        (oracles.rising_product_check, (-1, 2, 2), "q"),
+        (oracles.rising_product_check, (2, -1, 2), "a"),
+        (oracles.rising_product_check, (2, 2, -1), "s"),
     ],
 )
 def test_appendix_a_checks_refuse_negative_arguments(check, args, named):
+    # the per-case reference checks refuse a case outside the families' domain
     with pytest.raises(ValueError, match=rf"\b{named}\b"):
         check(*args)
 
@@ -877,29 +884,29 @@ def test_residue_suite_names_its_first_failing_trial(monkeypatch):
 
 
 def test_vandermonde_examples():
-    assert vandermonde_check(3, [2, 2]) is None
-    assert vandermonde_check(0, []) is None
-    assert vandermonde_check(5, [1, 2, 3]) is None
+    assert oracles.vandermonde_check(3, [2, 2]) is None
+    assert oracles.vandermonde_check(0, []) is None
+    assert oracles.vandermonde_check(5, [1, 2, 3]) is None
 
 
 def test_reciprocal_sum_examples():
-    assert reciprocal_sum_check(0, 5) is None  # both sides 1/5
-    assert reciprocal_sum_check(1, 1) is None  # both sides 1/2
+    assert oracles.reciprocal_sum_check(0, 5) is None  # both sides 1/5
+    assert oracles.reciprocal_sum_check(1, 1) is None  # both sides 1/2
 
 
 def test_rising_product_example():
     # q=1, a=2, s=1: terms 2 and -3 sum to -1; closed form -1 * C(2, 0)
-    assert rising_product_check(1, 2, 1) is None
+    assert oracles.rising_product_check(1, 2, 1) is None
 
 
 def test_combinatorial_spot_ranges():
     for q in range(5):
         for a in range(1, 5):
-            assert reciprocal_sum_check(q, a) is None
+            assert oracles.reciprocal_sum_check(q, a) is None
     for q in range(4):
         for a in range(4):
             for s in range(4):
-                assert rising_product_check(q, a, s) is None
+                assert oracles.rising_product_check(q, a, s) is None
 
 
 # -- Laurent window arithmetic -------------------------------------------------------
