@@ -7,8 +7,11 @@ rows 0..n + 2), seed a tower of t-polynomials whose diagonal entries are
 unit q-series; the tower yields the mirror map, the regularizing exponent
 mu, the h-regular kernel Q obtained by stripping exp(mu/h), and the
 ladder series built by repeated first-order descent operators.  The
-checker functions turn the structural statements about these objects
-into exact pass/fail reports.
+ladder is read only through exp(-mu/h), so its rungs are descended
+there: Q is the one window product per spec, and each higher rung comes
+from the one below by the Leibniz rule for theta = h q d/dq
+(_descended_regular).  The checker functions turn the structural
+statements about these objects into exact pass/fail reports.
 
 The kernel at w = 1/h is kept factored, h^-d rnum_d / V_d, and no RatFunc
 is built here: its window series at h = 0 (USeriesRF) carries the residue
@@ -140,9 +143,9 @@ def kernel_inv_hbar(spec):
 
 def _narrow_kernel(spec):
     """kernel_inv_hbar at width D + 1.  The largest entry read is D + 1 of
-    row D, by the slope (taylor_coeff(1)) in regular_kernel_checks and
-    through ladder_series by ladder_residue at order 1; exponent_by_residue
-    reads entry k - 1 of row k."""
+    row D, through the descended rungs by the slope (taylor_coeff(1)) in
+    regular_kernel_checks and by ladder_residue at order 1;
+    exponent_by_residue reads entry k - 1 of row k."""
     return kernel_inv_hbar(spec).narrow(spec.qorder + 1)
 
 
@@ -241,7 +244,7 @@ def exponent_by_residue(spec):
 @lru_cache(maxsize=None)
 def _exp_minus_mu(spec):
     """exp(-mu/h) as a window u-series, built once per spec for
-    regular_kernel, regular_kernel_checks and every _descended_regular."""
+    regular_kernel and the descended rung 0."""
     return exp_over_hbar(-regularizing_exponent(spec))
 
 
@@ -326,28 +329,38 @@ def dw_kernel_coeffs(n, upto):
 
 
 @lru_cache(maxsize=None)
-def ladder_series(spec, p):
-    """Series obtained from the normalized kernel at w = 1/h by p descent
-    steps (1/diagonal) * (1 + h d/dt), at rows u^0..u^D and width D + 1.
-    Through _descended_regular, ladder_residue at orders 0 and 1 reads
-    entries k and k + 1 of row k, so entry D + 1 of row D; the boundary
-    residue at the origin reads rung 0's log at entries <= D."""
-    if not 0 <= p <= spec.n - 1:
-        raise ValueError("need 0 <= p <= n-1")
-    if p == 0:
-        return _narrow_kernel(spec).mul_inv_qseries(diagonal_series(spec, 0))
-    prev = ladder_series(spec, p - 1)
-    return (prev + prev.h_euler()).mul_inv_qseries(diagonal_series(spec, p))
+def ladder_series(spec):
+    """Rung 0 of the ladder, the normalized kernel K(1/h) / I_0 at rows
+    u^0..u^D and width D + 1; the boundary residue at the origin reads its
+    log at entries <= D.  The rungs above it are read only through
+    exp(-mu/h), so they are descended there (_descended_regular)."""
+    return _narrow_kernel(spec).mul_qseries(1 / diagonal_series(spec, 0))
 
 
 @lru_cache(maxsize=None)
 def _descended_regular(spec, p):
-    """exp(-mu/h) times the p-th ladder series; holomorphic at h = 0."""
-    return _exp_minus_mu(spec) * ladder_series(spec, p)
+    """D_p = exp(-mu/h) L_p for the p-th ladder series
+    L_p = (1 + h d/dt) L_(p-1) / I_p, L_0 = K(1/h) / I_0; holomorphic at
+    h = 0, at rows u^0..u^D and width D + 1.
+
+    Rung 0 is the one window product, Q / I_0 with Q = exp(-mu/h) K(1/h).
+    Since theta = h q d/dq (h_euler) is a derivation with
+    theta exp(-mu/h) = -q mu' exp(-mu/h), the Leibniz rule gives
+        D_p = (1 + theta + q mu') D_(p-1) / I_p,
+    each step a shift, two products by h-free series and no window
+    product.  ladder_residue at orders 0 and 1 reads entries k and k + 1 of
+    row k, so entry D + 1 of row D, and theta keeps every entry exact."""
+    if p <= 0:  # p < 0 then raises ValueError in diagonal_series, as p >= n does
+        prev = _exp_minus_mu(spec) * _narrow_kernel(spec)
+    else:
+        prev = _descended_regular(spec, p - 1)
+        prev = prev.mul_qseries(regularizing_exponent(spec).derivative() + 1) + prev.h_euler()
+    return prev.mul_qseries(1 / diagonal_series(spec, p))
 
 
 def ladder_residue(spec, p, order):
-    """res_{h=0} h^{-1-order} exp(-mu/h) * ladder_p, as a q-series."""
+    """res_{h=0} h^{-1-order} exp(-mu/h) L_p, as a q-series, read off the
+    descended rung D_p."""
     return _descended_regular(spec, p).weighted_residues(-1 - order)
 
 
@@ -415,15 +428,16 @@ def exponent_methods_check(spec):
 
 def regular_kernel_checks(spec):
     """Regularity at h = 0 plus the closed forms of value and slope there,
-    read off row k = h^k Q_k of the window product exp(-mu/h) K(1/h): a
-    nonzero entry below k is a pole and raises; entries k, k + 1 are the
-    value and slope."""
+    read off row k of the descended rung 0, Q / I_0 with
+    Q = exp(-mu/h) K(1/h): a nonzero entry below k is a pole and raises;
+    entries k, k + 1 times I_0 are the value and slope.  I_0 is an h-free
+    unit, so the first singular row and its pole order are Q's."""
     d = spec.qorder
-    window = _exp_minus_mu(spec) * _narrow_kernel(spec)
+    window, diag = _descended_regular(spec, 0), diagonal_series(spec, 0)
     for k, row in enumerate(window.coeffs):
         if any(row.ints[:k]):
             raise RegularityViolation(k, k - next(i for i, c in enumerate(row.ints) if c))
-    value, slope = window.taylor_coeff(0), window.taylor_coeff(1)
+    value, slope = window.taylor_coeff(0) * diag, window.taylor_coeff(1) * diag
     parts = [
         ("regular-kernel-value", series_failure(value, kernel_value_at_zero(spec), d)),
         ("regular-kernel-slope", series_failure(slope, kernel_slope_at_zero(spec), d)),

@@ -390,7 +390,7 @@ def boundary_locus_by_residues(spec):
     n, d = spec.n, spec.qorder
     weight = _residue_weight(n)
     shift_neg = -hyper.mirror_shift(spec)  # t - T
-    log_y = (hyper.ladder_series(spec, 0) - 1).log_one_plus()
+    log_y = (hyper.ladder_series(spec) - 1).log_one_plus()
 
     # residue at 0, read off the windows: weight has a simple pole there, so
     # res{ weight c_k } = sum_{i<=k} [h^(i-1)] weight * [h^-i] c_k
@@ -522,4 +522,4 @@ def bridge_series(spec):
     exponent mu and its regular part evaluates at h = 0 to the kernel
     value over the w-constant diagonal.  It is the ladder series of rung 0
     at the full width 2D + 2 that regularize reads."""
-    return hyper.kernel_inv_hbar(spec).mul_inv_qseries(hyper.diagonal_series(spec, 0)) - 1
+    return hyper.kernel_inv_hbar(spec).mul_qseries(1 / hyper.diagonal_series(spec, 0)) - 1

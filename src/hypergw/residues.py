@@ -451,13 +451,13 @@ class USeriesRF:
 
     __rmul__ = __mul__
 
-    def mul_inv_qseries(self, g):
-        """Divide by a unit q-series (rational-scalar coefficients)."""
+    def mul_qseries(self, g):
+        """Multiply by an h-free q-series g: row m becomes
+        sum_i g_i h^i row_(m-i)."""
         # the h-free factor goes first: its rows are monomials, and a row
         # product skips the zero entries of its left factor
-        inv = QSeries.one(g.truncation) / g
-        zeros = [0] * (2 * inv.truncation + 2)
-        rows = (QSeries._of(zeros[:k] + [c] + zeros[k:], inv.den) for k, c in enumerate(inv.ints))
+        zeros = [0] * (2 * g.truncation + 2)
+        rows = (QSeries._of(zeros[:k] + [c] + zeros[k:], g.den) for k, c in enumerate(g.ints))
         return USeriesRF._of(rows) * self
 
     def h_euler(self):

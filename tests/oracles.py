@@ -2,8 +2,9 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  The argparse parser of the command line is kept at
-the end.
+package under test.  Two references are routes rather than arithmetic and
+run on the package's own objects: the product route of the descended
+ladder, and the argparse parser of the command line, kept at the end.
 """
 
 from fractions import Fraction as Fr
@@ -942,6 +943,29 @@ class QSeries:
         for k in range(d - 1, -1, -1):
             acc = acc * inner.truncate(d) + self.coeffs[k]
         return acc
+
+
+# -- the product route of the descended ladder -----------------------------------
+# These run on the package's window series: the reference is the route, one
+# window product per rung, not the arithmetic under it.
+
+
+def ladder_rungs(kernel, diagonals):
+    """The singular ladder rungs L_0..L_(n-1) of the kernel at w = 1/h, a
+    window u-series, and the diagonal q-series I_0..I_(n-1):
+    L_0 = K(1/h) / I_0 and L_p = (1 + h u d/du) L_(p-1) / I_p."""
+    rungs = [kernel.mul_qseries(1 / diagonals[0])]
+    for g in diagonals[1:]:
+        y = rungs[-1]
+        rungs.append((y + y.h_euler()).mul_qseries(1 / g))
+    return rungs
+
+
+def descended_by_products(back, kernel, diagonals):
+    """exp(-mu/h) L_p for every rung, as one window product per rung with
+    back = exp(-mu/h): the route hypergw.hyper._descended_regular replaces
+    by the Leibniz rule."""
+    return [back * y for y in ladder_rungs(kernel, diagonals)]
 
 
 # -- the command line ---------------------------------------------------------

@@ -165,6 +165,18 @@ def test_line_mirror_shift_is_log_free_energy():
     assert shift == QSeries([Fr(0)] + [Fr(1, d) for d in range(1, 6)])
 
 
+def test_mirror_map_and_i0_are_integral():
+    # exp(T - t), the mirror map Q / q, and I_0 have integer coefficients
+    # for every n, an oracle with no stored values; at n = 1 both are
+    # 1 / (1 - q)
+    for n in range(1, 9):
+        spec = HyperSpec(n, 40)
+        flat = mirror_shift(spec).exp()
+        assert flat.den == 1 and diagonal_series(spec, 0).den == 1
+        if n == 5:
+            assert flat.ints[:4] == (1, 770, 1014275, 1703916750)
+
+
 # -- regularizing exponent ---------------------------------------------------------
 
 
@@ -374,7 +386,7 @@ def test_weighted_product_follows_from_product_and_symmetry():
 
 
 def test_ladder_base_case():
-    y = ladder_series(HyperSpec(4, 3), 0)  # at width D + 1 = 4
+    y = ladder_series(HyperSpec(4, 3))  # at width D + 1 = 4
     assert y[0] == USeriesRF.one(3).narrow(4)[0]
 
 
@@ -408,23 +420,28 @@ def test_first_ladder_step_equals_mirror_route_operator():
     # derivative in place of the first diagonal
     for n in (3, 5):
         spec = HyperSpec(n, 5)
-        y = ladder_series(spec, 0)
+        y = ladder_series(spec)
         slope = QSeries.one(5) + mirror_shift(spec).derivative()  # dT/dt
-        alt = (y + y.h_euler()).mul_inv_qseries(slope)
-        assert alt == ladder_series(spec, 1)
+        alt = (y + y.h_euler()).mul_qseries(1 / slope)
+        assert alt == narrow_ladder(spec)[1]
+        assert hyper._exp_minus_mu(spec) * alt == hyper._descended_regular(spec, 1)
 
 
 # -- window width: the hyper stages at D + 1 against the full width 2D + 2 -----------------
 
 
+def diagonals(spec):
+    return [diagonal_series(spec, p) for p in range(spec.n)]
+
+
 def full_width_ladder(spec):
     """The ladder series p = 0..n-1 built on kernel_inv_hbar at its full width."""
-    y = kernel_inv_hbar(spec).mul_inv_qseries(diagonal_series(spec, 0))
-    out = [y]
-    for p in range(1, spec.n):
-        y = (y + y.h_euler()).mul_inv_qseries(diagonal_series(spec, p))
-        out.append(y)
-    return out
+    return oracles.ladder_rungs(kernel_inv_hbar(spec), diagonals(spec))
+
+
+def narrow_ladder(spec):
+    """The ladder series p = 0..n-1 at the width D + 1 of the hyper stages."""
+    return oracles.ladder_rungs(hyper._narrow_kernel(spec), diagonals(spec))
 
 
 def row_read(series, k, p):
@@ -438,10 +455,12 @@ def test_narrow_stages_match_full_width_reads(n):
     d = 6
     spec = HyperSpec(n, d)
     back = exp_over_hbar(-regularizing_exponent(spec))
-    wide = [back * y for y in full_width_ladder(spec)]
+    wide = oracles.descended_by_products(back, kernel_inv_hbar(spec), diagonals(spec))
+    assert ladder_series(spec).truncation == d
+    assert ladder_series(spec)[0].truncation == d + 1
     for p in range(n):
-        assert ladder_series(spec, p).truncation == d
-        assert ladder_series(spec, p)[0].truncation == d + 1
+        assert hyper._descended_regular(spec, p).truncation == d
+        assert hyper._descended_regular(spec, p)[0].truncation == d + 1
         for order in (0, 1):
             expect = QSeries([row_read(wide[p], k, order) for k in range(d + 1)])
             assert ladder_residue(spec, p, order) == expect
@@ -477,7 +496,7 @@ def test_narrow_stages_match_full_width_reads(n):
 
 def test_reading_past_the_width_raises():
     spec = HyperSpec(5, 6)
-    y = ladder_series(spec, 1)
+    y = narrow_ladder(spec)[1]
     wide = full_width_ladder(spec)[1]
     for k in range(7):
         top = 7 - k  # entry D + 1 of row k, the last one kept
@@ -492,6 +511,19 @@ def test_reading_past_the_width_raises():
     assert descended.weighted_residues(-2) == ladder_residue(spec, 1, 1)
     with pytest.raises(WindowTooSmall):
         descended.weighted_residues(-3)  # h^2 of the u^D coefficient
+
+
+DESCENT_POINTS = [(n, d) for n in range(2, 9) for d in range(1, 11)] + [(5, 20), (8, 16)]
+
+
+@pytest.mark.parametrize("n, d", DESCENT_POINTS)
+def test_leibniz_descent_matches_window_products(n, d):
+    # D_p = (1 + theta + q mu') D_(p-1) / I_p against exp(-mu/h) L_p, one
+    # window product per rung, at the stages' width D + 1
+    spec = HyperSpec(n, d)
+    back = exp_over_hbar(-regularizing_exponent(spec))
+    products = oracles.descended_by_products(back, hyper._narrow_kernel(spec), diagonals(spec))
+    assert [hyper._descended_regular(spec, p) for p in range(n)] == products
 
 
 # -- bigraded log -----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypergw import hyper, polys as P, residues
+from hypergw import hyper, invariants, polys as P, residues
 from hypergw.errors import DivByNonUnit
 from hypergw.hyper import HyperSpec
 from hypergw.residues import RatFunc, residue_at, residue_at_infinity
@@ -317,3 +317,26 @@ def test_exp_minus_mu_built_once_per_spec(monkeypatch, cold_stages):
     assert hyper.regular_kernel_checks(spec).passed
     assert hyper.ladder_identities(spec).passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_one_window_product_per_spec(monkeypatch, cold_stages, n):
+    # props32 and theorem3 share the one product exp(-mu/h) K(1/h); the
+    # rungs above it descend by the Leibniz rule, and only the boundary
+    # residue reads a ladder series, rung 0
+    spec = HyperSpec(n, 4)
+    back = hyper._exp_minus_mu(spec)
+    with_back, rungs = [], []
+    mul, ladder = residues.USeriesRF.__mul__, hyper.ladder_series
+
+    def counted(a, b):
+        with_back.append(a is back or b is back)
+        return mul(a, b)
+
+    monkeypatch.setattr(residues.USeriesRF, "__mul__", counted)
+    monkeypatch.setattr(hyper, "ladder_series", lambda *a: rungs.append(a) or ladder(*a))
+    assert hyper.regular_kernel_checks(spec).passed
+    assert hyper.ladder_identities(spec).passed
+    invariants.boundary_locus_by_residues(spec)
+    assert with_back.count(True) == 1
+    assert rungs == [(spec,)]
