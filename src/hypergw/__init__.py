@@ -15,6 +15,7 @@ from .errors import (
     HypergwError,
     MissingColumn,
     NonzeroConstant,
+    NotIntegral,
     NotRegularizable,
     NotTFree,
     PoleTooHigh,
@@ -39,6 +40,7 @@ __all__ = [
     "IdentityReport",
     "MissingColumn",
     "NonzeroConstant",
+    "NotIntegral",
     "NotRegularizable",
     "NotTFree",
     "PoleTooHigh",

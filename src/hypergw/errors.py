@@ -64,6 +64,10 @@ class RoutesDisagree(HypergwError):
     """
 
 
+class NotIntegral(HypergwError):
+    """A coefficient that must be an integer is a fraction."""
+
+
 class MissingColumn(HypergwError):
     """A table operation needs a column that has not been filled."""
 

@@ -7,20 +7,23 @@ rows 0..n + 2), seed a tower of t-polynomials whose diagonal entries are
 unit q-series; the tower yields the mirror map, the regularizing exponent
 mu, the h-regular kernel Q obtained by stripping exp(mu/h), and the
 ladder series built by repeated first-order descent operators.  The
-ladder is read only through exp(-mu/h), so its rungs are descended
-there: Q is the one window product per spec, and each higher rung comes
-from the one below by the Leibniz rule for theta = h q d/dq
-(_descended_regular).  The checker functions turn the structural
-statements about these objects into exact pass/fail reports.
+kernel at w = 1/h enters the stages as one normalized window per spec,
+K(1/h) / I_0 (ladder_series), and one log of it (ladder_log) serves both
+residue routes: log I_0 is h-free, so the h^-1 entries that give mu are
+those of log K(1/h).  The ladder is read only through exp(-mu/h), so its
+rungs are descended there: rung 0 is the one window product per spec, and
+each higher rung comes from the one below by the Leibniz rule for
+theta = h q d/dq (_descended_regular).  The checker functions turn the
+structural statements about these objects into exact pass/fail reports.
 
 The kernel at w = 1/h is kept factored, h^-d rnum_d / V_d, and no RatFunc
 is built here: its window series at h = 0 (USeriesRF) carries the residue
 exponent, the ladder and the regular-kernel checks, regular_kernel forms
 Q as N_d / (h^d V_d) over the known denominator for the dump only, reduced
 by the known irreducible factors of V_d with no gcd, and the boundary
-residue reads its value at h = -n.  The window series has
-the width 2D + 2 that regularize reads; no stage here reads past entry
-D + 1 of a row, so each runs it at D + 1.
+residue reads its value at h = -n.  The window series has the width
+2D + 2 that regularize reads; no stage here reads past entry D + 1 of a
+row, so ladder_series narrows it to D + 1.
 """
 
 from fractions import Fraction
@@ -135,18 +138,10 @@ def kernel_inv_hbar(spec):
 
     Built at rows u^0..u^D and width 2D + 2: bridge_series reads it whole
     for regularize, whose moment closed form reads entry 2D + 2; the stages
-    here read it through _narrow_kernel."""
+    here read it only through ladder_series, at width D + 1."""
     return USeriesRF.from_quotients(
         [(-d, rnum, den) for d, (rnum, den) in enumerate(_inv_hbar_parts(spec))]
     )
-
-
-def _narrow_kernel(spec):
-    """kernel_inv_hbar at width D + 1.  The largest entry read is D + 1 of
-    row D, through the descended rungs by the slope (taylor_coeff(1)) in
-    regular_kernel_checks and by ladder_residue at order 1;
-    exponent_by_residue reads entry k - 1 of row k."""
-    return kernel_inv_hbar(spec).narrow(spec.qorder + 1)
 
 
 def kernel_value_at(spec, a):
@@ -236,9 +231,10 @@ def regularizing_exponent(spec):
 
 
 def exponent_by_residue(spec):
-    """mu as res_{h=0} log of the kernel at w = 1/h (its window series at the
-    ladder's width); exponent_methods_check alone reads it, uncached."""
-    return (_narrow_kernel(spec) - 1).log_one_plus().weighted_residues(0)
+    """mu as res_{h=0} log K(1/h): entry k - 1 of row k of ladder_log, which
+    the h-free log I_0 (entry k) never reaches; exponent_methods_check
+    alone reads it, uncached."""
+    return ladder_log(spec).weighted_residues(0)
 
 
 @lru_cache(maxsize=None)
@@ -330,31 +326,41 @@ def dw_kernel_coeffs(n, upto):
 
 @lru_cache(maxsize=None)
 def ladder_series(spec):
-    """Rung 0 of the ladder, the normalized kernel K(1/h) / I_0 at rows
-    u^0..u^D and width D + 1; the boundary residue at the origin reads its
-    log at entries <= D.  The rungs above it are read only through
-    exp(-mu/h), so they are descended there (_descended_regular)."""
-    return _narrow_kernel(spec).mul_qseries(1 / diagonal_series(spec, 0))
+    """Rung 0 of the ladder, K(1/h) / I_0 at rows u^0..u^D: the one
+    normalized window per spec and the only reader of kernel_inv_hbar here.
+    Its width D + 1 is the largest entry read, at row D of the descended
+    rungs, by the slope in regular_kernel_checks and ladder_residue at
+    order 1."""
+    window = kernel_inv_hbar(spec).narrow(spec.qorder + 1)
+    return window.mul_qseries(1 / diagonal_series(spec, 0))
+
+
+@lru_cache(maxsize=None)
+def ladder_log(spec):
+    """log of the normalized window, read by exponent_by_residue at entry
+    k - 1 of row k and by the boundary residue at the origin at entries <= k."""
+    return (ladder_series(spec) - 1).log_one_plus()
 
 
 @lru_cache(maxsize=None)
 def _descended_regular(spec, p):
     """D_p = exp(-mu/h) L_p for the p-th ladder series
     L_p = (1 + h d/dt) L_(p-1) / I_p, L_0 = K(1/h) / I_0; holomorphic at
-    h = 0, at rows u^0..u^D and width D + 1.
+    h = 0, at rows u^0..u^D and width D + 1; 0 <= p <= n - 1.
 
-    Rung 0 is the one window product, Q / I_0 with Q = exp(-mu/h) K(1/h).
+    Rung 0 is the one window product, exp(-mu/h) times ladder_series.
     Since theta = h q d/dq (h_euler) is a derivation with
     theta exp(-mu/h) = -q mu' exp(-mu/h), the Leibniz rule gives
         D_p = (1 + theta + q mu') D_(p-1) / I_p,
     each step a shift, two products by h-free series and no window
     product.  ladder_residue at orders 0 and 1 reads entries k and k + 1 of
     row k, so entry D + 1 of row D, and theta keeps every entry exact."""
-    if p <= 0:  # p < 0 then raises ValueError in diagonal_series, as p >= n does
-        prev = _exp_minus_mu(spec) * _narrow_kernel(spec)
-    else:
-        prev = _descended_regular(spec, p - 1)
-        prev = prev.mul_qseries(regularizing_exponent(spec).derivative() + 1) + prev.h_euler()
+    if not 0 <= p < spec.n:
+        raise ValueError("need 0 <= p <= n-1")
+    if p == 0:
+        return _exp_minus_mu(spec) * ladder_series(spec)
+    prev = _descended_regular(spec, p - 1)
+    prev = prev.mul_qseries(regularizing_exponent(spec).derivative() + 1) + prev.h_euler()
     return prev.mul_qseries(1 / diagonal_series(spec, p))
 
 
@@ -428,15 +434,15 @@ def exponent_methods_check(spec):
 
 def regular_kernel_checks(spec):
     """Regularity at h = 0 plus the closed forms of value and slope there,
-    read off row k of the descended rung 0, Q / I_0 with
-    Q = exp(-mu/h) K(1/h): a nonzero entry below k is a pole and raises;
-    entries k, k + 1 times I_0 are the value and slope.  I_0 is an h-free
-    unit, so the first singular row and its pole order are Q's."""
+    read off the descended rung 0, Q / I_0 with Q = exp(-mu/h) K(1/h): a
+    pole raises; entries k, k + 1 of row k times I_0 are the value and
+    slope.  I_0 is an h-free unit, so the first singular row and its pole
+    order are Q's."""
     d = spec.qorder
     window, diag = _descended_regular(spec, 0), diagonal_series(spec, 0)
-    for k, row in enumerate(window.coeffs):
-        if any(row.ints[:k]):
-            raise RegularityViolation(k, k - next(i for i, c in enumerate(row.ints) if c))
+    pole = window.first_pole()
+    if pole:
+        raise RegularityViolation(*pole)
     value, slope = window.taylor_coeff(0) * diag, window.taylor_coeff(1) * diag
     parts = [
         ("regular-kernel-value", series_failure(value, kernel_value_at_zero(spec), d)),

@@ -18,7 +18,7 @@ from math import gcd as _int_gcd
 
 from . import hyper
 from . import polys as P
-from .errors import MissingColumn, RoutesDisagree
+from .errors import MissingColumn, NotIntegral, RoutesDisagree
 from .hyper import HyperSpec
 from .report import Record, merge_reports, merged_failure, series_failure
 from .residues import RatFunc, laurent_at_zero, residue_at
@@ -319,8 +319,14 @@ def instanton_inversion(big0, big1):
 
 def assemble_table(n, order):
     """Full invariant table for the CLI; all columns for n = 5, the
-    reduced genus-1 column otherwise."""
+    reduced genus-1 column otherwise.  The coefficients of exp of the mirror
+    shift, and at n = 5 the instanton numbers, must be integers: the first
+    fraction raises NotIntegral, naming its degree."""
     spec = HyperSpec(n, order)
+    e = hyper.mirror_shift(spec).exp()
+    if e.den != 1:  # canonical, so some coefficient is a fraction
+        d, c = next((d, c) for d, c in enumerate(e.ints) if c % e.den)
+        raise NotIntegral(f"exp(mirror shift) at degree {d}: {format_rational(c, e.den)}")
     reduced = extract_invariants(reduced_genus1_series(spec), spec)
     if n != 5:
         return GWTable(n, order, {"GW1_reduced": reduced})
@@ -333,6 +339,9 @@ def assemble_table(n, order):
         if a != b:
             raise RoutesDisagree(f"genus-1 routes disagree at degree {d}: {a} vs {b}")
     n0, n1 = instanton_inversion(big0, big1)
+    for d, pair in enumerate(zip(n0, n1), start=1):
+        if any(x.denominator != 1 for x in pair):
+            raise NotIntegral(f"instanton numbers at degree {d}: n0 = {pair[0]}, n1 = {pair[1]}")
     columns = {"N0": big0, "GW1_reduced": reduced, "N1": big1, "n0": n0, "n1": n1}
     return GWTable(n, order, columns, blocks)
 
@@ -390,7 +399,7 @@ def boundary_locus_by_residues(spec):
     n, d = spec.n, spec.qorder
     weight = _residue_weight(n)
     shift_neg = -hyper.mirror_shift(spec)  # t - T
-    log_y = (hyper.ladder_series(spec) - 1).log_one_plus()
+    log_y = hyper.ladder_log(spec)
 
     # residue at 0, read off the windows: weight has a simple pole there, so
     # res{ weight c_k } = sum_{i<=k} [h^(i-1)] weight * [h^-i] c_k

@@ -41,10 +41,6 @@ def norm(coeffs):
     return tuple(out)
 
 
-def degree(p):
-    return len(p) - 1
-
-
 def _exact(c):
     """c itself when it is an int or a Fraction.  Anything else, a float or
     a string say, raises TypeError: it would enter the exact arithmetic

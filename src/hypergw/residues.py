@@ -374,10 +374,6 @@ class USeriesRF:
         )
 
     @classmethod
-    def zero(cls, truncation):
-        return cls([], truncation)
-
-    @classmethod
     def one(cls, truncation):
         return cls([1], truncation)
 
@@ -400,10 +396,6 @@ class USeriesRF:
         if i > row.truncation:
             raise WindowTooSmall(f"h^{p} of u^{k} lies past the width {row.truncation}")
         return (row.ints[i] if i >= 0 else 0), row.den
-
-    def coeff(self, k, p):
-        """[u^k h^p] of the series."""
-        return Fraction(*self._entry(k, p))
 
     def __eq__(self, other):
         if not isinstance(other, USeriesRF):
@@ -483,8 +475,14 @@ class USeriesRF:
         """QSeries of [h^q] coeff_d over u-degrees."""
         return QSeries._ratios(*zip(*(self._entry(k, q) for k in range(len(self.coeffs)))))
 
-    def is_regular_at_zero(self):
-        return not any(any(row.ints[:k]) for k, row in enumerate(self.coeffs))
+    def first_pole(self):
+        """(k, m) for the first u^k coefficient with a pole at h = 0, m its
+        order, read off the nonzero entries of row k below index k; None
+        when every coefficient is holomorphic there."""
+        for k, row in enumerate(self.coeffs):
+            if any(row.ints[:k]):
+                return k, k - next(i for i, c in enumerate(row.ints) if c)
+        return None
 
 
 def exp_over_hbar(eta):
@@ -581,7 +579,7 @@ def regularize(z):
             acc = scaled[j - 1] - eta * acc
         eta = acc
     zbar = exp_over_hbar(-eta) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
-    regular = zbar.is_regular_at_zero()
+    regular = zbar.first_pole() is None
     # the logs are read only at entry k - 1 of row k, so width D covers them
     eta_log = z.narrow(d).log_one_plus().weighted_residues(0)
     if not regular:

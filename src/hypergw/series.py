@@ -416,10 +416,6 @@ class WSeries:
     def worder(self):
         return len(self.coeffs) - 1
 
-    @property
-    def truncation(self):
-        return self.coeffs[0].truncation
-
     def coeff(self, j):
         if not 0 <= j <= self.worder:
             raise TruncationMismatch(f"w^{j} outside stored range 0..{self.worder}")
@@ -431,7 +427,7 @@ class WSeries:
         return self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"WSeries(W={self.worder}, D={self.truncation})"
+        return f"WSeries(W={self.worder}, D={self.coeffs[0].truncation})"
 
     def log(self):
         """Bigraded logarithm; the (w^0, q^0) coefficient must be 1.

@@ -2,9 +2,10 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Two references are routes rather than arithmetic and
-run on the package's own objects: the product route of the descended
-ladder, and the argparse parser of the command line, kept at the end.
+package under test.  Three references are routes rather than arithmetic
+and run on the package's own objects, kept at the end: the product route
+of the descended ladder, the Yukawa route to the quintic's genus-0
+numbers, and the argparse parser of the command line.
 """
 
 from fractions import Fraction as Fr
@@ -966,6 +967,30 @@ def descended_by_products(back, kernel, diagonals):
     back = exp(-mu/h): the route hypergw.hyper._descended_regular replaces
     by the Leibniz rule."""
     return [back * y for y in ladder_rungs(kernel, diagonals)]
+
+
+# -- the Yukawa route to the quintic's genus-0 numbers ---------------------------
+# It runs on the package's series as well, and reads only I_0 and the mirror
+# shift, none of the J-polynomials J_2 and J_3 that quintic_genus0 combines.
+
+
+def quintic_yukawa_genus0(order):
+    """N_d for d = 1..order from the Yukawa coupling of the quintic,
+    Y = 5 / ((1 - 5^5 q) I_0^2 (1 + theta shift)^3) with theta = q d/dq,
+    which re-expanded in Q = q exp(shift) is 5 + sum_d d^3 N_d Q^d."""
+    from hypergw import hyper
+    from hypergw.hyper import HyperSpec
+    from hypergw.series import QSeries, change_exp_variable
+
+    spec = HyperSpec(5, order)
+    shift, i0 = hyper.mirror_shift(spec), hyper.diagonal_series(spec, 0)
+    one = QSeries.one(order)
+    slope = one + shift.derivative()
+    y = 5 / ((one - QSeries.monomial(1, order, 5**5)) * i0 * i0 * slope * slope * slope)
+    big_y = change_exp_variable(y, shift)
+    if big_y[0] != 5:
+        raise AssertionError("the Yukawa coupling does not start at 5")
+    return [big_y[d] / d**3 for d in range(1, order + 1)]
 
 
 # -- the command line ---------------------------------------------------------

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from hypergw import cli
-from hypergw import polys as P
 from hypergw.invariants import assemble_table
 from hypergw.report import IdentityReport, series_failure
 from hypergw.series import QSeries
@@ -436,7 +435,7 @@ def test_random_ratfunc_lists_every_pole():
     rng = random.Random(20080915)
     for _ in range(100):
         f, poles = cli._random_ratfunc(rng)
-        assert sum(f.shift(a).pole_order_at_zero() for a in poles) == P.degree(f.den)
+        assert sum(f.shift(a).pole_order_at_zero() for a in poles) == len(f.den) - 1
 
 
 def test_byte_identical_output(capsys):

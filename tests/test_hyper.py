@@ -104,7 +104,7 @@ def test_kernel_keeps_the_rows_its_stages_read(n, order):
     spec = HyperSpec(n, order)
     kept, full = kernel(spec), hyper._kernel_rows(spec, n + 3)
     top = max(n - 1, 1)
-    assert kept.worder == top and kept.truncation == order
+    assert kept.worder == top and kept.coeff(0).truncation == order
     assert kept.coeffs == full.coeffs[: top + 1]
 
 
@@ -112,7 +112,7 @@ def test_inverse_hbar_kernel_pole_orders():
     # pole order exactly d: [h^-d] of the q^d coefficient, entry 0 of row d
     f = kernel_inv_hbar(HyperSpec(3, 4))
     for d in range(5):
-        assert f.coeff(d, -d) != 0
+        assert f.taylor_coeff(-d)[d] != 0
 
 
 # -- tower --------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_window_reads_match_the_factored_pairs(n):
     # against the same values from the whole quotients N_d / (h^d V_d)
     for order in (1, 2, 5, 8):
         spec = HyperSpec(n, order)
-        window = hyper._exp_minus_mu(spec) * hyper._narrow_kernel(spec)
+        window = hyper._exp_minus_mu(spec) * kernel_inv_hbar(spec).narrow(spec.qorder + 1)
         value, slope = oracles.value_and_slope(regular_kernel(spec))
         assert list(window.taylor_coeff(0).coeffs) == value
         assert list(window.taylor_coeff(1).coeffs) == slope
@@ -441,7 +441,7 @@ def full_width_ladder(spec):
 
 def narrow_ladder(spec):
     """The ladder series p = 0..n-1 at the width D + 1 of the hyper stages."""
-    return oracles.ladder_rungs(hyper._narrow_kernel(spec), diagonals(spec))
+    return oracles.ladder_rungs(kernel_inv_hbar(spec).narrow(spec.qorder + 1), diagonals(spec))
 
 
 def row_read(series, k, p):
@@ -494,16 +494,21 @@ def test_narrow_stages_match_full_width_reads(n):
         assert list(taylor) == [row_read(full, k, j) for j in range(d + 3)]
 
 
+def entry(series, k, p):
+    """[u^k h^p] of a window series, one index into row k."""
+    return Fr(*series._entry(k, p))
+
+
 def test_reading_past_the_width_raises():
     spec = HyperSpec(5, 6)
     y = narrow_ladder(spec)[1]
     wide = full_width_ladder(spec)[1]
     for k in range(7):
         top = 7 - k  # entry D + 1 of row k, the last one kept
-        assert y.coeff(k, top) == wide.coeff(k, top)
+        assert entry(y, k, top) == entry(wide, k, top)
         with pytest.raises(WindowTooSmall):
-            y.coeff(k, top + 1)
-        assert y.coeff(k, -k - 1) == 0  # below the pole-order bound
+            entry(y, k, top + 1)
+        assert entry(y, k, -k - 1) == 0  # below the pole-order bound
     assert y.taylor_coeff(1) == wide.taylor_coeff(1)
     with pytest.raises(WindowTooSmall):
         y.taylor_coeff(2)  # needs entry D + 2 of row D
@@ -522,8 +527,23 @@ def test_leibniz_descent_matches_window_products(n, d):
     # window product per rung, at the stages' width D + 1
     spec = HyperSpec(n, d)
     back = exp_over_hbar(-regularizing_exponent(spec))
-    products = oracles.descended_by_products(back, hyper._narrow_kernel(spec), diagonals(spec))
+    window = kernel_inv_hbar(spec).narrow(spec.qorder + 1)
+    products = oracles.descended_by_products(back, window, diagonals(spec))
     assert [hyper._descended_regular(spec, p) for p in range(n)] == products
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_descended_rungs_outside_the_ladder_raise(monkeypatch, cold_stages, n):
+    # p < 0 and p >= n raise before any rung is built and with no recursion
+    spec = HyperSpec(n, 4)
+    descend, calls = hyper._descended_regular, []
+    monkeypatch.setattr(hyper, "_descended_regular", lambda *a: calls.append(a) or descend(*a))
+    for p in (-1, n):
+        with pytest.raises(ValueError):
+            hyper._descended_regular(spec, p)
+    assert calls == [(spec, -1), (spec, n)]
+    assert hyper._exp_minus_mu.cache_info().misses == 0
+    assert hyper.ladder_series.cache_info().misses == 0
 
 
 # -- bigraded log -----------------------------------------------------------------------
@@ -542,7 +562,7 @@ def test_log_kernel_keeps_the_rows_it_is_read_on(n, order):
     spec = HyperSpec(n, order)
     kept, full = log_kernel_w(spec), full_row_log(spec)
     top = max(n - 2, 0)  # the genus-1 series reads rows 0..n - 2
-    assert kept.worder == top and kept.truncation == order
+    assert kept.worder == top and kept.coeff(0).truncation == order
     assert kept.coeffs == full.coeffs[: top + 1]
     with pytest.raises(TruncationMismatch):
         kept.coeff(max(n - 1, 1))

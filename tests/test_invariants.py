@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergw import invariants, series
+from hypergw import cli, hyper, invariants, series
 from hypergw.errors import MissingColumn, RoutesDisagree
 from hypergw.hyper import HyperSpec, mirror_shift, regularizing_exponent
 from hypergw.invariants import (
@@ -324,6 +324,43 @@ def test_instanton_round_trip_failure_is_typed(monkeypatch, genus):
         monkeypatch.setattr(invariants, "sigma", lambda r: sigma(r) + (r == 1))
     with pytest.raises(RoutesDisagree, match=f"genus-{genus} multiple-cover"):
         instanton_inversion(table.column("N0"), table.column("N1"))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("k", [1, 12])
+def test_fractional_mirror_map_exits_1(monkeypatch, capsys, cold_stages, n, k):
+    # exp(mirror shift) has integer coefficients; the table refuses a fraction
+    # at the first degree that has one, with a typed error and no traceback
+    shift = hyper.mirror_shift
+    monkeypatch.setattr(
+        hyper, "mirror_shift", lambda spec: shift(spec) + QSeries.monomial(k, spec.qorder, Fr(3, 7))
+    )
+    assert cli.main(["invariants", "--n", str(n), "--order", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"identity violation: NotIntegral: exp(mirror shift) at degree {k}: ")
+    assert err.count("\n") == 1
+
+
+def test_fractional_instanton_number_exits_1(monkeypatch, capsys):
+    invert = invariants.instanton_inversion
+
+    def bumped(big0, big1):
+        n0, n1 = invert(big0, big1)
+        return n0, [n1[0] + Fr(3, 7)] + n1[1:]
+
+    monkeypatch.setattr(invariants, "instanton_inversion", bumped)
+    assert cli.main(["invariants", "--n", "5", "--order", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "identity violation: NotIntegral: instanton numbers at degree 1: n0 = 2875, n1 = 3/7\n"
+    )
+
+
+@pytest.mark.parametrize("order", range(1, 41))
+def test_yukawa_route_matches_quintic_genus0(order):
+    assert oracles.quintic_yukawa_genus0(order) == quintic_genus0(order)[0]
 
 
 def _block_values(order):

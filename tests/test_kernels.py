@@ -241,7 +241,7 @@ def _ref_residue_at_infinity(f):
     """The RatFunc route: -res_0 of w^(q-p-2) num_w / den_w, reduced."""
     if f.is_zero():
         return Fr(0)
-    p, q = P.degree(f.num), P.degree(f.den)
+    p, q = len(f.num) - 1, len(f.den) - 1
     num_w, den_w = oracles.reverse(f.num, p), oracles.reverse(f.den, q)
     e = q - p - 2
     if e >= 0:
@@ -321,22 +321,25 @@ def test_exp_minus_mu_built_once_per_spec(monkeypatch, cold_stages):
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_one_window_product_per_spec(monkeypatch, cold_stages, n):
-    # props32 and theorem3 share the one product exp(-mu/h) K(1/h); the
-    # rungs above it descend by the Leibniz rule, and only the boundary
-    # residue reads a ladder series, rung 0
+    # props32 and theorem3 share the one product exp(-mu/h) K(1/h) / I_0; the
+    # rungs above it descend by the Leibniz rule.  The normalized window is
+    # built once, and its one log serves both the residue route to mu and the
+    # boundary residue at the origin.
     spec = HyperSpec(n, 4)
     back = hyper._exp_minus_mu(spec)
-    with_back, rungs = [], []
-    mul, ladder = residues.USeriesRF.__mul__, hyper.ladder_series
+    with_back, logs = [], []
+    mul, log = residues.USeriesRF.__mul__, residues.USeriesRF.log_one_plus
 
     def counted(a, b):
         with_back.append(a is back or b is back)
         return mul(a, b)
 
     monkeypatch.setattr(residues.USeriesRF, "__mul__", counted)
-    monkeypatch.setattr(hyper, "ladder_series", lambda *a: rungs.append(a) or ladder(*a))
+    monkeypatch.setattr(residues.USeriesRF, "log_one_plus", lambda z: logs.append(z) or log(z))
     assert hyper.regular_kernel_checks(spec).passed
+    assert hyper.exponent_methods_check(spec).passed
     assert hyper.ladder_identities(spec).passed
     invariants.boundary_locus_by_residues(spec)
     assert with_back.count(True) == 1
-    assert rungs == [(spec,)]
+    assert hyper.ladder_series.cache_info().misses == 1
+    assert len(logs) == 1
