@@ -33,7 +33,7 @@ from math import comb, factorial
 from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
 from .report import IdentityReport, Record, equality_failure, first_failure, merge_reports
-from .report import series_failure
+from .report import integrality_failure, series_failure
 from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries, _scaled_rows
 
@@ -212,6 +212,14 @@ def mirror_shift(spec):
 
 
 @lru_cache(maxsize=None)
+def mirror_coordinate(spec):
+    """exp(T - t) = Q / q, the canonical coordinate over q: one exp per spec
+    for the table's integrality guard, its quintic block sums and the
+    ladder report, which check that its coefficients are integers."""
+    return mirror_shift(spec).exp()
+
+
+@lru_cache(maxsize=None)
 def one_minus_nn_q(spec):
     d = spec.qorder
     return QSeries.one(d) - QSeries.monomial(1, d, Fraction(spec.n) ** spec.n)
@@ -249,11 +257,13 @@ def regular_kernel(spec):
     """Q = exp(-mu/h) K(1/h), holomorphic at h = 0, for dump --what Q.
 
     With e_i = h^i [u^i] exp(-mu/h), a polynomial in h and row i of the
-    window series, the q^d coefficient
-    is Q_d = N_d / (h^d V_d) with
-        N_d = sum_i e_i rnum_{d-i} prod_{d-i<r<=d} v_r.
-    Since V_d(0) != 0, Q_d is regular exactly when h^d divides N_d; a pole
-    contradicts the structure theory and raises.
+    window series, Q_d = N_d / (h^d V_d), N_d by Horner's rule in the v_r:
+        N_d = e_0 rnum_d + v_d (e_1 rnum_{d-1} + v_{d-1} (... + v_1 e_d)).
+    Each step multiplies by the n small coefficients C(n, k) r^k of v_r and
+    adds one e_i rnum_{d-i}: about n^2 d^2 / 2 small-by-big and n d^3 / 6
+    big-by-big products per degree.  Since V_d(0) != 0, Q_d is regular
+    exactly when h^d divides N_d; a pole contradicts the structure theory
+    and raises.
 
     The pair is then reduced with no gcd.  The irreducible factors of V_d
     over Q are the Phi_m(1 + r h) of _v_factors, r <= d, and each occurs in
@@ -273,12 +283,10 @@ def regular_kernel(spec):
     factors = []  # the irreducible factors of V_d
     out = []
     for d, (_, den) in enumerate(parts):
-        num = [0] * (n * d + 1)  # deg N_d <= n d
-        tail = [1]  # prod_{d-i<r<=d} v_r
-        for i in range(d + 1):
-            if i:  # times v_r = ((1 + r h)^n - 1) / h
-                tail = P._mul_ints(tail, _v(n, d - i + 1))
-            P._accumulate(num, P._mul_ints(e[i][: i + 1], parts[d - i][0]), tail)
+        num = e[d][: d + 1]  # e_d rnum_0; deg N_d <= n d once all v_r are in
+        for r in range(1, d + 1):  # num <- v_r num + e_(d-r) rnum_r
+            num = P._mul_ints(num, _v(n, r))
+            P._accumulate(num, e[d - r][: d - r + 1], parts[r][0])
         if any(num[:d]):
             raise RegularityViolation(d, d - next(k for k, c in enumerate(num) if c))
         if d:
@@ -380,14 +388,11 @@ def diagonal_identities(spec):
     onemq = one_minus_nn_q(spec)
     one = QSeries.one(d)
 
-    prod_all = one
-    for g in diags:
-        prod_all = prod_all * g
-    plain = prod_all * onemq
-
-    weighted = one
-    for p, g in enumerate(diags):
-        weighted = weighted * g ** (n - 1 - p)
+    prefix = weighted = one
+    for g in diags[:-1]:  # prod_p g_p^(n-1-p) = prod_(0<k<n) g_0..g_(k-1), with no powers
+        prefix = prefix * g
+        weighted = weighted * prefix
+    plain = prefix * diags[-1] * onemq
     weighted = weighted * onemq.power(Fraction(n - 1, 2))
 
     symmetry = (series_failure(diags[p], diags[n - 1 - p], d, f"p={p} q") for p in range(n))
@@ -484,6 +489,8 @@ def ladder_identities(spec):
         ("ladder-first-residue", first_failure(fails0)),
         ("ladder-second-residue", first_failure(fails1)),
         ("ladder-step-matches-mirror", series_failure(diagonal_series(spec, 1), step, d)),
+        # a bump shared by I_1 and the shift keeps the step, but not this
+        ("mirror-map-integral", integrality_failure(mirror_coordinate(spec))),
     ]
 
     # double residue of the paired ladder series

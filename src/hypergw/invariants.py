@@ -20,7 +20,7 @@ from . import hyper
 from . import polys as P
 from .errors import MissingColumn, NotIntegral, RoutesDisagree
 from .hyper import HyperSpec
-from .report import Record, merge_reports, merged_failure, series_failure
+from .report import Record, integrality_failure, merge_reports, merged_failure, series_failure
 from .residues import RatFunc, laurent_at_zero, residue_at
 from .series import QSeries, TPoly, change_exp_variable, format_rational
 
@@ -82,7 +82,7 @@ def reduced_genus1_series(spec):
 
     Equal to sum_d exp(d T) GW_d once re-expanded through the mirror map.
     """
-    n, d = spec.n, spec.qorder
+    n = spec.n
     c_shift, c_log = _first_line_coeffs(n)
     out = hyper.mirror_shift(spec) * c_shift
     out = out + hyper.diagonal_series(spec, 0).log() * c_log
@@ -127,7 +127,7 @@ def quintic_genus0(order):
     #   H^3:  J1^3/6 + (1/5) sum_d N_d (d J1 - 2) E_d   == J3
     shift = hyper.mirror_shift(spec)
     # the weight-d part of the H^3 sum is sum2 itself
-    sum2, sum3c = _block_sums(shift, values)
+    sum2, sum3c = _block_sums(hyper.mirror_coordinate(spec), values)
     weighted = TPoly.from_qseries(sum2)
     lhs2 = j1 * j1 * Fraction(1, 2) + weighted
     lhs3 = j1 * j1 * j1 * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
@@ -142,16 +142,16 @@ def quintic_genus0(order):
     return values, merge_reports("mirror-block-reconstruction", {"n": 5, "order": d}, parts, d)
 
 
-def _block_sums(shift, values):
+def _block_sums(e, values):
     """(sum2, sum3c) = ((1/5) sum_d d N_d E_d, -(2/5) sum_d N_d E_d) for
-    values N_1.., with E_d = q^d exp(d shift) = E_1^d truncated like shift.
+    values N_1.., with E_d = q^d e^d = E_1^d truncated like e, the
+    exponential of the mirror shift (mirror_coordinate).
 
     The powers stay integer rows: E_1 is cleared of denominators once and
     each power is one truncated integer product, reduced by its content.
     Both sums accumulate in int over one running denominator, and each
     QSeries is built once at the end."""
-    d = shift.truncation
-    e = shift.exp()
+    d = e.truncation
     e1, den1 = (0,) + e.ints[:d], e.den
     power, den = e1, den1
     acc1, acc2, acc_den = [0] * (d + 1), [0] * (d + 1), 1  # sum N E, sum d N E
@@ -323,10 +323,9 @@ def assemble_table(n, order):
     shift, and at n = 5 the instanton numbers, must be integers: the first
     fraction raises NotIntegral, naming its degree."""
     spec = HyperSpec(n, order)
-    e = hyper.mirror_shift(spec).exp()
-    if e.den != 1:  # canonical, so some coefficient is a fraction
-        d, c = next((d, c) for d, c in enumerate(e.ints) if c % e.den)
-        raise NotIntegral(f"exp(mirror shift) at degree {d}: {format_rational(c, e.den)}")
+    fraction = integrality_failure(hyper.mirror_coordinate(spec))
+    if fraction:
+        raise NotIntegral(f"exp(mirror shift) at {fraction}")
     reduced = extract_invariants(reduced_genus1_series(spec), spec)
     if n != 5:
         return GWTable(n, order, {"GW1_reduced": reduced})
@@ -371,7 +370,7 @@ def effective_locus_parity(spec):
 
 def boundary_locus_series(spec):
     """The boundary-locus part in closed form."""
-    n, d = spec.n, spec.qorder
+    n = spec.n
     c_shift, c_log = _first_line_coeffs(n)
     out = hyper.mirror_shift(spec) * c_shift
     out = out - hyper.regularizing_exponent(spec) * Fraction((n - 2) * (n + 1), 48)

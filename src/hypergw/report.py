@@ -3,7 +3,7 @@
 Every check below the identity level returns its failure text, or None
 when it passes; an IdentityReport stands for one identity a suite reports."""
 
-from .series import TPoly
+from .series import TPoly, format_rational
 
 
 class Record:
@@ -86,6 +86,15 @@ def series_failure(lhs, rhs, max_order, var="q"):
         return None
     k = next(k for k, (x, y) in enumerate(zip(a.ints, b.ints)) if x * b.den != y * a.den)
     return f"{var}^{k}: {lhs[k]!r} != {rhs[k]!r}"
+
+
+def integrality_failure(series):
+    """`degree d: c` for the first coefficient c of a q-series that is not
+    an integer, or None when all are."""
+    if series.den == 1:  # canonical, so otherwise some coefficient is a fraction
+        return None
+    d, c = next((d, c) for d, c in enumerate(series.ints) if c % series.den)
+    return f"degree {d}: {format_rational(c, series.den)}"
 
 
 def merged_failure(parts):

@@ -299,6 +299,21 @@ def test_regular_kernel_pairs_match_the_gcd_reduction(n, order):
         assert RatFunc.from_coprime(num, den) == RatFunc(*pair)
 
 
+@pytest.mark.parametrize(
+    "n, order", [(n, order) for n in range(1, 4) for order in range(1, 13)] + [(5, 10), (8, 8)]
+)
+def test_regular_kernel_pairs_match_the_defining_products(n, order):
+    # Horner's rule in the v_r against the term-by-term products of the
+    # oracle, compared as num den' == num' den: no gcd
+    spec = HyperSpec(n, order)
+    rows = [row.coeffs for row in hyper._exp_minus_mu(spec).coeffs]
+    unreduced = oracles.unreduced_regular_kernel(n, rows)
+    reduced = regular_kernel(spec)
+    assert len(reduced) == len(unreduced) == order + 1
+    for (num, den), (num1, den1) in zip(reduced, unreduced):
+        assert oracles.poly_mul(num, den1) == oracles.poly_mul(num1, den)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_kernel_value_at_matches_the_quotients(n):
     # h^-d rnum_d / V_d from its defining products, reduced and evaluated;

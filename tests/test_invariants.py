@@ -342,6 +342,23 @@ def test_fractional_mirror_map_exits_1(monkeypatch, capsys, cold_stages, n, k):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("k", [1, 6])
+def test_fractional_mirror_map_fails_the_ladder_report(monkeypatch, capsys, cold_stages, n, k):
+    # the same fraction in exp(mirror shift) alone fails verify's ladder
+    # report; a bump shared by I_1 and the shift would keep its step part
+    coordinate = hyper.mirror_coordinate
+    monkeypatch.setattr(
+        hyper,
+        "mirror_coordinate",
+        lambda spec: coordinate(spec) + QSeries.monomial(k, spec.qorder, Fr(3, 7)),
+    )
+    assert cli.main(["verify", "--suite", "theorem3", "--n", str(n), "--order", "6"]) == 1
+    (failing,) = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    head = f"ladder-identities [n={n} order=6]: FAIL at mirror-map-integral: degree {k}: "
+    assert failing.startswith(head) and failing.endswith("/7")
+
+
 def test_fractional_instanton_number_exits_1(monkeypatch, capsys):
     invert = invariants.instanton_inversion
 
@@ -376,7 +393,7 @@ def test_block_sums_match_qseries_loop(order):
     # q-series products, on the quintic mirror shift (integral) ...
     shift = mirror_shift(HyperSpec(5, order))
     values = _block_values(order)
-    sum2, sum3c = invariants._block_sums(shift, values)
+    sum2, sum3c = invariants._block_sums(shift.exp(), values)
     want2, want3c = oracles.block_sums(list(shift.coeffs), values)
     assert list(sum2.coeffs) == want2 and list(sum3c.coeffs) == want3c
     assert sum2.truncation == sum3c.truncation == order
@@ -388,6 +405,6 @@ def test_block_sums_match_qseries_loop_on_rational_shifts(tail):
     # ... and on shifts with denominators, whose powers carry them
     shift = QSeries([0] + tail)
     values = _block_values(len(tail))
-    sum2, sum3c = invariants._block_sums(shift, values)
+    sum2, sum3c = invariants._block_sums(shift.exp(), values)
     want2, want3c = oracles.block_sums(list(shift.coeffs), values)
     assert list(sum2.coeffs) == want2 and list(sum3c.coeffs) == want3c

@@ -253,6 +253,8 @@ ENTRIES = [
     ("ladder-step", suite("theorem3"), "ladder-identities",
      "ladder-step-matches-mirror: q^3",
      wrap(QSeries, "derivative", bump, lambda f: f == hyper.mirror_shift(HyperSpec(N, ORDER)))),
+    ("mirror-map-integral", suite("theorem3"), "ladder-identities",
+     "mirror-map-integral: degree 3: ", wrap(hyper, "mirror_coordinate", bump)),
     ("ladder-double-residue", suite("theorem3"), "ladder-identities",
      "paired-ladder-double-residue: mid q^3",
      wrap(hyper, "double_residue_split_kernel", bump)),
