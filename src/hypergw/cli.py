@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import hyper, invariants, residues
 from . import polys as P
@@ -23,9 +24,9 @@ from .residues import (
     moment_identity_check,
     moment_regularized_check,
     regularize,
-    residue_at,
-    residue_at_infinity,
     residue_of_product_check,
+    residue_pair_at,
+    residue_pair_at_infinity,
 )
 from .report import IdentityReport, first_failure, series_failure
 from .series import QSeries, format_rational
@@ -157,24 +158,33 @@ def _suite_regularize(n, order):
     return reports + moment_reports(reg, rows, series="bridge")
 
 
-def _random_ratfunc(rng):
-    """Rational function with a few small rational poles, and those poles.
+def _draw(rng, a, b):
+    """rng.randint(a, b), drawn as randint draws it: same value, same rng state."""
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
 
-    A pole that cancels against the numerator is still listed; its residue
-    is 0.  The factors t h - s of the poles s/t, the only ones numerator
-    and denominator can share, are divided out.
-    """
+
+def _random_ratfunc(rng):
+    """Rational function with a few small rational poles s/t, and the set of
+    their reduced pairs (s, t), t > 0.  A pole that cancels against the
+    numerator is still listed; its residue is 0.  The factors t h - s, the
+    only ones numerator and denominator can share, are divided out."""
     den = [1]
     poles = set()
-    for _ in range(rng.randint(1, 3)):
-        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        poles.add(a)
-        for _ in range(rng.randint(1, 2)):
-            den = P._mul_ints(den, [-a.numerator, a.denominator])
-    num = [rng.randint(-6, 6) for _ in range(rng.randint(1, len(den)))]
-    # the denominator is the monic prod (h - a) times its leading coefficient
-    factors = [(-a.numerator, a.denominator) for a in poles]
-    num, den = P._cancel_factors([c * den[-1] for c in num], den, factors)
+    for _ in range(_draw(rng, 1, 3)):
+        s, t = _draw(rng, -4, 4), _draw(rng, 1, 3)
+        g = gcd(s, t)
+        s, t = s // g, t // g
+        poles.add((s, t))
+        for _ in range(_draw(rng, 1, 2)):
+            den = P._mul_ints(den, [-s, t])
+    num = [_draw(rng, -6, 6) for _ in range(_draw(rng, 1, len(den)))]
+    # the denominator is the monic prod (h - s/t) times its leading coefficient
+    num, den = P._cancel_factors([c * den[-1] for c in num], den, [(-s, t) for s, t in poles])
     return RatFunc.from_coprime(num, den), poles
 
 
@@ -182,13 +192,24 @@ def _random_factors(rng):
     """Up to five functions f = num / h + c or num + c, each as the integer
     list of h f."""
     rows = []
-    for _ in range(rng.randint(0, 5)):
-        num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+    for _ in range(_draw(rng, 0, 5)):
+        num = [_draw(rng, -5, 5) for _ in range(_draw(rng, 1, 3))]
         # h f = num + c h for f = num / h + c, else h num + c h
         row = num + [0] if rng.random() * 10 < 7 else [0] + num
-        row[1] += rng.randint(-3, 3)
+        row[1] += _draw(rng, -3, 3)
         rows.append(row)
     return rows
+
+
+def _residue_sum_check(drawn):
+    """Failure text of drawn = (f, poles) when the residues of f there and at
+    infinity, added in int over one running denominator, do not sum to 0."""
+    f, poles = drawn
+    total, den = residue_pair_at_infinity(f)
+    for s, t in poles:
+        c, q = residue_pair_at(f, s, t)
+        total, den = total * q + c * den, den * q
+    return f"total residue {Fraction(total, den)}" if total else None
 
 
 def _suite_residues(n, order):
@@ -196,17 +217,9 @@ def _suite_residues(n, order):
 
     rng = random.Random(RESIDUE_SEED)
 
-    def sum_failures():
+    def failures(check, draw):
         for trial in range(RESIDUE_SAMPLES):
-            f, poles = _random_ratfunc(rng)
-            finite = sum((residue_at(f, a) for a in poles), Fraction(0))
-            total = finite + residue_at_infinity(f)
-            if total != 0:
-                yield f"trial {trial}: total residue {total}"
-
-    def product_failures():
-        for trial in range(RESIDUE_SAMPLES):
-            text = residue_of_product_check(_random_factors(rng))
+            text = check(draw(rng))
             if text is not None:
                 yield f"trial {trial}: {text}"
 
@@ -214,8 +227,8 @@ def _suite_residues(n, order):
     return [
         IdentityReport(name, {"samples": RESIDUE_SAMPLES}, RESIDUE_SAMPLES, first_failure(cases))
         for name, cases in (
-            ("residue-sum-zero", sum_failures()),
-            ("product-residue-random", product_failures()),
+            ("residue-sum-zero", failures(_residue_sum_check, _random_ratfunc)),
+            ("product-residue-random", failures(residue_of_product_check, _random_factors)),
         )
     ]
 

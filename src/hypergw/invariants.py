@@ -115,10 +115,10 @@ def quintic_genus0(order):
     """
     spec = HyperSpec(5, order)
     d = order
-    j1 = _j_poly(spec, 1)
-    j2 = _j_poly(spec, 2)
-    j3 = _j_poly(spec, 3)
-    h = (j1 * j2 - j3) * Fraction(5, 2) - j1 * j1 * j1 * Fraction(5, 6)
+    j1, j2, j3 = (_j_poly(spec, k) for k in (1, 2, 3))
+    j1_sq = j1 * j1
+    j1_cube = j1_sq * j1
+    h = (j1 * j2 - j3) * Fraction(5, 2) - j1_cube * Fraction(5, 6)
     series = h.t_free_part()
     values = extract_invariants(series, spec)
 
@@ -129,8 +129,8 @@ def quintic_genus0(order):
     # the weight-d part of the H^3 sum is sum2 itself
     sum2, sum3c = _block_sums(hyper.mirror_coordinate(spec), values)
     weighted = TPoly.from_qseries(sum2)
-    lhs2 = j1 * j1 * Fraction(1, 2) + weighted
-    lhs3 = j1 * j1 * j1 * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
+    lhs2 = j1_sq * Fraction(1, 2) + weighted
+    lhs3 = j1_cube * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
     one = TPoly.from_qseries(QSeries.one(d))
     t_plus_shift = TPoly.t_variable(d) + TPoly.from_qseries(shift)
     parts = [

@@ -6,11 +6,11 @@ other points and at infinity (res_inf f = -res_0 { w^{-2} f(1/w) }).  Its
 callers, the residue-theorem trials of the residues suite, the dump
 --what Q pairs and the boundary weight of the locus split, build it with
 from_coprime from a pair reduced by the factors they know
-(polys._cancel_factors), with no gcd; each value it hands out is one
-Fraction.  Its arithmetic stays in Z[h] and reduces in one place
-(_lowest_terms: a primitive pseudo-remainder gcd, divided out exactly by
-Gauss's lemma).  A residue at s/t takes the Taylor coefficients of the
-denominator there by one Taylor shift
+(polys._cancel_factors), with no gcd.  Its arithmetic stays in Z[h] and
+reduces in one place (_lowest_terms: a primitive pseudo-remainder gcd,
+divided out exactly by Gauss's lemma).  The residue kernels return
+integer pairs (c, q) of the residue c / q.  A residue at s/t takes the
+Taylor coefficients of the denominator there by one Taylor shift
 (repeated synthetic division): its leading zeros count the pole order m
 and the rest expand the unit, and the numerator needs only its first m
 coefficients, read with those of the unit by one fraction-free quotient
@@ -31,7 +31,7 @@ with at most a simple pole at 0 is the integer list of h f.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, factorial, perm, prod
 from math import lcm as _lcm
@@ -49,7 +49,6 @@ from .report import Record, equality_failure, series_failure
 from .series import QSeries, _scaled_rows, convolve_rows, format_rational, log_one_plus_rows
 
 _ONE = (1,)
-_ZERO = Fraction(0)
 
 
 class RatFunc:
@@ -286,42 +285,44 @@ def laurent_at_zero(f, low, high):
 
 
 def residue_at(f, a):
-    """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles.
+    """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles."""
+    return Fraction(*residue_pair_at(f, a.numerator, a.denominator))
 
-    With a = s/t and x = t h - s, an integer list p of degree k has
+
+def residue_pair_at(f, s, t):
+    """(c, q) of the residue c / q of f at s/t, t > 0; (0, 1) at non-poles.
+
+    With x = t h - s, an integer list p of degree k has
     t^k p(h) = sum_j e_j x^j, read off by one Taylor shift.  The e_j of den
     vanish below the pole order m and the rest expand its unit, so the
     residue is t^(deg den - deg num - 1) times [x^(m-1)] of the
     fraction-free series quotient (polys._quotient_head)
     sum_j e_j(num) x^j / sum_j e_(m+j)(den) x^j.
     """
-    s, t = a.numerator, a.denominator
     num, den = f._num, f._den
     taylor = P._taylor_ints(den, s, t, len(den))
-    m = 0
-    while not taylor[m]:
-        m += 1
+    m = next(i for i, c in enumerate(taylor) if c)
     if not m:
-        return _ZERO
+        return 0, 1
     ints, q = P._quotient_head(P._taylor_ints(num, s, t, m), taylor[m:], m - 1)
     e = len(den) - len(num) - 1
     c = ints[m - 1]
-    return Fraction(c * t**e, q) if e >= 0 else Fraction(c, q * t**-e)
+    return (c * t**e, q) if e >= 0 else (c, q * t**-e)
 
 
-def residue_at_infinity(f):
-    """-res_{w=0} { w^{-2} f(1/w) }, the sphere convention.
+def residue_pair_at_infinity(f):
+    """(c, q) of c / q = -res_{w=0} { w^{-2} f(1/w) }, the sphere convention.
 
-    With p = deg num and q = deg den, w^{-2} f(1/w) = w^(q-p-2) num_w / den_w
+    With k = deg num - deg den + 1, w^{-2} f(1/w) = w^(-k-1) num_w / den_w
     for the reversals num_w, den_w, and den_w(0) != 0, so the residue is
-    -[w^(p-q+1)] num_w / den_w, one fraction-free series quotient
+    -[w^k] num_w / den_w, one fraction-free series quotient
     (polys._quotient_head).
     """
     k = len(f._num) - len(f._den) + 1
     if not f._num or k < 0:
-        return _ZERO
+        return 0, 1
     ints, den = P._quotient_head(f._num[::-1], f._den[::-1], k)
-    return Fraction(-ints[k], den)
+    return -ints[k], den
 
 
 class USeriesRF:
@@ -559,9 +560,9 @@ def regularize(z):
     """Split 1 + z = exp(eta/h) * (1 + zbar) and test zbar for regularity.
 
     eta is produced by the degree-stabilizing fixed point
-        eta_p = sum_{j<=p} (-eta_{p-1})^j / j! * res{ h^{-j} z },
-    each round one Horner pass, one q-series product per term, and
-    cross-checked through log(1 + z) = eta/h + log(1 + zbar):
+        eta_r = sum_{j<r} (-eta_{r-1})^j / j! * res{ h^{-j} z }
+    (the moments and eta are O(u)), round r one Horner pass at the u^r it
+    fixes, and cross-checked through log(1 + z) = eta/h + log(1 + zbar):
     eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar), where the last
     residue vanishes when zbar is regular.  A mismatch would be an internal
     arithmetic bug and raises immediately.  The moments res{ h^{-j} z },
@@ -572,11 +573,12 @@ def regularize(z):
     d = z.truncation
     moments = [z.weighted_residues(-j) for j in range(d + 1)]
     scaled = [c * Fraction(1, factorial(j)) for j, c in enumerate(moments)]
-    eta = moments[0]
-    for _ in range(d):
-        acc = scaled[d]
-        for j in range(d, 0, -1):
-            acc = scaled[j - 1] - eta * acc
+    eta = QSeries.zero(0)
+    for r in range(1, d + 1):
+        eta = QSeries._of(eta.ints + (0,), eta.den)  # eta_(r-1), padded to u^r
+        acc = scaled[r - 1].truncate(r)
+        for j in range(r - 1, 0, -1):
+            acc = scaled[j - 1].truncate(r) - eta * acc
         eta = acc
     zbar = exp_over_hbar(-eta) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
     regular = zbar.first_pole() is None
@@ -627,11 +629,8 @@ def moment_closed_form_check(reg, a):
     lhs = reg.moments[-a] if 0 <= -a <= d else reg.z.weighted_residues(a)
     rhs = QSeries.zero(d)
     eta_pow = reg.eta_powers
-    for p in range(d + 1):
-        q = p - 1 - a
-        if q < 0:
-            continue
-        rhs = rhs + eta_pow[p] * Fraction(1, factorial(p)) * reg.zbar.taylor_coeff(q)
+    for p in range(max(a + 1, 0), d + 1):
+        rhs = rhs + eta_pow[p] * Fraction(1, factorial(p)) * reg.zbar.taylor_coeff(p - 1 - a)
     if 0 <= a < d:
         # the lone eta-power term; for a + 1 > d it is zero to this order
         rhs = rhs + eta_pow[a + 1] * Fraction(1, factorial(a + 1))
@@ -641,14 +640,22 @@ def moment_closed_form_check(reg, a):
 def residue_of_product_check(rows):
     """Residue at 0 of a product of k Laurent polynomials with at most simple
     poles at 0, each given as the integer list row_i of h f_i, as a subset
-    sum.  res_0 prod f_i = [h^(k-1)] prod row_i: the left side reads that
-    entry of the full product of the rows, the right side is the subset sum
-    of product_subset_sum.  Returns the failure text, or None.
+    sum.  res_0 prod f_i = [h^(k-1)] prod row_i: the left side reads the
+    last entry of _product_head, the right side is the subset sum of
+    product_subset_sum.  Returns the failure text, or None.
     """
     rows = list(rows)
-    full = reduce(P._mul_ints, rows, [1])
-    lhs = full[len(rows) - 1] if 0 < len(rows) <= len(full) else 0
+    lhs = _product_head(rows)[-1] if rows else 0
     return equality_failure("residue", lhs, product_subset_sum(rows))
+
+
+def _product_head(rows):
+    """The first k entries of the product of the k integer lists rows."""
+    out = [1] + [0] * (len(rows) - 1)
+    for row in rows:
+        out, prev = [0] * len(out), out
+        P._accumulate(out, prev, row)
+    return out
 
 
 def product_subset_sum(rows):

@@ -2,10 +2,11 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Three references are routes rather than arithmetic
+package under test.  Four references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
-of the descended ladder, the Yukawa route to the quintic's genus-0
-numbers, and the argparse parser of the command line.
+of the descended ladder, the full-precision fixed point of the
+regularizing exponent, the Yukawa route to the quintic's genus-0 numbers,
+and the argparse parser of the command line.
 """
 
 from fractions import Fraction as Fr
@@ -967,6 +968,26 @@ def descended_by_products(back, kernel, diagonals):
     back = exp(-mu/h): the route hypergw.hyper._descended_regular replaces
     by the Leibniz rule."""
     return [back * y for y in ladder_rungs(kernel, diagonals)]
+
+
+# -- the full-precision fixed point of the regularizing exponent ----------------
+# It runs on the package's moment series: every round at the full precision
+# u^D, the loop that regularize replaced by rounds at the precision each fixes.
+
+
+def full_precision_eta(moments):
+    """eta from the moments c_j = res{ h^-j z }, j = 0..D, q-series of the
+    package truncated at u^D: D rounds from eta = c_0 of
+    eta <- sum_{j<=D} (-eta)^j / j! c_j, each one Horner pass at u^D."""
+    d = len(moments) - 1
+    scaled = [c * Fr(1, factorial(j)) for j, c in enumerate(moments)]
+    eta = moments[0]
+    for _ in range(d):
+        acc = scaled[d]
+        for j in range(d, 0, -1):
+            acc = scaled[j - 1] - eta * acc
+        eta = acc
+    return eta
 
 
 # -- the Yukawa route to the quintic's genus-0 numbers ---------------------------

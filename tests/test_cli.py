@@ -435,7 +435,7 @@ def test_random_ratfunc_lists_every_pole():
     rng = random.Random(20080915)
     for _ in range(100):
         f, poles = cli._random_ratfunc(rng)
-        assert sum(f.shift(a).pole_order_at_zero() for a in poles) == len(f.den) - 1
+        assert sum(f.shift(Fr(s, t)).pole_order_at_zero() for s, t in poles) == len(f.den) - 1
 
 
 def test_byte_identical_output(capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypergw import hyper, invariants, polys as P, residues
 from hypergw.errors import DivByNonUnit
 from hypergw.hyper import HyperSpec
-from hypergw.residues import RatFunc, residue_at, residue_at_infinity
+from hypergw.residues import RatFunc, residue_at, residue_pair_at_infinity
 from hypergw.series import (
     QSeries,
     _lagrange_powers,
@@ -260,9 +260,9 @@ def test_residue_at_infinity_matches_ratfunc_route(num, roots, zero_pole):
     for a in roots:
         den = P.mul(den, (Fr(-a), Fr(1)))
     f = RatFunc(num, den)
-    got = residue_at_infinity(f)
-    assert got == _ref_residue_at_infinity(f)
-    assert type(got) is Fr
+    c, q = residue_pair_at_infinity(f)
+    assert type(c) is int and type(q) is int and q
+    assert Fr(c, q) == _ref_residue_at_infinity(f)
 
 
 def test_gcd_with_a_nonzero_constant_is_one():

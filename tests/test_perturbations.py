@@ -103,6 +103,12 @@ def grown(z):
     return exp_over_hbar(QSeries.monomial(K, z.truncation, C)) * (z + 1) - 1
 
 
+def residue_pair_moved(pair):
+    """The residue pair (c, q) of c / q moved to (c + C q, q), of c / q + C."""
+    c, q = pair
+    return c + C * q, q
+
+
 def moved_moments(reg):
     """reg with its stored moments moved by C u^K after its moment windows
     were built from the true ones, so that only the closed form reads the
@@ -328,14 +334,16 @@ ENTRIES = [
     ("perm", suite("appendixA"), "alternating-reciprocal-exhaustive",
      "alternating-reciprocal-sum [q=0 a=2]: FAIL at value: Fraction(1, 3) != Fraction(1, 2)",
      wrap(residues, "perm", lambda out: out + 1)),
-    # the random residue trials, from each side
+    # the random residue trials, from each side; a residue kernel returns
+    # (c, q) for the residue c / q, moved here by C
     ("residue-sum-finite", suite("residues"), "residue-sum-zero",
-     "trial 0: total residue ", wrap(cli, "residue_at", lambda out: out + C)),
+     "trial 0: total residue ", wrap(cli, "residue_pair_at", residue_pair_moved)),
     ("residue-sum-infinity", suite("residues"), "residue-sum-zero",
-     "trial 0: total residue ", wrap(cli, "residue_at_infinity", lambda out: out + C)),
-    # the global side is one product of the rows h f_i, every entry moved by 1
+     "trial 0: total residue ", wrap(cli, "residue_pair_at_infinity", residue_pair_moved)),
+    # the global side is one product of the rows h f_i truncated at k
+    # entries, every entry moved by 1
     ("product-residue-global", suite("residues"), "product-residue-random",
-     "trial 0: residue: ", wrap(residues, "reduce", lambda full: [c + 1 for c in full])),
+     "trial 0: residue: ", wrap(residues, "_product_head", lambda head: [c + 1 for c in head])),
     ("product-residue-subsets", suite("residues"), "product-residue-random",
      "trial 0: residue: ", wrap(residues, "product_subset_sum", lambda out: out + C)),
     # the fraction-free quotient kernel under every residue of the sum

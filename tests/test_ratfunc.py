@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction as Fr
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -16,8 +17,8 @@ from hypergw.residues import (
     laurent_at_zero,
     product_subset_sum,
     residue_at,
-    residue_at_infinity,
     residue_of_product_check,
+    residue_pair_at_infinity,
 )
 
 import oracles
@@ -131,8 +132,9 @@ def test_residues_match_shift_route(pair, extra):
         got = residue_at(f, a)
         assert got == oracles.residue_at(g, a) and type(got) is Fr
         assert got == oracles.residue_at_by_division(g, a)
-    got = residue_at_infinity(f)
-    assert got == oracles.residue_at_infinity(g) and type(got) is Fr
+    c, q = residue_pair_at_infinity(f)
+    assert type(c) is int and type(q) is int and q
+    assert Fr(c, q) == oracles.residue_at_infinity(g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,11 +186,59 @@ def test_residue_trials_match_the_fraction_generators():
     new, old = random.Random(cli.RESIDUE_SEED), random.Random(cli.RESIDUE_SEED)
     for _ in range(cli.RESIDUE_SAMPLES):
         (f, poles), (g, want) = cli._random_ratfunc(new), oracles.random_ratfunc(old)
-        assert same(f, g) and poles == want
+        assert same(f, g) and {Fr(s, t) for s, t in poles} == want
     for _ in range(cli.RESIDUE_SAMPLES):
         rows, gs = cli._random_factors(new), oracles.random_factors(old)
         assert [stripped(row) for row in rows] == [h_times(g) for g in gs]
     assert new.getstate() == old.getstate()
+
+
+# every range the residue generators draw from, and the width-1 ranges
+DRAW_RANGES = [(1, 3), (-4, 4), (1, 2), (-6, 6), (0, 5), (-5, 5), (-3, 3)]
+DRAW_RANGES += [(1, k) for k in range(1, 8)] + [(0, 0), (-7, -7)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64), st.lists(st.sampled_from(DRAW_RANGES), max_size=30))
+def test_draw_is_randint(seed, ranges):
+    # the same values, and the rng left in the same state after every draw
+    new, old = random.Random(seed), random.Random(seed)
+    for a, b in DRAW_RANGES + ranges:
+        assert cli._draw(new, a, b) == old.randint(a, b)
+        assert new.getstate() == old.getstate()
+
+
+def fraction_sum_failure(f, points, g):
+    """The residue-sum failure text from Fractions: residue_at at the points
+    s/t, and the oracle's residue at infinity of g, which is f as the oracle
+    holds it."""
+    total = sum((residue_at(f, Fr(s, t)) for s, t in points), oracles.residue_at_infinity(g))
+    return None if total == 0 else f"total residue {total}"
+
+
+def test_residue_sum_matches_fraction_sum_on_the_seeded_trials():
+    # every subset of a trial's poles, so that most totals are not 0
+    rng = random.Random(cli.RESIDUE_SEED)
+    for _ in range(cli.RESIDUE_SAMPLES):
+        f, poles = cli._random_ratfunc(rng)
+        g = oracles.RatFunc(f.num, f.den)
+        for size in range(len(poles) + 1):
+            for points in combinations(sorted(poles), size):
+                want = fraction_sum_failure(f, points, g)
+                assert cli._residue_sum_check((f, points)) == want
+        assert cli._residue_sum_check((f, poles)) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs(), st.integers(0, 63))
+@example(HIGH, 63)
+@example(ZERO, 1)
+def test_residue_sum_matches_fraction_sum_on_drawn_functions(pair, mask):
+    # the points: the roots of den and 0, each kept when its bit of mask is set
+    f, g = both(pair)
+    roots = sorted(rational_roots(pair[1]) | {Fr(0)})
+    points = [(a.numerator, a.denominator) for i, a in enumerate(roots) if mask >> i & 1]
+    assert cli._residue_sum_check((f, points)) == fraction_sum_failure(f, points, g)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 424242])
@@ -217,9 +267,18 @@ def test_inexact_input_is_refused(build, shown):
 
 
 def test_residue_suite_builds_few_fractions():
-    # the Fraction RatFunc built 32,754 here; the integer one about 2,000:
-    # the drawn poles, one per residue and the sums of the residue theorem
+    # the Fraction RatFunc built 32,754 here; the integer one 1,692 while
+    # the drawn poles, each residue and the sums were Fractions, and none
+    # since they are integer pairs (the next test)
     assert _count_fractions(lambda: cli._suite_residues(5, 6)) <= 2500
+
+
+def test_passing_residue_suite_builds_no_fraction():
+    # the draws, poles, residues and their sums all stay in int: 1,692 were
+    # built here while each residue was one Fraction
+    reports = []
+    assert _count_fractions(lambda: reports.extend(cli._suite_residues(5, 6))) == 0
+    assert len(reports) == 2 and all(rep.passed for rep in reports)
 
 
 def test_residue_suite_tries_no_failing_division_and_no_recurrence(monkeypatch):

@@ -25,8 +25,8 @@ from hypergw.residues import (
     product_subset_sum,
     regularize,
     residue_at,
-    residue_at_infinity,
     residue_of_product_check,
+    residue_pair_at_infinity,
 )
 from hypergw.hyper import HyperSpec, regular_kernel, regularizing_exponent
 from hypergw.invariants import bridge_series
@@ -63,12 +63,12 @@ def test_two_pole_partial_fractions():
     # oracle: evaluate 1/(h-2) at h=1 and 1/(h-1) at h=2
     assert residue_at(f, Fr(1)) == Fr(1, 1 - 2)
     assert residue_at(f, Fr(2)) == Fr(1, 2 - 1)
-    assert residue_at_infinity(f) == 0
+    assert residue_pair_at_infinity(f) == (0, 1)
 
 
 def test_residue_at_infinity_of_inverse():
-    assert residue_at_infinity(ONE / H) == -1
-    assert residue_at_infinity(RatFunc.from_scalar(7)) == 0
+    assert Fr(*residue_pair_at_infinity(ONE / H)) == -1
+    assert residue_pair_at_infinity(RatFunc.from_scalar(7)) == (0, 1)
 
 
 def test_laurent_windows():
@@ -135,7 +135,7 @@ def test_residue_theorem_on_randomized_functions():
         num = tuple(Fr(rng.randint(-6, 6)) for _ in range(rng.randint(1, len(den))))
         f = RatFunc(num, den)
         total = sum((residue_at(f, a) for a in poles), Fr(0))
-        assert total + residue_at_infinity(f) == 0
+        assert total + Fr(*residue_pair_at_infinity(f)) == 0
 
 
 # -- regularization -------------------------------------------------------------
@@ -612,6 +612,27 @@ def test_moment_windows_match_power_list_on_drawn_series(case):
     assert_moment_windows_match_power_list(regularize(case[1]))
 
 
+def assert_eta_matches_full_precision_loop(z):
+    """regularize's rounds at the precision each fixes give the eta of the
+    loop whose every round runs at u^D: the same numerators over the same
+    denominator."""
+    eta = regularize(z).eta
+    want = oracles.full_precision_eta([z.weighted_residues(-j) for j in range(z.truncation + 1)])
+    assert (eta.ints, eta.den) == (want.ints, want.den)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fixed_point_by_precision_matches_full_precision_on_bridge_series(n):
+    for order in range(1, 13):
+        assert_eta_matches_full_precision_loop(bridge_series(HyperSpec(n, order)))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_fixed_point_by_precision_matches_full_precision_on_suite_series(order):
+    assert_eta_matches_full_precision_loop(cli._constructed_regularizable(order))
+    assert_eta_matches_full_precision_loop(cli._u_times_h_power(-1, max(order, 2)))
+
+
 def test_fixed_point_halves_series_products(monkeypatch):
     # the power-sum rounds made 140 QSeries.__mul__ calls here: per term of
     # each of the D rounds, a power of eta, its scaling and its moment product
@@ -885,7 +906,11 @@ def test_appendix_a_checks_refuse_negative_arguments(check, args, named):
 
 def test_residue_suite_names_its_first_failing_trial(monkeypatch):
     # every total residue comes out 1; the product trials still run after it
-    monkeypatch.setattr(cli, "residue_at_infinity", lambda f: residue_at_infinity(f) + 1)
+    def plus_one(f):
+        c, q = residue_pair_at_infinity(f)
+        return c + q, q
+
+    monkeypatch.setattr(cli, "residue_pair_at_infinity", plus_one)
     total, product = cli._suite_residues(5, 2)
     assert total.first_failure == "trial 0: total residue 1"
     assert product.passed
