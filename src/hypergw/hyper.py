@@ -21,9 +21,9 @@ is built here: its window series at h = 0 (USeriesRF) carries the residue
 exponent, the ladder and the regular-kernel checks, regular_kernel forms
 Q as N_d / (h^d V_d) over the known denominator for the dump only, reduced
 by the known irreducible factors of V_d with no gcd, and the boundary
-residue reads its value at h = -n.  The window series has the width
-2D + 2 that regularize reads; no stage here reads past entry D + 1 of a
-row, so ladder_series narrows it to D + 1.
+residue reads its value at h = -n.  The window series is built at width
+D + 1, the largest entry of a row that any reader takes: ladder_series is
+the regularize suite's bridge as well, and regularize reads up to entry D.
 """
 
 from fractions import Fraction
@@ -34,7 +34,7 @@ from . import polys as P
 from .errors import PoleTooHigh, RegularityViolation
 from .report import IdentityReport, Record, equality_failure, first_failure, merge_reports
 from .report import integrality_failure, series_failure
-from .residues import USeriesRF, double_residue_split_kernel, exp_over_hbar
+from .residues import USeriesRF, _row, double_residue_split_kernel, exp_over_hbar
 from .series import QSeries, TPoly, WSeries, _scaled_rows
 
 
@@ -134,14 +134,11 @@ def _inv_hbar_parts(spec):
 def kernel_inv_hbar(spec):
     """The kernel at w = 1/h as a window u-series, expanded straight from
     the factored form h^-d rnum_d / V_d; the q^d coefficient has pole order
-    exactly d at h = 0.
+    exactly d at h = 0, so row d is rnum_d / V_d with shift 0.
 
-    Built at rows u^0..u^D and width 2D + 2: bridge_series reads it whole
-    for regularize, whose moment closed form reads entry 2D + 2; the stages
-    here read it only through ladder_series, at width D + 1."""
-    return USeriesRF.from_quotients(
-        [(-d, rnum, den) for d, (rnum, den) in enumerate(_inv_hbar_parts(spec))]
-    )
+    Built at rows u^0..u^D and width D + 1, the width its one reader,
+    ladder_series, takes."""
+    return USeriesRF._of(_row(num, den, 0, spec.qorder + 1) for num, den in _inv_hbar_parts(spec))
 
 
 def kernel_value_at(spec, a):
@@ -335,12 +332,11 @@ def dw_kernel_coeffs(n, upto):
 @lru_cache(maxsize=None)
 def ladder_series(spec):
     """Rung 0 of the ladder, K(1/h) / I_0 at rows u^0..u^D: the one
-    normalized window per spec and the only reader of kernel_inv_hbar here.
-    Its width D + 1 is the largest entry read, at row D of the descended
-    rungs, by the slope in regular_kernel_checks and ladder_residue at
-    order 1."""
-    window = kernel_inv_hbar(spec).narrow(spec.qorder + 1)
-    return window.mul_qseries(1 / diagonal_series(spec, 0))
+    normalized window per spec and the only reader of kernel_inv_hbar; minus
+    one, it is the regularize suite's bridge series.  Its width D + 1 is the
+    largest entry read, at row D of the descended rungs, by the slope in
+    regular_kernel_checks and ladder_residue at order 1."""
+    return kernel_inv_hbar(spec).mul_qseries(1 / diagonal_series(spec, 0))
 
 
 @lru_cache(maxsize=None)

@@ -528,6 +528,6 @@ def bridge_series(spec):
     """The normalized kernel at w = 1/h minus one: the production input to
     the regularization machinery.  Its exponent is the regularizing
     exponent mu and its regular part evaluates at h = 0 to the kernel
-    value over the w-constant diagonal.  It is the ladder series of rung 0
-    at the full width 2D + 2 that regularize reads."""
-    return hyper.kernel_inv_hbar(spec).mul_qseries(1 / hyper.diagonal_series(spec, 0)) - 1
+    value over the w-constant diagonal.  It is the ladder series of rung 0,
+    at the width D + 1 the ladder takes; regularize reads up to entry D."""
+    return hyper.ladder_series(spec) - 1

@@ -8,11 +8,15 @@ from .series import TPoly, format_rational
 
 class Record:
     """A plain record: a subclass names its attributes in _fields, and
-    equality and repr go over them in that order.  Records of one class are
-    equal when all their fields are, so they are not hashable."""
+    construction, equality and repr go over them in that order.  Records of
+    one class are equal when all their fields are, so they are not hashable."""
 
     _fields = ()
     __hash__ = None
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            setattr(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -336,13 +336,12 @@ class USeriesRF:
     narrowest factor.  A read is one index: [h^p] c_k is row_k[k + p], 0
     below index 0; past the width it raises WindowTooSmall.
 
-    Built from coefficients, H = 2D + 2, which regularize reads: the
-    moments res{ h^-j z }, j <= D, need 2D - 1, the Taylor coefficients
-    h^q, q <= D + 2, of the moment closed form 2D + 2.  The hyper stages
-    read at most entry D + 1 of a row and run narrowed to H = D + 1.  The
-    constructor takes scalar coefficients; from_quotients builds rows with
-    poles, and a coefficient whose pole order exceeds its u-degree raises
-    WindowTooSmall there.
+    Built from coefficients, H = 2D + 2, for the moment closed form on the
+    regularize suite's constructed series, the one reader past entry D + 1:
+    it reads zbar up to h^(D + 2) of u^D, entry 2D + 2.  The constructor
+    takes scalar coefficients; from_quotients builds rows with poles, and a
+    coefficient whose pole order exceeds its u-degree raises WindowTooSmall
+    there.
     """
 
     __slots__ = ("coeffs",)
@@ -369,6 +368,8 @@ class USeriesRF:
         """The u^k coefficient is h^s * num / unit for terms[k] = (s, num, unit),
         with integer lists num and unit, unit(0) != 0."""
         d = len(terms) - 1 if truncation is None else truncation
+        if d < len(terms) - 1:
+            raise ValueError("more terms than the stated truncation")
         terms = list(terms) + [(0, [], [1])] * (d + 1 - len(terms))
         return cls._of(
             _row(num, unit, k + s, 2 * d + 2) for k, (s, num, unit) in enumerate(terms)
@@ -509,17 +510,10 @@ def exp_over_hbar(eta):
 
 
 class Regularization(Record):
-    """1 + z = exp(eta/h) * (1 + zbar), with the moments c_j = res{ h^-j z }
-    and the moment sums that the moment checks read."""
+    """1 + z = exp(eta/h) * (1 + zbar), with exp(-eta/h) and the moment sums
+    that the moment checks read."""
 
-    _fields = ("eta", "zbar", "regular", "z", "moments")
-
-    def __init__(self, eta, zbar, regular, z, moments):
-        self.eta = eta
-        self.zbar = zbar
-        self.regular = regular
-        self.z = z
-        self.moments = moments
+    _fields = ("eta", "zbar", "regular", "z", "exp_minus_eta")
 
     @cached_property
     def moment_windows(self):
@@ -529,16 +523,16 @@ class Regularization(Record):
         W_k = sum_{0<i<=k} G_i W_(k-i), as USeriesRF windows in (u, s).
 
         Row k of G holds s^k [u^k] G: entry e is (-1)^j / j! [u^k] c_j with
-        j = e - k + 1.  Row 0 is zero, since every c_j is O(u), so both sums
-        are exact to u^D, and the checks read at most entry k of row k, so
-        width D covers them.  Built from the moments alone, once per
-        regularization, on its first moment check."""
-        c, d = self.moments, self.z.truncation
-        dens = [m.den * factorial(j) for j, m in enumerate(c)]
+        j = e - k + 1, that is entry e of row k of z, read in place.  Row 0
+        is zero, since every c_j is O(u), so both sums are exact to u^D, and
+        the checks read at most entry k of row k, so width D covers them.
+        Built once per regularization, on its first moment check."""
+        z, d = self.z, self.z.truncation
 
         def row(k):  # entries k - 1 .. D hold j = 0 .. D - k + 1
-            nums = [(-1) ** j * c[j].ints[k] for j in range(d - k + 2)]
-            return QSeries._ratios([0] * (k - 1) + nums, [1] * (k - 1) + dens[: d - k + 2])
+            nums = [(-1) ** j * z[k].ints[k - 1 + j] for j in range(d - k + 2)]
+            dens = [z[k].den * factorial(j) for j in range(d - k + 2)]
+            return QSeries._ratios([0] * (k - 1) + nums, [1] * (k - 1) + dens)
 
         big_g = USeriesRF._of([QSeries.zero(d)] + [row(k) for k in range(1, d + 1)])
         log = (-big_g).log_one_plus()
@@ -549,38 +543,43 @@ class Regularization(Record):
 
     @cached_property
     def eta_powers(self):
-        """[eta^p for p = 0..D], shared by the closed-form checks."""
-        out = [QSeries.one(self.z.truncation)]
-        for _ in range(self.z.truncation):
-            out.append(out[-1] * self.eta)
-        return out
+        """[eta^p for p = 0..D], shared by the closed-form checks, read off
+        exp(-eta/h) with no product: its [h^-p] is (-eta)^p / p!."""
+        back = self.exp_minus_eta
+        scales = ((-1) ** p * factorial(p) for p in range(back.truncation + 1))
+        return [back.taylor_coeff(-p) * c for p, c in enumerate(scales)]
 
 
 def regularize(z):
     """Split 1 + z = exp(eta/h) * (1 + zbar) and test zbar for regularity.
 
-    eta is produced by the degree-stabilizing fixed point
-        eta_r = sum_{j<r} (-eta_{r-1})^j / j! * res{ h^{-j} z }
-    (the moments and eta are O(u)), round r one Horner pass at the u^r it
-    fixes, and cross-checked through log(1 + z) = eta/h + log(1 + zbar):
+    eta is the degree-stabilizing fixed point eta = sum_j (-eta)^j / j! c_j
+    of the moments c_j = res{ h^-j z }, run on tau = eta / u as
+    tau = sum_j b_j tau^j, b_j = u^(j-1) (-1)^j c_j / j! = O(u^j), each
+    round one Horner pass at the u^(r-1) of tau it fixes.  [u^k] b_j is
+    entry k of row k - j + 1 of the moment window G, that entry of z scaled
+    by (-1)^j / j!, so no entry of z past D is read.  It is cross-checked
+    through log(1 + z) = eta/h + log(1 + zbar):
     eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar), where the last
     residue vanishes when zbar is regular.  A mismatch would be an internal
-    arithmetic bug and raises immediately.  The moments res{ h^{-j} z },
-    j = 0..D, are kept for the moment checks below.
+    arithmetic bug and raises immediately.
     """
     if any(z[0].ints):
         raise NonzeroConstant("series must have no degree-zero term")
     d = z.truncation
-    moments = [z.weighted_residues(-j) for j in range(d + 1)]
-    scaled = [c * Fraction(1, factorial(j)) for j, c in enumerate(moments)]
-    eta = QSeries.zero(0)
+    b = []
+    for j in range(d):  # c_j read off rows 0..D - j of z
+        c = USeriesRF._of(z[: d - j + 1]).weighted_residues(-j) * Fraction((-1) ** j, factorial(j))
+        b.append(QSeries._of(((0,) * j + c.ints)[1:], c.den))
+    tau = QSeries.zero(0)
     for r in range(1, d + 1):
-        eta = QSeries._of(eta.ints + (0,), eta.den)  # eta_(r-1), padded to u^r
-        acc = scaled[r - 1].truncate(r)
+        acc = b[r - 1].truncate(r - 1)
         for j in range(r - 1, 0, -1):
-            acc = scaled[j - 1].truncate(r) - eta * acc
-        eta = acc
-    zbar = exp_over_hbar(-eta) * (USeriesRF.one(d) + z) - USeriesRF.one(d)
+            acc = b[j - 1].truncate(r - 1) + tau * acc
+        tau = QSeries._of(acc.ints + (0,), acc.den)  # tau_r, padded to u^r
+    eta = QSeries._of((0,) + tau.ints[:-1], tau.den)
+    back = exp_over_hbar(-eta)
+    zbar = back * (USeriesRF.one(d) + z) - USeriesRF.one(d)
     regular = zbar.first_pole() is None
     # the logs are read only at entry k - 1 of row k, so width D covers them
     eta_log = z.narrow(d).log_one_plus().weighted_residues(0)
@@ -588,7 +587,7 @@ def regularize(z):
         eta_log = eta_log - zbar.narrow(d).log_one_plus().weighted_residues(0)
     if eta != eta_log:
         raise RoutesDisagree("exponent fixed point and log residue disagree")
-    return Regularization(eta, zbar, regular, z, moments)
+    return Regularization(eta, zbar, regular, z, back)
 
 
 def moment_identity_check(reg, a):
@@ -621,12 +620,13 @@ def moment_regularized_check(reg, a):
 def moment_closed_form_check(reg, a):
     """Closed form for res{ h^a z } from eta and the Taylor coefficients of zbar.
 
-    reg is regularize(z) for the series z under test.  Returns the failure
-    text, or None."""
+    reg is regularize(z) for the series z under test.  It reads z and zbar
+    up to entry 2D + 2 of a row, so a regularization of a narrower z raises
+    WindowTooSmall.  Returns the failure text, or None."""
     d = reg.z.truncation
     if not reg.regular:
         raise NotRegularizable("closed form needs a regularizable series")
-    lhs = reg.moments[-a] if 0 <= -a <= d else reg.z.weighted_residues(a)
+    lhs = reg.z.weighted_residues(a)
     rhs = QSeries.zero(d)
     eta_pow = reg.eta_powers
     for p in range(max(a + 1, 0), d + 1):

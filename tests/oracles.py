@@ -2,11 +2,12 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Four references are routes rather than arithmetic
+package under test.  Five references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
 of the descended ladder, the full-precision fixed point of the
-regularizing exponent, the Yukawa route to the quintic's genus-0 numbers,
-and the argparse parser of the command line.
+regularizing exponent, the full-width kernel at w = 1/h and bridge
+series, the Yukawa route to the quintic's genus-0 numbers, and the
+argparse parser of the command line.
 """
 
 from fractions import Fraction as Fr
@@ -988,6 +989,30 @@ def full_precision_eta(moments):
             acc = scaled[j - 1] - eta * acc
         eta = acc
     return eta
+
+
+# -- the full-width kernel at w = 1/h and bridge series --------------------------
+# The kernel at w = 1/h held at the width 2D + 2 of a window series built from
+# coefficients, from the package's factored pairs: the route that held the
+# regularize suite's bridge series before regularize read its input's rows in
+# place and the bridge became the ladder window, at width D + 1.
+
+
+def wide_kernel_inv_hbar(spec):
+    """The kernel at w = 1/h at rows u^0..u^D and width 2D + 2, whose q^d
+    coefficient is h^-d rnum_d / V_d."""
+    from hypergw import hyper
+    from hypergw.residues import USeriesRF
+
+    parts = hyper._inv_hbar_parts(spec)
+    return USeriesRF.from_quotients([(-d, rnum, den) for d, (rnum, den) in enumerate(parts)])
+
+
+def wide_bridge_series(spec):
+    """The bridge series K(1/h) / I_0 - 1 at width 2D + 2."""
+    from hypergw import hyper
+
+    return wide_kernel_inv_hbar(spec).mul_qseries(1 / hyper.diagonal_series(spec, 0)) - 1
 
 
 # -- the Yukawa route to the quintic's genus-0 numbers ---------------------------

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import ast
+import hashlib
 import json
 import random
 import subprocess
@@ -407,6 +408,23 @@ def test_counterexample_is_checked_from_order_2(capsys):
         code, out, _ = run(["verify", "--suite", "regularize", "--order", order], capsys)
         assert code == 0
         assert f"counterexample-detected [series=u/h]: pass (order {checked})" in out
+
+
+# sha256 of the regularize suite's stdout, recorded before regularize read its
+# input's rows in place and the bridge became the ladder window at width D + 1
+REGULARIZE_SUITE_SHA256 = {
+    (1, 12): "07bec60d2d1598a3a18f6c3eb3e3e2cb6bf32eece9bf33dc070ae00172226608",
+    (5, 20): "ff4bab19a40ad97bebd5b397854e969d10a5c0362328d0d529f61bb9b92dd1d4",
+    (8, 12): "98054b46618204ee7cf7afa4a4e7ebb87b667effd302212de1a3d9988ed25ef1",
+}
+
+
+@pytest.mark.parametrize("n, order", sorted(REGULARIZE_SUITE_SHA256))
+def test_regularize_suite_output_is_pinned(n, order, capsys, cold_stages):
+    argv = ["verify", "--suite", "regularize", "--n", str(n), "--order", str(order)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REGULARIZE_SUITE_SHA256[n, order]
 
 
 def test_series_pairs_keep_every_locus_format():

@@ -233,7 +233,7 @@ def test_window_reads_match_the_factored_pairs(n):
     # against the same values from the whole quotients N_d / (h^d V_d)
     for order in (1, 2, 5, 8):
         spec = HyperSpec(n, order)
-        window = hyper._exp_minus_mu(spec) * kernel_inv_hbar(spec).narrow(spec.qorder + 1)
+        window = hyper._exp_minus_mu(spec) * kernel_inv_hbar(spec)
         value, slope = oracles.value_and_slope(regular_kernel(spec))
         assert list(window.taylor_coeff(0).coeffs) == value
         assert list(window.taylor_coeff(1).coeffs) == slope
@@ -450,13 +450,14 @@ def diagonals(spec):
 
 
 def full_width_ladder(spec):
-    """The ladder series p = 0..n-1 built on kernel_inv_hbar at its full width."""
-    return oracles.ladder_rungs(kernel_inv_hbar(spec), diagonals(spec))
+    """The ladder series p = 0..n-1 built on the kernel at w = 1/h at the
+    full width 2D + 2."""
+    return oracles.ladder_rungs(oracles.wide_kernel_inv_hbar(spec), diagonals(spec))
 
 
 def narrow_ladder(spec):
     """The ladder series p = 0..n-1 at the width D + 1 of the hyper stages."""
-    return oracles.ladder_rungs(kernel_inv_hbar(spec).narrow(spec.qorder + 1), diagonals(spec))
+    return oracles.ladder_rungs(kernel_inv_hbar(spec), diagonals(spec))
 
 
 def row_read(series, k, p):
@@ -470,7 +471,9 @@ def test_narrow_stages_match_full_width_reads(n):
     d = 6
     spec = HyperSpec(n, d)
     back = exp_over_hbar(-regularizing_exponent(spec))
-    wide = oracles.descended_by_products(back, kernel_inv_hbar(spec), diagonals(spec))
+    kernel_wide = oracles.wide_kernel_inv_hbar(spec)
+    wide = oracles.descended_by_products(back, kernel_wide, diagonals(spec))
+    assert kernel_inv_hbar(spec) == kernel_wide.narrow(d + 1)
     assert ladder_series(spec).truncation == d
     assert ladder_series(spec)[0].truncation == d + 1
     for p in range(n):
@@ -496,13 +499,13 @@ def test_narrow_stages_match_full_width_reads(n):
         )
         assert got == QSeries(expect)
 
-    log = (kernel_inv_hbar(spec) - 1).log_one_plus()
+    log = (kernel_wide - 1).log_one_plus()
     expect = QSeries([row_read(log, k, -1) for k in range(d + 1)])
     assert exponent_by_residue(spec) == expect
 
     # N_d / (h^d V_d) against the full-width window product exp(-mu/h) K(1/h):
     # regular, with the same Taylor coefficients through h^(D+2)
-    full = back * kernel_inv_hbar(spec)
+    full = back * kernel_wide
     for k, (num, den) in enumerate(regular_kernel(spec)):
         assert [row_read(full, k, -j) for j in range(1, k + 1)] == [0] * k
         taylor = P.series_mul(num, P.series_inv(den, d + 2), d + 2)
@@ -542,8 +545,7 @@ def test_leibniz_descent_matches_window_products(n, d):
     # window product per rung, at the stages' width D + 1
     spec = HyperSpec(n, d)
     back = exp_over_hbar(-regularizing_exponent(spec))
-    window = kernel_inv_hbar(spec).narrow(spec.qorder + 1)
-    products = oracles.descended_by_products(back, window, diagonals(spec))
+    products = oracles.descended_by_products(back, kernel_inv_hbar(spec), diagonals(spec))
     assert [hyper._descended_regular(spec, p) for p in range(n)] == products
 
 

@@ -215,6 +215,17 @@ def test_window_series_rejects_pole_above_u_degree():
         USeriesRF([0, ONE / H], 1)
 
 
+def test_from_quotients_rejects_terms_past_the_truncation():
+    # as the constructor does for coefficients
+    terms = [(0, [], [1]), (0, [1], [1]), (0, [2], [1]), (0, [3], [1])]
+    with pytest.raises(ValueError):
+        USeriesRF([0, 1, 2, 3], 1)
+    with pytest.raises(ValueError):
+        USeriesRF.from_quotients(terms, 1)
+    assert USeriesRF.from_quotients(terms, 3) == USeriesRF([0, 1, 2, 3], 3)
+    assert USeriesRF.from_quotients(terms[:2], 3) == USeriesRF([0, 1], 3)
+
+
 def test_regularize_is_idempotent_on_reconstructed_series():
     rng = random.Random(3)
     d = 5
@@ -539,7 +550,8 @@ def test_regularize_matches_ratfunc_route(z):
     assert eta == log_residue - ref_weighted_residues(zbar.log_one_plus(), 0)
     reg = regularize(windows(z.coeffs))
     assert reg.eta == eta
-    assert reg.moments == moments
+    # the moment windows, read off the rows of z in place, against the RatFunc moments
+    assert_moment_windows_match_power_list(reg, moments)
     assert reg.zbar == windows(zbar.coeffs)
     assert reg.regular == all(c.pole_order_at_zero() == 0 for c in zbar.coeffs)
     if reg.regular:
@@ -565,13 +577,19 @@ def test_regularize_exponent_matches_power_sum_fixed_point(case):
     eta, z = case
     reg = regularize(z)
     assert reg.eta == eta
-    assert list(reg.eta.coeffs) == oracles.regularize_eta([m.coeffs for m in reg.moments])
+    assert list(reg.eta.coeffs) == oracles.regularize_eta([m.coeffs for m in moments_of(z)])
 
 
-def g_window(reg):
-    """G = g/s for g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, as a window series
-    in (u, s) built from its u-coefficients, rational functions of s."""
-    c = reg.moments
+def moments_of(z):
+    """The moments c_j = res{ h^-j z }, j = 0..D, of a series z at the full
+    width 2D + 2, which they read up to entry 2D - 1."""
+    return [z.weighted_residues(-j) for j in range(z.truncation + 1)]
+
+
+def g_window(c):
+    """G = g/s for g(s, u) = sum_j (-1)^j / j! c_j(u) s^j and the moments c,
+    as a window series in (u, s) built from its u-coefficients, rational
+    functions of s."""
     return windows(
         [
             RatFunc([Fr((-1) ** j, factorial(j)) * m[k] for j, m in enumerate(c)], [0, 1])
@@ -580,57 +598,90 @@ def g_window(reg):
     )
 
 
-def assert_moment_windows_match_power_list(reg):
-    """The moment windows against the power list of oracles.moment_sums, and
-    the fixed-point eta against its Lagrange form -[s^-1] log(1 - G)."""
+def assert_moment_windows_match_power_list(reg, c):
+    """The moment windows of reg against the power list of
+    oracles.moment_sums on the moments c of the series reg regularized,
+    and the fixed-point eta against its Lagrange form -[s^-1] log(1 - G)."""
     intrinsic, geometric = reg.moment_windows
-    moments = [m.coeffs for m in reg.moments]
+    lists = [m.coeffs for m in c]
     for a in range(5):
-        want = oracles.moment_sums(moments, a, "intrinsic")
+        want = oracles.moment_sums(lists, a, "intrinsic")
         assert list(intrinsic.taylor_coeff(-2 - a).coeffs) == want
     for a in range(4):
-        want = oracles.moment_sums(moments, a, "regularized")
+        want = oracles.moment_sums(lists, a, "regularized")
         assert list(geometric.taylor_coeff(-a).coeffs) == want
-    assert reg.eta == -(-g_window(reg)).log_one_plus().taylor_coeff(-1)
+    assert reg.eta == -(-g_window(c)).log_one_plus().taylor_coeff(-1)
 
 
 @pytest.mark.parametrize("order", range(1, 11))
 def test_moment_windows_match_power_list_on_suite_series(order):
-    assert_moment_windows_match_power_list(regularize(cli._constructed_regularizable(order)))
-    assert_moment_windows_match_power_list(regularize(cli._u_times_h_power(-1, order)))
+    for z in (cli._constructed_regularizable(order), cli._u_times_h_power(-1, order)):
+        assert_moment_windows_match_power_list(regularize(z), moments_of(z))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_moment_windows_match_power_list_on_bridge_series(n):
     for order in range(1, 9) if n != 5 else (*range(1, 9), 12):
-        assert_moment_windows_match_power_list(regularize(bridge_series(HyperSpec(n, order))))
+        spec = HyperSpec(n, order)
+        wide = oracles.wide_bridge_series(spec)
+        assert_moment_windows_match_power_list(regularize(bridge_series(spec)), moments_of(wide))
 
 
 @settings(max_examples=40, deadline=None)
 @given(regularizable_windows())
 def test_moment_windows_match_power_list_on_drawn_series(case):
-    assert_moment_windows_match_power_list(regularize(case[1]))
+    assert_moment_windows_match_power_list(regularize(case[1]), moments_of(case[1]))
 
 
-def assert_eta_matches_full_precision_loop(z):
+def assert_eta_matches_full_precision_loop(z, wide):
     """regularize's rounds at the precision each fixes give the eta of the
-    loop whose every round runs at u^D: the same numerators over the same
-    denominator."""
+    loop whose every round runs at u^D, on the moments of wide, z at the
+    full width 2D + 2: the same numerators over the same denominator."""
     eta = regularize(z).eta
-    want = oracles.full_precision_eta([z.weighted_residues(-j) for j in range(z.truncation + 1)])
+    want = oracles.full_precision_eta(moments_of(wide))
     assert (eta.ints, eta.den) == (want.ints, want.den)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fixed_point_by_precision_matches_full_precision_on_bridge_series(n):
     for order in range(1, 13):
-        assert_eta_matches_full_precision_loop(bridge_series(HyperSpec(n, order)))
+        spec = HyperSpec(n, order)
+        wide = oracles.wide_bridge_series(spec)
+        assert_eta_matches_full_precision_loop(bridge_series(spec), wide)
 
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_fixed_point_by_precision_matches_full_precision_on_suite_series(order):
-    assert_eta_matches_full_precision_loop(cli._constructed_regularizable(order))
-    assert_eta_matches_full_precision_loop(cli._u_times_h_power(-1, max(order, 2)))
+    for z in (cli._constructed_regularizable(order), cli._u_times_h_power(-1, max(order, 2))):
+        assert_eta_matches_full_precision_loop(z, z)
+
+
+# -- differential: regularize at the widths its readers take ---------------------
+
+BRIDGE_POINTS = [(n, d) for n in range(1, 9) for d in range(1, 13)] + [(5, 30)]
+
+
+@pytest.mark.parametrize("n, d", BRIDGE_POINTS)
+def test_narrow_bridge_regularizes_as_the_full_width_one(n, d):
+    # the ladder window minus one, at its width D + 1 and narrowed to D,
+    # against the bridge at the full width 2D + 2 of the reference route
+    spec = HyperSpec(n, d)
+    wide = regularize(oracles.wide_bridge_series(spec))
+    bridge = hyper.ladder_series(spec) - 1
+    assert bridge == bridge_series(spec)
+    for z in (bridge, bridge.narrow(d)):
+        reg = regularize(z)
+        assert (reg.eta, reg.regular) == (wide.eta, wide.regular)
+        assert reg.zbar.taylor_coeff(0) == wide.zbar.taylor_coeff(0)
+        # entry k + q of row k, q <= 0: every entry the moment checks read
+        for got, want in zip(reg.moment_windows, wide.moment_windows):
+            assert [got.taylor_coeff(q) for q in range(-d, 1)] == [
+                want.taylor_coeff(q) for q in range(-d, 1)
+            ]
+        # the closed form reads entry D + 2 of z's row D, past the width
+        with pytest.raises(WindowTooSmall):
+            moment_closed_form_check(reg, -3)
+    assert moment_closed_form_check(wide, -3) is None
 
 
 def test_fixed_point_halves_series_products(monkeypatch):
@@ -668,7 +719,8 @@ def test_regular_kernel_matches_ratfunc_product(n):
             den = P.mul(den, power[1:])  # ((1 + r h)^n - 1) / h
         coeffs.append(RatFunc(num, den))
     kernel = RefUSeries(coeffs)
-    assert hyper.kernel_inv_hbar(spec) == windows(kernel.coeffs)
+    assert oracles.wide_kernel_inv_hbar(spec) == windows(kernel.coeffs)
+    assert hyper.kernel_inv_hbar(spec) == windows(kernel.coeffs).narrow(5)  # width D + 1
     ref = ref_exp_over_hbar(-regularizing_exponent(spec)) * kernel
     assert [RatFunc(num, den) for num, den in regular_kernel(spec)] == list(ref.coeffs)
 
