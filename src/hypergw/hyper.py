@@ -78,7 +78,7 @@ def _v_factors(n, r):
     for m in range(2, n + 1):
         if n % m == 0:
             phi = P._cyclotomic(m)
-            taylor = P._taylor_ints(phi, 1, 1, len(phi))
+            taylor = P._taylor_rounds(phi, 1, 1)
             out.append(P._primitive([e * r**j for j, e in enumerate(taylor)]))
     return out
 

@@ -12,10 +12,11 @@ _pseudo_rem and _primitive), exact division by a primitive factor
 (_div_exact, in the integers by Gauss's lemma; it raises ArithmeticError
 when the division is not exact), the reduction of a fraction by factors
 known in advance (_cancel_factors, by exact division after a root test of
-each linear factor, so no gcd runs), the first Taylor coefficients at a
-rational point s/t (_taylor_ints, rounds of the Taylor shift of
-t^n p(y/t) by s), the value t^n p(s/t) (_form_at, by Horner's rule) and
-the cyclotomic polynomials (_cyclotomic, by exact division).
+each linear factor, so no gcd runs), the Taylor coefficients at a
+rational point s/t (_taylor_rounds, one round of the Taylor shift of
+t^n p(y/t) by s per coefficient, run as they are read), the value
+t^n p(s/t) (_form_at, by Horner's rule) and the cyclotomic polynomials
+(_cyclotomic, by exact division).
 
 The public functions keep the Fraction interface: a polynomial is a tuple
 of Fraction coefficients, lowest degree first, with no trailing zeros (the
@@ -245,12 +246,13 @@ def _gcd_ints(a, b):
     return A if not B else [1]
 
 
-def _taylor_ints(c, s, t, count):
-    """The first count Taylor coefficients e_0.. of r(y) = t^n c(y/t) at
-    y = s, for an integer list c of degree n: r(y) = sum_j e_j (y - s)^j,
-    so t^n c(x + s/t) = sum_j e_j t^j x^j.  Round j of the classical Taylor
-    shift (repeated synthetic division by y - s, in place) fixes e_j; only
-    count rounds run, each in int.  Entries past the degree are 0."""
+def _taylor_rounds(c, s, t):
+    """The Taylor coefficients e_0, .., e_n of r(y) = t^n c(y/t) at y = s,
+    for an integer list c of degree n: r(y) = sum_j e_j (y - s)^j, so
+    t^n c(x + s/t) = sum_j e_j t^j x^j.  Round j of the classical Taylor
+    shift (repeated synthetic division by y - s, in place) fixes e_j, and
+    each e_j is yielded as its round ends, so a reader that stops early
+    runs only the rounds it reads.  Each round runs in int."""
     n = len(c) - 1
     r = list(c)
     if t != 1:
@@ -258,11 +260,12 @@ def _taylor_ints(c, s, t, count):
         for i in range(n, -1, -1):
             r[i] *= tp
             tp *= t
-    if s:
-        for i in range(min(count, n)):
+    for i in range(n):
+        if s:
             for j in range(n - 1, i - 1, -1):
                 r[j] += s * r[j + 1]
-    return r[:count] + [0] * (count - len(r))
+        yield r[i]
+    yield from r[n:]
 
 
 def shift(p, a):
@@ -273,7 +276,7 @@ def shift(p, a):
     s, t = a.numerator, a.denominator
     c, den = _scaled(p)
     n = len(c)
-    e = _taylor_ints(c, s, t, n)
+    e = _taylor_rounds(c, s, t)
     return norm([Fraction(x, t ** (n - 1 - i) * den) for i, x in enumerate(e)])
 
 

@@ -10,11 +10,12 @@ from_coprime from a pair reduced by the factors they know
 reduces in one place (_lowest_terms: a primitive pseudo-remainder gcd,
 divided out exactly by Gauss's lemma).  The residue kernels return
 integer pairs (c, q) of the residue c / q.  A residue at s/t takes the
-Taylor coefficients of the denominator there by one Taylor shift
-(repeated synthetic division): its leading zeros count the pole order m
-and the rest expand the unit, and the numerator needs only its first m
-coefficients, read with those of the unit by one fraction-free quotient
-(polys._quotient_head), so no division is ever tried.
+Taylor coefficients of the denominator there by the Taylor shift
+(repeated synthetic division), one round per coefficient: its leading
+zeros count the pole order m, and the quotient reads only the next m
+coefficients of the unit and the first m of the numerator, so only those
+rounds run; one fraction-free quotient (polys._quotient_head) reads them,
+and no division is ever tried.
 Everything local to h = 0 runs on exact Laurent windows at the origin,
 all built by _row with no gcd: the window h^-low .. h^high of f is the
 power series h^low f truncated at h^(low + high), a QSeries.  USeriesRF
@@ -27,12 +28,15 @@ residue-moment identities that characterize when it exists.  A residue
 at 0, a weighted residue res{ h^p f } and the iterated residue of the
 split kernel are each one index into a row.  The residue-of-a-product
 trials and the combinatorial identities run on plain integers: a factor
-with at most a simple pole at 0 is the integer list of h f.
+with at most a simple pole at 0 is the integer list of h f, its subset
+sum grows each complement's product from its parent's, and the
+Vandermonde left sides are built level by level, one big-integer product
+per tuple.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property
+from itertools import islice, product
 from math import comb, factorial, perm, prod
 from math import lcm as _lcm
 from math import gcd as _int_gcd
@@ -46,7 +50,14 @@ from .errors import (
     WindowTooSmall,
 )
 from .report import Record, equality_failure, series_failure
-from .series import QSeries, _scaled_rows, convolve_rows, format_rational, log_one_plus_rows
+from .series import (
+    QSeries,
+    _scaled_rows,
+    convolve_rows,
+    format_rational,
+    geometric_rows,
+    log_one_plus_rows,
+)
 
 _ONE = (1,)
 
@@ -293,18 +304,23 @@ def residue_pair_at(f, s, t):
     """(c, q) of the residue c / q of f at s/t, t > 0; (0, 1) at non-poles.
 
     With x = t h - s, an integer list p of degree k has
-    t^k p(h) = sum_j e_j x^j, read off by one Taylor shift.  The e_j of den
-    vanish below the pole order m and the rest expand its unit, so the
-    residue is t^(deg den - deg num - 1) times [x^(m-1)] of the
-    fraction-free series quotient (polys._quotient_head)
-    sum_j e_j(num) x^j / sum_j e_(m+j)(den) x^j.
+    t^k p(h) = sum_j e_j x^j, read off by the Taylor shift one round per
+    e_j.  The e_j of den vanish below the pole order m and the rest expand
+    its unit, so the residue is t^(deg den - deg num - 1) times [x^(m-1)]
+    of the fraction-free series quotient (polys._quotient_head)
+    sum_j e_j(num) x^j / sum_j e_(m+j)(den) x^j, which reads e_0..e_(m-1)
+    of num and e_m..e_(2m-1) of den: only those rounds of each shift run,
+    and one round at a non-pole.
     """
     num, den = f._num, f._den
-    taylor = P._taylor_ints(den, s, t, len(den))
-    m = next(i for i, c in enumerate(taylor) if c)
+    rounds = P._taylor_rounds(den, s, t)
+    m = 0
+    while not (lead := next(rounds)):  # den has a nonzero e_(deg den)
+        m += 1
     if not m:
         return 0, 1
-    ints, q = P._quotient_head(P._taylor_ints(num, s, t, m), taylor[m:], m - 1)
+    unit = [lead, *islice(rounds, m - 1)]
+    ints, q = P._quotient_head(list(islice(P._taylor_rounds(num, s, t), m)), unit, m - 1)
     e = len(den) - len(num) - 1
     c = ints[m - 1]
     return (c * t**e, q) if e >= 0 else (c, q * t**-e)
@@ -520,7 +536,8 @@ class Regularization(Record):
         """For G = g/s and g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, the sums
         sum_{m>=2} G^m / (m(m-1)) = (1 - G) log(1 - G) + G and
         sum_{m>=0} G^m = 1 / (1 - G), the latter by the row recurrence
-        W_k = sum_{0<i<=k} G_i W_(k-i), as USeriesRF windows in (u, s).
+        W_k = sum_{0<i<=k} G_i W_(k-i) in int (series.geometric_rows), as
+        USeriesRF windows in (u, s).
 
         Row k of G holds s^k [u^k] G: entry e is (-1)^j / j! [u^k] c_j with
         j = e - k + 1, that is entry e of row k of z, read in place.  Row 0
@@ -536,10 +553,7 @@ class Regularization(Record):
 
         big_g = USeriesRF._of([QSeries.zero(d)] + [row(k) for k in range(1, d + 1)])
         log = (-big_g).log_one_plus()
-        w = [QSeries.one(d)]
-        for k in range(1, d + 1):
-            w.append(sum((big_g[i] * w[k - i] for i in range(1, k + 1)), QSeries.zero(d)))
-        return log + big_g - big_g * log, USeriesRF._of(w)
+        return log + big_g - big_g * log, USeriesRF._of(geometric_rows(big_g.coeffs))
 
     @cached_property
     def eta_powers(self):
@@ -671,11 +685,13 @@ def product_subset_sum(rows):
     subset contributes nothing (its inner derivative order would be -1,
     which is vacuous).  A subset holding a factor with r_i = 0 adds 0, so
     only subsets of the poles are enumerated, and the factors without a
-    pole sit in every complement.  Each complement's product of regular
-    parts is built once, from the complement with one factor fewer, as the
-    subsets shrink.  Every product runs in int.
+    pole sit in every complement.  The complements are grown one level at
+    a time: a child adds one pole past its parent's last to the
+    complement, so its product of regular parts is the parent's times one
+    row, truncated at |S| entries, and its product of residues the
+    parent's divided by that pole's.  Every product runs in int.
     """
-    poles = [i for i, row in enumerate(rows) if row[0]]
+    poles = [row for row in rows if row[0]]
     width = len(poles)
     base = [1] + [0] * (width - 1)
     for row in rows:
@@ -683,16 +699,19 @@ def product_subset_sum(rows):
             out = [0] * width
             P._accumulate(out, base, row[1:])
             base = out
-    rests = {(): base}  # complement among the poles -> its product, to |S| entries
+    # (first pole a child may add, prod of r_i over S, regular product to |S| entries)
+    level = [(0, prod(row[0] for row in poles), base)]
     acc = 0
     for size in range(width, 0, -1):
-        for kept in combinations(poles, width - size):
-            if kept:
-                rest = [0] * size
-                P._accumulate(rest, rests[kept[:-1]], rows[kept[-1]][1:])
-                rests[kept] = rest
-            r = prod(rows[i][0] for i in poles if i not in kept)
-            acc += r * rests[kept][size - 1]
+        grown = []
+        for first, r, rest in level:
+            acc += r * rest[size - 1]
+            if size > 1:
+                for i in range(first, width):
+                    out = [0] * (size - 1)
+                    P._accumulate(out, rest, poles[i][1:])
+                    grown.append((i + 1, r // poles[i][0], out))
+        level = grown
     return acc
 
 
@@ -726,36 +745,46 @@ def double_residue_split_kernel(a_series, b_series):
 # -- combinatorial identities -------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _packed_row(q, slot):
-    """sum_j C(q, j) 2^(slot j): the binomial row of q, one slot per entry."""
-    return sum(comb(q, j) << slot * j for j in range(q + 1))
+def _binomial_rows(slot, top):
+    """sum_j C(q, j) 2^(slot j) for q = 0..top: the binomial row of each q,
+    one slot per entry."""
+    return [sum(comb(q, j) << slot * j for j in range(q + 1)) for q in range(top + 1)]
 
 
-@lru_cache(maxsize=512)
-def _split_packed(qs, slot):
-    """prod_i sum_j C(q_i, j) x^j at x = 2^slot: slot b holds the Vandermonde
-    left side, the sum over splits j_1 + ... + j_k = b of prod_i C(q_i, j_i).
-    The entries are >= 0 and sum to 2^(sum q), so none carries out of a slot
-    of sum q + 1 bits.  Built row by row, never from (1 + x)^(sum q), so it
-    stays independent of the right side; cached, as tuples share their tails
-    (the 259 tails of the appendixA tuples fit)."""
-    return _packed_row(qs[0], slot) * _split_packed(qs[1:], slot) if qs else 1
+def _split_levels(rows, length):
+    """(qs, sum qs, packed) for each tuple qs of length <= length over
+    0..len(rows)-1, shorter tuples first, first entry fastest, with packed
+    the product of rows[q] over qs.  For the binomial rows at x = 2^slot,
+    slot b of packed is the Vandermonde left side, the sum over splits
+    j_1 + ... + j_k = b of prod_i C(q_i, j_i); the entries are >= 0 and sum
+    to 2^(sum q), so none carries out of a slot of sum q + 1 bits.  Level
+    L + 1 puts each row in front of each level-L tuple, one product per
+    tuple, so the sides are built row by row, never from (1 + x)^(sum q),
+    and stay independent of the right side."""
+    level = [((), 0, 1)]
+    for size in range(length + 1):
+        yield from level
+        if size < length:
+            level = [
+                ((q, *qs), q + total, row * packed)
+                for qs, total, packed in level
+                for q, row in enumerate(rows)
+            ]
 
 
 def vandermonde_failures(bound):
     """The failure text of each failing b <= bound and tuple qs of length
-    <= 4 over 0..5, first entry fastest: slots 0..bound of each left side
-    (21 bits hold totals to 20) meet comb(sum qs, b) at once, and a tuple
-    that differs names each b whose slot differs."""
+    <= 4 over 0..5, first entry fastest, the left sides packed by
+    _split_levels: slots 0..bound of each (21 bits hold totals to 20) meet
+    comb(sum qs, b) at once, and a tuple that differs names each b whose
+    slot differs."""
     slot = 4 * 5 + 1
     mask = (1 << slot * (bound + 1)) - 1
     rows = [sum(comb(total, b) << slot * b for b in range(bound + 1)) for total in range(21)]
-    for qs in (r[::-1] for length in range(5) for r in product(range(6), repeat=length)):
-        packed = _split_packed(qs, slot)
-        if packed & mask != rows[sum(qs)]:
+    for qs, total, packed in _split_levels(_binomial_rows(slot, 5), 4):
+        if packed & mask != rows[total]:
             for b in range(bound + 1):
-                lhs, rhs = packed >> slot * b & (1 << slot) - 1, comb(sum(qs), b)
+                lhs, rhs = packed >> slot * b & (1 << slot) - 1, comb(total, b)
                 if lhs != rhs:
                     yield _case_failure("binomial-vandermonde", {"b": b, "qs": qs}, lhs, rhs)
 

@@ -13,8 +13,8 @@ variable, so d/dt acts as q*d/dq), and WSeries does the same for a formal
 variable w with its own truncation order.  Every bivariate series of the
 package (these two and the window series of residues.USeriesRF, which
 also hold the moment sums of a regularization) is a list of QSeries rows;
-convolve_rows is their one truncated product and log_one_plus_rows their
-one logarithm.
+convolve_rows is their one truncated product, log_one_plus_rows their
+one logarithm and geometric_rows their one inverse of 1 - g.
 """
 
 from fractions import Fraction
@@ -502,6 +502,33 @@ def log_one_plus_rows(z, head):
             m = [None] + [[c * (grown // dm) for c in r] for r in m[1:]]
             dm = grown
         m.append([c * (dm // den) for c in row])
+    return out
+
+
+def geometric_rows(g):
+    """QSeries rows of 1 / (1 - g), for g a list of QSeries rows whose row 0
+    is zero (only its truncation is read).
+
+    W_0 = 1 and W_k = sum_{0<i<=k} g_i W_(k-i), each output row truncated
+    at the smallest truncation of the rows it sums.  It runs in int as
+    log_one_plus_rows does: the rows of g over one denominator, the solved
+    rows W_j over one running denominator."""
+    x, dg = _scaled_rows(g[1:])
+    x.insert(0, None)
+    out = [QSeries.one(g[0].truncation)]
+    w, dw = [[1]], 1  # W_j as integer rows over dw
+    for k in range(1, len(g)):
+        t = min(min(g[i].truncation, out[k - i].truncation) for i in range(1, k + 1))
+        acc = [0] * (t + 1)
+        for i in range(1, k + 1):
+            P._accumulate(acc, x[i], w[k - i])
+        row = QSeries._of(acc, dg * dw)
+        out.append(row)
+        if dw % row.den:
+            grown = dw // _gcd(dw, row.den) * row.den
+            w = [[c * (grown // dw) for c in r] for r in w]
+            dw = grown
+        w.append([c * (dw // row.den) for c in row.ints])
     return out
 
 

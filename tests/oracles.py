@@ -2,12 +2,13 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Five references are routes rather than arithmetic
+package under test.  Seven references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
 of the descended ladder, the full-precision fixed point of the
-regularizing exponent, the full-width kernel at w = 1/h and bridge
-series, the Yukawa route to the quintic's genus-0 numbers, and the
-argparse parser of the command line.
+regularizing exponent, the full-width kernel at w = 1/h, bridge series
+and u/h counterexample, the residue from full-length Taylor shifts, the
+moment window 1 / (1 - G) by QSeries products, the Yukawa route to the
+quintic's genus-0 numbers, and the argparse parser of the command line.
 """
 
 from fractions import Fraction as Fr
@@ -1013,6 +1014,62 @@ def wide_bridge_series(spec):
     from hypergw import hyper
 
     return wide_kernel_inv_hbar(spec).mul_qseries(1 / hyper.diagonal_series(spec, 0)) - 1
+
+
+def wide_u_over_h(order):
+    """The regularize suite's counterexample u/h at width 2D + 2, as the
+    suite built it before it took the width D + 1 its readers need."""
+    from hypergw.residues import USeriesRF
+
+    return USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1])], order)
+
+
+# -- the full-length residue shift and the geometric sum by products -------------
+# Two routes the package replaced, kept on its own kernels: the residue at s/t
+# from every round of both Taylor shifts, and the moment window 1 / (1 - G) by
+# one QSeries product and sum per term.
+
+
+def _full_taylor_shift(c, s, t):
+    """Every Taylor coefficient e_0..e_n of t^n c(y/t) at y = s, for an
+    integer list c of degree n: all n rounds of synthetic division by
+    y - s."""
+    n = len(c) - 1
+    r = [x * t ** (n - i) for i, x in enumerate(c)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r[j] += s * r[j + 1]
+    return r
+
+
+def residue_pair_by_full_shift(f, s, t):
+    """residue_pair_at's (c, q) from the full Taylor shifts of num and den
+    at s/t: the pole order m is the index of den's first nonzero
+    coefficient, and [x^(m-1)] of the fraction-free quotient of num's
+    coefficients by den's from m on is scaled by t^(deg den - deg num - 1)."""
+    from hypergw import polys as P
+
+    num, den = f._num, f._den
+    taylor = _full_taylor_shift(den, s, t)
+    m = next(i for i, c in enumerate(taylor) if c)
+    if not m:
+        return 0, 1
+    ints, q = P._quotient_head(_full_taylor_shift(num, s, t)[:m], taylor[m:], m - 1)
+    e = len(den) - len(num) - 1
+    c = ints[m - 1]
+    return (c * t**e, q) if e >= 0 else (c, q * t**-e)
+
+
+def geometric_rows_by_products(g):
+    """The rows of 1 / (1 - g) for QSeries rows g with row 0 zero, by
+    W_k = sum_{0<i<=k} g_i W_(k-i), one QSeries product and sum per term."""
+    from hypergw.series import QSeries
+
+    d = g[0].truncation
+    w = [QSeries.one(d)]
+    for k in range(1, len(g)):
+        w.append(sum((g[i] * w[k - i] for i in range(1, k + 1)), QSeries.zero(d)))
+    return w
 
 
 # -- the Yukawa route to the quintic's genus-0 numbers ---------------------------

@@ -427,6 +427,28 @@ def test_regularize_suite_output_is_pinned(n, order, capsys, cold_stages):
     assert hashlib.sha256(out.encode()).hexdigest() == REGULARIZE_SUITE_SHA256[n, order]
 
 
+# sha256 of the residues and appendixA suites' stdout, recorded before the
+# Vandermonde left sides were built by levels and the residue trials ran only
+# the Taylor rounds they read
+RESIDUES_APPENDIX_A_SHA256 = {
+    (1, 1, "text"): "4d30773a89b4df113d4cb6f6058ec72f470408cf9cb09aaf3a16048824d8aa3f",
+    (1, 1, "json"): "87343f6249951a29686f0e85ba0cebecb53ab1d5396bea3900fad1c7d3d87d78",
+    (5, 6, "text"): "99952f422749fc9e27ffbcfbaef2ae870df9c3e1f39aaedd9f8e345bc067b554",
+    (5, 6, "json"): "0ddc0ef65b59a513a32a559667384e71273c7714256ba546d4cf7bca5e36f8d8",
+    (8, 9, "text"): "b4175e1245202fce04c4ea4872ab9c128056ea94e6205fa35caa85034e789ec7",
+    (8, 9, "json"): "67fc264459b41fee27a94e6cc58f85a563305b340b9b1b9f2b3ab58b22b22c11",
+}
+
+
+@pytest.mark.parametrize("n, order, fmt", sorted(RESIDUES_APPENDIX_A_SHA256))
+def test_residues_and_appendix_a_output_is_pinned(n, order, fmt, capsys):
+    argv = ["verify", "--suite", "residues,appendixA", "--n", str(n), "--order", str(order)]
+    code, out, _ = run([*argv, "--format", fmt], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == RESIDUES_APPENDIX_A_SHA256[n, order, fmt]
+
+
 def test_series_pairs_keep_every_locus_format():
     lhs, rhs = QSeries([1, 2, 3]), QSeries([4, 5, 6])
     # the labels the checkers printed, one per prefix in use

@@ -325,14 +325,15 @@ ENTRIES = [
     # (b = 1) of the 21-bit packing of the Vandermonde left sides
     ("vandermonde", suite("appendixA"), "binomial-vandermonde-exhaustive",
      "binomial-vandermonde [b=1 qs=(2, 1)]: FAIL at value: 4 != 3",
-     wrap(residues, "_split_packed", lambda packed: packed + (1 << 21),
-          lambda qs, slot: qs in ((2, 1), (1, 2)))),
-    # the binomial row of q = 2 under the left sides: (2,) has left the
-    # 512-entry cache of packed products by the end of the first run, so it
-    # is the first tuple rebuilt from the moved row
+     wrap(residues, "_split_levels", lambda levels: (
+         (qs, total, packed + (1 << 21 if qs in ((2, 1), (1, 2)) else 0))
+         for qs, total, packed in levels))),
+    # the binomial row of q = 2 under the left sides: (2,) is the first
+    # tuple built from the moved row
     ("packed-row", suite("appendixA"), "binomial-vandermonde-exhaustive",
      "binomial-vandermonde [b=1 qs=(2,)]: FAIL at value: 3 != 2",
-     wrap(residues, "_packed_row", lambda row: row + (1 << 21), lambda q, slot: q == 2)),
+     wrap(residues, "_binomial_rows", lambda rows: [
+         row + (1 << 21 if q == 2 else 0) for q, row in enumerate(rows)])),
     ("reciprocal", suite("appendixA"), "alternating-reciprocal-exhaustive",
      "alternating-reciprocal-sum [q=1 a=6]: FAIL at value: ",
      wrap(residues, "factorial", lambda out: out + 1, lambda m: m >= 7)),

@@ -120,6 +120,35 @@ def test_shift_and_evaluate_match_fraction_ratfunc(pair, a):
         assert got == want and type(got) is Fr
 
 
+@st.composite
+def poles_at(draw):
+    """(f, s, t), t in 1..3: f = num / ((t h - s)^m unit) with m up to the
+    degree of its denominator, s = 0 among the draws, unit a random integer
+    polynomial (a root at s/t deepens the pole) and num random."""
+    s, t = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 6))
+    m = draw(st.integers(0, degree))
+    size = degree - m + 1
+    unit = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size).filter(lambda p: p[-1]))
+    den = unit
+    for _ in range(m):
+        den = polys._mul_ints(den, [-s, t])
+    num = draw(st.lists(st.integers(-6, 6), max_size=degree + 2))
+    return RatFunc(num, den), s, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(poles_at())
+@example((RatFunc([1, 2], [0, 0, 0, 0, 27]), 0, 3))  # the pole order is deg den
+@example((RatFunc([5], [-8, 12, -6, 1]), 2, 1))  # (h - 2)^3
+@example((RatFunc([0, 0, 1], [0, 0, 0, 1, 1]), 0, 1))
+def test_short_taylor_route_matches_the_full_shift(case):
+    # residue_pair_at runs 2m rounds of den's shift and m of num's, at a
+    # pole of order m; the oracle runs every round of both
+    f, s, t = case
+    assert residues.residue_pair_at(f, s, t) == oracles.residue_pair_by_full_shift(f, s, t)
+
+
 @settings(max_examples=80, deadline=None)
 @given(pairs(), points)
 @example(HIGH, Fr(0))
@@ -176,6 +205,8 @@ factor_rows = st.lists(st.integers(-7, 7), min_size=1, max_size=5)
 @example([])
 @example([[0], [0, 1]])
 @example([[0], [-7, 3, 0]])
+@example([[1, 2], [3, -1], [-2, 5, 1], [4], [5, 0, 2]])  # five poles, every level
+@example([[2, 1], [0, 3], [-1, 0, 4], [0, -2, 1], [7, 7]])  # poles among regular factors
 def test_product_subset_sum_matches_fraction_loop(rows):
     gs = [oracles.RatFunc(tuple(map(Fr, row)), (Fr(0), Fr(1))) for row in rows]
     got = product_subset_sum(rows)

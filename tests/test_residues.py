@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial, perm, prod
 
@@ -684,6 +684,44 @@ def test_narrow_bridge_regularizes_as_the_full_width_one(n, d):
     assert moment_closed_form_check(wide, -3) is None
 
 
+def regularized_in_suite(monkeypatch, n, order):
+    """The series the regularize suite at (n, order) regularizes, in order:
+    the constructed series, the u/h counterexample and the bridge."""
+    seen = []
+    real = cli.regularize
+    monkeypatch.setattr(cli, "regularize", lambda z: seen.append(z) or real(z))
+    cli._suite_regularize(n, order)
+    return seen
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 40])
+def test_counterexample_is_built_at_width_d_plus_1(monkeypatch, order):
+    # its five criterion texts are those of the full-width build
+    _, bad, _ = regularized_in_suite(monkeypatch, 1, order)
+    d = bad.truncation
+    assert d == max(order, 2)
+    assert [row.truncation for row in bad.coeffs] == [d + 1] * (d + 1)
+    narrow, wide = regularize(bad), regularize(oracles.wide_u_over_h(d))
+    texts = [moment_identity_check(narrow, a) for a in range(5)]
+    assert texts == [moment_identity_check(wide, a) for a in range(5)]
+    assert any(texts)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_geometric_window_matches_series_products(monkeypatch, n):
+    # 1 / (1 - G) in int against one QSeries product and sum per term, on
+    # the G of the constructed, u/h and bridge series of the suite
+    inputs = []
+    real = residues.geometric_rows
+    monkeypatch.setattr(residues, "geometric_rows", lambda g: inputs.append(g) or real(g))
+    for order in range(1, 13):
+        inputs.clear()
+        cli._suite_regularize(n, order)
+        assert len(inputs) == 3
+        for g in inputs:
+            assert real(g) == oracles.geometric_rows_by_products(g)
+
+
 def test_fixed_point_halves_series_products(monkeypatch):
     # the power-sum rounds made 140 QSeries.__mul__ calls here: per term of
     # each of the D rounds, a power of eta, its scaling and its moment product
@@ -833,15 +871,29 @@ def test_product_residue_matches_ratfunc_subsets(rows):
 # -- combinatorial identities -------------------------------------------------------
 
 
+@cache
+def split_levels_to_5():
+    """{qs: (sum qs, packed)} from the level builder over the binomial rows
+    of 0..7 at tuple lengths <= 5, in its order; totals reach 35, so the
+    packed slot grows past the suite's 21 bits."""
+    levels = residues._split_levels(residues._binomial_rows(36, 7), 5)
+    return {qs: (total, packed) for qs, total, packed in levels}
+
+
+def test_split_levels_enumerate_first_entry_fastest():
+    levels = split_levels_to_5()
+    tuples = [r[::-1] for length in range(6) for r in product(range(8), repeat=length)]
+    assert list(levels) == tuples
+    assert [total for total, _ in levels.values()] == [sum(qs) for qs in tuples]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 7), max_size=5))
 @example([])
 @example([7, 7, 7, 7, 7])
 def test_vandermonde_left_side_matches_split_enumeration(qs):
-    # totals reach 35, so the packed slot grows past the suite's 21 bits
-    top = sum(qs) + 2
-    slot = max(sum(qs), 20) + 1
-    packed = residues._split_packed(tuple(qs), slot)
+    slot, top = 36, sum(qs) + 2
+    _, packed = split_levels_to_5()[tuple(qs)]
     sums = [packed >> slot * b & (1 << slot) - 1 for b in range(top + 1)]
     assert sums == [oracles.split_sum(qs, b) for b in range(top + 1)]
     assert tuple(sums[:-2]) == oracles.split_sums_by_rows(qs)
@@ -850,10 +902,13 @@ def test_vandermonde_left_side_matches_split_enumeration(qs):
 
 def bumped_slot_1(monkeypatch, tuples):
     """Move slot 1 (the b = 1 left side) of the packed products of tuples by 1."""
-    packed = residues._split_packed
+    levels = residues._split_levels
     monkeypatch.setattr(
-        residues, "_split_packed",
-        lambda qs, slot: packed(qs, slot) + (1 << slot if qs in tuples else 0),
+        residues, "_split_levels",
+        lambda rows, length: (
+            (qs, total, packed + (1 << 21 if qs in tuples else 0))
+            for qs, total, packed in levels(rows, length)
+        ),
     )
 
 
@@ -862,7 +917,7 @@ def test_appendix_a_vandermonde_can_fail(monkeypatch):
         reports = cli._suite_appendix_a(6)
         return next(r.passed for r in reports if r.identity == "binomial-vandermonde-exhaustive")
 
-    assert passed()  # leaves left sides in the cache
+    assert passed()
     bumped_slot_1(monkeypatch, ((1, 2),))
     assert not passed()
     monkeypatch.undo()
