@@ -6,11 +6,17 @@ w-rows 0..max(n - 1, 1), all the stages read (dump --what F alone builds
 rows 0..n + 2), seed a tower of t-polynomials whose diagonal entries are
 unit q-series; the tower yields the mirror map, the regularizing exponent
 mu, the h-regular kernel Q obtained by stripping exp(mu/h), and the
-ladder series built by repeated first-order descent operators.  The
-kernel at w = 1/h enters the stages as one normalized window per spec,
-K(1/h) / I_0 (ladder_series), and one log of it (ladder_log) serves both
-residue routes: log I_0 is h-free, so the h^-1 entries that give mu are
-those of log K(1/h).  The ladder is read only through exp(-mu/h), so its
+ladder series built by repeated first-order descent operators.  Every
+reader of the kernel over its w-constant part I_0 reads one set of
+normalized rows rho_i = F_i / I_0 (normalized_rows): the J-polynomials,
+the mirror shift and the bigraded log log_kernel_w.  Each diagonal is
+inverted once (diagonal_inverse) and logged once (diagonal_log), and
+1 - n^n q is logged once (log_one_minus_nn_q): no reader divides by a
+diagonal again or takes its own log of one.  The kernel at w = 1/h enters
+the stages as one normalized window per spec, K(1/h) / I_0
+(ladder_series), and one log of it (ladder_log) serves both residue
+routes: log I_0 is h-free, so the h^-1 entries that give mu are those of
+log K(1/h).  The ladder is read only through exp(-mu/h), so its
 rungs are descended there: rung 0 is the one window product per spec, and
 each higher rung comes from the one below by the Leibniz rule for
 theta = h q d/dq (_descended_regular).  The checker functions turn the
@@ -35,7 +41,7 @@ from .errors import PoleTooHigh, RegularityViolation
 from .report import IdentityReport, Record, equality_failure, first_failure, merge_reports
 from .report import integrality_failure, series_failure
 from .residues import USeriesRF, _row, double_residue_split_kernel, exp_over_hbar
-from .series import QSeries, TPoly, WSeries, _scaled_rows
+from .series import QSeries, TPoly, WSeries, _scaled_rows, log_one_plus_rows
 
 
 class HyperSpec(Record):
@@ -108,9 +114,10 @@ def _kernel_rows(spec, rows):
 @lru_cache(maxsize=None)
 def kernel(spec):
     """The kernel on the w-rows its stages read, 0..max(n - 1, 1): tower
-    entry (0, k) reads rows 0..k <= n - 1, the n = 1 mirror shift row 1 and
-    log_kernel_w rows 0..max(n - 2, 0).  dump --what F builds its own rows
-    0..n + 2 with _kernel_rows."""
+    entry (0, k) reads rows 0..k <= n - 1 and normalized_rows rows
+    1..max(n - 1, 1), for the J-polynomials, the n = 1 mirror shift and
+    log_kernel_w.  dump --what F builds its own rows 0..n + 2 with
+    _kernel_rows."""
     return _kernel_rows(spec, max(spec.n, 2))
 
 
@@ -150,7 +157,7 @@ def kernel_value_at(spec, a):
     gap deg rnum_d = deg V_d + d, so the value is H(rnum_d) / (H(V_d) s^d)
     for the forms H(p) = t^deg(p) p(s/t) (_form_at).
     """
-    a = Fraction(a)
+    a = P._exact(a)
     s, t = a.numerator, a.denominator
     out = []
     for d, pair in enumerate(_inv_hbar_parts(spec)):
@@ -169,28 +176,63 @@ def i_series(spec, p, k):
 
     Built one entry at a time at width D, when read: tower_structure_check
     reads all of 0 <= p <= k <= n - 1, diagonal_series entry (p, p), and
-    entry (p, k) builds (p + 1, k).  So invariants --n 5 builds (0, 0..3)
-    and (1, 1) only."""
-    if not 0 <= p <= k <= spec.n - 1:
-        raise ValueError("need 0 <= p <= k <= n-1")
+    entry (p, k), through tower_ratio, builds (p + 1, k).  The J-polynomials
+    come from the normalized rows, not from row 0, so invariants --n 5
+    builds (0, 0) and (1, 1) only."""
+    _check_entry(spec, p, k)
     if p == 0:
         f = kernel(spec)
         return TPoly([f.coeff(k - j) * Fraction(1, factorial(j)) for j in range(k + 1)])
     return tower_ratio(spec, p - 1, k).d_dt()
 
 
+def _check_entry(spec, p, k):
+    if not 0 <= p <= k <= spec.n - 1:
+        raise ValueError("need 0 <= p <= k <= n-1")
+
+
 @lru_cache(maxsize=None)
 def tower_ratio(spec, p, k):
     """Entry (p, k) over diagonal p, at width D: at p = 0 the J-polynomial
-    J_k, whose t-free part at k = 1 is the mirror shift.  Each ratio is
-    divided once, for the tower, the mirror shift and the J-polynomials."""
-    return i_series(spec, p, k).div_qseries(diagonal_series(spec, p))
+    J_k = sum_j rho_(k-j) t^j / j!, read off the normalized rows with no
+    division (its t-free part at k = 1 is the mirror shift); at p >= 1
+    entry (p, k) times the one inverse of diagonal p."""
+    _check_entry(spec, p, k)
+    if p == 0:
+        rho = normalized_rows(spec)
+        return TPoly([rho[k - j] * Fraction(1, factorial(j)) for j in range(k + 1)])
+    inv = diagonal_inverse(spec, p)
+    return TPoly([c * inv for c in i_series(spec, p, k).coeffs])
 
 
 @lru_cache(maxsize=None)
 def diagonal_series(spec, p):
-    """The t-free diagonal tower entry, a unit q-series."""
+    """The t-free diagonal tower entry I_p, a unit q-series; I_0 is kernel
+    row 0, with integer coefficients (nd)! / (d!)^n."""
     return i_series(spec, p, p).t_free_part()
+
+
+@lru_cache(maxsize=None)
+def diagonal_inverse(spec, p):
+    """1 / I_p, the one division by diagonal p: the tower at p >= 1, the
+    normalized rows and window (p = 0) and the descended rungs multiply by
+    it."""
+    return 1 / diagonal_series(spec, p)
+
+
+@lru_cache(maxsize=None)
+def diagonal_log(spec, p):
+    """log I_p, the one log of diagonal p, for the genus-1 series and checks."""
+    return diagonal_series(spec, p).log()
+
+
+@lru_cache(maxsize=None)
+def normalized_rows(spec):
+    """The kernel rows over I_0: rho_0 = 1 and rho_i = F_i / I_0 for the
+    rows 0..max(n - 1, 1) of kernel, each a product by the one inverse of
+    I_0.  The J-polynomials and log_kernel_w read them."""
+    inv = diagonal_inverse(spec, 0)
+    return (QSeries.one(spec.qorder),) + tuple(c * inv for c in kernel(spec).coeffs[1:])
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +244,7 @@ def mirror_shift(spec):
     coefficients still defines the shift.
     """
     if spec.n == 1:
-        f = kernel(spec)
-        return f.coeff(1) / f.coeff(0)
+        return normalized_rows(spec)[1]
     shifted = tower_ratio(spec, 0, 1) - TPoly.t_variable(spec.qorder)
     return shifted.t_free_part()
 
@@ -223,9 +264,19 @@ def one_minus_nn_q(spec):
 
 
 @lru_cache(maxsize=None)
+def log_one_minus_nn_q(spec):
+    """log(1 - n^n q), taken once per spec: the genus-1 series and checks
+    read it, and linear_factor L and kernel_value_at_zero 1/L are
+    exp(+-log / n) of it, as QSeries.power would form them.
+    diagonal_identities raises 1 - n^n q to (n - 1)/2 by QSeries.power, so
+    both of its products read the one series they multiply."""
+    return one_minus_nn_q(spec).log()
+
+
+@lru_cache(maxsize=None)
 def linear_factor(spec):
     """L = (1 - n^n q)^{1/n}."""
-    return one_minus_nn_q(spec).power(Fraction(1, spec.n))
+    return (log_one_minus_nn_q(spec) * Fraction(1, spec.n)).exp()
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +347,7 @@ def regular_kernel(spec):
 @lru_cache(maxsize=None)
 def kernel_value_at_zero(spec):
     """Closed form for the regular kernel at h = 0: (1 - n^n q)^{-1/n}."""
-    return one_minus_nn_q(spec).power(Fraction(-1, spec.n))
+    return (log_one_minus_nn_q(spec) * Fraction(-1, spec.n)).exp()
 
 
 @lru_cache(maxsize=None)
@@ -309,15 +360,15 @@ def kernel_slope_at_zero(spec):
 
 @lru_cache(maxsize=None)
 def log_kernel_w(spec):
-    """Bigraded logarithm of the kernel divided by its w-constant part, on
-    w-rows 0..max(n - 2, 0) at width D, from the first of the kernel's
-    rows 0..max(n - 1, 1).  Those are all its readers take:
-    the genus-1 log tail reads rows 2..n - 2 and the boundary residue at
-    infinity rows 0..n - 2.  Row k of the log depends only on rows <= k of
-    the kernel, and log(f / f0) differs from log f only in row 0, log f0,
-    which is replaced by zero; so each row is divided by f0 once."""
-    rows = WSeries(kernel(spec).coeffs[: max(spec.n - 1, 1)]).log().coeffs
-    return WSeries((QSeries.zero(spec.qorder),) + rows[1:])
+    """Bigraded logarithm of the kernel divided by its w-constant part I_0,
+    on w-rows 0..max(n - 2, 0) at width D: log(1 + sum_i rho_i w^i) on the
+    normalized rows rho_1..rho_(n-2), with row 0, log rho_0 = 0, the zero
+    series.  Those are all its readers take: the genus-1 log tail reads
+    rows 2..n - 2 and the boundary residue at infinity rows 0..n - 2.  Row
+    k of the log depends only on rows <= k, so no row is divided again and
+    no log of I_0 is taken."""
+    rows = normalized_rows(spec)[: max(spec.n - 1, 1)]  # row 0 is not read
+    return WSeries(log_one_plus_rows(rows, QSeries.zero(spec.qorder)))
 
 
 def dw_kernel_coeffs(n, upto):
@@ -336,7 +387,7 @@ def ladder_series(spec):
     one, it is the regularize suite's bridge series.  Its width D + 1 is the
     largest entry read, at row D of the descended rungs, by the slope in
     regular_kernel_checks and ladder_residue at order 1."""
-    return kernel_inv_hbar(spec).mul_qseries(1 / diagonal_series(spec, 0))
+    return kernel_inv_hbar(spec).mul_qseries(diagonal_inverse(spec, 0))
 
 
 @lru_cache(maxsize=None)
@@ -364,8 +415,14 @@ def _descended_regular(spec, p):
     if p == 0:
         return _exp_minus_mu(spec) * ladder_series(spec)
     prev = _descended_regular(spec, p - 1)
-    prev = prev.mul_qseries(regularizing_exponent(spec).derivative() + 1) + prev.h_euler()
-    return prev.mul_qseries(1 / diagonal_series(spec, p))
+    prev = prev.mul_qseries(_descent_factor(spec)) + prev.h_euler()
+    return prev.mul_qseries(diagonal_inverse(spec, p))
+
+
+@lru_cache(maxsize=None)
+def _descent_factor(spec):
+    """1 + q mu', the h-free factor of every descent step, once per spec."""
+    return regularizing_exponent(spec).derivative() + 1
 
 
 def ladder_residue(spec, p, order):
@@ -460,7 +517,8 @@ def ladder_identities(spec):
         raise ValueError("ladder identities need n >= 2")
     one = QSeries.one(d)
     big_l = linear_factor(spec)
-    fs = [one / (big_l * diagonal_series(spec, p)) for p in range(n)]
+    inv_l = one / big_l
+    fs = [inv_l * diagonal_inverse(spec, p) for p in range(n)]
     flog_deriv = [f.log().derivative() for f in fs[: n - 1]]  # read at r <= n - 2
     phi1 = kernel_slope_at_zero(spec)
 

@@ -47,20 +47,16 @@ def _parity_block(spec, log_coeff_odd, log_coeff_even):
     """The parity-split middle block shared by the generating series and
     the effective-locus part; only the coefficient of the log differs."""
     n, d = spec.n, spec.qorder
-    log_onemq = hyper.one_minus_nn_q(spec).log()
+    log_onemq = hyper.log_one_minus_nn_q(spec)
     out = QSeries.zero(d)
     if n % 2:
         out = out + log_onemq * log_coeff_odd
         for p in range((n - 3) // 2 + 1):
-            out = out + hyper.diagonal_series(spec, p).log() * Fraction(
-                (n - 1 - 2 * p) ** 2, 8
-            )
+            out = out + hyper.diagonal_log(spec, p) * Fraction((n - 1 - 2 * p) ** 2, 8)
     else:
         out = out + log_onemq * log_coeff_even
         for p in range((n - 4) // 2 + 1):
-            out = out + hyper.diagonal_series(spec, p).log() * Fraction(
-                (n - 2 * p) * (n - 2 - 2 * p), 8
-            )
+            out = out + hyper.diagonal_log(spec, p) * Fraction((n - 2 * p) * (n - 2 - 2 * p), 8)
     return out
 
 
@@ -85,7 +81,7 @@ def reduced_genus1_series(spec):
     n = spec.n
     c_shift, c_log = _first_line_coeffs(n)
     out = hyper.mirror_shift(spec) * c_shift
-    out = out + hyper.diagonal_series(spec, 0).log() * c_log
+    out = out + hyper.diagonal_log(spec, 0) * c_log
     out = out - _parity_block(spec, Fraction(n - 1, 48), Fraction(n - 4, 48))
     out = out + _log_tail(spec)
     return out
@@ -183,9 +179,9 @@ def quintic_genus1(order):
     """Standard genus-1 invariants of the quintic from the closed form."""
     spec = HyperSpec(5, order)
     shift = hyper.mirror_shift(spec)
-    log_i0 = hyper.diagonal_series(spec, 0).log()
-    log_onemq = hyper.one_minus_nn_q(spec).log()
-    log_i1 = hyper.diagonal_series(spec, 1).log()
+    log_i0 = hyper.diagonal_log(spec, 0)
+    log_onemq = hyper.log_one_minus_nn_q(spec)
+    log_i1 = hyper.diagonal_log(spec, 1)
     rhs = (
         shift * Fraction(25, 6)
         - log_i0 * Fraction(62, 3)
@@ -354,10 +350,10 @@ def effective_locus_half_sum(spec):
     identities."""
     n = spec.n
     out = hyper.regularizing_exponent(spec) * Fraction((n - 2) * (n + 1), 24)
-    out = out - hyper.one_minus_nn_q(spec).log() * Fraction((n - 2) * (3 * n - 5), 24)
+    out = out - hyper.log_one_minus_nn_q(spec) * Fraction((n - 2) * (3 * n - 5), 24)
     for p in range(n - 2):
         binom2 = Fraction((n - 1 - p) * (n - 2 - p), 2)
-        out = out - hyper.diagonal_series(spec, p).log() * binom2
+        out = out - hyper.diagonal_log(spec, p) * binom2
     return out * Fraction(1, 2)
 
 
@@ -374,8 +370,8 @@ def boundary_locus_series(spec):
     c_shift, c_log = _first_line_coeffs(n)
     out = hyper.mirror_shift(spec) * c_shift
     out = out - hyper.regularizing_exponent(spec) * Fraction((n - 2) * (n + 1), 48)
-    out = out + hyper.one_minus_nn_q(spec).log() * Fraction(1, 24)
-    out = out + hyper.diagonal_series(spec, 0).log() * c_log
+    out = out + hyper.log_one_minus_nn_q(spec) * Fraction(1, 24)
+    out = out + hyper.diagonal_log(spec, 0) * c_log
     return out + _log_tail(spec)
 
 
@@ -415,7 +411,7 @@ def boundary_locus_by_residues(spec):
     # kernel coefficient is holomorphic there (n = 2: a removable 0/0), so
     # it is res_{-n}(weight) times log y + (t - T)/h evaluated at h = -n
     a = Fraction(-n)
-    y_at = hyper.kernel_value_at(spec, a) / hyper.diagonal_series(spec, 0)
+    y_at = hyper.kernel_value_at(spec, a) * hyper.diagonal_inverse(spec, 0)
     partn = (y_at.log() + shift_neg / a) * (residue_at(weight, a) * Fraction(-n, 24))
 
     # residue at infinity: becomes a w-residue of the bigraded logarithm
@@ -447,11 +443,11 @@ def locus_split_check(spec):
 
     mu = hyper.regularizing_exponent(spec)
     shift_neg = -hyper.mirror_shift(spec)
-    log_i0 = hyper.diagonal_series(spec, 0).log()
+    log_i0 = hyper.diagonal_log(spec, 0)
     closed_minus_n = (shift_neg * Fraction(-1, n) - log_i0) * Fraction(
         -((1 - n) ** n - 1), 24 * n
     )
-    phi0_log = hyper.kernel_value_at_zero(spec).log()
+    phi0_log = hyper.log_one_minus_nn_q(spec) * Fraction(-1, n)  # log (1 - n^n q)^(-1/n)
     closed_zero = (
         (shift_neg + mu) * Fraction((n - 2) * (n + 1), 2 * n) + phi0_log - log_i0
     ) * Fraction(-n, 24)
@@ -488,8 +484,8 @@ def low_dimension_checks(order):
     series3 = reduced_genus1_series(spec3)
     direct3 = (
         hyper.mirror_shift(spec3) * Fraction(1, 8)
-        - hyper.one_minus_nn_q(spec3).log() * Fraction(1, 24)
-        - hyper.diagonal_series(spec3, 0).log() * Fraction(1, 2)
+        - hyper.log_one_minus_nn_q(spec3) * Fraction(1, 24)
+        - hyper.diagonal_log(spec3, 0) * Fraction(1, 2)
     )
     extracted3 = QSeries([Fraction(0)] + extract_invariants(series3, spec3))
     torus = merged_failure(

@@ -36,8 +36,9 @@ ONE = (Fraction(1),)
 
 
 def norm(coeffs):
-    """Coerce to Fraction and strip trailing zeros."""
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    """Coerce ints to Fraction and strip trailing zeros; anything but an
+    int or a Fraction raises TypeError (_exact)."""
+    out = [c if type(c) is Fraction else Fraction(_exact(c)) for c in coeffs]
     _strip(out)
     return tuple(out)
 

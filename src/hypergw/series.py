@@ -433,6 +433,8 @@ class WSeries:
         """Bigraded logarithm; the (w^0, q^0) coefficient must be 1.
 
         With z = (f - f0)/f0 (no w^0 term), log f = log f0 + log(1 + z).
+        No stage calls it: hyper.log_kernel_w runs log_one_plus_rows on rows
+        already divided by f0.  The tests' oracle route to that log runs here.
         """
         f0 = self.coeffs[0]
         if f0.ints[0] != f0.den:

@@ -2,13 +2,15 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Seven references are routes rather than arithmetic
+package under test.  Eight references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
 of the descended ladder, the full-precision fixed point of the
 regularizing exponent, the full-width kernel at w = 1/h, bridge series
-and u/h counterexample, the residue from full-length Taylor shifts, the
-moment window 1 / (1 - G) by QSeries products, the Yukawa route to the
-quintic's genus-0 numbers, and the argparse parser of the command line.
+and u/h counterexample, the q-side routes that divided by a diagonal and
+took a log for each reader, the residue from full-length Taylor shifts,
+the moment window 1 / (1 - G) by QSeries products, the Yukawa route to
+the quintic's genus-0 numbers, and the argparse parser of the command
+line.
 """
 
 from fractions import Fraction as Fr
@@ -1022,6 +1024,46 @@ def wide_u_over_h(order):
     from hypergw.residues import USeriesRF
 
     return USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1])], order)
+
+
+# -- the q-side routes before the normalized kernel ------------------------------
+# The routes that divided by a diagonal and took a log wherever a reader needed
+# one, kept on the package's tower: each J-polynomial and tower ratio divided
+# by its diagonal coefficient by coefficient, the kernel log through
+# WSeries.log, a fresh 1 / I_p per rung and each power of 1 - n^n q through
+# its own log.
+
+
+def tower_ratio_by_division(spec, p, k):
+    """Tower entry (p, k) divided by diagonal p, one division per t-power."""
+    from hypergw import hyper
+
+    return hyper.i_series(spec, p, k).div_qseries(hyper.diagonal_series(spec, p))
+
+
+def full_row_log(spec):
+    """The bigraded log of K / K_0 on all n + 3 w-rows: every row divided by
+    K_0, then the whole quotient logged by WSeries.log (which divides by its
+    row 0, here 1, again and logs it)."""
+    from hypergw import hyper
+    from hypergw.series import WSeries
+
+    f = hyper._kernel_rows(spec, spec.n + 3)
+    return WSeries([c / f.coeff(0) for c in f.coeffs]).log()
+
+
+def diagonal_inverse_by_division(spec, p):
+    """A fresh 1 / I_p, as each rung and the normalized window took it."""
+    from hypergw import hyper
+
+    return 1 / hyper.diagonal_series(spec, p)
+
+
+def nn_power_by_own_log(spec, r):
+    """(1 - n^n q)^r by QSeries.power, through a log of its own."""
+    from hypergw import hyper
+
+    return hyper.one_minus_nn_q(spec).power(r)
 
 
 # -- the full-length residue shift and the geometric sum by products -------------

@@ -80,6 +80,8 @@ UNENTERED = {
     "series.TPoly.__eq__": DUNDER,
     "series.TPoly.__hash__": DUNDER,
     "series.TPoly.__repr__": DUNDER,
+    # the kernel log reads the normalized rows; tests/oracles.py keeps the old route
+    "series.WSeries.log": PINNED,
     "series.WSeries.__eq__": DUNDER,
     "series.WSeries.__repr__": DUNDER,
     "series.exp_coordinate_inverse": PINNED,

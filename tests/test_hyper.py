@@ -40,7 +40,7 @@ from hypergw.residues import (
     exp_over_hbar,
     laurent_at_zero,
 )
-from hypergw.series import QSeries, TPoly, WSeries
+from hypergw.series import QSeries
 
 import oracles
 
@@ -332,6 +332,13 @@ def test_kernel_value_at_matches_the_quotients(n):
         assert hyper.kernel_value_at(spec, a) == QSeries(expect), a
 
 
+@pytest.mark.parametrize("a, shown", [(0.1, "0.1"), ("-2", "'-2'")])
+def test_kernel_value_at_refuses_inexact_points(a, shown):
+    # Fraction(0.1) is the float's binary value, 3602879701896397 / 2^55
+    with pytest.raises(TypeError, match=re.escape(shown)):
+        hyper.kernel_value_at(HyperSpec(5, 4), a)
+
+
 def test_regular_kernel_checks_sampled():
     from hypergw.hyper import regular_kernel_checks
 
@@ -566,18 +573,12 @@ def test_descended_rungs_outside_the_ladder_raise(monkeypatch, cold_stages, n):
 # -- bigraded log -----------------------------------------------------------------------
 
 
-def full_row_log(spec):
-    """The bigraded log of K / K_0 on all n + 3 w-rows: every row divided by
-    K_0, then the whole quotient logged."""
-    f = hyper._kernel_rows(spec, spec.n + 3)
-    return WSeries([c / f.coeff(0) for c in f.coeffs]).log()
-
-
-@pytest.mark.parametrize("order", [4, 10, 24])
+@pytest.mark.parametrize("order", [*range(1, 13), 24])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_log_kernel_keeps_the_rows_it_is_read_on(n, order):
+    # against the old route, which divides every row by K_0 and logs it whole
     spec = HyperSpec(n, order)
-    kept, full = log_kernel_w(spec), full_row_log(spec)
+    kept, full = log_kernel_w(spec), oracles.full_row_log(spec)
     top = max(n - 2, 0)  # the genus-1 series reads rows 0..n - 2
     assert kept.worder == top and kept.coeff(0).truncation == order
     assert kept.coeffs == full.coeffs[: top + 1]
@@ -585,25 +586,54 @@ def test_log_kernel_keeps_the_rows_it_is_read_on(n, order):
         kept.coeff(max(n - 1, 1))
 
 
-def test_quintic_table_divides_each_tower_ratio_once(cold_stages, monkeypatch):
-    divided = []
-    real = TPoly.div_qseries
-
-    def counted(poly, g):
-        divided.append(poly)
-        return real(poly, g)
-
-    monkeypatch.setattr(TPoly, "div_qseries", counted)
+def test_quintic_table_divides_once_and_takes_each_log_once(cold_stages, monkeypatch):
+    calls = []
+    for name in ("__truediv__", "log"):
+        real = getattr(QSeries, name)
+        monkeypatch.setattr(
+            QSeries, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
     invariants.assemble_table(5, 6)
-    # J_0..J_3; the mirror shift and tower entry (1, 1) read J_1
-    assert len(divided) == 4
-    assert hyper.i_series.cache_info().currsize == 5
+    # 1 / I_0, and log I_0, log I_1, log(1 - 5^5 q): 13 divisions and 8 logs
+    # when each reader divided by I_0 and took its own logs
+    assert (calls.count("__truediv__"), calls.count("log")) == (1, 3)
+    # the J-polynomials read the normalized rows, not tower row 0
+    assert hyper.i_series.cache_info().currsize == 2
 
 
 def test_log_kernel_linear_coefficient_is_mirror_shift():
+    # the log's row 1 by the old route, which does not read the normalized
+    # rows that both log_kernel_w and the mirror shift read
     for n in (3, 4, 5):
         spec = HyperSpec(n, 5)
-        assert log_kernel_w(spec).coeff(1) == mirror_shift(spec)
+        assert oracles.full_row_log(spec).coeff(1) == mirror_shift(spec)
+
+
+# -- the normalized kernel against the routes it replaced ----------------------------
+
+NORMALIZED_POINTS = [(n, d) for n in range(1, 9) for d in range(1, 13)] + [(5, 24)]
+
+
+@pytest.mark.parametrize("n, d", NORMALIZED_POINTS)
+def test_normalized_stages_match_the_routes_they_replaced(n, d):
+    spec = HyperSpec(n, d)
+    f = kernel(spec)
+    assert hyper.normalized_rows(spec) == tuple(c / f.coeff(0) for c in f.coeffs)
+    for p in range(n):
+        assert hyper.diagonal_inverse(spec, p) == oracles.diagonal_inverse_by_division(spec, p)
+        assert hyper.diagonal_log(spec, p) == diagonal_series(spec, p).log()
+        for k in range(p, n):
+            assert hyper.tower_ratio(spec, p, k) == oracles.tower_ratio_by_division(spec, p, k)
+    assert hyper.log_one_minus_nn_q(spec) == one_minus_nn_q(spec).log()
+    assert linear_factor(spec) == oracles.nn_power_by_own_log(spec, Fr(1, n))
+    assert kernel_value_at_zero(spec) == oracles.nn_power_by_own_log(spec, Fr(-1, n))
+
+
+@pytest.mark.parametrize("n, p, k", [(1, 0, 1), (3, 0, 3), (3, 2, 1), (3, -1, 0)])
+def test_tower_ratio_outside_the_tower_raises(n, p, k):
+    # at n = 1 the normalized rows hold a row 1 that is no tower entry
+    with pytest.raises(ValueError):
+        hyper.tower_ratio(HyperSpec(n, 4), p, k)
 
 
 def test_dw_kernel_linear_coefficient_vanishes_at_five():

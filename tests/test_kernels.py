@@ -7,6 +7,7 @@ coefficient is checked for its type.  tests/test_qseries.py checks the
 integer pairs a QSeries holds.
 """
 
+import re
 from fractions import Fraction as Fr
 from math import lcm
 
@@ -263,6 +264,12 @@ def test_residue_at_infinity_matches_ratfunc_route(num, roots, zero_pole):
     c, q = residue_pair_at_infinity(f)
     assert type(c) is int and type(q) is int and q
     assert Fr(c, q) == _ref_residue_at_infinity(f)
+
+
+@pytest.mark.parametrize("coeffs, shown", [([0.1], "0.1"), ([Fr(1), "1/3"], "'1/3'")])
+def test_norm_refuses_inexact_coefficients(coeffs, shown):
+    with pytest.raises(TypeError, match=re.escape(shown)):
+        P.norm(coeffs)
 
 
 def test_gcd_with_a_nonzero_constant_is_one():
