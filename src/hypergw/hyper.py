@@ -162,9 +162,9 @@ def kernel_value_at(spec, a):
     out = []
     for d, pair in enumerate(_inv_hbar_parts(spec)):
         num, den = P._cancel_factors(*pair, [(-s, t)])
-        if not P._form_at(den, s, t):
+        if not (den := P._form_at(den, s, t) * s**d):  # h^-d: a pole of order d at 0
             raise PoleTooHigh(f"kernel coefficient of degree {d} has a pole at {a}")
-        out.append(Fraction(P._form_at(num, s, t), P._form_at(den, s, t) * s**d))
+        out.append(Fraction(P._form_at(num, s, t), den))
     return QSeries(out)
 
 
@@ -519,7 +519,9 @@ def ladder_identities(spec):
     big_l = linear_factor(spec)
     inv_l = one / big_l
     fs = [inv_l * diagonal_inverse(spec, p) for p in range(n)]
-    flog_deriv = [f.log().derivative() for f in fs[: n - 1]]  # read at r <= n - 2
+    # f_r'/f_r = -(1/n) (log(1 - n^n q))' - (log I_r)', read at r <= n - 2
+    dlog_l = log_one_minus_nn_q(spec).derivative() * Fraction(1, n)
+    flog_deriv = [-dlog_l - diagonal_log(spec, r).derivative() for r in range(n - 1)]
     phi1 = kernel_slope_at_zero(spec)
 
     theta0 = [ladder_residue(spec, p, 0) for p in range(n)]

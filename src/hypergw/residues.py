@@ -526,32 +526,21 @@ def exp_over_hbar(eta):
 
 
 class Regularization(Record):
-    """1 + z = exp(eta/h) * (1 + zbar), with exp(-eta/h) and the moment sums
-    that the moment checks read."""
+    """1 + z = exp(eta/h) * (1 + zbar), with exp(-eta/h), the moment window
+    G (big_g) that eta was read off, and the sums of G the checks read."""
 
-    _fields = ("eta", "zbar", "regular", "z", "exp_minus_eta")
+    _fields = ("eta", "zbar", "regular", "z", "exp_minus_eta", "big_g")
 
     @cached_property
     def moment_windows(self):
-        """For G = g/s and g(s, u) = sum_j (-1)^j / j! c_j(u) s^j, the sums
-        sum_{m>=2} G^m / (m(m-1)) = (1 - G) log(1 - G) + G and
-        sum_{m>=0} G^m = 1 / (1 - G), the latter by the row recurrence
-        W_k = sum_{0<i<=k} G_i W_(k-i) in int (series.geometric_rows), as
-        USeriesRF windows in (u, s).
-
-        Row k of G holds s^k [u^k] G: entry e is (-1)^j / j! [u^k] c_j with
-        j = e - k + 1, that is entry e of row k of z, read in place.  Row 0
-        is zero, since every c_j is O(u), so both sums are exact to u^D, and
-        the checks read at most entry k of row k, so width D covers them.
-        Built once per regularization, on its first moment check."""
-        z, d = self.z, self.z.truncation
-
-        def row(k):  # entries k - 1 .. D hold j = 0 .. D - k + 1
-            nums = [(-1) ** j * z[k].ints[k - 1 + j] for j in range(d - k + 2)]
-            dens = [z[k].den * factorial(j) for j in range(d - k + 2)]
-            return QSeries._ratios([0] * (k - 1) + nums, [1] * (k - 1) + dens)
-
-        big_g = USeriesRF._of([QSeries.zero(d)] + [row(k) for k in range(1, d + 1)])
+        """The sums sum_{m>=2} G^m / (m(m-1)) = (1 - G) log(1 - G) + G and
+        sum_{m>=0} G^m = 1 / (1 - G) of the moment window G that regularize
+        built, as USeriesRF windows in (u, s), each on the one row quotient
+        of the series module (log_one_plus_rows, geometric_rows).  Row 0 of
+        G is zero, since every c_j is O(u), so both sums are exact to u^D,
+        and the checks read at most entry k of row k, so width D covers
+        them.  Built once per regularization, on its first moment check."""
+        big_g = self.big_g
         log = (-big_g).log_one_plus()
         return log + big_g - big_g * log, USeriesRF._of(geometric_rows(big_g.coeffs))
 
@@ -570,20 +559,29 @@ def regularize(z):
     eta is the degree-stabilizing fixed point eta = sum_j (-eta)^j / j! c_j
     of the moments c_j = res{ h^-j z }, run on tau = eta / u as
     tau = sum_j b_j tau^j, b_j = u^(j-1) (-1)^j c_j / j! = O(u^j), each
-    round one Horner pass at the u^(r-1) of tau it fixes.  [u^k] b_j is
-    entry k of row k - j + 1 of the moment window G, that entry of z scaled
-    by (-1)^j / j!, so no entry of z past D is read.  It is cross-checked
-    through log(1 + z) = eta/h + log(1 + zbar):
-    eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar), where the last
-    residue vanishes when zbar is regular.  A mismatch would be an internal
-    arithmetic bug and raises immediately.
+    round one Horner pass at the u^(r-1) of tau it fixes.  The b_j are read
+    off the moment window G = g/s, g(s, u) = sum_j (-1)^j / j! c_j(u) s^j,
+    built once at width D and kept for the moment checks: its row k holds
+    s^k [u^k] G, entry e being entry e of z's row k times (-1)^j / j! for
+    j = e - k + 1, so no entry of z past D is read, and [u^k] b_j is entry
+    k of row k - j + 1.  It is cross-checked through log(1 + z) = eta/h +
+    log(1 + zbar): eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar),
+    where the last residue vanishes when zbar is regular.  A mismatch would
+    be an internal arithmetic bug and raises immediately.
     """
     if any(z[0].ints):
         raise NonzeroConstant("series must have no degree-zero term")
     d = z.truncation
+
+    def row(k):  # entries k - 1 .. D hold j = 0 .. D - k + 1
+        nums = [(-1) ** j * z[k].ints[k - 1 + j] for j in range(d - k + 2)]
+        dens = [z[k].den * factorial(j) for j in range(d - k + 2)]
+        return QSeries._ratios([0] * (k - 1) + nums, [1] * (k - 1) + dens)
+
+    big_g = USeriesRF._of([QSeries.zero(d)] + [row(k) for k in range(1, d + 1)])
     b = []
-    for j in range(d):  # c_j read off rows 0..D - j of z
-        c = USeriesRF._of(z[: d - j + 1]).weighted_residues(-j) * Fraction((-1) ** j, factorial(j))
+    for j in range(d):  # entry m + j - 1 of rows m = 0..D - j, shifted to u^(m + j - 1)
+        c = USeriesRF._of(big_g.coeffs[: d - j + 1]).taylor_coeff(j - 1)
         b.append(QSeries._of(((0,) * j + c.ints)[1:], c.den))
     tau = QSeries.zero(0)
     for r in range(1, d + 1):
@@ -601,7 +599,7 @@ def regularize(z):
         eta_log = eta_log - zbar.narrow(d).log_one_plus().weighted_residues(0)
     if eta != eta_log:
         raise RoutesDisagree("exponent fixed point and log residue disagree")
-    return Regularization(eta, zbar, regular, z, back)
+    return Regularization(eta, zbar, regular, z, back, big_g)
 
 
 def moment_identity_check(reg, a):

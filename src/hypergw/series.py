@@ -12,9 +12,9 @@ TPoly layers a polynomial in t on top (t is the logarithm of the series
 variable, so d/dt acts as q*d/dq), and WSeries does the same for a formal
 variable w with its own truncation order.  Every bivariate series of the
 package (these two and the window series of residues.USeriesRF, which
-also hold the moment sums of a regularization) is a list of QSeries rows;
-convolve_rows is their one truncated product, log_one_plus_rows their
-one logarithm and geometric_rows their one inverse of 1 - g.
+also hold the moment sums of a regularization) is a list of QSeries rows
+with one row product (convolve_rows) and one row quotient A / (1 + B)
+(_quotient_rows), read by log_one_plus_rows and geometric_rows.
 """
 
 from fractions import Fraction
@@ -473,65 +473,64 @@ def convolve_rows(a, b, length):
     return out
 
 
+def _quotient_rows(rhs, weights):
+    """QSeries rows C_0..C_(len(b) - 1) of A / (1 + B), that is
+        C_k = A_k - sum_{0<j<=k} B_j C_(k-j),
+    for rhs = (a, da) and weights = (b, db), equally many integer rows over
+    one denominator each, a row's truncation its length less one (b[0] is
+    not read).  Each output row is truncated at the smallest truncation
+    among the rows it sums; a zero C_0 bounds none.
+
+    The row twin of polys._recurrence: the solved rows stay integer rows
+    over one running denominator dc, and each term is one integer row
+    product whose left factor is whichever of B_j and C_(k-j) has more
+    zero entries, which _accumulate skips.  A_k meets the sum, over db dc,
+    over the lcm of the two denominators.  Each row is reduced by one gcd,
+    and dc becomes the lcm with the reduced denominator only when that does
+    not divide it already."""
+    (a, da), (b, db) = rhs, weights
+    out = [QSeries._of(a[0], da)]
+    c, dc = [out[0].ints], out[0].den
+    for k in range(1, len(b)):
+        js = range(1, k + 1 if any(c[0]) else k)  # j = k is the term of C_0
+        acc = [0] * min([len(a[k])] + [min(len(b[j]), len(c[k - j])) for j in js])
+        for j in js:  # the row with more zeros goes left
+            P._accumulate(acc, *sorted((b[j], c[k - j]), key=lambda r: -r.count(0)))
+        g = _gcd(da, db * dc)
+        sa, ss = db * dc // g, da // g
+        row = QSeries._of([x * sa - y * ss for x, y in zip(a[k], acc)], da * sa)
+        out.append(row)
+        if dc % row.den:
+            grown = dc // _gcd(dc, row.den) * row.den
+            c = [[x * (grown // dc) for x in r] for r in c]
+            dc = grown
+        c.append([x * (dc // row.den) for x in row.ints])
+    return out
+
+
 def log_one_plus_rows(z, head):
     """QSeries rows of log(1 + z), row 0 being head, for z a list of QSeries
     rows with no row 0 (z[0] is not read).
 
-    M_k = k L_k solves M_k = k z_k - sum_{0<j<k} M_j z_(k-j), the quotient
-    recurrence of (u d/du z) / (1 + z).  It runs in int as polys._recurrence
-    does for scalars: the rows of z over one denominator, the solved rows
-    M_j over one running denominator, each output row truncated at the
-    smallest truncation of the rows it sums."""
+    Row k is M_k / k for the quotient M = (u d/du z) / (1 + z), that is
+    M_k = k z_k - sum_{0<j<k} z_j M_(k-j) (M_0 = 0): one _quotient_rows,
+    its numerator rows k z_k over the denominator of z's rows."""
     x, dz = _scaled_rows(z[1:])
-    x.insert(0, None)
-    m, dm = [None], 1  # M_j as integer rows over dm
-    out = [head]
-    for k in range(1, len(z)):
-        t = min(
-            [z[k].truncation]
-            + [min(out[j].truncation, z[k - j].truncation) for j in range(1, k)]
-        )
-        acc = [0] * (t + 1)
-        for j in range(1, k):
-            P._accumulate(acc, m[j], x[k - j])
-        row = [k * dm * c - a for c, a in zip(x[k], acc)]  # M_k over dz dm
-        den = dz * dm
-        out.append(QSeries._of(row, den * k))
-        g = _gcd(den, *row)
-        row, den = [c // g for c in row], den // g
-        if dm % den:
-            grown = dm // _gcd(dm, den) * den
-            m = [None] + [[c * (grown // dm) for c in r] for r in m[1:]]
-            dm = grown
-        m.append([c * (dm // den) for c in row])
-    return out
+    a = [[0]] + [[k * c for c in row] for k, row in enumerate(x, 1)]
+    m = _quotient_rows((a, dz), ([None] + x, dz))
+    return [head] + [QSeries._of(row.ints, row.den * k) for k, row in enumerate(m[1:], 1)]
 
 
 def geometric_rows(g):
     """QSeries rows of 1 / (1 - g), for g a list of QSeries rows whose row 0
     is zero (only its truncation is read).
 
-    W_0 = 1 and W_k = sum_{0<i<=k} g_i W_(k-i), each output row truncated
-    at the smallest truncation of the rows it sums.  It runs in int as
-    log_one_plus_rows does: the rows of g over one denominator, the solved
-    rows W_j over one running denominator."""
+    W_0 = 1 and W_k = sum_{0<i<=k} g_i W_(k-i): one _quotient_rows, with
+    numerator 1 (zero rows past row 0, which bound no more than g's rows
+    do) and the rows of -g over one denominator."""
     x, dg = _scaled_rows(g[1:])
-    x.insert(0, None)
-    out = [QSeries.one(g[0].truncation)]
-    w, dw = [[1]], 1  # W_j as integer rows over dw
-    for k in range(1, len(g)):
-        t = min(min(g[i].truncation, out[k - i].truncation) for i in range(1, k + 1))
-        acc = [0] * (t + 1)
-        for i in range(1, k + 1):
-            P._accumulate(acc, x[i], w[k - i])
-        row = QSeries._of(acc, dg * dw)
-        out.append(row)
-        if dw % row.den:
-            grown = dw // _gcd(dw, row.den) * row.den
-            w = [[c * (grown // dw) for c in r] for r in w]
-            dw = grown
-        w.append([c * (dw // row.den) for c in row.ints])
-    return out
+    a = [[1] + [0] * g[0].truncation] + [[0] * len(row) for row in x]
+    return _quotient_rows((a, 1), ([None] + [[-c for c in row] for row in x], dg))
 
 
 def exp_coordinate_inverse(g):

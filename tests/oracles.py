@@ -2,10 +2,11 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Eight references are routes rather than arithmetic
+package under test.  Nine references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
 of the descended ladder, the full-precision fixed point of the
-regularizing exponent, the full-width kernel at w = 1/h, bridge series
+regularizing exponent and the column route to its b_j, the full-width
+kernel at w = 1/h, bridge series
 and u/h counterexample, the q-side routes that divided by a diagonal and
 took a log for each reader, the residue from full-length Taylor shifts,
 the moment window 1 / (1 - G) by QSeries products, the Yukawa route to
@@ -992,6 +993,23 @@ def full_precision_eta(moments):
             acc = scaled[j - 1] - eta * acc
         eta = acc
     return eta
+
+
+def fixed_point_columns(z):
+    """The columns b_j = u^(j-1) (-1)^j c_j / j!, j = 0..D-1, of the fixed
+    point, as q-series of the package at u^0..u^(D-1), by the column route:
+    c_j = res{ h^-j z } off rows 0..D - j of z by weighted_residues(-j),
+    scaled by (-1)^j / j! and shifted by j - 1.  regularize reads them off
+    its moment window instead."""
+    from hypergw.residues import USeriesRF
+    from hypergw.series import QSeries
+
+    d = z.truncation
+    out = []
+    for j in range(d):
+        c = USeriesRF._of(z[: d - j + 1]).weighted_residues(-j) * Fr((-1) ** j, factorial(j))
+        out.append(QSeries._of(((0,) * j + c.ints)[1:], c.den))
+    return out
 
 
 # -- the full-width kernel at w = 1/h and bridge series --------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from hypergw import hyper, invariants
 from hypergw import polys as P
-from hypergw.errors import RegularityViolation, TruncationMismatch, WindowTooSmall
+from hypergw.errors import PoleTooHigh, RegularityViolation, TruncationMismatch, WindowTooSmall
 from hypergw.hyper import (
     HyperSpec,
     diagonal_identities,
@@ -330,6 +330,14 @@ def test_kernel_value_at_matches_the_quotients(n):
                 den = oracles.poly_mul(den, v_r)
             expect.append(oracles.evaluate(RatFunc(rnum, (Fr(0),) * d + den), a))
         assert hyper.kernel_value_at(spec, a) == QSeries(expect), a
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_value_at_zero_is_a_pole(n):
+    # the q^d coefficient h^-d rnum_d / V_d has a pole of order d at h = 0,
+    # where V_d(0) = d! n^d, so degree 1 is the first to refuse
+    with pytest.raises(PoleTooHigh, match="^kernel coefficient of degree 1 has a pole at 0$"):
+        hyper.kernel_value_at(HyperSpec(n, 3), 0)
 
 
 @pytest.mark.parametrize("a, shown", [(0.1, "0.1"), ("-2", "'-2'")])

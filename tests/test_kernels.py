@@ -24,6 +24,7 @@ from hypergw.series import (
     _lagrange_powers,
     change_exp_variable,
     convolve_rows,
+    geometric_rows,
     log_one_plus_rows,
 )
 
@@ -175,6 +176,29 @@ def test_log_rows_match_fraction_loop(z):
     got = log_one_plus_rows([None] + [QSeries(r) for r in z[1:]], head)
     want = oracles.log_one_plus_rows([None] + z[1:], z[0])
     assert _rows(got) == want
+    assert all(_fractions_only(row.coeffs) for row in got)
+
+
+# rows of mixed truncation 0..5, zero rows among them
+g_rows = st.lists(
+    st.integers(0, 5).flatmap(
+        lambda t: st.one_of(st.just([Fr(0)] * (t + 1)), coeff_lists(t + 1, t + 1))
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), g_rows)
+@example(2, [])  # row 0 alone
+@example(4, [[Fr(0)] * 6, [Fr(1)], [Fr(0)] * 3])  # zero rows; truncations past row 0's
+@example(0, [[Fr(1, 2**61 - 1), Fr(1)], [Fr(-3, 7**25), Fr(0), Fr(2)]])
+def test_geometric_rows_match_series_products(t0, tail):
+    # row 0 of g is zero at a truncation of its own; 1 / (1 - g) by the row
+    # quotient against one QSeries product and sum per term
+    g = [QSeries.zero(t0)] + [QSeries(r) for r in tail]
+    got = geometric_rows(g)
+    assert got == oracles.geometric_rows_by_products(g)  # truncations included
     assert all(_fractions_only(row.coeffs) for row in got)
 
 

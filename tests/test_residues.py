@@ -633,6 +633,67 @@ def test_moment_windows_match_power_list_on_drawn_series(case):
     assert_moment_windows_match_power_list(regularize(case[1]), moments_of(case[1]))
 
 
+def columns_read_by_regularize(z):
+    """regularize(z) and the columns b_j, j = 0..D-1, of its fixed point as
+    it reads them: its first D taylor_coeff reads, read j at h^(j-1) of rows
+    0..D - j of the stored moment window, whose u^m is [u^(m + j - 1)] b_j."""
+    reads = []
+    real = USeriesRF.taylor_coeff
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(USeriesRF, "taylor_coeff", lambda w, q: reads.append((w, q)) or real(w, q))
+        reg = regularize(z)
+    d = z.truncation
+    columns = []
+    for j, (window, q) in enumerate(reads[:d]):
+        assert q == j - 1 and window.coeffs == reg.big_g.coeffs[: d - j + 1]
+        c = real(window, q)
+        columns.append([c[k - j + 1] if k >= j - 1 else 0 for k in range(d)])
+    return reg, columns
+
+
+def assert_columns_match_column_route(z):
+    reg, columns = columns_read_by_regularize(z)
+    assert columns == [list(b.coeffs) for b in oracles.fixed_point_columns(z)]
+    # the moment checks read the same window
+    twin = regularize(z)
+    twin.z = None
+    assert twin.moment_windows == reg.moment_windows
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 9) for d in range(1, 13)] + [(5, 30)])
+def test_fixed_point_columns_match_column_route_on_bridge_series(n, d):
+    assert_columns_match_column_route(bridge_series(HyperSpec(n, d)))
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 30])
+def test_fixed_point_columns_match_column_route_on_suite_series(order):
+    for z in (cli._constructed_regularizable(order), cli._u_times_h_power(-1, max(order, 2))):
+        assert_columns_match_column_route(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(regularizable_windows())
+def test_fixed_point_columns_match_column_route_on_drawn_series(case):
+    assert_columns_match_column_route(case[1])
+
+
+def test_regularize_takes_no_moment_column(monkeypatch):
+    # the b_j come off the one moment window G: the column route made one
+    # weighted_residues(-j) call per column, D per regularization
+    powers = []
+    real = USeriesRF.weighted_residues
+    monkeypatch.setattr(
+        USeriesRF, "weighted_residues", lambda w, power=0: powers.append(power) or real(w, power)
+    )
+    for z in (
+        cli._constructed_regularizable(8),
+        cli._u_times_h_power(-1, 8),
+        bridge_series(HyperSpec(5, 8)),
+    ):
+        regularize(z)
+    assert powers and min(powers) >= 0
+
+
 def assert_eta_matches_full_precision_loop(z, wide):
     """regularize's rounds at the precision each fixes give the eta of the
     loop whose every round runs at u^D, on the moments of wide, z at the
