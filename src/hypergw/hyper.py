@@ -4,12 +4,12 @@ Everything is generated by one bigraded kernel in (w, q): the q^d
 coefficient is prod_{r<=nd}(nw+r) / prod_{r<=d}((w+r)^n - w^n).  Its
 w-rows 0..max(n - 1, 1), all the stages read (dump --what F alone builds
 rows 0..n + 2), seed a tower of t-polynomials whose diagonal entries are
-unit q-series; the tower yields the mirror map, the regularizing exponent
-mu, the h-regular kernel Q obtained by stripping exp(mu/h), and the
-ladder series built by repeated first-order descent operators.  Every
-reader of the kernel over its w-constant part I_0 reads one set of
-normalized rows rho_i = F_i / I_0 (normalized_rows): the J-polynomials,
-the mirror shift and the bigraded log log_kernel_w.  Each diagonal is
+unit q-series; the rows yield the mirror map, the regularizing exponent mu,
+the h-regular kernel Q obtained by stripping exp(mu/h), and the ladder
+series built by repeated first-order descent operators.  Every reader of
+the kernel over its w-constant part I_0 reads one set of normalized rows
+rho_i = F_i / I_0 (normalized_rows): the J-polynomials, the mirror shift
+(rho_1 itself) and the bigraded log log_kernel_w.  Each diagonal is
 inverted once (diagonal_inverse) and logged once (diagonal_log), and
 1 - n^n q is logged once (log_one_minus_nn_q): no reader divides by a
 diagonal again or takes its own log of one.  The kernel at w = 1/h enters
@@ -230,23 +230,17 @@ def diagonal_log(spec, p):
 def normalized_rows(spec):
     """The kernel rows over I_0: rho_0 = 1 and rho_i = F_i / I_0 for the
     rows 0..max(n - 1, 1) of kernel, each a product by the one inverse of
-    I_0.  The J-polynomials and log_kernel_w read them."""
+    I_0, read by the J-polynomials, mirror_shift (rho_1) and log_kernel_w."""
     inv = diagonal_inverse(spec, 0)
     return (QSeries.one(spec.qorder),) + tuple(c * inv for c in kernel(spec).coeffs[1:])
 
 
 @lru_cache(maxsize=None)
 def mirror_shift(spec):
-    """T - t: the mirror map minus the flat coordinate, a pure q-series.
-
-    The t-linear part must cancel exactly; failure to do so raises.
-    For n = 1 the tower has a single column, but the same ratio of kernel
-    coefficients still defines the shift.
-    """
-    if spec.n == 1:
-        return normalized_rows(spec)[1]
-    shifted = tower_ratio(spec, 0, 1) - TPoly.t_variable(spec.qorder)
-    return shifted.t_free_part()
+    """T - t = F_1 / I_0: the mirror map minus the flat coordinate, a pure
+    q-series, read as the normalized row rho_1 at every n (at n = 1 the
+    tower has a single column, but the kernel still holds row 1)."""
+    return normalized_rows(spec)[1]
 
 
 @lru_cache(maxsize=None)

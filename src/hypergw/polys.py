@@ -274,6 +274,7 @@ def shift(p, a):
     by x - a, in place.  With a = s/t it runs in int: it shifts the integer
     polynomial t^(n-1) den p(y/t) (n = len(p), den clearing p) by the
     integer s and reads the result at y = t x."""
+    a = _exact(a)
     s, t = a.numerator, a.denominator
     c, den = _scaled(p)
     n = len(c)

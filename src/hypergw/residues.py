@@ -261,24 +261,18 @@ def _coerce(x):
     return None
 
 
-def _quotient(a, b, order):
-    """(ints, den) of the power series a / b to the given order, for integer
-    lists a and b with b[0] != 0; one integer recurrence.  The windows keep
-    it: its running denominator stays small, while polys._quotient_head
-    carries b[0]^(order + 1), and on it the rows of verify --n 5 --order 24
-    (width 50) take about eight times as long."""
-    b0 = b[0]
-    return P._recurrence((a[: order + 1], 1), (b[: order + 1], 1), lambda m: (1, b0), order)
-
-
 def _row(num, unit, shift, width):
     """h^shift * num / unit as a QSeries truncated at h^width, for integer
     lists num and unit with unit(0) != 0; shift < 0 is a pole that no power
-    series holds."""
+    series holds.  The quotient is one integer recurrence
+    (polys._recurrence), whose running denominator stays small:
+    polys._quotient_head carries unit(0)^(order + 1), and on it the rows of
+    verify --n 5 --order 24 (width 50) take about eight times as long."""
     if shift < 0:
         raise WindowTooSmall(f"pole order {-shift} exceeds the window depth")
-    order = width - shift
-    ints, den = _quotient(num, unit, order) if order >= 0 else ([], 1)
+    order = width - shift  # below 0 the recurrence solves no entry
+    rhs, weights = (num[: order + 1], 1), (unit[: order + 1], 1)
+    ints, den = P._recurrence(rhs, weights, lambda m: (1, unit[0]), order)
     return QSeries._of(([0] * shift + ints)[: width + 1], den)
 
 
@@ -297,6 +291,7 @@ def laurent_at_zero(f, low, high):
 
 def residue_at(f, a):
     """Coefficient of (h - a)^{-1} in the expansion of f at a; 0 at non-poles."""
+    a = P._exact(a)
     return Fraction(*residue_pair_at(f, a.numerator, a.denominator))
 
 
@@ -352,25 +347,15 @@ class USeriesRF:
     narrowest factor.  A read is one index: [h^p] c_k is row_k[k + p], 0
     below index 0; past the width it raises WindowTooSmall.
 
-    Built from coefficients, H = 2D + 2, for the moment closed form on the
+    One builder, from_quotients, takes the u^k coefficients as quotients
+    h^s num / unit at H = 2D + 2, for the moment closed form on the
     regularize suite's constructed series, the one reader past entry D + 1:
-    it reads zbar up to h^(D + 2) of u^D, entry 2D + 2.  The constructor
-    takes scalar coefficients; from_quotients builds rows with poles, and a
-    coefficient whose pole order exceeds its u-degree raises WindowTooSmall
-    there.
+    it reads zbar up to h^(D + 2) of u^D, entry 2D + 2.  A scalar c is the
+    term (0, [c.numerator], [c.denominator]), and a coefficient whose pole
+    order exceeds its u-degree raises WindowTooSmall there.
     """
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, truncation):
-        coeffs = list(coeffs)
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        if len(coeffs) > truncation + 1:
-            raise ValueError("more coefficients than the stated truncation")
-        coeffs.extend([0] * (truncation + 1 - len(coeffs)))
-        width = 2 * truncation + 2
-        self.coeffs = tuple(QSeries.monomial(k, width, c) for k, c in enumerate(coeffs))
 
     @classmethod
     def _of(cls, rows):
@@ -382,18 +367,14 @@ class USeriesRF:
     @classmethod
     def from_quotients(cls, terms, truncation=None):
         """The u^k coefficient is h^s * num / unit for terms[k] = (s, num, unit),
-        with integer lists num and unit, unit(0) != 0."""
+        with integer lists num and unit, unit(0) != 0; rows past the terms are 0."""
         d = len(terms) - 1 if truncation is None else truncation
+        if d < 0:
+            raise ValueError("truncation must be nonnegative")
         if d < len(terms) - 1:
             raise ValueError("more terms than the stated truncation")
-        terms = list(terms) + [(0, [], [1])] * (d + 1 - len(terms))
-        return cls._of(
-            _row(num, unit, k + s, 2 * d + 2) for k, (s, num, unit) in enumerate(terms)
-        )
-
-    @classmethod
-    def one(cls, truncation):
-        return cls([1], truncation)
+        rows = [_row(num, unit, k + s, 2 * d + 2) for k, (s, num, unit) in enumerate(terms)]
+        return cls._of(rows + [QSeries.zero(2 * d + 2)] * (d + 1 - len(terms)))
 
     @property
     def truncation(self):
@@ -427,7 +408,8 @@ class USeriesRF:
         if isinstance(other, USeriesRF):
             return other
         if isinstance(other, (int, Fraction)):
-            return USeriesRF([other], self.truncation)
+            term = (0, [other.numerator], [other.denominator])
+            return USeriesRF.from_quotients([term], self.truncation)
         return None
 
     def __add__(self, other):
@@ -591,7 +573,7 @@ def regularize(z):
         tau = QSeries._of(acc.ints + (0,), acc.den)  # tau_r, padded to u^r
     eta = QSeries._of((0,) + tau.ints[:-1], tau.den)
     back = exp_over_hbar(-eta)
-    zbar = back * (USeriesRF.one(d) + z) - USeriesRF.one(d)
+    zbar = back * (z + 1) - 1
     regular = zbar.first_pole() is None
     # the logs are read only at entry k - 1 of row k, so width D covers them
     eta_log = z.narrow(d).log_one_plus().weighted_residues(0)

@@ -93,6 +93,8 @@ class QSeries:
 
     @classmethod
     def monomial(cls, d, truncation, c=1):
+        if d < 0:
+            raise ValueError(f"monomial degree {d} is negative")
         if d > truncation:
             raise TruncationMismatch(f"monomial degree {d} exceeds truncation {truncation}")
         return cls([0] * d + [c], truncation)

@@ -6,12 +6,12 @@ package under test.  Nine references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
 of the descended ladder, the full-precision fixed point of the
 regularizing exponent and the column route to its b_j, the full-width
-kernel at w = 1/h, bridge series
-and u/h counterexample, the q-side routes that divided by a diagonal and
-took a log for each reader, the residue from full-length Taylor shifts,
-the moment window 1 / (1 - G) by QSeries products, the Yukawa route to
-the quintic's genus-0 numbers, and the argparse parser of the command
-line.
+kernel at w = 1/h, bridge series, u/h counterexample and window series of
+scalar coefficients, the q-side routes that divided by a diagonal and
+took a log for each reader (with the mirror shift as J_1 - t), the
+residue from full-length Taylor shifts, the moment window 1 / (1 - G) by
+QSeries products, the Yukawa route to the quintic's genus-0 numbers, and
+the argparse parser of the command line.
 """
 
 from fractions import Fraction as Fr
@@ -1044,6 +1044,19 @@ def wide_u_over_h(order):
     return USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1])], order)
 
 
+def scalar_window(coeffs, truncation):
+    """The window series with the scalar u^k coefficients coeffs[k], zero
+    past their end, as the package's constructor built it before
+    from_quotients was its one builder: row k is the monomial c_k h^k at
+    width 2D + 2."""
+    from hypergw.residues import USeriesRF
+    from hypergw.series import QSeries
+
+    coeffs = list(coeffs) + [0] * (truncation + 1 - len(coeffs))
+    width = 2 * truncation + 2
+    return USeriesRF._of(QSeries.monomial(k, width, c) for k, c in enumerate(coeffs))
+
+
 # -- the q-side routes before the normalized kernel ------------------------------
 # The routes that divided by a diagonal and took a log wherever a reader needed
 # one, kept on the package's tower: each J-polynomial and tower ratio divided
@@ -1068,6 +1081,16 @@ def full_row_log(spec):
 
     f = hyper._kernel_rows(spec, spec.n + 3)
     return WSeries([c / f.coeff(0) for c in f.coeffs]).log()
+
+
+def mirror_shift_by_tower(spec):
+    """T - t as the t-free part of J_1 - t, the t-linear part cancelling
+    (n >= 2, where the tower holds J_1); the package reads the normalized
+    row rho_1 at every n."""
+    from hypergw import hyper
+    from hypergw.series import TPoly
+
+    return (hyper.tower_ratio(spec, 0, 1) - TPoly.t_variable(spec.qorder)).t_free_part()
 
 
 def diagonal_inverse_by_division(spec, p):

@@ -35,7 +35,6 @@ from hypergw.hyper import (
 )
 from hypergw.residues import (
     RatFunc,
-    USeriesRF,
     double_residue_split_kernel,
     exp_over_hbar,
     laurent_at_zero,
@@ -85,8 +84,8 @@ def test_conic_kernel_is_central_binomial():
 
 
 def test_kernel_matches_brute_force_columns():
-    # n = 1 included: mirror_shift reads the kernel directly there; all
-    # n + 3 rows, as dump --what F prints them
+    # n = 1 included: its mirror shift reads kernel row 1, which no tower
+    # entry holds there; all n + 3 rows, as dump --what F prints them
     for n in range(1, 9):
         spec = HyperSpec(n, 6)
         cols = oracles.kernel_columns(n, 6, n + 2)
@@ -417,7 +416,7 @@ def test_weighted_product_follows_from_product_and_symmetry():
 
 def test_ladder_base_case():
     y = ladder_series(HyperSpec(4, 3))  # at width D + 1 = 4
-    assert y[0] == USeriesRF.one(3).narrow(4)[0]
+    assert y[0] == oracles.scalar_window([1], 3).narrow(4)[0]
 
 
 def test_ladder_residues_match_closed_products():
@@ -627,6 +626,9 @@ def test_normalized_stages_match_the_routes_they_replaced(n, d):
     spec = HyperSpec(n, d)
     f = kernel(spec)
     assert hyper.normalized_rows(spec) == tuple(c / f.coeff(0) for c in f.coeffs)
+    # at n = 1 the tower has no J_1, and the shift was row 1 over row 0 there
+    by_tower = oracles.mirror_shift_by_tower(spec) if n > 1 else f.coeff(1) / f.coeff(0)
+    assert mirror_shift(spec) == by_tower
     for p in range(n):
         assert hyper.diagonal_inverse(spec, p) == oracles.diagonal_inverse_by_division(spec, p)
         assert hyper.diagonal_log(spec, p) == diagonal_series(spec, p).log()

@@ -297,6 +297,15 @@ def test_inexact_input_is_refused(build, shown):
         build()
 
 
+@pytest.mark.parametrize("a, shown", [(-1.0, "-1.0"), (0.5, "0.5"), ("1/2", "'1/2'")])
+def test_inexact_points_are_refused(a, shown):
+    # each point is read through polys._exact, not through .numerator
+    f = RatFunc([1], [1, 1])  # 1 / (1 + h), a pole at -1
+    for read in (lambda: residue_at(f, a), lambda: polys.shift((1, 2), a), lambda: f.shift(a)):
+        with pytest.raises(TypeError, match=re.escape(shown)):
+            read()
+
+
 def test_residue_suite_builds_few_fractions():
     # the Fraction RatFunc built 32,754 here; the integer one 1,692 while
     # the drawn poles, each residue and the sums were Fractions, and none
@@ -450,12 +459,12 @@ def test_cancel_factors_refuses_a_constant_factor(factor):
 @example([], -12, [5, 0, 7], 6)
 @example([3, -1, 4, 1, -5], 7, [2, -1], 6)
 def test_quotient_head_matches_the_recurrence(a, b0, b_tail, k):
-    # the fraction-free kernel gives the series quotient's Fractions
+    # the fraction-free kernel gives the Fractions of the window row, which
+    # solves the same quotient by polys._recurrence
     b = [b0] + b_tail
     ints, den = polys._quotient_head(a, b, k)
-    want, want_den = residues._quotient(a, b, k)
     assert len(ints) == k + 1 and den == b0 ** (k + 1)
-    assert [Fr(c, den) for c in ints] == [Fr(c, want_den) for c in want]
+    assert [Fr(c, den) for c in ints] == list(residues._row(a, b, 0, k).coeffs)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -169,7 +169,8 @@ def constructed_example(c, d):
     """exp(c u / h) (1 + u h) - 1: regularizable by construction."""
     growth = QSeries.monomial(1, d, c)
     linear = u_series(0, H, trunc=d)
-    return exp_over_hbar(growth) * (USeriesRF.one(d) + linear) - USeriesRF.one(d)
+    one = oracles.scalar_window([1], d)
+    return exp_over_hbar(growth) * (one + linear) - one
 
 
 def test_constructed_example_splits_exactly():
@@ -195,7 +196,7 @@ def test_first_pole_names_the_row_and_its_order():
     z = USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1]), (-2, [1], [1]), (-1, [1], [1])])
     assert z.first_pole() == (1, 1)
     assert (z - USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1])], 3)).first_pole() == (2, 2)
-    assert USeriesRF.one(3).first_pole() is None
+    assert oracles.scalar_window([1], 3).first_pole() is None
 
 
 def test_degree_zero_term_rejected():
@@ -210,20 +211,19 @@ def test_window_series_rejects_pole_above_u_degree():
     with pytest.raises(WindowTooSmall):
         USeriesRF.from_quotients([(-1, P.ONE, P.ONE)])
     assert USeriesRF.from_quotients([(0, [], [1]), (-1, [1], [1])], 3).taylor_coeff(-1)[1] == 1
-    # the constructor takes scalar coefficients only
-    with pytest.raises(TypeError):
-        USeriesRF([0, ONE / H], 1)
 
 
 def test_from_quotients_rejects_terms_past_the_truncation():
-    # as the constructor does for coefficients
+    # scalar terms give the rows of the scalar-coefficient window
     terms = [(0, [], [1]), (0, [1], [1]), (0, [2], [1]), (0, [3], [1])]
     with pytest.raises(ValueError):
-        USeriesRF([0, 1, 2, 3], 1)
-    with pytest.raises(ValueError):
         USeriesRF.from_quotients(terms, 1)
-    assert USeriesRF.from_quotients(terms, 3) == USeriesRF([0, 1, 2, 3], 3)
-    assert USeriesRF.from_quotients(terms[:2], 3) == USeriesRF([0, 1], 3)
+    # a window needs row 0: no terms at all, or a negative truncation, is refused
+    for no_rows, d in (([], None), ([], -1), (terms, -2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            USeriesRF.from_quotients(no_rows, d)
+    assert USeriesRF.from_quotients(terms, 3) == oracles.scalar_window([0, 1, 2, 3], 3)
+    assert USeriesRF.from_quotients(terms[:2], 3) == oracles.scalar_window([0, 1], 3)
 
 
 def test_regularize_is_idempotent_on_reconstructed_series():
@@ -238,7 +238,8 @@ def test_regularize_is_idempotent_on_reconstructed_series():
                 for _ in range(d)
             ]
         )
-        z = exp_over_hbar(eta) * (USeriesRF.one(d) + zbar) - USeriesRF.one(d)
+        one = oracles.scalar_window([1], d)
+        z = exp_over_hbar(eta) * (one + zbar) - one
         out = regularize(z)
         assert out.eta == eta
         assert out.zbar == zbar
@@ -246,7 +247,9 @@ def test_regularize_is_idempotent_on_reconstructed_series():
 
 
 def test_regularize_route_mismatch_is_typed(monkeypatch):
-    monkeypatch.setattr(USeriesRF, "log_one_plus", lambda self: USeriesRF([], self.truncation))
+    monkeypatch.setattr(
+        USeriesRF, "log_one_plus", lambda self: oracles.scalar_window([], self.truncation)
+    )
     with pytest.raises(RoutesDisagree):
         regularize(constructed_example(Fr(3, 2), 3))
 
@@ -567,7 +570,7 @@ def regularizable_windows(draw):
     d = draw(st.integers(1, 6))
     eta = draw(exponents(d))
     y = windows([0] + [draw(windowed_ratfuncs(0)) for _ in range(d)])
-    one = USeriesRF.one(d)
+    one = oracles.scalar_window([1], d)
     return eta, exp_over_hbar(eta) * (one + y) - one
 
 

@@ -61,6 +61,13 @@ def test_long_division():
     assert got == QSeries(expect)
 
 
+@pytest.mark.parametrize("d", [-1, -3])
+def test_monomial_of_negative_degree_is_refused(d):
+    # [0] * d is empty for d < 0, which would give the constant c
+    with pytest.raises(ValueError, match="negative"):
+        QSeries.monomial(d, 3)
+
+
 def test_division_by_non_unit_rejected():
     with pytest.raises(DivByNonUnit):
         QSeries.one(3) / QSeries.monomial(1, 3)
