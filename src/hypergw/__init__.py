@@ -17,7 +17,6 @@ from .errors import (
     NonzeroConstant,
     NotIntegral,
     NotRegularizable,
-    NotTFree,
     PoleTooHigh,
     RegularityViolation,
     RoutesDisagree,
@@ -42,7 +41,6 @@ __all__ = [
     "NonzeroConstant",
     "NotIntegral",
     "NotRegularizable",
-    "NotTFree",
     "PoleTooHigh",
     "QSeries",
     "RatFunc",

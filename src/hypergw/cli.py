@@ -420,7 +420,7 @@ def main(argv=None):
             return 0
 
         if args["command"] == "verify":
-            names = [s for s in args["suite"].split(",") if s]
+            names = list(dict.fromkeys(s for s in args["suite"].split(",") if s))
             if not names:
                 _refuse("--suite names no suite")
             unknown = [s for s in names if s not in SUITES]

@@ -22,21 +22,6 @@ class BadConstantTerm(HypergwError):
         super().__init__(f"{operation} requires an admissible constant term, got {value}")
 
 
-class NotTFree(HypergwError):
-    """A polynomial in t that should have collapsed to a pure q-series did not.
-
-    Carries the first offending (t_power, q_degree, value) triple.
-    """
-
-    def __init__(self, t_power, q_degree, value):
-        self.t_power = t_power
-        self.q_degree = q_degree
-        self.value = value
-        super().__init__(
-            f"nonzero coefficient at t^{t_power} q^{q_degree}: {value}"
-        )
-
-
 class BadMirrorMap(HypergwError):
     """Change of exponential variable with a shift that has a constant term."""
 

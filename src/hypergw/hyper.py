@@ -3,20 +3,22 @@
 Everything is generated by one bigraded kernel in (w, q): the q^d
 coefficient is prod_{r<=nd}(nw+r) / prod_{r<=d}((w+r)^n - w^n).  Its
 w-rows 0..max(n - 1, 1), all the stages read (dump --what F alone builds
-rows 0..n + 2), seed a tower of t-polynomials whose diagonal entries are
-unit q-series; the rows yield the mirror map, the regularizing exponent mu,
-the h-regular kernel Q obtained by stripping exp(mu/h), and the ladder
-series built by repeated first-order descent operators.  Every reader of
-the kernel over its w-constant part I_0 reads one set of normalized rows
-rho_i = F_i / I_0 (normalized_rows): the J-polynomials, the mirror shift
-(rho_1 itself) and the bigraded log log_kernel_w.  Each diagonal is
-inverted once (diagonal_inverse) and logged once (diagonal_log), and
-1 - n^n q is logged once (log_one_minus_nn_q): no reader divides by a
-diagonal again or takes its own log of one.  The kernel at w = 1/h enters
-the stages as one normalized window per spec, K(1/h) / I_0
-(ladder_series), and one log of it (ladder_log) serves both residue
-routes: log I_0 is h-free, so the h^-1 entries that give mu are those of
-log K(1/h).  The ladder is read only through exp(-mu/h), so its
+rows 0..n + 2), seed the tower, one triangle of q-series rows whose
+diagonals are unit q-series, each row built once (_tower_rows); a tower
+entry, a polynomial in t, is a binomial sum of one row.  The rows yield
+the mirror map, the regularizing exponent mu, the h-regular kernel Q
+obtained by stripping exp(mu/h), and the ladder series built by repeated
+first-order descent operators.  Every reader of the kernel over its
+w-constant part I_0 reads one set of normalized rows rho_i = F_i / I_0
+(normalized_rows): the J-polynomials, the quintic's genus-0 pass, the
+mirror shift (rho_1 itself) and the bigraded log log_kernel_w.  Each
+diagonal is inverted once (diagonal_inverse) and logged once
+(diagonal_log), and 1 - n^n q is logged once (log_one_minus_nn_q): no
+reader divides by a diagonal again or takes its own log of one.  The
+kernel at w = 1/h enters the stages as one normalized window per spec,
+K(1/h) / I_0 (ladder_series), and one log of it (ladder_log) serves both
+residue routes: log I_0 is h-free, so the h^-1 entries that give mu are
+those of log K(1/h).  The ladder is read only through exp(-mu/h), so its
 rungs are descended there: rung 0 is the one window product per spec, and
 each higher rung comes from the one below by the Leibniz rule for
 theta = h q d/dq (_descended_regular).  The checker functions turn the
@@ -113,8 +115,8 @@ def _kernel_rows(spec, rows):
 
 @lru_cache(maxsize=None)
 def kernel(spec):
-    """The kernel on the w-rows its stages read, 0..max(n - 1, 1): tower
-    entry (0, k) reads rows 0..k <= n - 1 and normalized_rows rows
+    """The kernel on the w-rows its stages read, 0..max(n - 1, 1): the
+    tower's rows R[0][m], m <= n - 1, and normalized_rows rows
     1..max(n - 1, 1), for the J-polynomials, the n = 1 mirror shift and
     log_kernel_w.  dump --what F builds its own rows 0..n + 2 with
     _kernel_rows."""
@@ -169,21 +171,34 @@ def kernel_value_at(spec, a):
 
 
 @lru_cache(maxsize=None)
-def i_series(spec, p, k):
-    """Tower entry with indices (p, k); a polynomial in t of degree <= k-p.
-    Row 0 is read off the kernel's w-rows 0..k, k <= n - 1, all held by
-    kernel; entry (p, k) is the t-derivative of tower_ratio(spec, p - 1, k).
-
-    Built one entry at a time at width D, when read: tower_structure_check
-    reads all of 0 <= p <= k <= n - 1, diagonal_series entry (p, p), and
-    entry (p, k), through tower_ratio, builds (p + 1, k).  The J-polynomials
-    come from the normalized rows, not from row 0, so invariants --n 5
-    builds (0, 0) and (1, 1) only."""
-    _check_entry(spec, p, k)
+def _tower_rows(spec, p, *, divided):
+    """Row p of the tower's triangle at width D, indexed by m - p for
+    p <= m: the rows R[p][m], or with divided S[p][m] = R[p][m] / I_p,
+    where I_p = R[p][p].  R[0] is every row of kernel, and above it
+        R[p][m] = theta S[p - 1][m] + S[p - 1][m - 1],    p <= m <= n - 1,
+    theta = q d/dq: the t-derivative of sum_j S[p - 1][m - j] t^j / j!, the
+    Zagier-Zinger D-operator tower.  Each row is built once, when read:
+    invariants --n 5 builds R[0], S[0] (the normalized rows) and R[1]."""
+    if divided:
+        inv = diagonal_inverse(spec, p)
+        rows = _tower_rows(spec, p, divided=False)
+        return (QSeries.one(spec.qorder),) + tuple(c * inv for c in rows[1:])
     if p == 0:
-        f = kernel(spec)
-        return TPoly([f.coeff(k - j) * Fraction(1, factorial(j)) for j in range(k + 1)])
-    return tower_ratio(spec, p - 1, k).d_dt()
+        return kernel(spec).coeffs
+    prev = _tower_rows(spec, p - 1, divided=True)
+    return tuple(prev[i + 1].derivative() + prev[i] for i in range(spec.n - p))
+
+
+def _binomial_sum(rows, p, k):
+    """sum_j rows[k - p - j] t^j / j! over 0 <= j <= k - p."""
+    return TPoly([rows[k - p - j] * Fraction(1, factorial(j)) for j in range(k - p + 1)])
+
+
+def i_series(spec, p, k):
+    """Tower entry (p, k), sum_j R[p][k - j] t^j / j!, of t-degree k - p;
+    tower_structure_check reads every 0 <= p <= k <= n - 1."""
+    _check_entry(spec, p, k)
+    return _binomial_sum(_tower_rows(spec, p, divided=False), p, k)
 
 
 def _check_entry(spec, p, k):
@@ -191,32 +206,25 @@ def _check_entry(spec, p, k):
         raise ValueError("need 0 <= p <= k <= n-1")
 
 
-@lru_cache(maxsize=None)
 def tower_ratio(spec, p, k):
-    """Entry (p, k) over diagonal p, at width D: at p = 0 the J-polynomial
-    J_k = sum_j rho_(k-j) t^j / j!, read off the normalized rows with no
-    division (its t-free part at k = 1 is the mirror shift); at p >= 1
-    entry (p, k) times the one inverse of diagonal p."""
+    """Entry (p, k) over diagonal p, sum_j S[p][k - j] t^j / j!; at p = 0
+    the J-polynomial J_k, which the quartic's K3 checks read."""
     _check_entry(spec, p, k)
-    if p == 0:
-        rho = normalized_rows(spec)
-        return TPoly([rho[k - j] * Fraction(1, factorial(j)) for j in range(k + 1)])
-    inv = diagonal_inverse(spec, p)
-    return TPoly([c * inv for c in i_series(spec, p, k).coeffs])
+    return _binomial_sum(_tower_rows(spec, p, divided=True), p, k)
 
 
-@lru_cache(maxsize=None)
 def diagonal_series(spec, p):
-    """The t-free diagonal tower entry I_p, a unit q-series; I_0 is kernel
-    row 0, with integer coefficients (nd)! / (d!)^n."""
-    return i_series(spec, p, p).t_free_part()
+    """The diagonal tower entry I_p = R[p][p], a unit q-series; I_0 is
+    kernel row 0, with integer coefficients (nd)! / (d!)^n."""
+    _check_entry(spec, p, p)
+    return _tower_rows(spec, p, divided=False)[0]
 
 
 @lru_cache(maxsize=None)
 def diagonal_inverse(spec, p):
-    """1 / I_p, the one division by diagonal p: the tower at p >= 1, the
-    normalized rows and window (p = 0) and the descended rungs multiply by
-    it."""
+    """1 / I_p, the one division by diagonal p: the ratio rows (the
+    normalized rows at p = 0), the normalized window and the descended
+    rungs multiply by it."""
     return 1 / diagonal_series(spec, p)
 
 
@@ -226,13 +234,10 @@ def diagonal_log(spec, p):
     return diagonal_series(spec, p).log()
 
 
-@lru_cache(maxsize=None)
 def normalized_rows(spec):
-    """The kernel rows over I_0: rho_0 = 1 and rho_i = F_i / I_0 for the
-    rows 0..max(n - 1, 1) of kernel, each a product by the one inverse of
-    I_0, read by the J-polynomials, mirror_shift (rho_1) and log_kernel_w."""
-    inv = diagonal_inverse(spec, 0)
-    return (QSeries.one(spec.qorder),) + tuple(c * inv for c in kernel(spec).coeffs[1:])
+    """The kernel rows over I_0, the tower's S[0]: rho_0 = 1 and
+    rho_i = F_i / I_0 for the rows 0..max(n - 1, 1) of kernel."""
+    return _tower_rows(spec, 0, divided=True)
 
 
 @lru_cache(maxsize=None)

@@ -104,36 +104,33 @@ def _j_poly(spec, k):
 def quintic_genus0(order):
     """Genus-0 invariants of the quintic threefold, with the block check.
 
-    Returns (values for d = 1..order, report).  The defining combination
-    of J-polynomials must be free of t; a leftover t term is a hard error.
-    The report verifies that rebuilding the four cohomology blocks from
-    the extracted values reproduces the J-polynomials exactly.
+    Returns (values for d = 1..order, report).  The series is the t^0 row
+    (5/2)(rho1 rho2 - rho3) - (5/6) rho1^3 of the combination
+    (5/2)(J1 J2 - J3) - (5/6) J1^3 of J_k = sum_j rho_(k-j) t^j / j!; its
+    other t-rows cancel identically, as do those of the blocks.  The
+    report verifies that rebuilding the four cohomology blocks from the
+    extracted values reproduces the rows rho_k exactly.
     """
     spec = HyperSpec(5, order)
     d = order
-    j1, j2, j3 = (_j_poly(spec, k) for k in (1, 2, 3))
-    j1_sq = j1 * j1
-    j1_cube = j1_sq * j1
-    h = (j1 * j2 - j3) * Fraction(5, 2) - j1_cube * Fraction(5, 6)
-    series = h.t_free_part()
+    rho = hyper.normalized_rows(spec)
+    r1_sq = rho[1] * rho[1]
+    r1_cube = r1_sq * rho[1]
+    series = (rho[1] * rho[2] - rho[3]) * Fraction(5, 2) - r1_cube * Fraction(5, 6)
     values = extract_invariants(series, spec)
 
     # block reconstruction: with E_d = exp(d T) = q^d exp(d (T-t)) = E_1^d,
     #   H^2:  J1^2/2 + (1/5) sum_d N_d d E_d            == J2
     #   H^3:  J1^3/6 + (1/5) sum_d N_d (d J1 - 2) E_d   == J3
-    shift = hyper.mirror_shift(spec)
-    # the weight-d part of the H^3 sum is sum2 itself
+    # at t^0, J_k is rho_k; the weight-d part of the H^3 sum is sum2 itself
     sum2, sum3c = _block_sums(hyper.mirror_coordinate(spec), values)
-    weighted = TPoly.from_qseries(sum2)
-    lhs2 = j1_sq * Fraction(1, 2) + weighted
-    lhs3 = j1_cube * Fraction(1, 6) + j1 * weighted + TPoly.from_qseries(sum3c)
-    one = TPoly.from_qseries(QSeries.one(d))
-    t_plus_shift = TPoly.t_variable(d) + TPoly.from_qseries(shift)
+    lhs2 = r1_sq * Fraction(1, 2) + sum2
+    lhs3 = r1_cube * Fraction(1, 6) + rho[1] * sum2 + sum3c
     parts = [
-        ("block-0", series_failure(_j_poly(spec, 0), one, d)),
-        ("block-1", series_failure(j1, t_plus_shift, d)),
-        ("block-2", series_failure(lhs2, j2, d)),
-        ("block-3", series_failure(lhs3, j3, d)),
+        ("block-0", series_failure(rho[0], QSeries.one(d), d)),
+        ("block-1", series_failure(rho[1], hyper.mirror_shift(spec), d)),
+        ("block-2", series_failure(lhs2, rho[2], d)),
+        ("block-3", series_failure(lhs3, rho[3], d)),
     ]
     return values, merge_reports("mirror-block-reconstruction", {"n": 5, "order": d}, parts, d)
 

@@ -24,7 +24,7 @@ from math import lcm as _lcm
 from operator import mul as _mul
 
 from . import polys as P
-from .errors import BadConstantTerm, BadMirrorMap, DivByNonUnit, NotTFree, TruncationMismatch
+from .errors import BadConstantTerm, BadMirrorMap, DivByNonUnit, TruncationMismatch
 
 
 def format_rational(x, den=1) -> str:
@@ -283,8 +283,8 @@ class QSeries:
 class TPoly:
     """Polynomial in t whose coefficients are QSeries (all one truncation).
 
-    The zero polynomial is canonically the single zero entry, so t-freeness
-    tests are deterministic.
+    The zero polynomial is canonically the single zero entry, so t-degrees
+    and equality are deterministic.
     """
 
     __slots__ = ("coeffs",)
@@ -307,21 +307,13 @@ class TPoly:
     def from_qseries(cls, f):
         return cls([f])
 
-    @classmethod
-    def t_variable(cls, truncation):
-        return cls([QSeries.zero(truncation), QSeries.one(truncation)])
-
-    @property
-    def truncation(self):
-        return self.coeffs[0].truncation
-
     @property
     def t_degree(self):
         return len(self.coeffs) - 1
 
     def coeff(self, k):
         if k >= len(self.coeffs):
-            return QSeries.zero(self.truncation)
+            return QSeries.zero(self.coeffs[0].truncation)
         return self.coeffs[k]
 
     def __eq__(self, other):
@@ -338,7 +330,7 @@ class TPoly:
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"TPoly(t-degree {self.t_degree}, D={self.truncation})"
+        return f"TPoly(t-degree {self.t_degree}, D={self.coeffs[0].truncation})"
 
     def _coerce(self, other):
         if isinstance(other, TPoly):
@@ -346,7 +338,7 @@ class TPoly:
         if isinstance(other, QSeries):
             return TPoly.from_qseries(other)
         if isinstance(other, (int, Fraction)):
-            return TPoly.from_qseries(QSeries.constant(other, self.truncation))
+            return TPoly.from_qseries(QSeries.constant(other, self.coeffs[0].truncation))
         return None
 
     def __add__(self, other):
@@ -392,14 +384,6 @@ class TPoly:
                 term = term + (k + 1) * self.coeffs[k + 1]
             out.append(term)
         return TPoly(out)
-
-    def t_free_part(self):
-        """The t-power-0 coefficient, provided everything above vanishes."""
-        for k, c in enumerate(self.coeffs[1:], start=1):
-            for d, v in enumerate(c.ints):
-                if v:
-                    raise NotTFree(k, d, Fraction(v, c.den))
-        return self.coeffs[0]
 
 
 class WSeries:
@@ -480,16 +464,17 @@ def _quotient_rows(rhs, weights):
         C_k = A_k - sum_{0<j<=k} B_j C_(k-j),
     for rhs = (a, da) and weights = (b, db), equally many integer rows over
     one denominator each, a row's truncation its length less one (b[0] is
-    not read).  Each output row is truncated at the smallest truncation
-    among the rows it sums; a zero C_0 bounds none.
+    not read).  da must divide db: the callers pass da = 1 or da = db.
+    Each output row is truncated at the smallest truncation among the rows
+    it sums; a zero C_0 bounds none.
 
     The row twin of polys._recurrence: the solved rows stay integer rows
     over one running denominator dc, and each term is one integer row
     product whose left factor is whichever of B_j and C_(k-j) has more
-    zero entries, which _accumulate skips.  A_k meets the sum, over db dc,
-    over the lcm of the two denominators.  Each row is reduced by one gcd,
-    and dc becomes the lcm with the reduced denominator only when that does
-    not divide it already."""
+    zero entries, which _accumulate skips.  A_k meets the sum over db dc,
+    which da divides.  Each row is reduced by one gcd, and dc becomes the
+    lcm with the reduced denominator only when that does not divide it
+    already."""
     (a, da), (b, db) = rhs, weights
     out = [QSeries._of(a[0], da)]
     c, dc = [out[0].ints], out[0].den
@@ -498,9 +483,8 @@ def _quotient_rows(rhs, weights):
         acc = [0] * min([len(a[k])] + [min(len(b[j]), len(c[k - j])) for j in js])
         for j in js:  # the row with more zeros goes left
             P._accumulate(acc, *sorted((b[j], c[k - j]), key=lambda r: -r.count(0)))
-        g = _gcd(da, db * dc)
-        sa, ss = db * dc // g, da // g
-        row = QSeries._of([x * sa - y * ss for x, y in zip(a[k], acc)], da * sa)
+        sa = db * dc // da
+        row = QSeries._of([x * sa - y for x, y in zip(a[k], acc)], db * dc)
         out.append(row)
         if dc % row.den:
             grown = dc // _gcd(dc, row.den) * row.den

@@ -2,14 +2,16 @@
 
 Everything here works on plain bivariate coefficient arrays with Fraction
 entries, straight from the defining sums, sharing no code with the
-package under test.  Nine references are routes rather than arithmetic
+package under test.  Ten references are routes rather than arithmetic
 and run on the package's own objects, kept at the end: the product route
 of the descended ladder, the full-precision fixed point of the
 regularizing exponent and the column route to its b_j, the full-width
 kernel at w = 1/h, bridge series, u/h counterexample and window series of
 scalar coefficients, the q-side routes that divided by a diagonal and
-took a log for each reader (with the mirror shift as J_1 - t), the
-residue from full-length Taylor shifts, the moment window 1 / (1 - G) by
+took a log for each reader (with the mirror shift as J_1 - t), the tower
+built entry by entry and the quintic's genus-0 pass on its J-polynomials
+(with the reference t-free part), the residue from full-length Taylor
+shifts, the moment window 1 / (1 - G) by
 QSeries products, the Yukawa route to the quintic's genus-0 numbers, and
 the argparse parser of the command line.
 """
@@ -1084,13 +1086,13 @@ def full_row_log(spec):
 
 
 def mirror_shift_by_tower(spec):
-    """T - t as the t-free part of J_1 - t, the t-linear part cancelling
-    (n >= 2, where the tower holds J_1); the package reads the normalized
-    row rho_1 at every n."""
-    from hypergw import hyper
-    from hypergw.series import TPoly
+    """T - t as the t-free part of J_1 - t on the per-entry tower, the
+    t-linear part cancelling (n >= 2, where the tower holds J_1); the
+    package reads the normalized row rho_1 at every n."""
+    from hypergw.series import QSeries, TPoly
 
-    return (hyper.tower_ratio(spec, 0, 1) - TPoly.t_variable(spec.qorder)).t_free_part()
+    d = spec.qorder
+    return t_free_part(tower_by_recursion(spec)[1][0, 1] - TPoly([QSeries.zero(d), QSeries.one(d)]))
 
 
 def diagonal_inverse_by_division(spec, p):
@@ -1105,6 +1107,87 @@ def nn_power_by_own_log(spec, r):
     from hypergw import hyper
 
     return hyper.one_minus_nn_q(spec).power(r)
+
+
+# -- the t-polynomial routes before the triangle of rows --------------------------
+# The tower built one entry at a time, each entry (p, k) the t-derivative of
+# entry (p - 1, k) over diagonal p - 1 and each diagonal the t-free part of its
+# entry, and the quintic's genus-0 pass on the J-polynomials of that tower,
+# which compared every t-row of its blocks and refused a combination with a
+# t-row left above t^0.  Both run on the package's TPoly.
+
+
+class NotTFree(Exception):
+    """A polynomial in t that should have collapsed to a pure q-series did
+    not; carries the first offending (t_power, q_degree, value) triple."""
+
+    def __init__(self, t_power, q_degree, value):
+        self.t_power, self.q_degree, self.value = t_power, q_degree, value
+        super().__init__(f"nonzero coefficient at t^{t_power} q^{q_degree}: {value}")
+
+
+def t_free_part(poly):
+    """The t^0 row of a TPoly, provided every row above it vanishes."""
+    for k, row in enumerate(poly.coeffs[1:], start=1):
+        for d, v in enumerate(row.coeffs):
+            if v:
+                raise NotTFree(k, d, v)
+    return poly.coeffs[0]
+
+
+def tower_by_recursion(spec):
+    """(entries, ratios, diagonals) of the tower, entry by entry: entry
+    (0, k) is sum_j F_(k-j) t^j / j! on the kernel rows F, entry (p, k) the
+    t-derivative of ratio (p - 1, k), diagonal p the t-free part of entry
+    (p, p) and ratio (p, k) entry (p, k) divided by it, for
+    0 <= p <= k <= n - 1."""
+    from hypergw import hyper
+    from hypergw.series import TPoly
+
+    f, n = hyper.kernel(spec), spec.n
+    entries, ratios, diagonals = {}, {}, []
+    for p in range(n):
+        for k in range(p, n):
+            if p == 0:
+                entries[p, k] = TPoly([f.coeff(k - j) * Fr(1, factorial(j)) for j in range(k + 1)])
+            else:
+                entries[p, k] = ratios[p - 1, k].d_dt()
+        diagonals.append(t_free_part(entries[p, p]))
+        for k in range(p, n):
+            ratios[p, k] = entries[p, k].div_qseries(diagonals[p])
+    return entries, ratios, diagonals
+
+
+def quintic_genus0_by_j_polys(order):
+    """The quintic's genus-0 pass on the J-polynomials J_k (the ratios
+    (0, k) of the per-entry tower): (values, merged block failure or None,
+    t-polynomials that must be t-free).  The last are the combination
+    (5/2)(J1 J2 - J3) - (5/6) J1^3, whose t-free part gives the values, and
+    each block's lhs - rhs; the blocks are compared on every t-row, their
+    failure labels `t^j q^k`."""
+    from hypergw import hyper, invariants
+    from hypergw.hyper import HyperSpec
+    from hypergw.report import merged_failure, series_failure
+    from hypergw.series import QSeries, TPoly
+
+    spec = HyperSpec(5, order)
+    ratios = tower_by_recursion(spec)[1]
+    j0, j1, j2, j3 = (ratios[0, k] for k in range(4))
+    h = (j1 * j2 - j3) * Fr(5, 2) - j1 * j1 * j1 * Fr(5, 6)
+    values = invariants.extract_invariants(t_free_part(h), spec)
+    sum2, sum3c = invariants._block_sums(hyper.mirror_coordinate(spec), values)
+    weighted = TPoly([sum2])
+    t_plus_shift = TPoly([hyper.mirror_shift(spec), QSeries.one(order)])
+    sides = {
+        "block-0": (j0, TPoly([QSeries.one(order)])),
+        "block-1": (j1, t_plus_shift),
+        "block-2": (j1 * j1 * Fr(1, 2) + weighted, j2),
+        "block-3": (j1 * j1 * j1 * Fr(1, 6) + j1 * weighted + TPoly([sum3c]), j3),
+    }
+    failure = merged_failure(
+        (name, series_failure(lhs, rhs, order)) for name, (lhs, rhs) in sides.items()
+    )
+    return values, failure, [h] + [lhs - rhs for lhs, rhs in sides.values()]
 
 
 # -- the full-length residue shift and the geometric sum by products -------------

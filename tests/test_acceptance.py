@@ -66,7 +66,7 @@ def criterion(number, name, limit_seconds):
 
 def test_criterion_1_quintic_genus0_table():
     with criterion(1, "quintic genus-0 table", 5):
-        values, report = quintic_genus0(10)  # raises if the t-terms survive
+        values, report = quintic_genus0(10)
         assert values[0] == 2875
         assert values[1] == Fr(4876875, 8)
         assert values[2] == Fr(8564575000, 27)

@@ -31,7 +31,6 @@ DUNDER = "a dunder"
 # them with their LAYERS entries, once ROADMAP item 1 frees those
 UNENTERED = {
     "errors.BadConstantTerm.__init__": ERROR,
-    "errors.NotTFree.__init__": ERROR,
     "errors.RegularityViolation.__init__": ERROR,
     "hyper.HyperSpec.__setattr__": DUNDER,
     "hyper.HyperSpec.__delattr__": DUNDER,

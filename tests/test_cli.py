@@ -263,11 +263,26 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_a_suite_named_twice_runs_once(monkeypatch, capsys):
+    ran = []
+    real = cli.run_suites
+    monkeypatch.setattr(
+        cli, "run_suites", lambda names, n, order: ran.append(names) or real(names, n, order)
+    )
+    once = run(["verify", "--suite", "props32,props31", "--n", "3", "--order", "3"], capsys)
+    twice = run(
+        ["verify", "--suite", "props32,props31,props32,,props31", "--n", "3", "--order", "3"],
+        capsys,
+    )
+    assert twice == once and once[0] == 0
+    assert ran == [["props32", "props31"]] * 2
+
+
 def test_internal_violation_exit_code(monkeypatch, capsys):
-    from hypergw.errors import NotTFree
+    from hypergw.errors import RoutesDisagree
 
     def explode(n, order):
-        raise NotTFree(1, 0, Fr(1))
+        raise RoutesDisagree("two routes to the table differ")
 
     monkeypatch.setattr(cli.invariants, "assemble_table", explode)
     code, _, err = run(["invariants", "--n", "5", "--order", "2"], capsys)

@@ -39,7 +39,7 @@ from hypergw.residues import (
     exp_over_hbar,
     laurent_at_zero,
 )
-from hypergw.series import QSeries
+from hypergw.series import QSeries, TPoly
 
 import oracles
 
@@ -120,7 +120,7 @@ def test_inverse_hbar_kernel_pole_orders():
 def test_first_column_entries():
     spec = HyperSpec(5, 2)
     row0 = i_series(spec, 0, 0)
-    assert row0.t_free_part() == QSeries([1, 120, 113400])
+    assert oracles.t_free_part(row0) == QSeries([1, 120, 113400])
     entry = i_series(spec, 0, 1)
     assert entry.coeff(1) == QSeries([1, 120, 113400])
     # oracle: 120 * sum_{r=2..5} 5/r
@@ -594,18 +594,30 @@ def test_log_kernel_keeps_the_rows_it_is_read_on(n, order):
 
 
 def test_quintic_table_divides_once_and_takes_each_log_once(cold_stages, monkeypatch):
-    calls = []
+    calls, rows, tpolys = [], set(), []
     for name in ("__truediv__", "log"):
         real = getattr(QSeries, name)
         monkeypatch.setattr(
             QSeries, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
+    real_rows = hyper._tower_rows
+    monkeypatch.setattr(
+        hyper,
+        "_tower_rows",
+        lambda spec, p, *, divided: rows.add((spec, p, divided))
+        or real_rows(spec, p, divided=divided),
+    )
+    real_poly = TPoly.__init__
+    monkeypatch.setattr(TPoly, "__init__", lambda *args: tpolys.append(args) or real_poly(*args))
     invariants.assemble_table(5, 6)
     # 1 / I_0, and log I_0, log I_1, log(1 - 5^5 q): 13 divisions and 8 logs
     # when each reader divided by I_0 and took its own logs
     assert (calls.count("__truediv__"), calls.count("log")) == (1, 3)
-    # the J-polynomials read the normalized rows, not tower row 0
-    assert hyper.i_series.cache_info().currsize == 2
+    # the rows of the tower it reads, R[0], S[0] (the normalized rows) and
+    # R[1] (for I_1), and no tower entry or other t-polynomial
+    spec = HyperSpec(5, 6)
+    assert rows == {(spec, 0, False), (spec, 0, True), (spec, 1, False)}
+    assert tpolys == []
 
 
 def test_log_kernel_linear_coefficient_is_mirror_shift():
@@ -644,6 +656,23 @@ def test_tower_ratio_outside_the_tower_raises(n, p, k):
     # at n = 1 the normalized rows hold a row 1 that is no tower entry
     with pytest.raises(ValueError):
         hyper.tower_ratio(HyperSpec(n, 4), p, k)
+
+
+TOWER_POINTS = [(n, d) for n in range(1, 9) for d in range(1, 13)] + [(5, 24), (8, 32)]
+
+
+@pytest.mark.parametrize("n, d", TOWER_POINTS)
+def test_tower_rows_match_the_per_entry_tower(n, d):
+    # the binomial sums of the triangle against the tower built entry by
+    # entry, each entry the t-derivative of the one above over its diagonal
+    spec = HyperSpec(n, d)
+    entries, ratios, diagonals = oracles.tower_by_recursion(spec)
+    for p in range(n):
+        assert diagonal_series(spec, p) == diagonals[p]
+        for k in range(p, n):
+            assert i_series(spec, p, k) == entries[p, k]
+            assert hyper.tower_ratio(spec, p, k) == ratios[p, k]
+            assert i_series(spec, p, k).t_degree == k - p
 
 
 def test_dw_kernel_linear_coefficient_vanishes_at_five():

@@ -96,7 +96,7 @@ def test_cubic_term_identity():
     rhs = QSeries.zero(D)
     for d, v in enumerate(n0, start=1):
         rhs = rhs + QSeries.monomial(d, D) * (shift * d).exp() * (v * Fr(-1, 12))
-    assert lhs.t_free_part() == rhs
+    assert oracles.t_free_part(lhs) == rhs
 
 
 # -- conversions and inversions --------------------------------------------------
@@ -374,6 +374,42 @@ def test_fractional_instanton_number_exits_1(monkeypatch, capsys):
     assert err == (
         "identity violation: NotIntegral: instanton numbers at degree 1: n0 = 2875, n1 = 3/7\n"
     )
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 24, 32])
+def test_genus0_rows_match_the_j_polynomial_pass(order):
+    # the pass on the normalized rows against the pass on the J-polynomials
+    # of the per-entry tower: the same N_d and block verdict, and every t^j
+    # row (j >= 1) of the combination and of each block's lhs - rhs is zero
+    values, rep = quintic_genus0(order)
+    old_values, old_failure, t_free = oracles.quintic_genus0_by_j_polys(order)
+    assert values == old_values
+    assert rep.passed and old_failure is None
+    assert all(poly.t_degree == 0 for poly in t_free)
+
+
+def _bumped(series):
+    return series + QSeries.monomial(3, series.truncation, Fr(3, 7))
+
+
+@pytest.mark.parametrize(
+    "block, owner, name, change",
+    [
+        ("block-1", hyper, "mirror_shift", _bumped),
+        ("block-2", invariants, "_block_sums", lambda sums: (_bumped(sums[0]), sums[1])),
+        ("block-3", invariants, "_block_sums", lambda sums: (sums[0], _bumped(sums[1]))),
+    ],
+)
+def test_genus0_rows_fail_where_the_j_polynomial_pass_fails(
+    cold_stages, monkeypatch, block, owner, name, change
+):
+    # one side of a block moved: both passes fail at the same t^0 coefficient
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(real(*args)))
+    _, rep = quintic_genus0(6)
+    _, old_failure, _ = oracles.quintic_genus0_by_j_polys(6)
+    assert rep.first_failure.startswith(f"{block}: q^3: ")
+    assert old_failure == rep.first_failure.replace(": q^3", ": t^0 q^3", 1)
 
 
 @pytest.mark.parametrize("order", range(1, 41))

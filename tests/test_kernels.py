@@ -9,7 +9,7 @@ integer pairs a QSeries holds.
 
 import re
 from fractions import Fraction as Fr
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -300,6 +300,60 @@ def test_gcd_with_a_nonzero_constant_is_one():
     assert P.gcd_poly((Fr(3),), (Fr(1), Fr(2), Fr(1))) == P.ONE
     assert P.gcd_poly((Fr(0), Fr(1)), (Fr(-2, 7),)) == P.ONE
     assert P.gcd_poly((), (Fr(2), Fr(4))) == (Fr(1, 2), Fr(1))
+
+
+# -- forms and known factors at a point s/t with t > 1 -------------------------
+
+
+def _value(p, x):
+    """p(x) for an integer list p, in Fraction arithmetic."""
+    return sum(Fr(c) * x**i for i, c in enumerate(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=7), st.integers(-9, 9), st.integers(2, 9))
+@example([1, 1], 1, 2)  # 2 + 1: every lower term carries a power of t
+@example([0, 0, 5], -3, 4)
+def test_form_at_is_the_homogenized_value(p, s, t):
+    # t^k p(s/t) for a list p of length k + 1
+    want = t ** (len(p) - 1) * _value(p, Fr(s, t)) if p else 0
+    assert P._form_at(p, s, t) == want
+
+
+# (c0, c1): the primitive factor c0 + c1 h, its root -c0/c1 off the integers
+_steep = st.tuples(st.integers(-7, 7), st.integers(2, 6)).filter(lambda f: gcd(*f) == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_steep, st.integers(0, 2), st.integers(0, 2)), max_size=3,
+             unique_by=lambda case: Fr(-case[0][0], case[0][1])),
+    st.integers(-6, 6).filter(bool),
+    st.integers(-6, 6).filter(bool),
+)
+@example([((3, 2), 1, 1)], 1, 2)  # (3 + 2h) / (2 (3 + 2h))
+@example([((-1, 3), 2, 1), ((5, 2), 0, 2)], -4, 3)
+def test_cancel_factors_at_steep_linear_factors(cases, scale_num, scale_den):
+    # num and den are scales times c0 + c1 h to multiplicities a and b; each
+    # factor leaves both min(a, b) times, which Fraction evaluation at more
+    # points than either degree confirms
+    num, den = [scale_num], [scale_den]
+    for (c0, c1), a, b in cases:
+        for _ in range(a):
+            num = [x * c0 + y * c1 for x, y in zip(num + [0], [0] + num)]
+        for _ in range(b):
+            den = [x * c0 + y * c1 for x, y in zip(den + [0], [0] + den)]
+    got_num, got_den = P._cancel_factors(num, den, [f for f, _, _ in cases])
+    m = [min(a, b) for _, a, b in cases]
+    sides = (
+        (got_num, scale_num, [(f, a - k) for (f, a, _), k in zip(cases, m)]),
+        (got_den, scale_den, [(f, b - k) for (f, _, b), k in zip(cases, m)]),
+    )
+    points = [Fr(j, 5) for j in range(-4, 5)]
+    for got, scale, powers in sides:
+        assert len(got) == 1 + sum(e for _, e in powers)
+        for x in points:
+            assert _value(got, x) == scale * prod(_value(f, x) ** e for f, e in powers)
 
 
 # -- construction-count guards ------------------------------------------------

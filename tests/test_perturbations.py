@@ -11,10 +11,12 @@ identity and parameters, must then fail, each failure text must name the
 first differing coefficient, and every other report of the suite must
 still pass.
 
-The mirror blocks are perturbed on their weighted-sum side (`_block_sums`)
-and through the mirror shift: the J-polynomials also build the genus-0
-series, whose t-freeness is a hard error, so no one-sided change of them
-reaches the blocks.
+The mirror blocks compare q-series, the t^0 rows of the J-polynomials on
+the normalized rows, whose higher t-rows cancel identically.  Rows 1..3
+also build the genus-0 series, so the blocks are perturbed where only one
+side reads: block-0 through row 0 of `normalized_rows`, which the series
+does not read, block-1 through the mirror shift, and blocks 2 and 3 on
+their weighted-sum side (`_block_sums`).
 
 A report whose identity is checked inside a stage that raises on a mismatch
 cannot print FAIL; its entry in RAISING names the error the suite raises
@@ -44,13 +46,13 @@ def bump(series):
 
 def t_bump(poly):
     """poly + C t q^K."""
-    d = poly.truncation
+    d = poly.coeffs[0].truncation
     return poly + TPoly([QSeries.zero(d), QSeries.monomial(K, d, C)])
 
 
 def t0_bump(poly):
     """poly + C q^K."""
-    return poly + TPoly.from_qseries(QSeries.monomial(K, poly.truncation, C))
+    return poly + TPoly.from_qseries(QSeries.monomial(K, poly.coeffs[0].truncation, C))
 
 
 def wrap(owner, name, change, when=None):
@@ -313,13 +315,13 @@ ENTRIES = [
     ("log-kernel-top-row", suite("special"), "low-dimensions",
      "k3-vanishing: quartic-invariants-vanish: Q^3", wrap(hyper, "log_kernel_w", top_row_bumped)),
     # mirror blocks
-    ("block-0", blocks, "mirror-block-reconstruction", "block-0: t^0 q^3",
-     wrap(invariants, "_j_poly", t0_bump, lambda spec, k: k == 0)),
-    ("block-1", blocks, "mirror-block-reconstruction", "block-1: t^0 q^3",
+    ("block-0", blocks, "mirror-block-reconstruction", "block-0: q^3",
+     wrap(hyper, "normalized_rows", lambda rows: (bump(rows[0]),) + rows[1:])),
+    ("block-1", blocks, "mirror-block-reconstruction", "block-1: q^3",
      wrap(hyper, "mirror_shift", bump)),
-    ("block-2", blocks, "mirror-block-reconstruction", "block-2: t^0 q^3",
+    ("block-2", blocks, "mirror-block-reconstruction", "block-2: q^3",
      wrap(invariants, "_block_sums", lambda sums: (bump(sums[0]), sums[1]))),
-    ("block-3", blocks, "mirror-block-reconstruction", "block-3: t^0 q^3",
+    ("block-3", blocks, "mirror-block-reconstruction", "block-3: q^3",
      wrap(invariants, "_block_sums", lambda sums: (sums[0], bump(sums[1])))),
     # Appendix A: the first failing case of each family; 1 << 21 is slot 1
     # (b = 1) of the 21-bit packing of the Vandermonde left sides
