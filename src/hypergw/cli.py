@@ -276,7 +276,7 @@ def _q_lines(series, start, order):
 
 
 def _kernel_lines(f, order):
-    return [f"w^{j} {line}" for j, row in enumerate(f.coeffs) for line in _q_lines(row, 0, order)]
+    return [f"w^{j} {line}" for j, row in enumerate(f) for line in _q_lines(row, 0, order)]
 
 
 def render_dump(what, n, order):

@@ -4,14 +4,17 @@ Everything is generated by one bigraded kernel in (w, q): the q^d
 coefficient is prod_{r<=nd}(nw+r) / prod_{r<=d}((w+r)^n - w^n).  Its
 w-rows 0..max(n - 1, 1), all the stages read (dump --what F alone builds
 rows 0..n + 2), seed the tower, one triangle of q-series rows whose
-diagonals are unit q-series, each row built once (_tower_rows); a tower
-entry, a polynomial in t, is a binomial sum of one row.  The rows yield
+diagonals are unit q-series, each row built once (_tower_rows).  The
+stages hand out bivariate series as plain tuples of QSeries rows: the
+kernel, the tower's rows, the normalized rows and the kernel's log in w.
+A tower entry, a polynomial in t, is a binomial sum of one row, built
+only for the structure report (i_series).  The rows yield
 the mirror map, the regularizing exponent mu, the h-regular kernel Q
 obtained by stripping exp(mu/h), and the ladder series built by repeated
 first-order descent operators.  Every reader of the kernel over its
 w-constant part I_0 reads one set of normalized rows rho_i = F_i / I_0
-(normalized_rows): the J-polynomials, the quintic's genus-0 pass, the
-mirror shift (rho_1 itself) and the bigraded log log_kernel_w.  Each
+(normalized_rows): the quartic's K3 checks, the quintic's genus-0 pass,
+the mirror shift (rho_1 itself) and the bigraded log log_kernel_w.  Each
 diagonal is inverted once (diagonal_inverse) and logged once
 (diagonal_log), and 1 - n^n q is logged once (log_one_minus_nn_q): no
 reader divides by a diagonal again or takes its own log of one.  The
@@ -43,7 +46,7 @@ from .errors import PoleTooHigh, RegularityViolation
 from .report import IdentityReport, Record, equality_failure, first_failure, merge_reports
 from .report import integrality_failure, series_failure
 from .residues import USeriesRF, _row, double_residue_split_kernel, exp_over_hbar
-from .series import QSeries, TPoly, WSeries, _scaled_rows, log_one_plus_rows
+from .series import QSeries, TPoly, _scaled_rows, log_one_plus_rows
 
 
 class HyperSpec(Record):
@@ -92,8 +95,8 @@ def _v_factors(n, r):
 
 
 def _kernel_rows(spec, rows):
-    """The (w, q) kernel on w-rows 0..rows - 1 at width D, as a WSeries;
-    its (w^0, q^0) coefficient is 1.
+    """The (w, q) kernel on w-rows 0..rows - 1 at width D, a tuple of
+    QSeries rows; its (w^0, q^0) coefficient is 1.
 
     Column d comes from column d-1 by the ratio
         F_d / F_(d-1) = prod_{n(d-1)<r<=nd}(n w + r) / ((w + d)^n - w^n),
@@ -110,16 +113,16 @@ def _kernel_rows(spec, rows):
         col, den = P._recurrence((col, den), (vd, 1), lambda m: (1, vd[0]), w)
         cols.append((col, den))
     dens = [den for _, den in cols]
-    return WSeries([QSeries._ratios([c[j] for c, _ in cols], dens) for j in range(w + 1)])
+    return tuple(QSeries._ratios([c[j] for c, _ in cols], dens) for j in range(w + 1))
 
 
 @lru_cache(maxsize=None)
 def kernel(spec):
     """The kernel on the w-rows its stages read, 0..max(n - 1, 1): the
     tower's rows R[0][m], m <= n - 1, and normalized_rows rows
-    1..max(n - 1, 1), for the J-polynomials, the n = 1 mirror shift and
-    log_kernel_w.  dump --what F builds its own rows 0..n + 2 with
-    _kernel_rows."""
+    1..max(n - 1, 1), for the genus-0 and K3 checks, the n = 1 mirror
+    shift and log_kernel_w.  dump --what F builds its own rows 0..n + 2
+    with _kernel_rows."""
     return _kernel_rows(spec, max(spec.n, 2))
 
 
@@ -184,33 +187,23 @@ def _tower_rows(spec, p, *, divided):
         rows = _tower_rows(spec, p, divided=False)
         return (QSeries.one(spec.qorder),) + tuple(c * inv for c in rows[1:])
     if p == 0:
-        return kernel(spec).coeffs
+        return kernel(spec)
     prev = _tower_rows(spec, p - 1, divided=True)
     return tuple(prev[i + 1].derivative() + prev[i] for i in range(spec.n - p))
 
 
-def _binomial_sum(rows, p, k):
-    """sum_j rows[k - p - j] t^j / j! over 0 <= j <= k - p."""
-    return TPoly([rows[k - p - j] * Fraction(1, factorial(j)) for j in range(k - p + 1)])
-
-
 def i_series(spec, p, k):
     """Tower entry (p, k), sum_j R[p][k - j] t^j / j!, of t-degree k - p;
-    tower_structure_check reads every 0 <= p <= k <= n - 1."""
+    tower_structure_check reads every 0 <= p <= k <= n - 1.  The only
+    builder of a TPoly: every other reader takes the rows."""
     _check_entry(spec, p, k)
-    return _binomial_sum(_tower_rows(spec, p, divided=False), p, k)
+    rows = _tower_rows(spec, p, divided=False)
+    return TPoly([rows[k - p - j] * Fraction(1, factorial(j)) for j in range(k - p + 1)])
 
 
 def _check_entry(spec, p, k):
     if not 0 <= p <= k <= spec.n - 1:
         raise ValueError("need 0 <= p <= k <= n-1")
-
-
-def tower_ratio(spec, p, k):
-    """Entry (p, k) over diagonal p, sum_j S[p][k - j] t^j / j!; at p = 0
-    the J-polynomial J_k, which the quartic's K3 checks read."""
-    _check_entry(spec, p, k)
-    return _binomial_sum(_tower_rows(spec, p, divided=True), p, k)
 
 
 def diagonal_series(spec, p):
@@ -367,7 +360,7 @@ def log_kernel_w(spec):
     k of the log depends only on rows <= k, so no row is divided again and
     no log of I_0 is taken."""
     rows = normalized_rows(spec)[: max(spec.n - 1, 1)]  # row 0 is not read
-    return WSeries(log_one_plus_rows(rows, QSeries.zero(spec.qorder)))
+    return tuple(log_one_plus_rows(rows, QSeries.zero(spec.qorder)))
 
 
 def dw_kernel_coeffs(n, upto):
@@ -516,7 +509,7 @@ def ladder_identities(spec):
         raise ValueError("ladder identities need n >= 2")
     one = QSeries.one(d)
     big_l = linear_factor(spec)
-    inv_l = one / big_l
+    inv_l = kernel_value_at_zero(spec)  # 1/L, the series mu integrates
     fs = [inv_l * diagonal_inverse(spec, p) for p in range(n)]
     # f_r'/f_r = -(1/n) (log(1 - n^n q))' - (log I_r)', read at r <= n - 2
     dlog_l = log_one_minus_nn_q(spec).derivative() * Fraction(1, n)
@@ -538,7 +531,9 @@ def ladder_identities(spec):
         fails0.append(series_failure(theta0[p], closed0, d, f"p={p} q"))
         fails1.append(series_failure(theta1[p], closed1, d, f"p={p} q"))
 
-    # the first descent step agrees with the mirror-map route
+    # the first descent step agrees with the mirror-map route; it holds by
+    # the recurrence, I_1 = R[1][1] = theta rho_1 + 1 with rho_1 the shift,
+    # and only a perturbation of one side shows that it can fail
     step = one + mirror_shift(spec).derivative()
     parts = [
         ("ladder-first-residue", first_failure(fails0)),

@@ -1,9 +1,11 @@
 """Structured pass/fail records for the identity suites.
 
 Every check below the identity level returns its failure text, or None
-when it passes; an IdentityReport stands for one identity a suite reports."""
+when it passes; an IdentityReport stands for one identity a suite reports.
+Series are compared as q-series: a check on a bivariate series compares
+the QSeries rows it reads, one at a time."""
 
-from .series import TPoly, format_rational
+from .series import format_rational
 
 
 class Record:
@@ -75,16 +77,10 @@ def equality_failure(locus, lhs, rhs):
 
 
 def series_failure(lhs, rhs, max_order, var="q"):
-    """The first coefficient k <= max_order at which two series differ, as
-    `var^k: lhs[k] != rhs[k]`, or None when they all agree.  The series are
-    compared as integer numerators over their denominators; Fractions are
-    built for the failing coefficient only.  t-polynomials are compared row
-    by row, the t^j row labelled `t^j var`."""
-    if isinstance(lhs, TPoly):
-        rows = range(max(lhs.t_degree, rhs.t_degree) + 1)
-        return first_failure(
-            series_failure(lhs.coeff(j), rhs.coeff(j), max_order, f"t^{j} {var}") for j in rows
-        )
+    """The first coefficient k <= max_order at which two q-series differ,
+    as `var^k: lhs[k] != rhs[k]`, or None when they all agree.  The series
+    are compared as integer numerators over their denominators; Fractions
+    are built for the failing coefficient only."""
     a, b = lhs.truncate(max_order), rhs.truncate(max_order)
     if a == b:
         return None

@@ -350,9 +350,9 @@ class USeriesRF:
     One builder, from_quotients, takes the u^k coefficients as quotients
     h^s num / unit at H = 2D + 2, for the moment closed form on the
     regularize suite's constructed series, the one reader past entry D + 1:
-    it reads zbar up to h^(D + 2) of u^D, entry 2D + 2.  A scalar c is the
-    term (0, [c.numerator], [c.denominator]), and a coefficient whose pole
-    order exceeds its u-degree raises WindowTooSmall there.
+    it reads zbar up to h^(D + 2) of u^D, entry 2D + 2.  A coefficient
+    whose pole order exceeds its u-degree raises WindowTooSmall there.  A
+    scalar adds to entry 0 of row 0, with no window built for it.
     """
 
     __slots__ = ("coeffs",)
@@ -367,7 +367,8 @@ class USeriesRF:
     @classmethod
     def from_quotients(cls, terms, truncation=None):
         """The u^k coefficient is h^s * num / unit for terms[k] = (s, num, unit),
-        with integer lists num and unit, unit(0) != 0; rows past the terms are 0."""
+        with integer lists num and unit, unit(0) != 0; rows past the terms are 0.
+        Its one caller is the regularize suite's builder of u h^p."""
         d = len(terms) - 1 if truncation is None else truncation
         if d < 0:
             raise ValueError("truncation must be nonnegative")
@@ -404,17 +405,10 @@ class USeriesRF:
     def __repr__(self):
         return f"USeriesRF(D={self.truncation}, H={self.coeffs[0].truncation})"
 
-    def _coerce(self, other):
-        if isinstance(other, USeriesRF):
-            return other
-        if isinstance(other, (int, Fraction)):
-            term = (0, [other.numerator], [other.denominator])
-            return USeriesRF.from_quotients([term], self.truncation)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):  # a scalar is entry 0 of row 0
+            return USeriesRF._of((self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, USeriesRF):
             return NotImplemented
         return USeriesRF._of(a + b for a, b in zip(self.coeffs, other.coeffs))
 
@@ -424,9 +418,6 @@ class USeriesRF:
         return self * -1
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -435,8 +426,7 @@ class USeriesRF:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return USeriesRF._of(c * other for c in self.coeffs)
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, USeriesRF):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         return USeriesRF._of(convolve_rows(a, b, min(len(a), len(b))))

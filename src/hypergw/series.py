@@ -1,4 +1,4 @@
-"""Exact truncated power series in q = e^t, with t- and w-polynomial layers.
+"""Exact truncated power series in q = e^t, and the rows of bivariate series.
 
 QSeries is the workhorse: a series in q truncated at an inclusive degree
 bound, with rational coefficients and no rounding anywhere.  Mixing two
@@ -8,13 +8,15 @@ form, den > 0 and the content of ints coprime to den.  Each operation runs
 in int (quotients, exp and log on polys._recurrence) and reduces its result
 by one gcd; Fractions are built only for readers (coeffs, indexing).
 
-TPoly layers a polynomial in t on top (t is the logarithm of the series
-variable, so d/dt acts as q*d/dq), and WSeries does the same for a formal
-variable w with its own truncation order.  Every bivariate series of the
-package (these two and the window series of residues.USeriesRF, which
-also hold the moment sums of a regularization) is a list of QSeries rows
-with one row product (convolve_rows) and one row quotient A / (1 + B)
-(_quotient_rows), read by log_one_plus_rows and geometric_rows.
+Every bivariate series of the package is a list of QSeries rows: the
+stages hand out the kernel, its normalized rows and its log in w as plain
+tuples of rows, and the window series of residues.USeriesRF (the moment
+sums of a regularization among them) wrap theirs.  The rows have one row
+product (convolve_rows) and one row quotient A / (1 + B) (_quotient_rows),
+read by log_one_plus_rows and geometric_rows.  TPoly, a polynomial in t
+(the logarithm of the series variable, so d/dt acts as q*d/dq), holds a
+tower entry for its structure report, and WSeries, rows in w, keeps the
+reference route to the bigraded log.
 """
 
 from fractions import Fraction
@@ -281,7 +283,10 @@ class QSeries:
 
 
 class TPoly:
-    """Polynomial in t whose coefficients are QSeries (all one truncation).
+    """Polynomial in t whose coefficients are QSeries (all one truncation):
+    a tower entry as hyper.i_series builds it for tower_structure_check,
+    which reads its t-degree and rows.  It has no sum or t-derivative; its
+    product (a row convolution) is kept for the benchmark's layer list.
 
     The zero polynomial is canonically the single zero entry, so t-degrees
     and equality are deterministic.
@@ -300,10 +305,6 @@ class TPoly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, truncation):
-        return cls([QSeries.zero(truncation)])
-
-    @classmethod
     def from_qseries(cls, f):
         return cls([f])
 
@@ -318,7 +319,7 @@ class TPoly:
 
     def __eq__(self, other):
         if isinstance(other, QSeries):
-            other = TPoly.from_qseries(other)
+            other = TPoly([other])
         if not isinstance(other, TPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -333,31 +334,9 @@ class TPoly:
         return f"TPoly(t-degree {self.t_degree}, D={self.coeffs[0].truncation})"
 
     def _coerce(self, other):
-        if isinstance(other, TPoly):
-            return other
         if isinstance(other, QSeries):
             return TPoly.from_qseries(other)
-        if isinstance(other, (int, Fraction)):
-            return TPoly.from_qseries(QSeries.constant(other, self.coeffs[0].truncation))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return other if isinstance(other, TPoly) else None
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -370,24 +349,10 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def div_qseries(self, g):
-        """Divide every t-coefficient by the unit q-series g."""
-        return TPoly([c / g for c in self.coeffs])
-
-    def d_dt(self):
-        """Total t-derivative: lowers t-powers and differentiates coefficients."""
-        n = len(self.coeffs)
-        out = []
-        for k in range(n):
-            term = self.coeffs[k].derivative()
-            if k + 1 < n:
-                term = term + (k + 1) * self.coeffs[k + 1]
-            out.append(term)
-        return TPoly(out)
-
 
 class WSeries:
-    """Polynomial in w (truncated at worder) with QSeries coefficients."""
+    """Polynomial in w with QSeries coefficients, the reference route to
+    the bigraded log: the stages hand out plain tuples of QSeries rows."""
 
     __slots__ = ("coeffs",)
 
@@ -398,22 +363,13 @@ class WSeries:
         d = min(c.truncation for c in coeffs)
         self.coeffs = tuple(c.truncate(d) for c in coeffs)
 
-    @property
-    def worder(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, j):
-        if not 0 <= j <= self.worder:
-            raise TruncationMismatch(f"w^{j} outside stored range 0..{self.worder}")
-        return self.coeffs[j]
-
     def __eq__(self, other):
         if not isinstance(other, WSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"WSeries(W={self.worder}, D={self.coeffs[0].truncation})"
+        return f"WSeries(W={len(self.coeffs) - 1}, D={self.coeffs[0].truncation})"
 
     def log(self):
         """Bigraded logarithm; the (w^0, q^0) coefficient must be 1.

@@ -9,8 +9,9 @@ regularizing exponent and the column route to its b_j, the full-width
 kernel at w = 1/h, bridge series, u/h counterexample and window series of
 scalar coefficients, the q-side routes that divided by a diagonal and
 took a log for each reader (with the mirror shift as J_1 - t), the tower
-built entry by entry and the quintic's genus-0 pass on its J-polynomials
-(with the reference t-free part), the residue from full-length Taylor
+built entry by entry, the quintic's genus-0 pass and the quartic's K3
+checks on its J-polynomials (with the reference t-polynomial arithmetic
+and t-free part), the residue from full-length Taylor
 shifts, the moment window 1 / (1 - G) by
 QSeries products, the Yukawa route to the quintic's genus-0 numbers, and
 the argparse parser of the command line.
@@ -1071,7 +1072,7 @@ def tower_ratio_by_division(spec, p, k):
     """Tower entry (p, k) divided by diagonal p, one division per t-power."""
     from hypergw import hyper
 
-    return hyper.i_series(spec, p, k).div_qseries(hyper.diagonal_series(spec, p))
+    return TPoly(hyper.i_series(spec, p, k).coeffs).div_qseries(hyper.diagonal_series(spec, p))
 
 
 def full_row_log(spec):
@@ -1082,14 +1083,14 @@ def full_row_log(spec):
     from hypergw.series import WSeries
 
     f = hyper._kernel_rows(spec, spec.n + 3)
-    return WSeries([c / f.coeff(0) for c in f.coeffs]).log()
+    return WSeries([c / f[0] for c in f]).log()
 
 
 def mirror_shift_by_tower(spec):
     """T - t as the t-free part of J_1 - t on the per-entry tower, the
     t-linear part cancelling (n >= 2, where the tower holds J_1); the
     package reads the normalized row rho_1 at every n."""
-    from hypergw.series import QSeries, TPoly
+    from hypergw.series import QSeries
 
     d = spec.qorder
     return t_free_part(tower_by_recursion(spec)[1][0, 1] - TPoly([QSeries.zero(d), QSeries.one(d)]))
@@ -1112,9 +1113,91 @@ def nn_power_by_own_log(spec, r):
 # -- the t-polynomial routes before the triangle of rows --------------------------
 # The tower built one entry at a time, each entry (p, k) the t-derivative of
 # entry (p - 1, k) over diagonal p - 1 and each diagonal the t-free part of its
-# entry, and the quintic's genus-0 pass on the J-polynomials of that tower,
-# which compared every t-row of its blocks and refused a combination with a
-# t-row left above t^0.  Both run on the package's TPoly.
+# entry, and the quintic's genus-0 pass and the quartic's K3 checks on the
+# J-polynomials of that tower, which compared every t-row and refused a
+# combination with a t-row left above t^0.  They run on TPoly below, the
+# t-polynomial arithmetic the package dropped once its stages handed out rows:
+# polynomials in t over the package's QSeries.
+
+
+class TPoly:
+    """Polynomial in t with QSeries coefficients, cut to their smallest
+    truncation and trimmed of zero top rows; equal to the package's TPoly
+    and QSeries of the same rows."""
+
+    __slots__ = ("coeffs",)
+    __hash__ = None
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        d = min(c.truncation for c in coeffs)
+        coeffs = [c.truncate(d) for c in coeffs]
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def t_degree(self):
+        return len(self.coeffs) - 1
+
+    def coeff(self, k):
+        return self.coeffs[k] if k < len(self.coeffs) else 0 * self.coeffs[0]
+
+    def _coerce(self, other):
+        from hypergw.series import QSeries
+
+        return TPoly([other]) if isinstance(other, QSeries) else TPoly(other.coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == self._coerce(other).coeffs
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return TPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fr)):
+            return TPoly([c * other for c in self.coeffs])
+        a, b = self.coeffs, self._coerce(other).coeffs
+        out = [0 * a[0]] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return TPoly(out)
+
+    __rmul__ = __mul__
+
+    def div_qseries(self, g):
+        """Every t-row divided by the unit q-series g."""
+        return TPoly([c / g for c in self.coeffs])
+
+    def d_dt(self):
+        """The t-derivative: theta = q d/dq on each row, t^k to k t^(k-1)."""
+        rows = self.coeffs
+        return TPoly(
+            [c.derivative() + (k + 1) * rows[k + 1] if k + 1 < len(rows) else c.derivative()
+             for k, c in enumerate(rows)]
+        )
+
+
+def t_series_failure(lhs, rhs, max_order):
+    """The package's series_failure row by row, the t^j row labelled `t^j q`."""
+    from hypergw.report import first_failure, series_failure
+
+    lhs, rhs = TPoly(lhs.coeffs), TPoly(rhs.coeffs)
+    return first_failure(
+        series_failure(lhs.coeff(j), rhs.coeff(j), max_order, f"t^{j} q")
+        for j in range(max(lhs.t_degree, rhs.t_degree) + 1)
+    )
 
 
 class NotTFree(Exception):
@@ -1142,14 +1225,13 @@ def tower_by_recursion(spec):
     (p, p) and ratio (p, k) entry (p, k) divided by it, for
     0 <= p <= k <= n - 1."""
     from hypergw import hyper
-    from hypergw.series import TPoly
 
     f, n = hyper.kernel(spec), spec.n
     entries, ratios, diagonals = {}, {}, []
     for p in range(n):
         for k in range(p, n):
             if p == 0:
-                entries[p, k] = TPoly([f.coeff(k - j) * Fr(1, factorial(j)) for j in range(k + 1)])
+                entries[p, k] = TPoly([f[k - j] * Fr(1, factorial(j)) for j in range(k + 1)])
             else:
                 entries[p, k] = ratios[p - 1, k].d_dt()
         diagonals.append(t_free_part(entries[p, p]))
@@ -1167,8 +1249,8 @@ def quintic_genus0_by_j_polys(order):
     failure labels `t^j q^k`."""
     from hypergw import hyper, invariants
     from hypergw.hyper import HyperSpec
-    from hypergw.report import merged_failure, series_failure
-    from hypergw.series import QSeries, TPoly
+    from hypergw.report import merged_failure
+    from hypergw.series import QSeries
 
     spec = HyperSpec(5, order)
     ratios = tower_by_recursion(spec)[1]
@@ -1185,9 +1267,21 @@ def quintic_genus0_by_j_polys(order):
         "block-3": (j1 * j1 * j1 * Fr(1, 6) + j1 * weighted + TPoly([sum3c]), j3),
     }
     failure = merged_failure(
-        (name, series_failure(lhs, rhs, order)) for name, (lhs, rhs) in sides.items()
+        (name, t_series_failure(lhs, rhs, order)) for name, (lhs, rhs) in sides.items()
     )
     return values, failure, [h] + [lhs - rhs for lhs, rhs in sides.values()]
+
+
+def quartic_k3_by_j_polys(order):
+    """The quartic's K3 checks on the J-polynomials of the per-entry tower at
+    n = 4: (gap, decomposition), the t-polynomials J2 - J1^2/2 and
+    (J2'/I1 - J1)', ' = d/dt and I1 the tower's diagonal 1, as the package
+    formed them before it read their t^0 rows off the normalized rows."""
+    from hypergw.hyper import HyperSpec
+
+    _, ratios, diagonals = tower_by_recursion(HyperSpec(4, order))
+    j1, j2 = ratios[0, 1], ratios[0, 2]
+    return j2 - j1 * j1 * Fr(1, 2), (j2.d_dt().div_qseries(diagonals[1]) - j1).d_dt()
 
 
 # -- the full-length residue shift and the geometric sum by products -------------

@@ -76,10 +76,15 @@ UNENTERED = {
     "series.QSeries.__repr__": DUNDER,
     "series.QSeries.__rsub__": DUNDER,
     "series.QSeries.compose": PINNED,
+    # the stages hand out rows: i_series builds the only TPoly, and
+    # tests/oracles.py keeps the old routes on TPoly products and WSeries.log
+    "series.TPoly.from_qseries": (CALLED_BY, ("series.TPoly._coerce",)),
     "series.TPoly.__eq__": DUNDER,
     "series.TPoly.__hash__": DUNDER,
     "series.TPoly.__repr__": DUNDER,
-    # the kernel log reads the normalized rows; tests/oracles.py keeps the old route
+    "series.TPoly._coerce": (CALLED_BY, ("series.TPoly.__mul__",)),
+    "series.TPoly.__mul__": PINNED,
+    "series.WSeries.__init__": (CALLED_BY, ("series.WSeries.log",)),
     "series.WSeries.log": PINNED,
     "series.WSeries.__eq__": DUNDER,
     "series.WSeries.__repr__": DUNDER,

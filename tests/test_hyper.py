@@ -1,14 +1,15 @@
 """The hypergeometric kernel, the tower, the mirror map, and their identities."""
 
 import re
+import sys
 from fractions import Fraction as Fr
 from math import comb, factorial, gcd
 
 import pytest
 
-from hypergw import hyper, invariants
+from hypergw import cli, hyper, invariants
 from hypergw import polys as P
-from hypergw.errors import PoleTooHigh, RegularityViolation, TruncationMismatch, WindowTooSmall
+from hypergw.errors import PoleTooHigh, RegularityViolation, WindowTooSmall
 from hypergw.hyper import (
     HyperSpec,
     diagonal_identities,
@@ -68,19 +69,19 @@ def test_quintic_kernel_degrees():
     f = kernel(HyperSpec(5, 3))
     # oracle: (5d)! / (d!)^5
     for d in range(4):
-        assert f.coeff(0)[d] == Fr(factorial(5 * d), factorial(d) ** 5)
+        assert f[0][d] == Fr(factorial(5 * d), factorial(d) ** 5)
 
 
 def test_kernel_constant_column():
     f = kernel(HyperSpec(4, 2))
-    for j in range(f.worder + 1):
-        assert f.coeff(j)[0] == (1 if j == 0 else 0)
+    for j, row in enumerate(f):
+        assert row[0] == (1 if j == 0 else 0)
 
 
 def test_conic_kernel_is_central_binomial():
     f = kernel(HyperSpec(2, 4))
     for d in range(5):
-        assert f.coeff(0)[d] == comb(2 * d, d)
+        assert f[0][d] == comb(2 * d, d)
 
 
 def test_kernel_matches_brute_force_columns():
@@ -92,7 +93,7 @@ def test_kernel_matches_brute_force_columns():
         f = hyper._kernel_rows(spec, n + 3)
         for d in range(7):
             for j in range(n + 3):
-                assert f.coeff(j)[d] == cols[d][j]
+                assert f[j][d] == cols[d][j]
 
 
 @pytest.mark.parametrize("order", [1, 6, 24])
@@ -103,8 +104,8 @@ def test_kernel_keeps_the_rows_its_stages_read(n, order):
     spec = HyperSpec(n, order)
     kept, full = kernel(spec), hyper._kernel_rows(spec, n + 3)
     top = max(n - 1, 1)
-    assert kept.worder == top and kept.coeff(0).truncation == order
-    assert kept.coeffs == full.coeffs[: top + 1]
+    assert len(kept) == top + 1 and kept[0].truncation == order
+    assert kept == full[: top + 1]
 
 
 def test_inverse_hbar_kernel_pole_orders():
@@ -587,10 +588,10 @@ def test_log_kernel_keeps_the_rows_it_is_read_on(n, order):
     spec = HyperSpec(n, order)
     kept, full = log_kernel_w(spec), oracles.full_row_log(spec)
     top = max(n - 2, 0)  # the genus-1 series reads rows 0..n - 2
-    assert kept.worder == top and kept.coeff(0).truncation == order
-    assert kept.coeffs == full.coeffs[: top + 1]
-    with pytest.raises(TruncationMismatch):
-        kept.coeff(max(n - 1, 1))
+    assert len(kept) == top + 1 and kept[0].truncation == order
+    assert kept == full.coeffs[: top + 1]
+    with pytest.raises(IndexError):
+        kept[max(n - 1, 1)]
 
 
 def test_quintic_table_divides_once_and_takes_each_log_once(cold_stages, monkeypatch):
@@ -620,12 +621,29 @@ def test_quintic_table_divides_once_and_takes_each_log_once(cold_stages, monkeyp
     assert tpolys == []
 
 
+def test_only_the_tower_entries_build_t_polynomials(cold_stages, monkeypatch, capsys):
+    # every other stage hands out rows; tower_structure_check reads entries
+    callers, real = set(), TPoly.__init__
+
+    def recorded(self, coeffs):
+        frame = sys._getframe(1)
+        callers.add(f"{frame.f_globals['__name__']}.{frame.f_code.co_qualname}")
+        real(self, coeffs)
+
+    monkeypatch.setattr(TPoly, "__init__", recorded)
+    for n in range(2, 9):
+        assert cli.main(["verify", "--n", str(n), "--order", "3"]) == 0
+    assert cli.main(["invariants", "--n", "5", "--order", "6"]) == 0
+    capsys.readouterr()
+    assert callers == {"hypergw.hyper.i_series"}
+
+
 def test_log_kernel_linear_coefficient_is_mirror_shift():
     # the log's row 1 by the old route, which does not read the normalized
     # rows that both log_kernel_w and the mirror shift read
     for n in (3, 4, 5):
         spec = HyperSpec(n, 5)
-        assert oracles.full_row_log(spec).coeff(1) == mirror_shift(spec)
+        assert oracles.full_row_log(spec).coeffs[1] == mirror_shift(spec)
 
 
 # -- the normalized kernel against the routes it replaced ----------------------------
@@ -637,25 +655,32 @@ NORMALIZED_POINTS = [(n, d) for n in range(1, 9) for d in range(1, 13)] + [(5, 2
 def test_normalized_stages_match_the_routes_they_replaced(n, d):
     spec = HyperSpec(n, d)
     f = kernel(spec)
-    assert hyper.normalized_rows(spec) == tuple(c / f.coeff(0) for c in f.coeffs)
+    assert hyper.normalized_rows(spec) == tuple(c / f[0] for c in f)
     # at n = 1 the tower has no J_1, and the shift was row 1 over row 0 there
-    by_tower = oracles.mirror_shift_by_tower(spec) if n > 1 else f.coeff(1) / f.coeff(0)
+    by_tower = oracles.mirror_shift_by_tower(spec) if n > 1 else f[1] / f[0]
     assert mirror_shift(spec) == by_tower
     for p in range(n):
         assert hyper.diagonal_inverse(spec, p) == oracles.diagonal_inverse_by_division(spec, p)
         assert hyper.diagonal_log(spec, p) == diagonal_series(spec, p).log()
         for k in range(p, n):
-            assert hyper.tower_ratio(spec, p, k) == oracles.tower_ratio_by_division(spec, p, k)
+            assert _tower_ratio(spec, p, k) == oracles.tower_ratio_by_division(spec, p, k)
     assert hyper.log_one_minus_nn_q(spec) == one_minus_nn_q(spec).log()
     assert linear_factor(spec) == oracles.nn_power_by_own_log(spec, Fr(1, n))
     assert kernel_value_at_zero(spec) == oracles.nn_power_by_own_log(spec, Fr(-1, n))
 
 
+def _tower_ratio(spec, p, k):
+    """Entry (p, k) over diagonal p, sum_j S[p][k - j] t^j / j!, from the
+    divided rows S[p]: the J-polynomial J_k at p = 0."""
+    rows = hyper._tower_rows(spec, p, divided=True)
+    return oracles.TPoly([rows[k - p - j] * Fr(1, factorial(j)) for j in range(k - p + 1)])
+
+
 @pytest.mark.parametrize("n, p, k", [(1, 0, 1), (3, 0, 3), (3, 2, 1), (3, -1, 0)])
-def test_tower_ratio_outside_the_tower_raises(n, p, k):
+def test_tower_entry_outside_the_tower_raises(n, p, k):
     # at n = 1 the normalized rows hold a row 1 that is no tower entry
     with pytest.raises(ValueError):
-        hyper.tower_ratio(HyperSpec(n, 4), p, k)
+        i_series(HyperSpec(n, 4), p, k)
 
 
 TOWER_POINTS = [(n, d) for n in range(1, 9) for d in range(1, 13)] + [(5, 24), (8, 32)]
@@ -671,7 +696,7 @@ def test_tower_rows_match_the_per_entry_tower(n, d):
         assert diagonal_series(spec, p) == diagonals[p]
         for k in range(p, n):
             assert i_series(spec, p, k) == entries[p, k]
-            assert hyper.tower_ratio(spec, p, k) == ratios[p, k]
+            assert _tower_ratio(spec, p, k) == ratios[p, k]
             assert i_series(spec, p, k).t_degree == k - p
 
 

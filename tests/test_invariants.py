@@ -84,12 +84,9 @@ def test_genus1_routes_agree():
 
 def test_cubic_term_identity():
     # (5/24)(J3 - J1 J2 + J1^3/3) = -(1/12) sum_d N0_d exp(dT)
-    from hypergw.invariants import _j_poly
-
     spec = HyperSpec(5, D)
-    j1 = _j_poly(spec, 1)
-    j2 = _j_poly(spec, 2)
-    j3 = _j_poly(spec, 3)
+    ratios = oracles.tower_by_recursion(spec)[1]
+    j1, j2, j3 = (ratios[0, k] for k in (1, 2, 3))
     lhs = (j3 - j1 * j2 + j1 * j1 * j1 * Fr(1, 3)) * Fr(5, 24)
     n0, _ = quintic_genus0(D)
     shift = mirror_shift(spec)
@@ -164,6 +161,17 @@ def test_cubic_curve_cover_counts():
 
 def test_low_dimension_checks():
     assert low_dimension_checks(7).passed
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 24])
+def test_k3_rows_match_the_j_polynomial_checks(order):
+    # the gap and the decomposition on the normalized rows are the t^0 rows
+    # of the J-polynomial forms, whose higher t-rows all vanish
+    gap, decomposition = invariants._k3_series(HyperSpec(4, order))
+    old_gap, old_decomposition = oracles.quartic_k3_by_j_polys(order)
+    assert old_gap.t_degree == old_decomposition.t_degree == 0
+    assert old_gap == gap and old_decomposition == decomposition
+    assert gap == QSeries.zero(order)
 
 
 # -- locus split --------------------------------------------------------------------

@@ -33,7 +33,7 @@ from hypergw import cli, hyper, invariants, polys, report, residues
 from hypergw.errors import RoutesDisagree, WindowTooSmall
 from hypergw.hyper import HyperSpec
 from hypergw.residues import USeriesRF, exp_over_hbar
-from hypergw.series import QSeries, TPoly, WSeries
+from hypergw.series import QSeries, TPoly
 
 C, K = Fr(3, 7), 3
 N, ORDER = 5, 6
@@ -46,13 +46,13 @@ def bump(series):
 
 def t_bump(poly):
     """poly + C t q^K."""
-    d = poly.coeffs[0].truncation
-    return poly + TPoly([QSeries.zero(d), QSeries.monomial(K, d, C)])
+    rows = list(poly.coeffs) + [QSeries.zero(poly.coeffs[0].truncation)]
+    return TPoly(rows[:1] + [bump(rows[1])] + rows[2:])
 
 
 def t0_bump(poly):
     """poly + C q^K."""
-    return poly + TPoly.from_qseries(QSeries.monomial(K, poly.coeffs[0].truncation, C))
+    return TPoly((bump(poly.coeffs[0]),) + poly.coeffs[1:])
 
 
 def wrap(owner, name, change, when=None):
@@ -96,7 +96,7 @@ class BumpedWindow:
 
 def top_row_bumped(logw):
     """The kernel log with its last kept row, w^(n-2), moved by C q^K."""
-    return WSeries(logw.coeffs[:-1] + (bump(logw.coeffs[-1]),))
+    return logw[:-1] + (bump(logw[-1]),)
 
 
 def grown(z):
@@ -260,7 +260,10 @@ ENTRIES = [
      "ladder-first-residue: p=2 q^3",
      wrap(hyper, "ladder_residue", bump, lambda spec, p, o: (p, o) == (2, 0))),
     ("ladder-first-closed", suite("theorem3"), "ladder-identities",
-     "ladder-first-residue: p=0 q^3", wrap(hyper, "linear_factor", bump)),
+     "ladder-first-residue: p=0 q^3", wrap(hyper, "kernel_value_at_zero", bump)),
+    # L itself enters the second residue's closed form, times phi1 = O(q)
+    ("ladder-second-linear", suite("theorem3"), "ladder-identities",
+     "ladder-second-residue: p=0 q^4", wrap(hyper, "linear_factor", bump)),
     ("ladder-second-residue", suite("theorem3"), "ladder-identities",
      "ladder-second-residue: p=1 q^3",
      wrap(hyper, "ladder_residue", bump, lambda spec, p, o: (p, o) == (1, 1))),
@@ -299,10 +302,11 @@ ENTRIES = [
      "torus-cover-match: cubic-cover-counts: Q^3",
      wrap(invariants, "torus_cover_series", bump)),
     ("quartic-gap", suite("special"), "low-dimensions",
-     "k3-vanishing: quartic-gap-vanishes: t^1 q^3",
-     wrap(invariants, "_j_poly", t_bump, lambda spec, k: (spec.n, k) == (4, 2))),
+     "k3-vanishing: quartic-gap-vanishes: q^3",
+     wrap(hyper, "normalized_rows", lambda rows: rows[:2] + (bump(rows[2]),) + rows[3:],
+          lambda spec: spec.n == 4)),
     ("quartic-gap-derivative", suite("special"), "low-dimensions",
-     "k3-vanishing: quartic-gap-derivative: t^0 q^3",
+     "k3-vanishing: quartic-gap-derivative: q^3",
      wrap(hyper, "diagonal_series", bump, lambda spec, p: (spec.n, p) == (4, 2))),
     ("quartic-invariants", suite("special"), "low-dimensions",
      "k3-vanishing: quartic-invariants-vanish: Q^3",

@@ -226,6 +226,21 @@ def test_from_quotients_rejects_terms_past_the_truncation():
     assert USeriesRF.from_quotients(terms[:2], 3) == oracles.scalar_window([0, 1], 3)
 
 
+@pytest.mark.parametrize("d", range(7))
+def test_scalar_adds_to_entry_zero_as_a_scalar_window_would(d):
+    # rows with poles and denominators, at the width of the hyper stages and
+    # at the width of from_quotients; the window sums bring the scalar's own
+    # window, at width 2D + 2, as the package did
+    terms = [(0, [3], [2])] + [(-1, [k, -2], [3, k, 1]) for k in range(1, d + 1)]
+    wide = USeriesRF.from_quotients(terms, d)
+    for z in (wide.narrow(d + 1), wide):
+        for c in (1, -1, Fr(-2, 7), 0):
+            window = oracles.scalar_window([c], d)
+            assert z + c == c + z == z + window
+            assert z - c == z - window
+            assert c - z == window - z
+
+
 def test_regularize_is_idempotent_on_reconstructed_series():
     rng = random.Random(3)
     d = 5
