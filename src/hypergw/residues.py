@@ -499,21 +499,22 @@ def exp_over_hbar(eta):
 
 class Regularization(Record):
     """1 + z = exp(eta/h) * (1 + zbar), with exp(-eta/h), the moment window
-    G (big_g) that eta was read off, and the sums of G the checks read."""
+    G (big_g), log(1 - G) (log_g), of which eta is minus entry k - 1 of row
+    k by Lagrange inversion, and the sums of G the checks read."""
 
-    _fields = ("eta", "zbar", "regular", "z", "exp_minus_eta", "big_g")
+    _fields = ("eta", "zbar", "regular", "z", "exp_minus_eta", "big_g", "log_g")
 
     @cached_property
     def moment_windows(self):
         """The sums sum_{m>=2} G^m / (m(m-1)) = (1 - G) log(1 - G) + G and
-        sum_{m>=0} G^m = 1 / (1 - G) of the moment window G that regularize
-        built, as USeriesRF windows in (u, s), each on the one row quotient
-        of the series module (log_one_plus_rows, geometric_rows).  Row 0 of
-        G is zero, since every c_j is O(u), so both sums are exact to u^D,
-        and the checks read at most entry k of row k, so width D covers
-        them.  Built once per regularization, on its first moment check."""
-        big_g = self.big_g
-        log = (-big_g).log_one_plus()
+        sum_{m>=0} G^m = 1 / (1 - G) of the moment window G, as USeriesRF
+        windows in (u, s): the first from the log regularize took for eta,
+        the second one row quotient of the series module (geometric_rows).
+        Row 0 of G is zero, since every c_j is O(u), so both sums are exact
+        to u^D, and the checks read at most entry k of row k, so width D
+        covers them.  Built once per regularization, on its first moment
+        check."""
+        big_g, log = self.big_g, self.log_g
         return log + big_g - big_g * log, USeriesRF._of(geometric_rows(big_g.coeffs))
 
     @cached_property
@@ -528,18 +529,23 @@ class Regularization(Record):
 def regularize(z):
     """Split 1 + z = exp(eta/h) * (1 + zbar) and test zbar for regularity.
 
-    eta is the degree-stabilizing fixed point eta = sum_j (-eta)^j / j! c_j
-    of the moments c_j = res{ h^-j z }, run on tau = eta / u as
-    tau = sum_j b_j tau^j, b_j = u^(j-1) (-1)^j c_j / j! = O(u^j), each
-    round one Horner pass at the u^(r-1) of tau it fixes.  The b_j are read
-    off the moment window G = g/s, g(s, u) = sum_j (-1)^j / j! c_j(u) s^j,
-    built once at width D and kept for the moment checks: its row k holds
-    s^k [u^k] G, entry e being entry e of z's row k times (-1)^j / j! for
-    j = e - k + 1, so no entry of z past D is read, and [u^k] b_j is entry
-    k of row k - j + 1.  It is cross-checked through log(1 + z) = eta/h +
-    log(1 + zbar): eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar),
-    where the last residue vanishes when zbar is regular.  A mismatch would
-    be an internal arithmetic bug and raises immediately.
+    eta is the fixed point eta = g(eta) of g(s, u) = sum_j (-1)^j / j! c_j(u)
+    s^j, c_j = res{ h^-j z }.  By Lagrange inversion it is
+    sum_m (1/m) [s^(m-1)] g^m = -[s^-1] log(1 - G) for the moment window
+    G = g/s, so eta is minus entry k - 1 of row k of log(1 - G), with no
+    iteration.  G is built once at width D: its row k holds s^k [u^k] G,
+    entry e being entry e of z's row k times (-1)^j / j! for j = e - k + 1,
+    so no entry of z past D is read.  G and its log are kept for the moment
+    checks.
+
+    eta is cross-checked through log(1 + z) = eta/h + log(1 + zbar):
+    eta = res_{h=0} log(1 + z) - res_{h=0} log(1 + zbar), where the last
+    residue vanishes when zbar is regular; a mismatch raises RoutesDisagree.
+    Since 1 + zbar is exp(-eta/h) (1 + z) by construction, the two sides
+    agree for any eta when the exp, the window product and the logs are
+    exact, so the check catches arithmetic faults.  A wrong eta shows up as
+    a pole of zbar instead: NotRegularizable on the regularize suite's
+    constructed series, a failing bridge-exponent-is-mu on the bridge.
     """
     if any(z[0].ints):
         raise NonzeroConstant("series must have no degree-zero term")
@@ -551,17 +557,8 @@ def regularize(z):
         return QSeries._ratios([0] * (k - 1) + nums, [1] * (k - 1) + dens)
 
     big_g = USeriesRF._of([QSeries.zero(d)] + [row(k) for k in range(1, d + 1)])
-    b = []
-    for j in range(d):  # entry m + j - 1 of rows m = 0..D - j, shifted to u^(m + j - 1)
-        c = USeriesRF._of(big_g.coeffs[: d - j + 1]).taylor_coeff(j - 1)
-        b.append(QSeries._of(((0,) * j + c.ints)[1:], c.den))
-    tau = QSeries.zero(0)
-    for r in range(1, d + 1):
-        acc = b[r - 1].truncate(r - 1)
-        for j in range(r - 1, 0, -1):
-            acc = b[j - 1].truncate(r - 1) + tau * acc
-        tau = QSeries._of(acc.ints + (0,), acc.den)  # tau_r, padded to u^r
-    eta = QSeries._of((0,) + tau.ints[:-1], tau.den)
+    log_g = (-big_g).log_one_plus()
+    eta = -log_g.taylor_coeff(-1)
     back = exp_over_hbar(-eta)
     zbar = back * (z + 1) - 1
     regular = zbar.first_pole() is None
@@ -570,8 +567,8 @@ def regularize(z):
     if not regular:
         eta_log = eta_log - zbar.narrow(d).log_one_plus().weighted_residues(0)
     if eta != eta_log:
-        raise RoutesDisagree("exponent fixed point and log residue disagree")
-    return Regularization(eta, zbar, regular, z, back, big_g)
+        raise RoutesDisagree("exponent by Lagrange inversion and log residue disagree")
+    return Regularization(eta, zbar, regular, z, back, big_g, log_g)
 
 
 def moment_identity_check(reg, a):

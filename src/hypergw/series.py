@@ -415,32 +415,28 @@ def convolve_rows(a, b, length):
     return out
 
 
-def _quotient_rows(rhs, weights):
+def _quotient_rows(a, b, den):
     """QSeries rows C_0..C_(len(b) - 1) of A / (1 + B), that is
         C_k = A_k - sum_{0<j<=k} B_j C_(k-j),
-    for rhs = (a, da) and weights = (b, db), equally many integer rows over
-    one denominator each, a row's truncation its length less one (b[0] is
-    not read).  da must divide db: the callers pass da = 1 or da = db.
-    Each output row is truncated at the smallest truncation among the rows
-    it sums; a zero C_0 bounds none.
+    for a and b equally many integer rows over the one denominator den, a
+    row's truncation its length less one (b[0] is not read).  Each output
+    row is truncated at the smallest truncation among the rows it sums; a
+    zero C_0 bounds none.
 
     The row twin of polys._recurrence: the solved rows stay integer rows
     over one running denominator dc, and each term is one integer row
     product whose left factor is whichever of B_j and C_(k-j) has more
-    zero entries, which _accumulate skips.  A_k meets the sum over db dc,
-    which da divides.  Each row is reduced by one gcd, and dc becomes the
-    lcm with the reduced denominator only when that does not divide it
-    already."""
-    (a, da), (b, db) = rhs, weights
-    out = [QSeries._of(a[0], da)]
+    zero entries, which _accumulate skips.  A_k meets the sum over den dc.
+    Each row is reduced by one gcd, and dc becomes the lcm with the reduced
+    denominator only when that does not divide it already."""
+    out = [QSeries._of(a[0], den)]
     c, dc = [out[0].ints], out[0].den
     for k in range(1, len(b)):
         js = range(1, k + 1 if any(c[0]) else k)  # j = k is the term of C_0
         acc = [0] * min([len(a[k])] + [min(len(b[j]), len(c[k - j])) for j in js])
         for j in js:  # the row with more zeros goes left
             P._accumulate(acc, *sorted((b[j], c[k - j]), key=lambda r: -r.count(0)))
-        sa = db * dc // da
-        row = QSeries._of([x * sa - y for x, y in zip(a[k], acc)], db * dc)
+        row = QSeries._of([x * dc - y for x, y in zip(a[k], acc)], den * dc)
         out.append(row)
         if dc % row.den:
             grown = dc // _gcd(dc, row.den) * row.den
@@ -459,7 +455,7 @@ def log_one_plus_rows(z, head):
     its numerator rows k z_k over the denominator of z's rows."""
     x, dz = _scaled_rows(z[1:])
     a = [[0]] + [[k * c for c in row] for k, row in enumerate(x, 1)]
-    m = _quotient_rows((a, dz), ([None] + x, dz))
+    m = _quotient_rows(a, [None] + x, dz)
     return [head] + [QSeries._of(row.ints, row.den * k) for k, row in enumerate(m[1:], 1)]
 
 
@@ -469,10 +465,10 @@ def geometric_rows(g):
 
     W_0 = 1 and W_k = sum_{0<i<=k} g_i W_(k-i): one _quotient_rows, with
     numerator 1 (zero rows past row 0, which bound no more than g's rows
-    do) and the rows of -g over one denominator."""
+    do) and the rows of -g, all over the one denominator of g's rows."""
     x, dg = _scaled_rows(g[1:])
-    a = [[1] + [0] * g[0].truncation] + [[0] * len(row) for row in x]
-    return _quotient_rows((a, 1), ([None] + [[-c for c in row] for row in x], dg))
+    a = [[dg] + [0] * g[0].truncation] + [[0] * len(row) for row in x]
+    return _quotient_rows(a, [None] + [[-c for c in row] for row in x], dg)
 
 
 def exp_coordinate_inverse(g):

@@ -980,7 +980,8 @@ def descended_by_products(back, kernel, diagonals):
 
 # -- the full-precision fixed point of the regularizing exponent ----------------
 # It runs on the package's moment series: every round at the full precision
-# u^D, the loop that regularize replaced by rounds at the precision each fixes.
+# u^D.  regularize reads the same fixed point off log(1 - G) by Lagrange
+# inversion, with no rounds.
 
 
 def full_precision_eta(moments):
@@ -1002,8 +1003,8 @@ def fixed_point_columns(z):
     """The columns b_j = u^(j-1) (-1)^j c_j / j!, j = 0..D-1, of the fixed
     point, as q-series of the package at u^0..u^(D-1), by the column route:
     c_j = res{ h^-j z } off rows 0..D - j of z by weighted_residues(-j),
-    scaled by (-1)^j / j! and shifted by j - 1.  regularize reads them off
-    its moment window instead."""
+    scaled by (-1)^j / j! and shifted by j - 1.  They are the columns of the
+    moment window G that regularize builds from the rows of z in place."""
     from hypergw.residues import USeriesRF
     from hypergw.series import QSeries
 

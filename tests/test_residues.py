@@ -262,15 +262,17 @@ def test_regularize_is_idempotent_on_reconstructed_series():
 
 
 def test_regularize_route_mismatch_is_typed(monkeypatch):
+    # only the log cross-check reads weighted_residues: eta is read off
+    # log(1 - G) by taylor_coeff, so this breaks one route alone
     monkeypatch.setattr(
-        USeriesRF, "log_one_plus", lambda self: oracles.scalar_window([], self.truncation)
+        USeriesRF, "weighted_residues", lambda self, power=0: QSeries.zero(self.truncation)
     )
     with pytest.raises(RoutesDisagree):
         regularize(constructed_example(Fr(3, 2), 3))
 
 
 def test_non_regularizable_series_passes_the_log_cross_check():
-    # z = u h + u^2 / h^2: the fixed point gives eta = 0 while
+    # z = u h + u^2 / h^2: the Lagrange read gives eta = 0 while
     # res log(1 + z) = -u^3, the residue of log(1 + zbar) for zbar = z
     for d in (2, 3, 4):
         z = u_series(0, H, inv_power(2), trunc=d)
@@ -651,28 +653,26 @@ def test_moment_windows_match_power_list_on_drawn_series(case):
     assert_moment_windows_match_power_list(regularize(case[1]), moments_of(case[1]))
 
 
-def columns_read_by_regularize(z):
-    """regularize(z) and the columns b_j, j = 0..D-1, of its fixed point as
-    it reads them: its first D taylor_coeff reads, read j at h^(j-1) of rows
-    0..D - j of the stored moment window, whose u^m is [u^(m + j - 1)] b_j."""
-    reads = []
-    real = USeriesRF.taylor_coeff
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(USeriesRF, "taylor_coeff", lambda w, q: reads.append((w, q)) or real(w, q))
-        reg = regularize(z)
-    d = z.truncation
+def columns_of_moment_window(reg):
+    """The columns b_j = u^(j-1) (-1)^j c_j / j!, j = 0..D-1, of the fixed
+    point, read off the moment window G that regularize stores: read j at
+    h^(j-1) of rows 0..D - j, whose u^m is [u^(m + j - 1)] b_j."""
+    d = reg.z.truncation
     columns = []
-    for j, (window, q) in enumerate(reads[:d]):
-        assert q == j - 1 and window.coeffs == reg.big_g.coeffs[: d - j + 1]
-        c = real(window, q)
+    for j in range(d):
+        c = USeriesRF._of(reg.big_g.coeffs[: d - j + 1]).taylor_coeff(j - 1)
         columns.append([c[k - j + 1] if k >= j - 1 else 0 for k in range(d)])
-    return reg, columns
+    return columns
 
 
 def assert_columns_match_column_route(z):
-    reg, columns = columns_read_by_regularize(z)
-    assert columns == [list(b.coeffs) for b in oracles.fixed_point_columns(z)]
-    # the moment checks read the same window
+    # G, built from the rows of z in place, against the moments read by
+    # weighted_residues: eta and both moment windows are functions of G
+    reg = regularize(z)
+    assert columns_of_moment_window(reg) == [
+        list(b.coeffs) for b in oracles.fixed_point_columns(z)
+    ]
+    # the moment checks read the stored G and its log, not z
     twin = regularize(z)
     twin.z = None
     assert twin.moment_windows == reg.moment_windows
@@ -696,8 +696,9 @@ def test_fixed_point_columns_match_column_route_on_drawn_series(case):
 
 
 def test_regularize_takes_no_moment_column(monkeypatch):
-    # the b_j come off the one moment window G: the column route made one
-    # weighted_residues(-j) call per column, D per regularization
+    # eta is one diagonal of log(1 - G), G read off the rows of z in place:
+    # the column route made one weighted_residues(-j) call per moment, D per
+    # regularization; only the log cross-check's residues (power 0) remain
     powers = []
     real = USeriesRF.weighted_residues
     monkeypatch.setattr(
@@ -713,9 +714,10 @@ def test_regularize_takes_no_moment_column(monkeypatch):
 
 
 def assert_eta_matches_full_precision_loop(z, wide):
-    """regularize's rounds at the precision each fixes give the eta of the
-    loop whose every round runs at u^D, on the moments of wide, z at the
-    full width 2D + 2: the same numerators over the same denominator."""
+    """eta read off log(1 - G) by Lagrange inversion is the eta of the
+    fixed-point loop whose every round runs at u^D, on the moments of wide,
+    z at the full width 2D + 2: the same numerators over the same
+    denominator."""
     eta = regularize(z).eta
     want = oracles.full_precision_eta(moments_of(wide))
     assert (eta.ints, eta.den) == (want.ints, want.den)
@@ -803,7 +805,9 @@ def test_geometric_window_matches_series_products(monkeypatch, n):
 
 def test_fixed_point_halves_series_products(monkeypatch):
     # the power-sum rounds made 140 QSeries.__mul__ calls here: per term of
-    # each of the D rounds, a power of eta, its scaling and its moment product
+    # each of the D rounds, a power of eta, its scaling and its moment product;
+    # eta read off log(1 - G) makes none: of the 13 left, 7 negate the rows
+    # of G and 6 are the powers of eta in exp(-eta/h)
     z = cli._constructed_regularizable(6)
     calls = []
     mul = QSeries.__mul__
@@ -816,6 +820,23 @@ def test_fixed_point_halves_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__rmul__", counted)
     regularize(z)
     assert len(calls) <= 140 // 2
+
+
+def test_regularize_suite_product_count(monkeypatch, cold_stages):
+    # the integer products the regularize suite forms at (5, 12): 39,399 when
+    # eta came from D Horner rounds over the columns of G, 35,318 when it is
+    # read off the log of 1 - G that the moment windows reuse
+    products = []
+    real = P._accumulate
+
+    def counted(acc, x, y):
+        t = len(acc)
+        products.append(sum(len(y[: t - i]) for i, u in enumerate(x[:t]) if u))
+        real(acc, x, y)
+
+    monkeypatch.setattr(P, "_accumulate", counted)
+    assert all(r.passed for r in cli._suite_regularize(5, 12))
+    assert sum(products) <= 36_000
 
 
 @pytest.mark.parametrize("n", range(1, 9))
